@@ -28,12 +28,11 @@ class DualizingParam:
         return float(self.evaluator(np.asarray(x, float), np.asarray(p, float)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentingFn:
     """Nonnegative sigma with sigma(0) = 0 and sigma(p) > 0 elsewhere."""
 
     evaluator: Callable[[np.ndarray], float]
-    valley_checked: bool = False
 
     def __call__(self, p) -> float:
         return float(self.evaluator(np.atleast_1d(np.asarray(p, float))))
@@ -249,7 +248,6 @@ def valley_check(
             smallest = min(smallest, aug(direction / norm * magnitude))
         if not smallest > 0.0:
             ok = False
-    aug.valley_checked = ok
     return ok
 
 

@@ -16,12 +16,10 @@ import numpy as np
 
 from . import __version__
 from .errors import EpflabError, UnknownProblem
-from .harness import estimate_c_star, c_sweep, geometric_grid, make_penalty
+from .harness import PENALTY_KINDS, estimate_c_star, c_sweep, geometric_grid, make_penalty
 from .problems import fd_gradient, get_problem, kkt_residual, registry
 from .report import localize, serialize_report, sweep_to_csv
 from .solvers import SolverConfig
-
-PENALTY_CHOICES = ("linear", "qorder", "c1-socp", "c1-sdp", "al-hpr")
 
 
 def _parse_csv(text: Optional[str]) -> Optional[np.ndarray]:
@@ -85,7 +83,7 @@ def list_problems():
 
 
 def _common_penalty_options(fn):
-    fn = click.option("--penalty", type=click.Choice(PENALTY_CHOICES), required=True)(fn)
+    fn = click.option("--penalty", type=click.Choice(PENALTY_KINDS), required=True)(fn)
     fn = click.option("--q", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--alpha", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--kappa", type=float, default=None)(fn)

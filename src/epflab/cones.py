@@ -7,8 +7,6 @@ matrices are 2-D arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .numerics import eig_sym, sym
@@ -84,23 +82,17 @@ def in_psd_minus(a, tol: float = PSD_MEMBER_TOL) -> bool:
     return float(decomp.values[-1]) <= tol
 
 
-def is_psd(a, tol: float = PSD_MEMBER_TOL) -> bool:
-    decomp = eig_sym(sym(a))
-    return float(decomp.values[0]) >= -tol
+def split_blocks(y, blocks) -> list:
+    """Split a stacked vector into per-block Lorentz points.
 
-
-def lorentz_block_dims(total: int, blocks) -> None:
-    """Validate a direct-product cone layout: every block dimension >= 2."""
+    Every block dimension must be >= 2 and the dimensions must sum to the
+    length of y.
+    """
+    y = np.asarray(y, dtype=float)
     if any(b < 2 for b in blocks):
         raise ValueError("every Lorentz block needs dimension >= 2")
-    if sum(blocks) != total:
+    if sum(blocks) != y.shape[0]:
         raise ValueError("block dimensions do not sum to the total dimension")
-
-
-def split_blocks(y, blocks) -> list:
-    """Split a stacked vector into per-block Lorentz points."""
-    y = np.asarray(y, dtype=float)
-    lorentz_block_dims(y.shape[0], blocks)
     out = []
     offset = 0
     for b in blocks:

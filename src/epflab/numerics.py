@@ -1,4 +1,5 @@
-"""Dense symmetric linear algebra: Cholesky solves and Jacobi eigendecomposition.
+"""Dense symmetric linear algebra on LAPACK: Cholesky solves with a
+relative pivot test, and symmetric eigendecomposition.
 
 Everything here works on plain numpy arrays.  Matrices are symmetrized on
 entry; order is capped at 64 (desk scale, no sparse paths).
@@ -6,11 +7,10 @@ entry; order is capped at 64 (desk scale, no sparse paths).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -46,9 +46,10 @@ class EigenDecomp:
 def chol_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
-    Raises NotPositiveDefinite as soon as a Cholesky pivot drops below
-    PIVOT_RTOL times the largest diagonal entry; this is the operational
-    nondegeneracy test used by the multiplier-estimate subproblems.
+    Raises NotPositiveDefinite when LAPACK cannot factor A or a Cholesky
+    pivot diag(L)^2 is below PIVOT_RTOL times the largest diagonal entry;
+    this is the operational nondegeneracy test used by the
+    multiplier-estimate subproblems.  Non-finite input raises ValueError.
     """
     a = sym(a)
     b = np.asarray(b, dtype=float)
@@ -57,29 +58,27 @@ def chol_solve(a, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
         return np.zeros(0)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("system has non-finite entries")
     max_diag = float(np.max(np.diag(a)))
     if max_diag <= 0.0:
         raise NotPositiveDefinite("no positive diagonal entry")
+    try:
+        factor = cho_factor(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
+    min_pivot = float(np.min(np.diag(factor[0]))) ** 2
     threshold = PIVOT_RTOL * max_diag
-    lower = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot < threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} below threshold {threshold:.3e} at column {j}"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    y = solve_triangular(lower, b, lower=True)
-    return solve_triangular(lower.T, y, lower=False)
+    if min_pivot < threshold:
+        raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
+    return cho_solve(factor, b, check_finite=False)
 
 
-def eig_sym(a, max_sweeps: int = 100) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eig_sym(a) -> EigenDecomp:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
-    Sweeps until the off-diagonal Frobenius norm is below 1e-12 times the
-    matrix norm, or raises NoConvergence after ``max_sweeps`` sweeps.
+    Raises ValueError for order above MAX_ORDER or non-finite entries, and
+    NoConvergence when LAPACK does not converge.
     """
     a = sym(a)
     n = a.shape[0]
@@ -87,49 +86,8 @@ def eig_sym(a, max_sweeps: int = 100) -> EigenDecomp:
         raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    mat = a.copy()
-    vec = np.eye(n)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0 or n == 1:
-        values = np.diag(mat).copy()
-        order = np.argsort(values, kind="stable")
-        return EigenDecomp(values[order], vec[:, order])
-    tol = 1e-12 * norm_a
-    skip = 1e-18 * norm_a
-
-    def off_norm(m):
-        return float(np.linalg.norm(m - np.diag(np.diag(m))))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm(mat) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = mat[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (mat[q, q] - mat[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = mat[:, p].copy()
-                col_q = mat[:, q].copy()
-                mat[:, p] = c * col_p - s * col_q
-                mat[:, q] = s * col_p + c * col_q
-                row_p = mat[p, :].copy()
-                row_q = mat[q, :].copy()
-                mat[p, :] = c * row_p - s * row_q
-                mat[q, :] = s * row_p + c * row_q
-                mat[p, q] = 0.0
-                mat[q, p] = 0.0
-                vec_p = vec[:, p].copy()
-                vec_q = vec[:, q].copy()
-                vec[:, p] = c * vec_p - s * vec_q
-                vec[:, q] = s * vec_p + c * vec_q
-    if not converged and off_norm(mat) > tol:
-        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
-    values = np.diag(mat).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenDecomp(values[order], vec[:, order])
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    return EigenDecomp(values, vectors)

@@ -36,12 +36,20 @@ DEFAULT_ESTIMATOR = EstimatorConfig()
 
 @dataclass(frozen=True)
 class MultiplierEstimate:
+    """Multiplier estimate at a point x.
+
+    ``block_dists`` holds the distance of each constraint block to its cone
+    at x, dist(g_i(x), Q) per SOC block or (dist(G(x), S-),) for the SDP
+    block, so the barrier at the same x does not compute them again.
+    """
+
     lambdas: Tuple[Array, ...]
     mu: Array
     lam_sdp: Optional[Array] = None
     subproblem_residual: float = 0.0
     hessian_min_eig: Optional[float] = None
     degenerate: bool = False
+    block_dists: Tuple[float, ...] = ()
 
     @property
     def lambda_norm_sq(self) -> float:
@@ -118,6 +126,7 @@ def estimate_multipliers_soc(
     stack = np.zeros((d, m))
     normal = np.zeros((m, m))
     rho = 0.0
+    dists = []
     col = 0
     for block in blocks:
         k = block.dim
@@ -127,7 +136,8 @@ def estimate_multipliers_soc(
         flat[:, 0] = g_val[1:]
         flat[:, 1:] = g_val[0] * np.eye(k - 1)
         normal[col : col + k, col : col + k] += cfg.zeta1 * (np.outer(g_val, g_val) + flat.T @ flat)
-        rho += dist_lorentz(g_val) ** 2
+        dists.append(dist_lorentz(g_val))
+        rho += dists[-1] ** 2
         col += k
     if problem.n_eq > 0:
         stack[:, col:] = problem.jac_h(x).T
@@ -150,6 +160,7 @@ def estimate_multipliers_soc(
         subproblem_residual=residual,
         hessian_min_eig=min_eig,
         degenerate=degenerate,
+        block_dists=tuple(dists),
     )
 
 
@@ -207,7 +218,8 @@ def estimate_multipliers_sdp(
     for a, e in enumerate(basis):
         gram[a] = float(np.sum(e * e))
     gram[n_lam:] = 1.0
-    rho = float(np.linalg.norm(problem.h(x)) ** 2) + dist_psd_minus(g_mat) ** 2
+    dist = dist_psd_minus(g_mat)
+    rho = float(np.linalg.norm(problem.h(x)) ** 2) + dist ** 2
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
     z, residual, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
@@ -225,6 +237,7 @@ def estimate_multipliers_sdp(
         subproblem_residual=residual,
         hessian_min_eig=min_eig,
         degenerate=degenerate,
+        block_dists=(dist,),
     )
 
 
@@ -232,15 +245,16 @@ def barrier_state_soc(
     problem: ConstrainedProblem, x, alpha: float, kappa: float, est: MultiplierEstimate
 ) -> BarrierState:
     """Barrier terms p(x), q(x) built from constraint violations and the
-    multiplier estimate; kappa >= 2 keeps dist^kappa differentiable."""
+    multiplier estimate ``est`` at the same x; kappa >= 2 keeps dist^kappa
+    differentiable."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if kappa < 2:
         raise ValueError("kappa must be >= 2 for SOC problems")
     x = np.asarray(x, dtype=float)
     dist_sum = 0.0
-    for block in problem.soc_blocks:
-        dist_sum += dist_lorentz(block.g(x)) ** kappa
+    for dist in est.block_dists:
+        dist_sum += dist ** kappa
     a_val = alpha - dist_sum
     b_val = alpha - float(np.linalg.norm(problem.h(x)) ** 2)
     p_val = a_val / (1.0 + est.lambda_norm_sq)
@@ -256,7 +270,7 @@ def barrier_state_sdp(
     if kappa < 1:
         raise ValueError("kappa must be >= 1 for SDP problems")
     x = np.asarray(x, dtype=float)
-    dist_sq = dist_psd_minus(problem.sdp_block.G(x)) ** 2
+    dist_sq = est.block_dists[0] ** 2
     a_val = alpha - dist_sq ** kappa
     b_val = alpha - float(np.linalg.norm(problem.h(x)) ** 2)
     p_val = a_val / (1.0 + est.lambda_norm_sq)

@@ -237,15 +237,25 @@ def test_criterion_09_nonlinear_penalty_conditions():
         assert abs(res.x[0] - oracle_x) <= 1e-3
 
 
-def test_criterion_10_determinism():
+def _assert_report_deterministic(problem, kind, n_starts, c_max, c_steps):
     def run():
         return serialize_report(
-            localize(get_problem("toy-lin-1"), "linear",
-                     cfg=SolverConfig(n_starts=8, seed=7),
-                     c_min=0.5, c_max=32.0, c_steps=6)
+            localize(get_problem(problem), kind,
+                     cfg=SolverConfig(n_starts=n_starts, seed=7),
+                     c_min=0.5, c_max=c_max, c_steps=c_steps)
         )
 
     first, second = run(), run()
     assert first == second
     doc = json.loads(first)
     assert doc["seed"] == 7
+
+
+def test_criterion_10_determinism():
+    _assert_report_deterministic("toy-lin-1", "linear", n_starts=8, c_max=32.0, c_steps=6)
+
+
+def test_criterion_10_determinism_c1_sdp():
+    # Every F evaluation goes through LAPACK: Cholesky in the multiplier
+    # estimate and the symmetric eigensolver in [A]_+.
+    _assert_report_deterministic("toy-sdp-1", "c1-sdp", n_starts=2, c_max=8.0, c_steps=4)

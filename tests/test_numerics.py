@@ -48,6 +48,16 @@ def test_chol_solve_singular_pivot():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(NotPositiveDefinite):
         chol_solve(a, np.ones(2))
+    # LAPACK factors this one; only the PIVOT_RTOL test rejects it.
+    with pytest.raises(NotPositiveDefinite):
+        chol_solve(np.diag([1.0, 1e-14]), np.ones(2))
+
+
+def test_chol_solve_nonfinite_rejected():
+    with pytest.raises(ValueError):
+        chol_solve(np.array([[1.0, np.nan], [np.nan, 2.0]]), np.ones(2))
+    with pytest.raises(ValueError):
+        chol_solve(np.eye(2), np.array([np.inf, 1.0]))
 
 
 def test_chol_solve_empty():
