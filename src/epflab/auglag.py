@@ -1,6 +1,6 @@
 """Rockafellar-Wets augmented Lagrangian: dualizing parameterizations,
-augmenting functions, a grid oracle for the inner infimum, the
-Hestenes-Powell-Rockafellar closed form, and the strict-exactness probe."""
+augmenting functions, a grid oracle for the inner infimum, and the
+Hestenes-Powell-Rockafellar closed form."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import UnboundedBelow
 from .problems import ConstrainedProblem
-from .solvers import MinimizeResult, SolverConfig, minimize
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -249,43 +248,3 @@ def valley_check(
         if not smallest > 0.0:
             ok = False
     return ok
-
-
-@dataclass(frozen=True)
-class StrictExactnessVerdict:
-    per_c: Tuple[Tuple[float, bool], ...]
-    first_passing_c: Optional[float]
-    details: Tuple[MinimizeResult, ...]
-
-
-def strict_exactness_probe(
-    problem: ConstrainedProblem,
-    al_func: Callable[[np.ndarray, float], float],
-    c_list: Sequence[float],
-    cfg: SolverConfig = SolverConfig(),
-    f_tol: float = 1e-4,
-    x_tol: float = 1e-4,
-) -> StrictExactnessVerdict:
-    """For each c, multistart-minimize the augmented Lagrangian over the
-    box and compare minimum and argmin against the certificate."""
-    cert = problem.certificate
-    if cert is None:
-        raise ValueError(f"{problem.name} carries no certificate")
-    lower, upper = problem.box()
-    per_c = []
-    details = []
-    for c in c_list:
-        result = minimize(lambda z: al_func(z, c), lower, upper, cfg)
-        passed = (
-            abs(result.value - cert.f_star) <= f_tol
-            and float(np.linalg.norm(result.x - cert.x_star)) <= x_tol
-        )
-        per_c.append((float(c), passed))
-        details.append(result)
-    # Smallest tested c from which every larger tested c also passes.
-    first = None
-    for i, (c, ok) in enumerate(per_c):
-        if ok and all(flag for _, flag in per_c[i:]):
-            first = c
-            break
-    return StrictExactnessVerdict(per_c=tuple(per_c), first_passing_c=first, details=tuple(details))

@@ -1,5 +1,6 @@
-"""Empirical exactness harness: penalty factory, c-sweeps, localization
-probes, least-exact-penalty-parameter estimation, and report I/O.
+"""Empirical exactness harness: penalty factory, one solve-at-c kernel
+behind c-sweeps, least-exact-penalty-parameter estimation and the
+strict-exactness probe, and the localization probes.
 
 The probes turn the localization-principle conditions (penalty-type
 behavior, non-degeneracy, local exactness, sublevel boundedness) into
@@ -18,9 +19,9 @@ import numpy as np
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import LinearPenalty, QFunction, linear_eval, qpen_eval, default_phi
-from .problems import ConstrainedProblem, feasibility_gap, get_problem
+from .problems import ConstrainedProblem, KnownSolution, feasibility_gap, get_problem
 from .smoothpen import EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
-from .solvers import MinimizeResult, SolverConfig, minimize, polish
+from .solvers import SolverConfig, minimize, polish
 
 PENALTY_KINDS = ("linear", "qorder", "c1-socp", "c1-sdp", "al-hpr")
 
@@ -97,6 +98,10 @@ def make_penalty(
     return PenaltyHandle(kind=kind, problem=problem, func=func, params=params)
 
 
+# Default distance-to-x* and |F - f*| tolerances of every pass judgement.
+PASS_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     c: float
@@ -106,6 +111,56 @@ class SweepRecord:
     dist_to_xstar: float
     n_starts_agreeing: int
     failed: bool = False
+
+    def passes(self, cert: KnownSolution, x_tol: float = PASS_TOL, f_tol: float = PASS_TOL,
+               strict: bool = True) -> bool:
+        """The argmin lies within ``x_tol`` of x* (and, when strict, the
+        minimum value matches f* within ``f_tol``); a failed solve fails."""
+        ok = not self.failed and self.dist_to_xstar <= x_tol
+        return ok and (not strict or abs(self.best_F - cert.f_star) <= f_tol)
+
+
+def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecord:
+    """Multistart-minimize F(., c), polish the winner, keep the better of
+    the two points and record it; a failed solve becomes a failed record."""
+    problem = penalty.problem
+    lower, upper = problem.box()
+    func = lambda z: penalty(z, c)
+    try:
+        result = minimize(func, lower, upper, cfg)
+    except AllStartsFailed:
+        return SweepRecord(
+            c=float(c),
+            best_x=tuple(float("nan") for _ in range(problem.dim)),
+            best_F=math.inf,
+            feasibility_gap_total=math.inf,
+            dist_to_xstar=math.inf,
+            n_starts_agreeing=0,
+            failed=True,
+        )
+    x, value = polish(func, result.x, lower, upper, cfg)
+    if not value <= result.value:
+        x, value = result.x, result.value
+    cert = problem.certificate
+    return SweepRecord(
+        c=float(c),
+        best_x=tuple(float(v) for v in x),
+        best_F=float(value),
+        feasibility_gap_total=float(feasibility_gap(problem, x).total),
+        dist_to_xstar=float(np.linalg.norm(x - cert.x_star)) if cert is not None else math.nan,
+        n_starts_agreeing=result.n_starts_agreeing,
+    )
+
+
+def _first_passing(per_c: Sequence[Tuple[float, bool]]) -> Optional[float]:
+    """The first tested c from which every later tested c passes, or None."""
+    first = None
+    for c, ok in per_c:
+        if not ok:
+            first = None
+        elif first is None:
+            first = c
+    return first
 
 
 def geometric_grid(c_min: float, c_max: float, n_steps: int) -> List[float]:
@@ -119,45 +174,11 @@ def c_sweep(
     c_grid: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
 ) -> List[SweepRecord]:
-    """One multistart minimization per penalty parameter; solver failures
-    are recorded per-c, not raised."""
+    """One polished multistart minimization per penalty parameter; solver
+    failures are recorded per-c, not raised."""
     if any(b <= a for a, b in zip(c_grid, c_grid[1:])):
         raise ValueError("c grid must be increasing")
-    problem = penalty.problem
-    lower, upper = problem.box()
-    cert = problem.certificate
-    records = []
-    for c in c_grid:
-        try:
-            result = minimize(lambda z: penalty(z, c), lower, upper, cfg)
-        except AllStartsFailed:
-            records.append(
-                SweepRecord(
-                    c=float(c),
-                    best_x=tuple(float("nan") for _ in range(problem.dim)),
-                    best_F=math.inf,
-                    feasibility_gap_total=math.inf,
-                    dist_to_xstar=math.inf,
-                    n_starts_agreeing=0,
-                    failed=True,
-                )
-            )
-            continue
-        gap = feasibility_gap(problem, result.x).total
-        dist = (
-            float(np.linalg.norm(result.x - cert.x_star)) if cert is not None else math.nan
-        )
-        records.append(
-            SweepRecord(
-                c=float(c),
-                best_x=tuple(float(v) for v in result.x),
-                best_F=float(result.value),
-                feasibility_gap_total=float(gap),
-                dist_to_xstar=dist,
-                n_starts_agreeing=result.n_starts_agreeing,
-            )
-        )
-    return records
+    return [_solve_at(penalty, c, cfg) for c in c_grid]
 
 
 def penalty_type_probe(records: Sequence[SweepRecord]) -> bool:
@@ -215,15 +236,11 @@ def local_exactness_probe(
             continue
         r = radius * rng.uniform() ** (1.0 / dim)
         samples.append(np.clip(x_star + direction / norm * r, lower, upper))
-    passing = []
+    per_c = []
     for c in c_list:
         base = penalty(x_star, c)
-        ok = all(penalty(x, c) >= base - slack for x in samples)
-        passing.append(ok)
-    for i, ok in enumerate(passing):
-        if ok and all(passing[i:]):
-            return True
-    return False
+        per_c.append((c, all(penalty(x, c) >= base - slack for x in samples)))
+    return _first_passing(per_c) is not None
 
 
 def sublevel_bounded_probe(
@@ -256,7 +273,7 @@ def sublevel_bounded_probe(
 class CStarResult:
     c_star: Optional[float]
     history: Tuple[Tuple[float, bool], ...]
-    confirm: Optional[MinimizeResult] = None
+    confirm: Optional[SweepRecord] = None
 
 
 def estimate_c_star(
@@ -266,74 +283,77 @@ def estimate_c_star(
     tol_rel: float = 0.02,
     cfg: SolverConfig = SolverConfig(),
     strict: bool = True,
-    x_tol: float = 1e-4,
-    f_tol: float = 1e-4,
+    x_tol: float = PASS_TOL,
+    f_tol: float = PASS_TOL,
     confirm_factor: float = 2.0,
 ) -> CStarResult:
     """Geometric bisection for the least exact penalty parameter.
 
-    The pass predicate at c: the multistart argmin of F(., c) lies within
-    ``x_tol`` of the certified optimum (and, when strict, the minimum
-    value matches f* within ``f_tol``).  Bisection presumes passes form
-    an up-set in c; the confirmation probe at ``confirm_factor * c_star``
+    The pass predicate at c is ``SweepRecord.passes`` on the polished
+    multistart argmin of F(., c).  Bisection presumes passes form an
+    up-set in c; the confirmation probe at ``confirm_factor * c_star``
     raises NonMonotonePredicate if that structure is violated.
     """
     if not (0 < c_lo < c_hi):
         raise ValueError("need 0 < c_lo < c_hi")
-    problem = penalty.problem
-    cert = problem.certificate
+    # 1 + tol_rel must be a float above 1, or the bracket never gets narrow enough.
+    if not 1.0 + tol_rel > 1.0:
+        raise ValueError("tol_rel must be positive")
+    cert = penalty.problem.certificate
     if cert is None:
-        raise ValueError(f"{problem.name} carries no certificate")
-    lower, upper = problem.box()
+        raise ValueError(f"{penalty.problem.name} carries no certificate")
     history: List[Tuple[float, bool]] = []
 
-    def predicate(c: float) -> Tuple[bool, Optional[MinimizeResult]]:
-        try:
-            result = minimize(lambda z: penalty(z, c), lower, upper, cfg)
-        except AllStartsFailed:
-            history.append((float(c), False))
-            return False, None
-        x_ref, _ = polish(lambda z: penalty(z, c), result.x, lower, upper, cfg)
-        best = x_ref if penalty(x_ref, c) <= result.value else result.x
-        value = penalty(best, c)
-        ok = float(np.linalg.norm(best - cert.x_star)) <= x_tol
-        if strict:
-            ok = ok and abs(value - cert.f_star) <= f_tol
+    def predicate(c: float) -> bool:
+        ok = _solve_at(penalty, c, cfg).passes(cert, x_tol, f_tol, strict)
         history.append((float(c), ok))
-        return ok, result
+        return ok
 
-    hi_ok, _ = predicate(c_hi)
-    if not hi_ok:
+    if not predicate(c_hi):
         return CStarResult(c_star=None, history=tuple(history))
-    lo_ok, _ = predicate(c_lo)
-    if lo_ok:
+    if predicate(c_lo):
         c_star = float(c_lo)
     else:
         lo, hi = c_lo, c_hi
         while hi / lo > 1.0 + tol_rel:
             mid = math.sqrt(lo * hi)
-            mid_ok, _ = predicate(mid)
-            if mid_ok:
+            if predicate(mid):
                 hi = mid
             else:
                 lo = mid
         c_star = math.sqrt(lo * hi)
     confirm_c = confirm_factor * c_star
-    confirm = minimize(lambda z: penalty(z, confirm_c), lower, upper, cfg)
-    x_ref, _ = polish(lambda z: penalty(z, confirm_c), confirm.x, lower, upper, cfg)
-    if penalty(x_ref, confirm_c) <= confirm.value:
-        confirm = MinimizeResult(
-            x=x_ref,
-            value=penalty(x_ref, confirm_c),
-            n_starts_used=confirm.n_starts_used,
-            n_starts_agreeing=confirm.n_starts_agreeing,
-        )
-    ok = float(np.linalg.norm(confirm.x - cert.x_star)) <= x_tol
-    if strict:
-        ok = ok and abs(confirm.value - cert.f_star) <= f_tol
-    if not ok:
+    confirm = _solve_at(penalty, confirm_c, cfg)
+    if not confirm.passes(cert, x_tol, f_tol, strict):
         raise NonMonotonePredicate(
-            f"pass at c={c_star} but fail at c={confirm_c} (value {confirm.value})"
+            f"pass at c={c_star} but fail at c={confirm_c} (value {confirm.best_F})"
         )
     history.append((float(confirm_c), True))
     return CStarResult(c_star=float(c_star), history=tuple(history), confirm=confirm)
+
+
+@dataclass(frozen=True)
+class StrictExactnessVerdict:
+    per_c: Tuple[Tuple[float, bool], ...]
+    first_passing_c: Optional[float]
+    details: Tuple[SweepRecord, ...]
+
+
+def strict_exactness_probe(
+    problem: ConstrainedProblem,
+    al_func: Callable[[np.ndarray, float], float],
+    c_list: Sequence[float],
+    cfg: SolverConfig = SolverConfig(),
+    f_tol: float = PASS_TOL,
+    x_tol: float = PASS_TOL,
+) -> StrictExactnessVerdict:
+    """For each c, minimize the augmented Lagrangian over the box and
+    compare minimum and argmin against the certificate; a failed solve
+    is a failing c."""
+    cert = problem.certificate
+    if cert is None:
+        raise ValueError(f"{problem.name} carries no certificate")
+    handle = PenaltyHandle(kind="augmented-lagrangian", problem=problem, func=al_func, params={})
+    details = tuple(_solve_at(handle, c, cfg) for c in c_list)
+    per_c = tuple((r.c, r.passes(cert, x_tol, f_tol)) for r in details)
+    return StrictExactnessVerdict(per_c=per_c, first_passing_c=_first_passing(per_c), details=details)

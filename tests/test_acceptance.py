@@ -141,7 +141,7 @@ def test_criterion_06_localization_battery():
             assert res.c_star is not None and res.c_star <= 1000.0, (p.name, kind)
             # Multistart argmin at 2 * c_star sits on the certificate.
             assert res.confirm is not None
-            assert np.linalg.norm(res.confirm.x - p.certificate.x_star) <= 1e-4, (p.name, kind)
+            assert np.linalg.norm(res.confirm.best_x - p.certificate.x_star) <= 1e-4, (p.name, kind)
 
 
 def test_criterion_07_representation_identity():

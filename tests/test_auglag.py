@@ -13,10 +13,10 @@ from epflab.auglag import (
     inequality_parameterization,
     norm_augmenting,
     scalar_inequalities,
-    strict_exactness_probe,
     valley_check,
 )
 from epflab.errors import UnboundedBelow
+from epflab.harness import strict_exactness_probe
 from epflab.problems import get_problem
 from epflab.solvers import SolverConfig
 

@@ -14,12 +14,19 @@ from epflab.harness import (
     make_penalty,
     nondegeneracy_probe,
     penalty_type_probe,
+    strict_exactness_probe,
     sublevel_bounded_probe,
 )
 from epflab.problems import get_problem
+from epflab.report import localize
 from epflab.solvers import SolverConfig
 
 CFG = SolverConfig(n_starts=8, seed=0)
+
+
+def _walled(x, c):
+    """|x| on toy-lin-1 (minimized at x* = 0, f* = 0) up to c = 7; +inf everywhere above."""
+    return math.inf if c > 7.0 else abs(float(x[0]))
 
 
 def test_geometric_grid():
@@ -166,6 +173,10 @@ def test_estimate_c_star_validation():
     p = get_problem("toy-lin-1")
     with pytest.raises(ValueError):
         estimate_c_star(make_penalty(p, "linear"), 4.0, 1.0, cfg=CFG)
+    # With 1 + tol_rel == 1 the bracket never narrows enough and bisection never ends.
+    for tol_rel in (0.0, -0.5, 1e-17):
+        with pytest.raises(ValueError):
+            estimate_c_star(make_penalty(p, "linear"), 0.25, 64.0, tol_rel=tol_rel, cfg=CFG)
 
 
 def test_estimate_c_star_nonmonotone_detection():
@@ -178,3 +189,32 @@ def test_estimate_c_star_nonmonotone_detection():
     handle = PenaltyHandle(kind="linear", problem=p, func=tricky, params={})
     with pytest.raises(NonMonotonePredicate):
         estimate_c_star(handle, 4.0, 6.0, cfg=CFG)
+    # A confirm solve with no finite start (at c = 8) is a failing c too.
+    walled = PenaltyHandle(kind="linear", problem=p, func=_walled, params={})
+    with pytest.raises(NonMonotonePredicate):
+        estimate_c_star(walled, 4.0, 6.0, cfg=CFG)
+
+
+def test_strict_exactness_probe_records_failed_solve():
+    p = get_problem("toy-lin-1")
+    verdict = strict_exactness_probe(p, _walled, [4.0, 8.0], CFG)
+    assert verdict.per_c == ((4.0, True), (8.0, False))
+    assert verdict.first_passing_c is None
+    assert verdict.details[1].failed
+
+
+def test_localize_bisects_inside_sweep_bracket():
+    p = get_problem("toy-lin-1")
+    pen = make_penalty(p, "linear")
+    cfg = SolverConfig(n_starts=4, seed=0)
+    grid = geometric_grid(0.5, 32.0, 4)
+    records = c_sweep(pen, grid, cfg)
+    # The sweep and the bisection judge each tested c alike.
+    results = [estimate_c_star(pen, lo, hi, cfg=cfg) for lo, hi in zip(grid, grid[1:])]
+    judged = {c: ok for res in results for c, ok in res.history}
+    assert all(judged[r.c] == r.passes(p.certificate) for r in records)
+    j = max(i for i, r in enumerate(records) if not r.passes(p.certificate))
+    rep = localize(p, "linear", cfg=cfg, c_min=0.5, c_max=32.0, c_steps=4)
+    assert rep.evidence == tuple(records)
+    assert rep.c_star == results[j].c_star
+    assert grid[j] < rep.c_star <= grid[j + 1]
