@@ -72,9 +72,10 @@ def proj_psd(a) -> np.ndarray:
 def dist_psd_minus(a) -> float:
     """Distance from A to the negative semidefinite cone.
 
-    Equals the Frobenius norm of [A]_+, i.e. dist^2 = trace([A]_+^2).
+    Equals the Frobenius norm of [A]_+, i.e. dist^2 = trace([A]_+^2): the
+    norm of the clipped eigenvalues, without rebuilding [A]_+.
     """
-    return float(np.linalg.norm(proj_psd(a)))
+    return float(np.linalg.norm(np.maximum(eig_sym(a).values, 0.0)))
 
 
 def in_psd_minus(a, tol: float = PSD_MEMBER_TOL) -> bool:

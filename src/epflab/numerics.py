@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -46,7 +46,8 @@ class EigenDecomp:
 def chol_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
-    Raises NotPositiveDefinite when LAPACK cannot factor A or a Cholesky
+    Calls LAPACK's ``potrf``/``potrs`` directly.  Raises
+    NotPositiveDefinite when ``potrf`` cannot factor A or a Cholesky
     pivot diag(L)^2 is below PIVOT_RTOL times the largest diagonal entry;
     this is the operational nondegeneracy test used by the
     multiplier-estimate subproblems.  Non-finite input raises ValueError.
@@ -58,20 +59,19 @@ def chol_solve(a, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
         return np.zeros(0)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("system has non-finite entries")
-    max_diag = float(np.max(np.diag(a)))
+    max_diag = float(a.diagonal().max())
     if max_diag <= 0.0:
         raise NotPositiveDefinite("no positive diagonal entry")
-    try:
-        factor = cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    min_pivot = float(np.min(np.diag(factor[0]))) ** 2
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
+    min_pivot = float(factor.diagonal().min()) ** 2
     threshold = PIVOT_RTOL * max_diag
     if min_pivot < threshold:
         raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
-    return cho_solve(factor, b, check_finite=False)
+    return dpotrs(factor, b, lower=1)[0]
 
 
 def eig_sym(a) -> EigenDecomp:

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus, proj_psd
+from .cones import dist_lorentz, dist_psd_minus
 from .errors import NotPositiveDefinite, OutsideDomain
 from .numerics import chol_solve, eig_sym
 from .problems import ConstrainedProblem
@@ -38,9 +39,11 @@ DEFAULT_ESTIMATOR = EstimatorConfig()
 class MultiplierEstimate:
     """Multiplier estimate at a point x.
 
-    ``block_dists`` holds the distance of each constraint block to its cone
-    at x, dist(g_i(x), Q) per SOC block or (dist(G(x), S-),) for the SDP
-    block, so the barrier at the same x does not compute them again.
+    ``g_vals`` holds the constraint values at x, g_i(x) per SOC block or
+    (G(x),) for the SDP block, ``h_val`` holds h(x), and ``block_dists``
+    the distance of each constraint block to its cone at x, dist(g_i(x), Q)
+    or (dist(G(x), S-),), so the barrier and the penalty at the same x do
+    not evaluate them again.
     """
 
     lambdas: Tuple[Array, ...]
@@ -50,6 +53,8 @@ class MultiplierEstimate:
     hessian_min_eig: Optional[float] = None
     degenerate: bool = False
     block_dists: Tuple[float, ...] = ()
+    g_vals: Tuple[Array, ...] = ()
+    h_val: Optional[Array] = None
 
     @property
     def lambda_norm_sq(self) -> float:
@@ -118,30 +123,31 @@ def estimate_multipliers_soc(
         raise ValueError("use estimate_multipliers_sdp for matrix-constrained problems")
     sizes = [b.dim for b in blocks]
     m = sum(sizes) + problem.n_eq
+    h_val = problem.h(x)
     if m == 0:
         return MultiplierEstimate(lambdas=(), mu=np.zeros(0), subproblem_residual=0.0,
-                                  hessian_min_eig=math.inf)
+                                  hessian_min_eig=math.inf, h_val=h_val)
     d = problem.dim
     grad_f = problem.grad_f(x)
     stack = np.zeros((d, m))
     normal = np.zeros((m, m))
     rho = 0.0
     dists = []
+    g_vals = []
     col = 0
     for block in blocks:
         k = block.dim
         g_val = np.asarray(block.g(x), dtype=float)
+        g_vals.append(g_val)
         stack[:, col : col + k] = block.jacobian(x).T
-        flat = np.zeros((k - 1, k))
-        flat[:, 0] = g_val[1:]
-        flat[:, 1:] = g_val[0] * np.eye(k - 1)
+        flat = np.column_stack((g_val[1:], g_val[0] * np.eye(k - 1)))
         normal[col : col + k, col : col + k] += cfg.zeta1 * (np.outer(g_val, g_val) + flat.T @ flat)
         dists.append(dist_lorentz(g_val))
         rho += dists[-1] ** 2
         col += k
     if problem.n_eq > 0:
         stack[:, col:] = problem.jac_h(x).T
-        rho += float(np.linalg.norm(problem.h(x)) ** 2)
+        rho += float(np.linalg.norm(h_val) ** 2)
     normal += stack.T @ stack + 0.5 * cfg.zeta2 * rho * np.eye(m)
     rhs = stack.T @ grad_f
     z, residual, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
@@ -161,21 +167,22 @@ def estimate_multipliers_soc(
         hessian_min_eig=min_eig,
         degenerate=degenerate,
         block_dists=tuple(dists),
+        g_vals=tuple(g_vals),
+        h_val=h_val,
     )
 
 
-def _sym_basis(order: int) -> list:
-    basis = []
-    for i in range(order):
-        for j in range(i, order):
-            e = np.zeros((order, order))
-            if i == j:
-                e[i, i] = 1.0
-            else:
-                e[i, j] = 1.0
-                e[j, i] = 1.0
-            basis.append(e)
-    return basis
+@lru_cache(maxsize=None)
+def _sym_basis(order: int) -> Tuple[Array, Array]:
+    """Basis E_ij + E_ji (E_ii on the diagonal), i <= j in row-major order,
+    of the symmetric matrices of an order, as a read-only
+    (n_lam, order, order) array and its (n_lam, order**2) flattening."""
+    rows, cols = np.triu_indices(order)
+    basis = np.zeros((rows.size, order, order))
+    basis[np.arange(rows.size), rows, cols] = 1.0
+    basis[np.arange(rows.size), cols, rows] = 1.0
+    basis.flags.writeable = False
+    return basis, basis.reshape(rows.size, -1)
 
 
 def estimate_multipliers_sdp(
@@ -193,51 +200,39 @@ def estimate_multipliers_sdp(
         raise ValueError("problem has no SDP block")
     if problem.soc_blocks:
         raise ValueError("mixed SOC and SDP blocks are not supported")
-    order = block.order
-    basis = _sym_basis(order)
-    n_lam = len(basis)
+    # <E_a, M> for every basis matrix E_a is one product with the flat basis.
+    basis, flat = _sym_basis(block.order)
+    n_lam = basis.shape[0]
     m = n_lam + problem.n_eq
-    d = problem.dim
     g_mat = np.asarray(block.G(x), dtype=float)
-    derivs = block.derivative(x)
+    h_val = problem.h(x)
     grad_f = problem.grad_f(x)
-    stack = np.zeros((d, m))
-    for a, e in enumerate(basis):
-        for k in range(d):
-            stack[k, a] = float(np.sum(e * derivs[k]))
+    stack = np.zeros((problem.dim, m))
+    stack[:, :n_lam] = np.reshape(block.derivative(x), (problem.dim, -1)) @ flat.T
     if problem.n_eq > 0:
         stack[:, n_lam:] = problem.jac_h(x).T
-    g_sq = g_mat @ g_mat
     curv = np.zeros((m, m))
-    for a, ea in enumerate(basis):
-        for b in range(a, n_lam):
-            val = float(np.sum(ea * (g_sq @ basis[b])))
-            curv[a, b] = val
-            curv[b, a] = val
-    gram = np.zeros(m)
-    for a, e in enumerate(basis):
-        gram[a] = float(np.sum(e * e))
-    gram[n_lam:] = 1.0
+    curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
+    gram = np.ones(m)
+    gram[:n_lam] = np.sum(flat, axis=1)
     dist = dist_psd_minus(g_mat)
-    rho = float(np.linalg.norm(problem.h(x)) ** 2) + dist ** 2
+    rho = float(np.linalg.norm(h_val) ** 2) + dist ** 2
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
     z, residual, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
-    lam = np.zeros((order, order))
-    for a, e in enumerate(basis):
-        lam += z[a] * e
-    mu = z[n_lam:]
     min_eig = None
     if want_spectrum:
         min_eig = float(eig_sym(normal).values[0])
     return MultiplierEstimate(
         lambdas=(),
-        mu=mu,
-        lam_sdp=lam,
+        mu=z[n_lam:],
+        lam_sdp=(z[:n_lam] @ flat).reshape(basis.shape[1:]),
         subproblem_residual=residual,
         hessian_min_eig=min_eig,
         degenerate=degenerate,
         block_dists=(dist,),
+        g_vals=(g_mat,),
+        h_val=h_val,
     )
 
 
@@ -245,21 +240,14 @@ def barrier_state_soc(
     problem: ConstrainedProblem, x, alpha: float, kappa: float, est: MultiplierEstimate
 ) -> BarrierState:
     """Barrier terms p(x), q(x) built from constraint violations and the
-    multiplier estimate ``est`` at the same x; kappa >= 2 keeps dist^kappa
-    differentiable."""
+    multiplier estimate ``est`` at the same x, whose constraint values and
+    cone distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if kappa < 2:
         raise ValueError("kappa must be >= 2 for SOC problems")
-    x = np.asarray(x, dtype=float)
-    dist_sum = 0.0
-    for dist in est.block_dists:
-        dist_sum += dist ** kappa
-    a_val = alpha - dist_sum
-    b_val = alpha - float(np.linalg.norm(problem.h(x)) ** 2)
-    p_val = a_val / (1.0 + est.lambda_norm_sq)
-    q_val = b_val / (1.0 + est.mu_norm_sq)
-    return BarrierState(alpha=alpha, kappa=kappa, a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
+    dist_sum = sum(dist ** kappa for dist in est.block_dists)
+    return _barrier_state(alpha, kappa, alpha - dist_sum, est)
 
 
 def barrier_state_sdp(
@@ -269,13 +257,32 @@ def barrier_state_sdp(
         raise ValueError("alpha must be positive")
     if kappa < 1:
         raise ValueError("kappa must be >= 1 for SDP problems")
-    x = np.asarray(x, dtype=float)
     dist_sq = est.block_dists[0] ** 2
-    a_val = alpha - dist_sq ** kappa
-    b_val = alpha - float(np.linalg.norm(problem.h(x)) ** 2)
+    return _barrier_state(alpha, kappa, alpha - dist_sq ** kappa, est)
+
+
+def _barrier_state(alpha: float, kappa: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
+    """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
+    b_val = alpha - float(np.linalg.norm(est.h_val) ** 2)
     p_val = a_val / (1.0 + est.lambda_norm_sq)
     q_val = b_val / (1.0 + est.mu_norm_sq)
     return BarrierState(alpha=alpha, kappa=kappa, a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
+
+
+def _soc_block_sum(est: MultiplierEstimate, p: float, c: float) -> float:
+    """sum_i (c / 2p) [dist^2(g_i + (p/c) lambda_i, Q) - (p/c)^2 ||lambda_i||^2],
+    the cone part of c1_penalty_soc; phi_aux is p times it."""
+    total = 0.0
+    for g_val, lam_i in zip(est.g_vals, est.lambdas):
+        shifted = g_val + (p / c) * lam_i
+        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(lam_i @ lam_i))
+    return total
+
+
+def _eq_terms(est: MultiplierEstimate, q: float, c: float) -> float:
+    """<mu, h> + (c / 2q) ||h||^2, the equality part of both c1 penalties."""
+    h_val = est.h_val
+    return float(est.mu @ h_val) + (c / (2.0 * q)) * float(h_val @ h_val)
 
 
 def c1_penalty_soc(
@@ -301,15 +308,9 @@ def c1_penalty_soc(
     state = barrier_state_soc(problem, x, alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
-    p = state.p_val
-    value = problem.f(x)
-    for block, lam_i in zip(problem.soc_blocks, est.lambdas):
-        g_val = np.asarray(block.g(x), dtype=float)
-        shifted = g_val + (p / c) * lam_i
-        value += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(lam_i @ lam_i))
+    value = problem.f(x) + _soc_block_sum(est, state.p_val, c)
     if problem.n_eq > 0:
-        h_val = problem.h(x)
-        value += float(est.mu @ h_val) + (c / (2.0 * state.q_val)) * float(h_val @ h_val)
+        value += _eq_terms(est, state.q_val, c)
     return float(value)
 
 
@@ -324,7 +325,8 @@ def c1_penalty_sdp(
 ) -> float:
     """SDP counterpart:
     F = f + (1 / 2cp) (trace([cG + p lambda]_+^2) - p^2 trace(lambda^2))
-        + <mu, h> + (c / 2q) ||h||^2.
+        + <mu, h> + (c / 2q) ||h||^2,
+    with trace([A]_+^2) = dist^2(A, S-).
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
@@ -334,13 +336,11 @@ def c1_penalty_sdp(
     if not state.inside_domain:
         return math.inf
     p = state.p_val
-    g_mat = np.asarray(problem.sdp_block.G(x), dtype=float)
-    shifted_plus = proj_psd(c * g_mat + p * est.lam_sdp)
+    shifted_sq = dist_psd_minus(c * est.g_vals[0] + p * est.lam_sdp) ** 2
     lam_sq = float(np.sum(est.lam_sdp * est.lam_sdp))
-    value = problem.f(x) + (float(np.sum(shifted_plus * shifted_plus)) - p * p * lam_sq) / (2.0 * c * p)
+    value = problem.f(x) + (shifted_sq - p * p * lam_sq) / (2.0 * c * p)
     if problem.n_eq > 0:
-        h_val = problem.h(x)
-        value += float(est.mu @ h_val) + (c / (2.0 * state.q_val)) * float(h_val @ h_val)
+        value += _eq_terms(est, state.q_val, c)
     return float(value)
 
 
@@ -355,7 +355,8 @@ def phi_aux(
     """Inner minimum Phi(x, c) = min over y in K - G(x) of
     (-p <lambda, y> + (c/2)||y||^2), in closed form.
 
-    Satisfies f + Phi/p + <mu, h> + (c/2q)||h||^2 = c1_penalty_soc.
+    Satisfies f + Phi/p + <mu, h> + (c/2q)||h||^2 = c1_penalty_soc, since
+    both are built on the same block sum.
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
@@ -364,10 +365,4 @@ def phi_aux(
     state = barrier_state_soc(problem, x, alpha, kappa, est)
     if not state.inside_domain:
         raise OutsideDomain(f"x outside Omega_alpha (a={state.a_val}, b={state.b_val})")
-    p = state.p_val
-    total = 0.0
-    for block, lam_i in zip(problem.soc_blocks, est.lambdas):
-        g_val = np.asarray(block.g(x), dtype=float)
-        shifted = g_val + (p / c) * lam_i
-        total += (c / 2.0) * dist_lorentz(shifted) ** 2 - (p * p / (2.0 * c)) * float(lam_i @ lam_i)
-    return float(total)
+    return float(state.p_val * _soc_block_sum(est, state.p_val, c))

@@ -121,9 +121,12 @@ def minimize(
     upper,
     cfg: SolverConfig = SolverConfig(),
 ) -> MinimizeResult:
-    """Multistart local minimization over a box; returns the best result."""
+    """Multistart local minimization over a finite box with lower <= upper
+    (ValueError before any start is drawn otherwise); returns the best result."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
+        raise ValueError("minimize needs a finite box with lower <= upper")
     starts = _finite_starts(func, lower, upper, cfg)
     if not starts:
         raise AllStartsFailed("objective is non-finite at every sampled start")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dpotrf
 
 from epflab.errors import NotPositiveDefinite
 from epflab.numerics import MAX_ORDER, chol_solve, eig_sym, sym
@@ -42,6 +45,30 @@ def test_chol_solve_rejects_indefinite():
         chol_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(NotPositiveDefinite):
         chol_solve(-np.eye(2), np.ones(2))
+
+
+def test_chol_solve_lapack_factor_failure():
+    # Positive diagonal, so only potrf's info > 0 can reject it.
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert dpotrf(a, lower=1)[1] > 0
+    with pytest.raises(NotPositiveDefinite, match="LAPACK info"):
+        chol_solve(a, np.ones(2))
+
+
+@st.composite
+def _spd_systems(draw):
+    n = draw(st.integers(1, 8))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    b_mat = draw(arrays(float, (n, n), elements=entries))
+    return b_mat.T @ b_mat + 0.1 * np.eye(n), draw(arrays(float, (n,), elements=entries))
+
+
+@settings(deadline=None)
+@given(_spd_systems())
+def test_chol_solve_matches_numpy_solve(system):
+    a, b = system
+    expected = np.linalg.solve(a, b)
+    assert np.linalg.norm(chol_solve(a, b) - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
 
 
 def test_chol_solve_singular_pivot():

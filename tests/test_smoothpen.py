@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from epflab import smoothpen
+from epflab.cones import proj_psd
 from epflab.errors import NotPositiveDefinite, OutsideDomain
-from epflab.problems import ConstrainedProblem, get_problem, kkt_residual
+from epflab.problems import ConstrainedProblem, SdpBlock, get_problem, kkt_residual
 from epflab.smoothpen import (
+    DEFAULT_ESTIMATOR,
     EstimatorConfig,
     barrier_state_sdp,
     barrier_state_soc,
@@ -232,3 +235,108 @@ def test_phi_aux_matches_inner_minimization():
                    SolverConfig(n_starts=16, seed=0))
     assert closed <= res.value + 1e-9
     assert abs(closed - res.value) <= 1e-6
+
+
+def _loop_sdp_estimate(problem, x, cfg=DEFAULT_ESTIMATOR):
+    """Reference SDP multiplier estimate: one basis matrix at a time, with
+    dist(G, S-) taken as the Frobenius norm of [G]_+."""
+    order = problem.sdp_block.order
+    basis = []
+    for i in range(order):
+        for j in range(i, order):
+            e = np.zeros((order, order))
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+    n_lam = len(basis)
+    m = n_lam + problem.n_eq
+    d = problem.dim
+    g_mat = np.asarray(problem.sdp_block.G(x), dtype=float)
+    derivs = problem.sdp_block.derivative(x)
+    stack = np.zeros((d, m))
+    for a, e in enumerate(basis):
+        for k in range(d):
+            stack[k, a] = float(np.sum(e * derivs[k]))
+    if problem.n_eq > 0:
+        stack[:, n_lam:] = problem.jac_h(x).T
+    g_sq = g_mat @ g_mat
+    curv = np.zeros((m, m))
+    for a, ea in enumerate(basis):
+        for b in range(a, n_lam):
+            curv[a, b] = curv[b, a] = float(np.sum(ea * (g_sq @ basis[b])))
+    gram = np.zeros(m)
+    for a, e in enumerate(basis):
+        gram[a] = float(np.sum(e * e))
+    gram[n_lam:] = 1.0
+    dist = float(np.linalg.norm(proj_psd(g_mat)))
+    rho = float(np.linalg.norm(problem.h(x)) ** 2) + dist ** 2
+    normal = stack.T @ stack + cfg.zeta1 * curv + 0.5 * cfg.zeta2 * rho * np.diag(gram)
+    z = np.linalg.lstsq(normal, -(stack.T @ problem.grad_f(x)), rcond=None)[0]
+    lam = np.zeros((order, order))
+    for a, e in enumerate(basis):
+        lam += z[a] * e
+    return normal, lam, z[n_lam:], dist
+
+
+def _order3_sdp_problem():
+    # G(x) has off-diagonal entries in every coordinate; one equality.
+    a0 = np.array([[-1.0, 0.2, 0.0], [0.2, -0.5, 0.1], [0.0, 0.1, -2.0]])
+    a1 = np.array([[1.0, 0.5, -0.3], [0.5, 0.0, 0.2], [-0.3, 0.2, 0.4]])
+    a2 = np.array([[0.0, -0.4, 0.6], [-0.4, 1.0, 0.0], [0.6, 0.0, -0.2]])
+    a3 = np.array([[0.3, 0.0, 0.1], [0.0, -0.2, 0.7], [0.1, 0.7, 0.5]])
+    return ConstrainedProblem(
+        name="sdp-order-3", dim=3,
+        objective=lambda x: float(np.sum((x - np.array([1.0, -0.5, 0.8])) ** 2)),
+        gradient=lambda x: 2.0 * (x - np.array([1.0, -0.5, 0.8])),
+        sdp_block=SdpBlock(order=3, G=lambda x: a0 + x[0] * a1 + x[1] * a2 + x[2] ** 2 * a3,
+                           dG=lambda x: [a1, a2, 2.0 * x[2] * a3]),
+        eq=lambda x: np.array([x[0] + x[1] ** 2 + x[2] - 1.0]),
+        eq_jac=lambda x: np.array([[1.0, 2.0 * x[1], 1.0]]),
+        n_eq=1,
+        lower=-2.0 * np.ones(3), upper=2.0 * np.ones(3),
+    )
+
+
+@pytest.mark.parametrize("problem", [get_problem("toy-sdp-1"), _order3_sdp_problem()],
+                         ids=["toy-sdp-1", "order-3-eq"])
+def test_sdp_estimate_matches_loop_reference(problem, monkeypatch):
+    seen = []
+    solve = smoothpen._solve_normal_equations
+
+    def record(normal, rhs, on_degenerate):
+        seen.append(normal)
+        return solve(normal, rhs, on_degenerate)
+
+    monkeypatch.setattr(smoothpen, "_solve_normal_equations", record)
+
+    def close(new, ref):
+        return np.linalg.norm(np.atleast_1d(new - ref)) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+
+    rng = np.random.default_rng(11)
+    lo, hi = problem.box()
+    for _ in range(200):
+        x = rng.uniform(lo, hi)
+        est = estimate_multipliers_sdp(problem, x, on_degenerate="lstsq")
+        normal, lam, mu, dist = _loop_sdp_estimate(problem, x)
+        assert close(seen.pop(), normal)
+        assert close(est.lam_sdp, lam)
+        assert close(est.mu, mu)
+        assert abs(est.block_dists[0] - dist) <= 1e-12 * dist
+
+
+def test_c1_sdp_matches_proj_psd_formula():
+    p = get_problem("toy-sdp-1")
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 200:
+        x = rng.uniform(-3.0, 3.0, size=2)
+        c = float(rng.choice([0.5, 2.0, 30.0]))
+        value = c1_penalty_sdp(p, x, c)
+        if not math.isfinite(value):
+            continue
+        est = estimate_multipliers_sdp(p, x, on_degenerate="lstsq")
+        pv = barrier_state_sdp(p, x, 1.0, 1.0, est).p_val
+        plus = proj_psd(c * p.sdp_block.G(x) + pv * est.lam_sdp)
+        lam_sq = float(np.sum(est.lam_sdp ** 2))
+        old = p.f(x) + (float(np.trace(plus @ plus)) - pv * pv * lam_sq) / (2.0 * c * pv)
+        assert abs(value - old) <= 1e-12 * max(1.0, abs(old))
+        checked += 1

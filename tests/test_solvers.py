@@ -72,3 +72,21 @@ def test_polish_improves():
     cfg = SolverConfig(n_starts=4, seed=0)
     x, val = polish(func, np.array([0.9]), np.array([-2.0]), np.array([2.0]), cfg)
     assert val <= func(np.array([0.9]))
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([-np.inf], [1.0]),
+    ([-1.0], [np.inf]),
+    ([np.nan], [1.0]),
+    ([-1.0, 2.0], [1.0, 1.0]),
+])
+def test_minimize_rejects_bad_box_before_sampling(lower, upper):
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return 0.0
+
+    with pytest.raises(ValueError):
+        minimize(func, np.array(lower), np.array(upper), SolverConfig(n_starts=4, seed=0))
+    assert calls == []
