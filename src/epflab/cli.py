@@ -31,37 +31,59 @@ def _parse_csv(text: Optional[str]) -> Optional[np.ndarray]:
         raise click.UsageError(f"bad numeric list {text!r}: {exc}")
 
 
-def _apply_config(ctx: click.Context, config: Optional[str], values: dict) -> dict:
-    """Overlay JSON config values onto options left at their defaults."""
-    if config is None:
-        return values
+def _apply_config(ctx: click.Context) -> None:
+    """Overlay the ``--config`` JSON object onto options left at their
+    defaults.  Keys are long flag names without ``--`` (``-`` or ``_``
+    between words); each value goes through its option's type as if typed
+    on the command line."""
+    path = ctx.params.get("config")
+    if path is None:
+        return
     try:
-        with open(config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config {config}: {exc}")
-    from click.core import ParameterSource
-
+        raise click.UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(overrides, dict):
+        raise click.UsageError(f"config {path} must hold a JSON object")
+    options = {flag[2:].replace("-", "_"): opt for opt in ctx.command.params
+               for flag in opt.opts if flag.startswith("--") and opt.name != "config"}
     for key, val in overrides.items():
-        name = key.replace("-", "_")
-        if name in values and ctx.get_parameter_source(name) == ParameterSource.DEFAULT:
-            values[name] = val
-    return values
+        opt = options.get(key.replace("-", "_"))
+        if opt is None:
+            raise click.UsageError(f"config {path}: no option --{key} in '{ctx.command.name}'")
+        value = opt.type_cast_value(ctx, str(val))
+        if ctx.get_parameter_source(opt.name) == click.core.ParameterSource.DEFAULT:
+            ctx.params[opt.name] = value
 
 
-def _penalty_kwargs(penalty, q, alpha, kappa, zeta1, zeta2, lam, problem=None):
-    kwargs = {"q": q, "alpha": alpha, "zeta1": zeta1, "zeta2": zeta2}
-    if kappa is not None:
-        kwargs["kappa"] = kappa
-    if penalty == "al-hpr" and lam is not None:
-        # The CSV covers inequality multipliers first (one per scalar
-        # inequality), then equality multipliers.
-        n_ineq = 0 if problem is None else sum(1 for b in problem.soc_blocks if b.scalar)
-        if n_ineq:
-            kwargs["lam"] = lam[:n_ineq]
-        if lam.shape[0] > n_ineq:
-            kwargs["mu"] = lam[n_ineq:]
+def _setup(ctx: click.Context):
+    """Option values (after ``--config``), problem, penalty handle and solver
+    config (None without ``--starts``) of a penalty command."""
+    _apply_config(ctx)
+    v = ctx.params
+    prob = get_problem(v["problem"])
+    handle = make_penalty(prob, v["penalty"], **_penalty_kwargs(v, prob))
+    cfg = SolverConfig(n_starts=v["starts"], seed=v["seed"]) if "starts" in v else None
+    return v, prob, handle, cfg
+
+
+def _penalty_kwargs(v: dict, prob) -> dict:
+    kwargs = {k: v[k] for k in ("q", "alpha", "kappa", "zeta1", "zeta2")}
+    lam = _parse_csv(v["lam"])
+    if v["penalty"] == "al-hpr" and lam is not None:
+        # One multiplier per scalar inequality first, then one per equality.
+        n_ineq = sum(1 for b in prob.soc_blocks if b.scalar)
+        kwargs["lam"], kwargs["mu"] = lam[:n_ineq], lam[n_ineq:]
     return kwargs
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 @click.group()
@@ -82,7 +104,9 @@ def list_problems():
         click.echo(line)
 
 
-def _common_penalty_options(fn):
+def _penalty_options(fn):
+    """The options every penalty command shares."""
+    fn = click.option("--problem", required=True)(fn)
     fn = click.option("--penalty", type=click.Choice(PENALTY_KINDS), required=True)(fn)
     fn = click.option("--q", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--alpha", type=float, default=1.0, show_default=True)(fn)
@@ -91,84 +115,50 @@ def _common_penalty_options(fn):
     fn = click.option("--zeta2", type=float, default=1.0, show_default=True)(fn)
     fn = click.option("--lambda", "lam", type=str, default=None,
                       help="comma-separated tuning multipliers (al-hpr)")(fn)
+    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     return fn
 
 
+_out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
+_config_option = click.option("--config", type=click.Path(exists=False), default=None,
+                              help="JSON file setting any option of this command")
+
+
 @main.command()
-@click.option("--problem", required=True)
-@_common_penalty_options
+@_penalty_options
 @click.option("--c-min", type=float, default=0.5, show_default=True)
 @click.option("--c-max", type=float, default=1024.0, show_default=True)
 @click.option("--c-steps", type=int, default=12, show_default=True)
 @click.option("--starts", type=int, default=32, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None,
-              help="JSON file with defaults for any of the above options")
+@_out_option
+@_config_option
 @click.pass_context
-def sweep(ctx, problem, penalty, q, alpha, kappa, zeta1, zeta2, lam, c_min, c_max,
-          c_steps, starts, seed, out, config):
+def sweep(ctx, **_):
     """Minimize F(., c) along a geometric c grid and emit a CSV."""
-    values = _apply_config(ctx, config, dict(
-        c_min=c_min, c_max=c_max, c_steps=c_steps, starts=starts, seed=seed,
-        q=q, alpha=alpha, zeta1=zeta1, zeta2=zeta2,
-    ))
-    prob = get_problem(problem)
-    handle = make_penalty(prob, penalty, **_penalty_kwargs(
-        penalty, values["q"], values["alpha"], kappa, values["zeta1"], values["zeta2"],
-        _parse_csv(lam), prob))
-    cfg = SolverConfig(n_starts=int(values["starts"]), seed=int(values["seed"]))
-    grid = geometric_grid(values["c_min"], values["c_max"], int(values["c_steps"]))
-    records = c_sweep(handle, grid, cfg)
-    text = sweep_to_csv(records, prob.dim)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    v, prob, handle, cfg = _setup(ctx)
+    records = c_sweep(handle, geometric_grid(v["c_min"], v["c_max"], v["c_steps"]), cfg)
+    _emit(sweep_to_csv(records, prob.dim), v["out"])
 
 
 @main.command("estimate-cstar")
-@click.option("--problem", required=True)
-@_common_penalty_options
+@_penalty_options
 @click.option("--c-lo", type=float, default=0.5, show_default=True)
 @click.option("--c-hi", type=float, default=1024.0, show_default=True)
 @click.option("--tol-rel", type=float, default=0.02, show_default=True)
 @click.option("--strict", type=click.Choice(["true", "false"]), default="true", show_default=True)
 @click.option("--starts", type=int, default=32, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
+@_out_option
+@_config_option
 @click.pass_context
-def estimate_cstar_cmd(ctx, problem, penalty, q, alpha, kappa, zeta1, zeta2, lam,
-                       c_lo, c_hi, tol_rel, strict, starts, seed, out, config):
+def estimate_cstar_cmd(ctx, **_):
     """Bisect for the least exact penalty parameter."""
-    values = _apply_config(ctx, config, dict(
-        c_lo=c_lo, c_hi=c_hi, tol_rel=tol_rel, starts=starts, seed=seed,
-        q=q, alpha=alpha, zeta1=zeta1, zeta2=zeta2,
-    ))
-    prob = get_problem(problem)
-    handle = make_penalty(prob, penalty, **_penalty_kwargs(
-        penalty, values["q"], values["alpha"], kappa, values["zeta1"], values["zeta2"],
-        _parse_csv(lam), prob))
-    cfg = SolverConfig(n_starts=int(values["starts"]), seed=int(values["seed"]))
-    result = estimate_c_star(
-        handle, values["c_lo"], values["c_hi"], tol_rel=values["tol_rel"],
-        cfg=cfg, strict=(strict == "true"),
-    )
-    payload = {
-        "problem": prob.name,
-        "penalty": penalty,
-        "strict": strict == "true",
-        "c_star": result.c_star,
-        "history": [[c, ok] for c, ok in result.history],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    v, prob, handle, cfg = _setup(ctx)
+    strict = v["strict"] == "true"
+    result = estimate_c_star(handle, v["c_lo"], v["c_hi"], tol_rel=v["tol_rel"], cfg=cfg,
+                             strict=strict)
+    payload = {"problem": prob.name, "penalty": v["penalty"], "strict": strict,
+               "c_star": result.c_star, "history": [[c, ok] for c, ok in result.history]}
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", v["out"])
     if result.c_star is None:
         click.echo("c* not found in the tested bracket", err=True)
         sys.exit(2)
@@ -200,11 +190,7 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
             sizes = [b.dim for b in prob.soc_blocks]
             if lam_flat.shape[0] != sum(sizes):
                 raise click.UsageError(f"--lambda needs {sum(sizes)} stacked entries")
-            lam = []
-            offset = 0
-            for k in sizes:
-                lam.append(lam_flat[offset : offset + k])
-                offset += k
+            lam = np.split(lam_flat, np.cumsum(sizes)[:-1])
     elif prob.soc_blocks:
         lam = [np.zeros(b.dim) for b in prob.soc_blocks]
     elif prob.sdp_block is not None:
@@ -218,21 +204,22 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
 
 
 @main.command()
-@click.option("--problem", required=True)
-@_common_penalty_options
+@_penalty_options
 @click.option("--c", type=float, default=10.0, show_default=True)
 @click.option("--points", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def gradcheck(problem, penalty, q, alpha, kappa, zeta1, zeta2, lam, c, points, seed):
+@click.pass_context
+def gradcheck(ctx, **_):
     """Finite-difference smoothness check of F(., c) on random box points."""
-    prob = get_problem(problem)
-    handle = make_penalty(prob, penalty, **_penalty_kwargs(
-        penalty, q, alpha, kappa, zeta1, zeta2, _parse_csv(lam), prob))
-    rng = np.random.default_rng(seed)
+    v, prob, handle, _ = _setup(ctx)
+    c, points = v["c"], v["points"]
+    rng = np.random.default_rng(v["seed"])
     lower, upper = prob.box()
     checked = 0
+    draws = 0
     worst_jump = 0.0
-    while checked < points:
+    # The draw budget per point of solvers._finite_starts.
+    while checked < points and draws < 64 * points:
+        draws += 1
         x = lower + rng.uniform(size=prob.dim) * (upper - lower)
         if not math.isfinite(handle(x, c)):
             continue
@@ -245,43 +232,30 @@ def gradcheck(problem, penalty, q, alpha, kappa, zeta1, zeta2, lam, c, points, s
         jump = float(np.linalg.norm(g1 - g0)) / norm0
         worst_jump = max(worst_jump, jump)
         checked += 1
+    if checked < points:
+        click.echo(f"checked {checked} of {points} points: F or its difference quotients "
+                   f"were not finite at the other {draws - checked} draws", err=True)
+        sys.exit(2)
     click.echo(f"checked {checked} points, worst gradient jump ratio {worst_jump:.3e}")
     if worst_jump > 10.0:
         sys.exit(2)
 
 
 @main.command("localize")
-@click.option("--problem", required=True)
-@_common_penalty_options
+@_penalty_options
 @click.option("--c-min", type=float, default=0.5, show_default=True)
 @click.option("--c-max", type=float, default=1024.0, show_default=True)
 @click.option("--c-steps", type=int, default=12, show_default=True)
 @click.option("--starts", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--config", type=click.Path(exists=False), default=None)
+@_out_option
+@_config_option
 @click.pass_context
-def localize_cmd(ctx, problem, penalty, q, alpha, kappa, zeta1, zeta2, lam,
-                 c_min, c_max, c_steps, starts, seed, out, config):
+def localize_cmd(ctx, **_):
     """Run the full localization battery and emit an ExactnessReport."""
-    values = _apply_config(ctx, config, dict(
-        c_min=c_min, c_max=c_max, c_steps=c_steps, starts=starts, seed=seed,
-        q=q, alpha=alpha, zeta1=zeta1, zeta2=zeta2,
-    ))
-    prob = get_problem(problem)
-    cfg = SolverConfig(n_starts=int(values["starts"]), seed=int(values["seed"]))
-    rep = localize(
-        prob, penalty, cfg=cfg,
-        c_min=values["c_min"], c_max=values["c_max"], c_steps=int(values["c_steps"]),
-        **_penalty_kwargs(penalty, values["q"], values["alpha"], kappa,
-                          values["zeta1"], values["zeta2"], _parse_csv(lam), prob),
-    )
-    text = serialize_report(rep)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    v, prob, _, cfg = _setup(ctx)
+    rep = localize(prob, v["penalty"], cfg=cfg, c_min=v["c_min"], c_max=v["c_max"],
+                   c_steps=v["c_steps"], **_penalty_kwargs(v, prob))
+    _emit(serialize_report(rep), v["out"])
     if not rep.all_passed:
         sys.exit(2)
 

@@ -19,17 +19,14 @@ import numpy as np
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import LinearPenalty, QFunction, linear_eval, qpen_eval, default_phi
-from .problems import ConstrainedProblem, KnownSolution, feasibility_gap, get_problem
+from .problems import ConstrainedProblem, KnownSolution, feasibility_gap
 from .smoothpen import EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
 from .solvers import SolverConfig, minimize, polish
-
-PENALTY_KINDS = ("linear", "qorder", "c1-socp", "c1-sdp", "al-hpr")
 
 
 @dataclass(frozen=True)
 class PenaltyHandle:
-    """A separating function F(x, c) bound to one problem, plus the value
-    the minimum should reach under exactness."""
+    """A separating function F(x, c) bound to one problem."""
 
     kind: str
     problem: ConstrainedProblem
@@ -39,10 +36,53 @@ class PenaltyHandle:
     def __call__(self, x, c: float) -> float:
         return self.func(x, c)
 
-    @property
-    def target_value(self) -> Optional[float]:
-        cert = self.problem.certificate
-        return None if cert is None else cert.f_star
+
+def _linear(problem, **_):
+    pen = LinearPenalty(problem)
+    return lambda x, c: linear_eval(pen, x, c), {}
+
+
+def _qorder(problem, q, **_):
+    qf, phi = QFunction.q_order(q), default_phi(problem)
+    return lambda x, c: qpen_eval(qf, problem, phi, x, c), {"q": q}
+
+
+def _c1(problem, alpha, kappa, zeta1, zeta2, sdp=False, **_):
+    cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
+    kap = (1.0 if sdp else 2.0) if kappa is None else kappa
+    params = dict(alpha=alpha, kappa=kap, zeta1=zeta1, zeta2=zeta2)
+    if sdp:
+        return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg), params
+    return lambda x, c: c1_penalty_soc(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg), params
+
+
+def _multipliers(values, n: int, name: str, params: dict) -> Optional[np.ndarray]:
+    """``values`` as n multipliers, recorded in ``params`` as ``name_i``."""
+    if values is None:
+        return None
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.shape != (n,):
+        raise ValueError(f"al-hpr needs {n} {name} multiplier(s), got {arr.size}")
+    params.update({f"{name}_{i}": float(v) for i, v in enumerate(arr)})
+    return arr
+
+
+def _al_hpr(problem, lam, mu, **_):
+    cert = problem.certificate
+    if cert is not None:
+        lam = cert.hpr_ineq_star if lam is None else lam
+        mu = cert.mu_star if mu is None else mu
+    params: Dict[str, float] = {}
+    lam = _multipliers(lam, sum(b.scalar for b in problem.soc_blocks), "lambda", params)
+    mu = _multipliers(mu, problem.n_eq, "mu", params)
+    return lambda x, c: hpr_closed_form(problem, x, lam_ineq=lam, mu=mu, c=c), params
+
+
+# Penalty kind -> builder of F and of the parameters a report records.  F
+# calls its evaluator through this module's globals, which a tracer may wrap.
+_BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1,
+             "c1-sdp": lambda problem, **kw: _c1(problem, sdp=True, **kw), "al-hpr": _al_hpr}
+PENALTY_KINDS = tuple(_BUILDERS)
 
 
 def make_penalty(
@@ -59,42 +99,13 @@ def make_penalty(
     """Build the requested separating function for a problem.
 
     For ``al-hpr`` the tuning multipliers default to the certificate's
-    HPR pair (scalar-inequality multipliers, then equality multipliers).
+    HPR pair; ``lam`` needs one entry per scalar SOC block and ``mu`` one
+    per equality (ValueError otherwise).
     """
     if kind not in PENALTY_KINDS:
         raise UnknownProblem(f"unknown penalty kind {kind!r}")
-    params: Dict[str, float] = {}
-    if kind == "linear":
-        pen = LinearPenalty(problem)
-        func = lambda x, c: linear_eval(pen, x, c)
-    elif kind == "qorder":
-        qf = QFunction.q_order(q)
-        phi = default_phi(problem)
-        func = lambda x, c: qpen_eval(qf, problem, phi, x, c)
-        params["q"] = q
-    elif kind == "c1-socp":
-        cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
-        kap = 2.0 if kappa is None else kappa
-        func = lambda x, c: c1_penalty_soc(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg)
-        params.update(alpha=alpha, kappa=kap, zeta1=zeta1, zeta2=zeta2)
-    elif kind == "c1-sdp":
-        cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
-        kap = 1.0 if kappa is None else kappa
-        func = lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg)
-        params.update(alpha=alpha, kappa=kap, zeta1=zeta1, zeta2=zeta2)
-    else:  # al-hpr
-        cert = problem.certificate
-        if lam is None and cert is not None:
-            lam = cert.hpr_ineq_star
-        if mu is None and cert is not None:
-            mu = cert.mu_star
-        lam_arr = None if lam is None else np.atleast_1d(np.asarray(lam, dtype=float))
-        mu_arr = None if mu is None else np.atleast_1d(np.asarray(mu, dtype=float))
-        func = lambda x, c: hpr_closed_form(problem, x, lam_ineq=lam_arr, mu=mu_arr, c=c)
-        if lam_arr is not None:
-            params.update({f"lambda_{i}": float(v) for i, v in enumerate(lam_arr)})
-        if mu_arr is not None:
-            params.update({f"mu_{i}": float(v) for i, v in enumerate(mu_arr)})
+    func, params = _BUILDERS[kind](problem, q=q, alpha=alpha, kappa=kappa, zeta1=zeta1,
+                                   zeta2=zeta2, lam=lam, mu=mu)
     return PenaltyHandle(kind=kind, problem=problem, func=func, params=params)
 
 

@@ -54,7 +54,6 @@ class QFunction:
     """
 
     func: Callable[[float, float], float]
-    q_exponent: Optional[float] = None
 
     @staticmethod
     def q_order(q: float) -> "QFunction":
@@ -66,7 +65,7 @@ class QFunction:
                 return math.inf
             return (t ** q + s ** q) ** (1.0 / q)
 
-        return QFunction(func=evaluate, q_exponent=q)
+        return QFunction(func=evaluate)
 
     def __call__(self, t: float, s: float) -> float:
         if t < 0 or s < 0:

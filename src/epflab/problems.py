@@ -155,10 +155,6 @@ class ConstrainedProblem:
         hi = self.upper if self.upper is not None else np.full(self.dim, np.inf)
         return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
-    def clip_to_box(self, x) -> Array:
-        lo, hi = self.box()
-        return np.clip(np.asarray(x, dtype=float), lo, hi)
-
     def dist_omega(self, x) -> float:
         if self.project_feasible is None:
             raise NotImplementedError

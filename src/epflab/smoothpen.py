@@ -292,7 +292,6 @@ def c1_penalty_soc(
     alpha: float = 1.0,
     kappa: float = 2.0,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-    on_degenerate: str = "lstsq",
 ) -> float:
     """Continuously differentiable penalty for SOC/equality problems.
 
@@ -304,7 +303,7 @@ def c1_penalty_soc(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate=on_degenerate, want_spectrum=False)
+    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq", want_spectrum=False)
     state = barrier_state_soc(problem, x, alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
@@ -321,7 +320,6 @@ def c1_penalty_sdp(
     alpha: float = 1.0,
     kappa: float = 1.0,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-    on_degenerate: str = "lstsq",
 ) -> float:
     """SDP counterpart:
     F = f + (1 / 2cp) (trace([cG + p lambda]_+^2) - p^2 trace(lambda^2))
@@ -331,7 +329,7 @@ def c1_penalty_sdp(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_sdp(problem, x, cfg, on_degenerate=on_degenerate, want_spectrum=False)
+    est = estimate_multipliers_sdp(problem, x, cfg, on_degenerate="lstsq", want_spectrum=False)
     state = barrier_state_sdp(problem, x, alpha, kappa, est)
     if not state.inside_domain:
         return math.inf

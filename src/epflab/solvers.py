@@ -115,6 +115,10 @@ def _local_gradient_descent(func, start, lower, upper, cfg: SolverConfig):
     return x, float(f_val)
 
 
+def _local_method(cfg: SolverConfig):
+    return _local_nelder_mead if cfg.method == "nelder-mead" else _local_gradient_descent
+
+
 def minimize(
     func: Callable[[np.ndarray], float],
     lower,
@@ -130,7 +134,7 @@ def minimize(
     starts = _finite_starts(func, lower, upper, cfg)
     if not starts:
         raise AllStartsFailed("objective is non-finite at every sampled start")
-    local = _local_nelder_mead if cfg.method == "nelder-mead" else _local_gradient_descent
+    local = _local_method(cfg)
     best_x = None
     best_f = math.inf
     values = []
@@ -149,8 +153,5 @@ def minimize(
 def polish(func, x0, lower, upper, cfg: SolverConfig) -> Tuple[np.ndarray, float]:
     """Re-run the local method from a known good point with a tight budget."""
     local_cfg = replace(cfg, max_iters=4 * cfg.max_iters)
-    if cfg.method == "nelder-mead":
-        return _local_nelder_mead(func, np.asarray(x0, dtype=float),
-                                  np.asarray(lower, float), np.asarray(upper, float), local_cfg)
-    return _local_gradient_descent(func, np.asarray(x0, dtype=float),
-                                   np.asarray(lower, float), np.asarray(upper, float), local_cfg)
+    return _local_method(cfg)(func, np.asarray(x0, dtype=float), np.asarray(lower, float),
+                              np.asarray(upper, float), local_cfg)

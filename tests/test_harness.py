@@ -45,6 +45,21 @@ def test_make_penalty_kinds():
         make_penalty(p, "bogus")
 
 
+def test_make_penalty_al_hpr_multiplier_lengths():
+    lin, eq = get_problem("toy-lin-1"), get_problem("toy-eq-1")
+    # toy-lin-1: one scalar SOC block and no equality; toy-eq-1: one equality only.
+    for problem, kwargs in ((lin, {"lam": [1.0, 5.0]}), (lin, {"mu": [5.0]}),
+                            (eq, {"lam": [0.0]}), (eq, {"mu": [0.0, 0.0]}), (eq, {"mu": []})):
+        with pytest.raises(ValueError):
+            make_penalty(problem, "al-hpr", **kwargs)
+    assert make_penalty(lin, "al-hpr").params == {"lambda_0": 1.0}
+    assert make_penalty(lin, "al-hpr", lam=[3.0]).params == {"lambda_0": 3.0}
+    assert make_penalty(eq, "al-hpr").params == {"mu_0": -2.0}
+    handle = make_penalty(eq, "al-hpr", mu=[0.0])
+    assert handle.params == {"mu_0": 0.0}
+    assert math.isfinite(handle(eq.certificate.x_star, 2.0))
+
+
 def test_sweep_toy_lin():
     p = get_problem("toy-lin-1")
     records = c_sweep(make_penalty(p, "linear"), [0.5, 1.5, 2.0, 8.0], CFG)
