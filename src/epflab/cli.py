@@ -26,9 +26,12 @@ def _parse_csv(text: Optional[str]) -> Optional[np.ndarray]:
     if text is None or text == "":
         return None
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = np.array([float(v) for v in text.split(",")])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("entries must be finite")
     except ValueError as exc:
         raise click.UsageError(f"bad numeric list {text!r}: {exc}")
+    return values
 
 
 def _apply_config(ctx: click.Context) -> None:
@@ -178,6 +181,8 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
         raise click.UsageError(f"--x needs {prob.dim} entries")
     lam_flat = _parse_csv(lam_csv)
     mu = _parse_csv(mu_csv)
+    if mu is not None and mu.shape[0] != prob.n_eq:
+        raise click.UsageError(f"--mu needs {prob.n_eq} entries")
     lam = None
     lam_sdp = None
     if lam_flat is not None:
@@ -199,14 +204,14 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
         mu = np.zeros(prob.n_eq)
     res = kkt_residual(prob, x, lam=lam, mu=mu, lam_sdp=lam_sdp)
     click.echo(f"kkt_residual = {res:.12e}")
-    if res > 1e-6:
+    if not res <= 1e-6:
         sys.exit(2)
 
 
 @main.command()
 @_penalty_options
 @click.option("--c", type=float, default=10.0, show_default=True)
-@click.option("--points", type=int, default=20, show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=20, show_default=True)
 @click.pass_context
 def gradcheck(ctx, **_):
     """Finite-difference smoothness check of F(., c) on random box points."""

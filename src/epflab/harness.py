@@ -11,7 +11,7 @@ evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,8 +109,19 @@ def make_penalty(
     return PenaltyHandle(kind=kind, problem=problem, func=func, params=params)
 
 
-# Default distance-to-x* and |F - f*| tolerances of every pass judgement.
+# The verdict policy: every threshold behind a reported c* or verdict.
+# Distance-to-x* and |F - f*| tolerance of every pass judgement.
 PASS_TOL = 1e-4
+# estimate_c_star confirms its c* by one more solve at this multiple of it.
+CONFIRM_FACTOR = 2.0
+# Local probe: neighborhood samples, and how far below F(x*, c) one may be.
+LOCAL_SAMPLES = 200
+LOCAL_SLACK = 1e-9
+# Sublevel probe: samples of the box scaled by this factor about its center.
+SUBLEVEL_EXPANSION = 2.0
+SUBLEVEL_SAMPLES = 2000
+# Norm ball the sweep's minimizers must stay in (localize's nondegeneracy probe).
+NONDEGENERACY_RADIUS = 10.0
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,11 @@ class SweepRecord:
     n_starts_agreeing: int
     failed: bool = False
 
-    def passes(self, cert: KnownSolution, x_tol: float = PASS_TOL, f_tol: float = PASS_TOL,
-               strict: bool = True) -> bool:
-        """The argmin lies within ``x_tol`` of x* (and, when strict, the
-        minimum value matches f* within ``f_tol``); a failed solve fails."""
-        ok = not self.failed and self.dist_to_xstar <= x_tol
-        return ok and (not strict or abs(self.best_F - cert.f_star) <= f_tol)
+    def passes(self, cert: KnownSolution, strict: bool = True) -> bool:
+        """The argmin lies within ``PASS_TOL`` of x* (and, when strict, the
+        minimum value matches f* within ``PASS_TOL``); a failed solve fails."""
+        ok = not self.failed and self.dist_to_xstar <= PASS_TOL
+        return ok and (not strict or abs(self.best_F - cert.f_star) <= PASS_TOL)
 
 
 def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecord:
@@ -228,9 +238,7 @@ def local_exactness_probe(
     x_star,
     c_list: Sequence[float],
     radius: float = 0.5,
-    n_samples: int = 200,
     seed: int = 0,
-    slack: float = 1e-9,
 ) -> bool:
     """True iff from some tested c onward, x_star minimizes F(., c) over a
     sampled neighborhood intersected with the box."""
@@ -240,7 +248,7 @@ def local_exactness_probe(
     rng = np.random.default_rng(seed)
     dim = x_star.shape[0]
     samples = []
-    for _ in range(n_samples):
+    for _ in range(LOCAL_SAMPLES):
         direction = rng.normal(size=dim)
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
@@ -250,7 +258,7 @@ def local_exactness_probe(
     per_c = []
     for c in c_list:
         base = penalty(x_star, c)
-        per_c.append((c, all(penalty(x, c) >= base - slack for x in samples)))
+        per_c.append((c, all(penalty(x, c) >= base - LOCAL_SLACK for x in samples)))
     return _first_passing(per_c) is not None
 
 
@@ -258,8 +266,6 @@ def sublevel_bounded_probe(
     penalty: PenaltyHandle,
     c0: float,
     f_star: float,
-    expansion: float = 2.0,
-    n_samples: int = 2000,
     seed: int = 0,
 ) -> bool:
     """Boundedness evidence for {x : F(x, c0) < f*}: no point on the
@@ -270,8 +276,8 @@ def sublevel_bounded_probe(
     half = 0.5 * (upper - lower)
     rng = np.random.default_rng(seed)
     found_shell = 0
-    for _ in range(n_samples):
-        point = center + rng.uniform(-expansion, expansion, size=problem.dim) * half
+    for _ in range(SUBLEVEL_SAMPLES):
+        point = center + rng.uniform(-SUBLEVEL_EXPANSION, SUBLEVEL_EXPANSION, size=problem.dim) * half
         if np.all(point >= lower) and np.all(point <= upper):
             continue
         found_shell += 1
@@ -294,15 +300,12 @@ def estimate_c_star(
     tol_rel: float = 0.02,
     cfg: SolverConfig = SolverConfig(),
     strict: bool = True,
-    x_tol: float = PASS_TOL,
-    f_tol: float = PASS_TOL,
-    confirm_factor: float = 2.0,
 ) -> CStarResult:
     """Geometric bisection for the least exact penalty parameter.
 
     The pass predicate at c is ``SweepRecord.passes`` on the polished
     multistart argmin of F(., c).  Bisection presumes passes form an
-    up-set in c; the confirmation probe at ``confirm_factor * c_star``
+    up-set in c; the confirmation probe at ``CONFIRM_FACTOR * c_star``
     raises NonMonotonePredicate if that structure is violated.
     """
     if not (0 < c_lo < c_hi):
@@ -316,7 +319,7 @@ def estimate_c_star(
     history: List[Tuple[float, bool]] = []
 
     def predicate(c: float) -> bool:
-        ok = _solve_at(penalty, c, cfg).passes(cert, x_tol, f_tol, strict)
+        ok = _solve_at(penalty, c, cfg).passes(cert, strict)
         history.append((float(c), ok))
         return ok
 
@@ -333,9 +336,9 @@ def estimate_c_star(
             else:
                 lo = mid
         c_star = math.sqrt(lo * hi)
-    confirm_c = confirm_factor * c_star
+    confirm_c = CONFIRM_FACTOR * c_star
     confirm = _solve_at(penalty, confirm_c, cfg)
-    if not confirm.passes(cert, x_tol, f_tol, strict):
+    if not confirm.passes(cert, strict):
         raise NonMonotonePredicate(
             f"pass at c={c_star} but fail at c={confirm_c} (value {confirm.best_F})"
         )
@@ -355,8 +358,6 @@ def strict_exactness_probe(
     al_func: Callable[[np.ndarray, float], float],
     c_list: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
-    f_tol: float = PASS_TOL,
-    x_tol: float = PASS_TOL,
 ) -> StrictExactnessVerdict:
     """For each c, minimize the augmented Lagrangian over the box and
     compare minimum and argmin against the certificate; a failed solve
@@ -366,5 +367,5 @@ def strict_exactness_probe(
         raise ValueError(f"{problem.name} carries no certificate")
     handle = PenaltyHandle(kind="augmented-lagrangian", problem=problem, func=al_func, params={})
     details = tuple(_solve_at(handle, c, cfg) for c in c_list)
-    per_c = tuple((r.c, r.passes(cert, x_tol, f_tol)) for r in details)
+    per_c = tuple((r.c, r.passes(cert)) for r in details)
     return StrictExactnessVerdict(per_c=per_c, first_passing_c=_first_passing(per_c), details=details)

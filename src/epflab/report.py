@@ -5,14 +5,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from .errors import NonMonotonePredicate
 from .harness import (
-    CStarResult,
-    PenaltyHandle,
+    NONDEGENERACY_RADIUS,
     SweepRecord,
     c_sweep,
     estimate_c_star,
@@ -58,8 +55,6 @@ def localize(
     c_min: float = 0.5,
     c_max: float = 1024.0,
     c_steps: int = 12,
-    nondegeneracy_radius: float = 10.0,
-    local_radius: float = 0.5,
     tol_rel: float = 0.02,
     **penalty_kwargs,
 ) -> ExactnessReport:
@@ -68,15 +63,15 @@ def localize(
     grid = geometric_grid(c_min, c_max, c_steps)
     records = c_sweep(penalty, grid, cfg)
     ptype = penalty_type_probe(records)
-    nondeg = nondegeneracy_probe(records, nondegeneracy_radius)
+    nondeg = nondegeneracy_probe(records, NONDEGENERACY_RADIUS)
     cert = problem.certificate
     local = False
     sublevel = False
     c_star: Optional[float] = None
     if cert is not None:
-        local = local_exactness_probe(
-            penalty, cert.x_star, grid[::2] + [grid[-1]], radius=local_radius, seed=cfg.seed
-        )
+        # Every other grid c, ending at the last one.
+        local_cs = grid[::2] if len(grid) % 2 else grid[::2] + [grid[-1]]
+        local = local_exactness_probe(penalty, cert.x_star, local_cs, seed=cfg.seed)
         sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
         # Bisect between the last failing grid c and the next one; with no
         # failing record the bracket's low end passes, with a failing last

@@ -43,18 +43,35 @@ class MultiplierEstimate:
     (G(x),) for the SDP block, ``h_val`` holds h(x), and ``block_dists``
     the distance of each constraint block to its cone at x, dist(g_i(x), Q)
     or (dist(G(x), S-),), so the barrier and the penalty at the same x do
-    not evaluate them again.
+    not evaluate them again.  ``normal``, ``rhs`` and ``z`` are the
+    subproblem's normal equations N z = -rhs and their solution (None with
+    no multipliers); the diagnostics below are computed from them on access.
     """
 
     lambdas: Tuple[Array, ...]
     mu: Array
     lam_sdp: Optional[Array] = None
-    subproblem_residual: float = 0.0
-    hessian_min_eig: Optional[float] = None
     degenerate: bool = False
     block_dists: Tuple[float, ...] = ()
     g_vals: Tuple[Array, ...] = ()
     h_val: Optional[Array] = None
+    normal: Optional[Array] = None
+    rhs: Optional[Array] = None
+    z: Optional[Array] = None
+
+    @property
+    def subproblem_residual(self) -> float:
+        """Norm of the subproblem gradient 2 (N z + rhs) at the estimate."""
+        if self.normal is None:
+            return 0.0
+        return float(np.linalg.norm(2.0 * (self.normal @ self.z + self.rhs)))
+
+    @property
+    def hessian_min_eig(self) -> float:
+        """Least eigenvalue of the normal matrix; +inf with no multipliers."""
+        if self.normal is None:
+            return math.inf
+        return float(eig_sym(self.normal).values[0])
 
     @property
     def lambda_norm_sq(self) -> float:
@@ -70,8 +87,6 @@ class MultiplierEstimate:
 
 @dataclass(frozen=True)
 class BarrierState:
-    alpha: float
-    kappa: float
     a_val: float
     b_val: float
     p_val: float
@@ -89,16 +104,12 @@ def _solve_normal_equations(normal: Array, rhs: Array, on_degenerate: str):
     the singular system instead of raising; degeneracy is still reported
     so callers can surface it.
     """
-    degenerate = False
     try:
-        z = chol_solve(normal, -rhs)
+        return chol_solve(normal, -rhs), False
     except NotPositiveDefinite:
         if on_degenerate != "lstsq":
             raise
-        z = np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0]
-        degenerate = True
-    residual = float(np.linalg.norm(2.0 * (normal @ z + rhs)))
-    return z, residual, degenerate
+        return np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
 
 
 def estimate_multipliers_soc(
@@ -106,7 +117,6 @@ def estimate_multipliers_soc(
     x,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     on_degenerate: str = "raise",
-    want_spectrum: bool = True,
 ) -> MultiplierEstimate:
     """Multiplier estimate (lambda(x), mu(x)) for SOC/equality problems.
 
@@ -125,8 +135,7 @@ def estimate_multipliers_soc(
     m = sum(sizes) + problem.n_eq
     h_val = problem.h(x)
     if m == 0:
-        return MultiplierEstimate(lambdas=(), mu=np.zeros(0), subproblem_residual=0.0,
-                                  hessian_min_eig=math.inf, h_val=h_val)
+        return MultiplierEstimate(lambdas=(), mu=np.zeros(0), h_val=h_val)
     d = problem.dim
     grad_f = problem.grad_f(x)
     stack = np.zeros((d, m))
@@ -150,25 +159,22 @@ def estimate_multipliers_soc(
         rho += float(np.linalg.norm(h_val) ** 2)
     normal += stack.T @ stack + 0.5 * cfg.zeta2 * rho * np.eye(m)
     rhs = stack.T @ grad_f
-    z, residual, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
+    z, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
     lambdas = []
     col = 0
     for k in sizes:
         lambdas.append(z[col : col + k])
         col += k
-    mu = z[col:]
-    min_eig = None
-    if want_spectrum:
-        min_eig = float(eig_sym(normal).values[0])
     return MultiplierEstimate(
         lambdas=tuple(lambdas),
-        mu=mu,
-        subproblem_residual=residual,
-        hessian_min_eig=min_eig,
+        mu=z[col:],
         degenerate=degenerate,
         block_dists=tuple(dists),
         g_vals=tuple(g_vals),
         h_val=h_val,
+        normal=normal,
+        rhs=rhs,
+        z=z,
     )
 
 
@@ -190,7 +196,6 @@ def estimate_multipliers_sdp(
     x,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
     on_degenerate: str = "raise",
-    want_spectrum: bool = True,
 ) -> MultiplierEstimate:
     """SDP analogue of the multiplier estimate, with lambda a symmetric
     matrix parameterized by its upper-triangular entries."""
@@ -219,54 +224,46 @@ def estimate_multipliers_sdp(
     rho = float(np.linalg.norm(h_val) ** 2) + dist ** 2
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
-    z, residual, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
-    min_eig = None
-    if want_spectrum:
-        min_eig = float(eig_sym(normal).values[0])
+    z, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
     return MultiplierEstimate(
         lambdas=(),
         mu=z[n_lam:],
         lam_sdp=(z[:n_lam] @ flat).reshape(basis.shape[1:]),
-        subproblem_residual=residual,
-        hessian_min_eig=min_eig,
         degenerate=degenerate,
         block_dists=(dist,),
         g_vals=(g_mat,),
         h_val=h_val,
+        normal=normal,
+        rhs=rhs,
+        z=z,
     )
 
 
-def barrier_state_soc(
-    problem: ConstrainedProblem, x, alpha: float, kappa: float, est: MultiplierEstimate
-) -> BarrierState:
+def barrier_state_soc(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
     """Barrier terms p(x), q(x) built from constraint violations and the
-    multiplier estimate ``est`` at the same x, whose constraint values and
-    cone distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    multiplier estimate ``est`` at x, whose constraint values and cone
+    distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2 for SOC problems")
     dist_sum = sum(dist ** kappa for dist in est.block_dists)
-    return _barrier_state(alpha, kappa, alpha - dist_sum, est)
+    return _barrier_state(alpha, alpha - dist_sum, est)
 
 
-def barrier_state_sdp(
-    problem: ConstrainedProblem, x, alpha: float, kappa: float, est: MultiplierEstimate
-) -> BarrierState:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+def barrier_state_sdp(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
     if kappa < 1:
         raise ValueError("kappa must be >= 1 for SDP problems")
     dist_sq = est.block_dists[0] ** 2
-    return _barrier_state(alpha, kappa, alpha - dist_sq ** kappa, est)
+    return _barrier_state(alpha, alpha - dist_sq ** kappa, est)
 
 
-def _barrier_state(alpha: float, kappa: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
+def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
     """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     b_val = alpha - float(np.linalg.norm(est.h_val) ** 2)
     p_val = a_val / (1.0 + est.lambda_norm_sq)
     q_val = b_val / (1.0 + est.mu_norm_sq)
-    return BarrierState(alpha=alpha, kappa=kappa, a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
+    return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
 
 
 def _soc_block_sum(est: MultiplierEstimate, p: float, c: float) -> float:
@@ -303,8 +300,8 @@ def c1_penalty_soc(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq", want_spectrum=False)
-    state = barrier_state_soc(problem, x, alpha, kappa, est)
+    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq")
+    state = barrier_state_soc(alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
     value = problem.f(x) + _soc_block_sum(est, state.p_val, c)
@@ -329,14 +326,13 @@ def c1_penalty_sdp(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_sdp(problem, x, cfg, on_degenerate="lstsq", want_spectrum=False)
-    state = barrier_state_sdp(problem, x, alpha, kappa, est)
+    est = estimate_multipliers_sdp(problem, x, cfg, on_degenerate="lstsq")
+    state = barrier_state_sdp(alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
     p = state.p_val
     shifted_sq = dist_psd_minus(c * est.g_vals[0] + p * est.lam_sdp) ** 2
-    lam_sq = float(np.sum(est.lam_sdp * est.lam_sdp))
-    value = problem.f(x) + (shifted_sq - p * p * lam_sq) / (2.0 * c * p)
+    value = problem.f(x) + (shifted_sq - p * p * est.lambda_norm_sq) / (2.0 * c * p)
     if problem.n_eq > 0:
         value += _eq_terms(est, state.q_val, c)
     return float(value)
@@ -359,8 +355,8 @@ def phi_aux(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq", want_spectrum=False)
-    state = barrier_state_soc(problem, x, alpha, kappa, est)
+    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq")
+    state = barrier_state_soc(alpha, kappa, est)
     if not state.inside_domain:
         raise OutsideDomain(f"x outside Omega_alpha (a={state.a_val}, b={state.b_val})")
     return float(state.p_val * _soc_block_sum(est, state.p_val, c))

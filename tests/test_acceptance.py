@@ -156,7 +156,7 @@ def test_criterion_07_representation_identity():
         if not math.isfinite(full):
             continue
         est = estimate_multipliers_soc(p, x, on_degenerate="lstsq")
-        state = barrier_state_soc(p, x, 1.0, 2.0, est)
+        state = barrier_state_soc(1.0, 2.0, est)
         assert abs(p.f(x) + phi_aux(p, x, c) / state.p_val - full) <= 1e-9
         checked += 1
     for name in ("toy-socp-1", "toy-socp-2"):

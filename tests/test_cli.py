@@ -175,3 +175,37 @@ def test_localize_al_hpr_lambda_length_exit_3():
                   "--c-steps", "4", "--starts", "2")
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+
+
+def test_check_kkt_non_finite_input_exit_3():
+    for flag, value in (("--x", "nan,1"), ("--x", "inf,1"), ("--lambda", "nan,2")):
+        args = {"--x": "1,1", "--lambda": "-2,2", flag: value}
+        out = run_cli("check-kkt", "--problem", "toy-socp-1", *[a for kv in args.items() for a in kv])
+        assert out.returncode == 3, (flag, value, out.stdout)
+        assert "kkt_residual" not in out.stdout
+
+
+def test_check_kkt_nan_residual_exit_2():
+    # Finite entries whose products overflow give a NaN residual, which fails.
+    out = run_cli("check-kkt", "--problem", "toy-socp-1", "--x", "1e308,1e308",
+                  "--lambda", "-1e308,1e308")
+    assert out.returncode == 2
+
+
+def test_check_kkt_mu_length_exit_3():
+    for problem, mu in (("toy-eq-1", "1,2"), ("toy-socp-1", "5")):
+        out = run_cli("check-kkt", "--problem", problem, "--x", "1,1", "--mu", mu)
+        assert out.returncode == 3, (problem, mu)
+        assert "--mu" in out.stderr
+
+
+def test_penalty_lambda_non_finite_exit_3():
+    out = run_cli("gradcheck", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "nan",
+                  "--points", "1")
+    assert out.returncode == 3
+
+
+def test_gradcheck_points_below_one_exit_3():
+    out = run_cli("gradcheck", "--problem", "toy-eq-1", "--penalty", "al-hpr", "--points", "0")
+    assert out.returncode == 3
+    assert "checked" not in out.stdout

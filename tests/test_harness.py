@@ -233,3 +233,23 @@ def test_localize_bisects_inside_sweep_bracket():
     assert rep.evidence == tuple(records)
     assert rep.c_star == results[j].c_star
     assert grid[j] < rep.c_star <= grid[j + 1]
+
+
+def test_localize_local_probe_tests_each_c_once(monkeypatch):
+    import epflab.report as report
+
+    seen = []
+    probe = report.local_exactness_probe
+
+    def record(penalty, x_star, c_list, **kwargs):
+        seen.append(list(c_list))
+        return probe(penalty, x_star, c_list, **kwargs)
+
+    monkeypatch.setattr(report, "local_exactness_probe", record)
+    p = get_problem("toy-lin-1")
+    # Every other grid c, ending at the last one, each once.
+    for steps, picked in ((5, [0, 2, 4]), (4, [0, 2, 3])):
+        grid = geometric_grid(0.5, 32.0, steps)
+        localize(p, "linear", cfg=SolverConfig(n_starts=2, seed=0), c_min=0.5, c_max=32.0,
+                 c_steps=steps)
+        assert seen.pop() == [grid[i] for i in picked]

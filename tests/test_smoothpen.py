@@ -84,13 +84,12 @@ def test_estimator_consistency_kkt():
 def test_barrier_state_examples():
     p = get_problem("toy-eq-1")
     est = estimate_multipliers_soc(p, p.certificate.x_star)
-    state = barrier_state_soc(p, np.array([0.0, 0.0]), 1.0, 2.0,
-                              estimate_multipliers_soc(p, np.array([0.0, 0.0])))
+    state = barrier_state_soc(1.0, 2.0, estimate_multipliers_soc(p, np.array([0.0, 0.0])))
     assert state.b_val == pytest.approx(-3.0)
     assert not state.inside_domain
     q = get_problem("toy-socp-1")
     est_q = estimate_multipliers_soc(q, q.certificate.x_star)
-    st = barrier_state_soc(q, q.certificate.x_star, 1.0, 2.0, est_q)
+    st = barrier_state_soc(1.0, 2.0, est_q)
     assert st.p_val == pytest.approx(1.0 / 9.0)
     assert st.inside_domain
 
@@ -98,7 +97,7 @@ def test_barrier_state_examples():
 def test_barrier_state_feasible_no_multipliers():
     bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2))
     est = estimate_multipliers_soc(bare, np.array([0.1]))
-    st = barrier_state_soc(bare, np.array([0.1]), 1.0, 2.0, est)
+    st = barrier_state_soc(1.0, 2.0, est)
     assert st.a_val == st.p_val == st.b_val == st.q_val == 1.0
 
 
@@ -106,13 +105,13 @@ def test_barrier_parameter_validation():
     p = get_problem("toy-socp-1")
     est = estimate_multipliers_soc(p, p.certificate.x_star)
     with pytest.raises(ValueError):
-        barrier_state_soc(p, p.certificate.x_star, -1.0, 2.0, est)
+        barrier_state_soc(-1.0, 2.0, est)
     with pytest.raises(ValueError):
-        barrier_state_soc(p, p.certificate.x_star, 1.0, 1.5, est)
+        barrier_state_soc(1.0, 1.5, est)
     q = get_problem("toy-sdp-1")
     est_q = estimate_multipliers_sdp(q, q.certificate.x_star)
     with pytest.raises(ValueError):
-        barrier_state_sdp(q, q.certificate.x_star, 1.0, 0.5, est_q)
+        barrier_state_sdp(1.0, 0.5, est_q)
 
 
 def test_c1_kkt_fixed_value():
@@ -190,7 +189,7 @@ def test_phi_aux_representation():
         if not math.isfinite(full):
             continue
         est = est_soc(p, x, on_degenerate="lstsq")
-        state = bstate(p, x, 1.0, 2.0, est)
+        state = bstate(1.0, 2.0, est)
         val = p.f(x) + phi_aux(p, x, 5.0) / state.p_val
         assert abs(val - full) <= 1e-9
         checked += 1
@@ -217,7 +216,7 @@ def test_phi_aux_matches_inner_minimization():
     x = np.array([0.4, -0.3])
     c = 2.0
     est = estimate_multipliers_soc(p, x, on_degenerate="lstsq")
-    state = barrier_state_soc(p, x, 1.0, 2.0, est)
+    state = barrier_state_soc(1.0, 2.0, est)
     closed = phi_aux(p, x, c)
     g_val = p.soc_blocks[0].g(x)
     lam = est.lambdas[0]
@@ -334,7 +333,7 @@ def test_c1_sdp_matches_proj_psd_formula():
         if not math.isfinite(value):
             continue
         est = estimate_multipliers_sdp(p, x, on_degenerate="lstsq")
-        pv = barrier_state_sdp(p, x, 1.0, 1.0, est).p_val
+        pv = barrier_state_sdp(1.0, 1.0, est).p_val
         plus = proj_psd(c * p.sdp_block.G(x) + pv * est.lam_sdp)
         lam_sq = float(np.sum(est.lam_sdp ** 2))
         old = p.f(x) + (float(np.trace(plus @ plus)) - pv * pv * lam_sq) / (2.0 * c * pv)
