@@ -5,7 +5,7 @@ Hestenes-Powell-Rockafellar closed form."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,7 +54,6 @@ def flat_tail_augmenting() -> AugmentingFn:
 class ALValue:
     value: float
     inner_argmin: Optional[np.ndarray]
-    method: str
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ def al_eval_grid(
             candidate[axis] = t_best
             if psi(candidate) <= psi(p):
                 p = candidate
-    return ALValue(value=float(psi(p)), inner_argmin=p, method="grid")
+    return ALValue(value=float(psi(p)), inner_argmin=p)
 
 
 def hpr_closed_form(problem: ConstrainedProblem, x, lam_ineq=None, mu=None, c: float = 1.0) -> float:

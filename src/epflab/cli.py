@@ -19,7 +19,7 @@ from .errors import EpflabError, UnknownProblem
 from .harness import PENALTY_KINDS, estimate_c_star, c_sweep, geometric_grid, make_penalty
 from .problems import fd_gradient, get_problem, kkt_residual, registry
 from .report import localize, serialize_report, sweep_to_csv
-from .solvers import SolverConfig
+from .solvers import DRAWS_PER_START, SolverConfig
 
 
 def _parse_csv(text: Optional[str]) -> Optional[np.ndarray]:
@@ -222,8 +222,7 @@ def gradcheck(ctx, **_):
     checked = 0
     draws = 0
     worst_jump = 0.0
-    # The draw budget per point of solvers._finite_starts.
-    while checked < points and draws < 64 * points:
+    while checked < points and draws < DRAWS_PER_START * points:
         draws += 1
         x = lower + rng.uniform(size=prob.dim) * (upper - lower)
         if not math.isfinite(handle(x, c)):

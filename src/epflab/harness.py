@@ -28,7 +28,6 @@ from .solvers import SolverConfig, minimize, polish
 class PenaltyHandle:
     """A separating function F(x, c) bound to one problem."""
 
-    kind: str
     problem: ConstrainedProblem
     func: Callable[[np.ndarray, float], float]
     params: Dict[str, float]
@@ -106,7 +105,7 @@ def make_penalty(
         raise UnknownProblem(f"unknown penalty kind {kind!r}")
     func, params = _BUILDERS[kind](problem, q=q, alpha=alpha, kappa=kappa, zeta1=zeta1,
                                    zeta2=zeta2, lam=lam, mu=mu)
-    return PenaltyHandle(kind=kind, problem=problem, func=func, params=params)
+    return PenaltyHandle(problem=problem, func=func, params=params)
 
 
 # The verdict policy: every threshold behind a reported c* or verdict.
@@ -159,7 +158,7 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
             n_starts_agreeing=0,
             failed=True,
         )
-    x, value = polish(func, result.x, lower, upper, cfg)
+    x, value = polish(func, result.x, lower, upper)
     if not value <= result.value:
         x, value = result.x, result.value
     cert = problem.certificate
@@ -365,7 +364,7 @@ def strict_exactness_probe(
     cert = problem.certificate
     if cert is None:
         raise ValueError(f"{problem.name} carries no certificate")
-    handle = PenaltyHandle(kind="augmented-lagrangian", problem=problem, func=al_func, params={})
+    handle = PenaltyHandle(problem=problem, func=al_func, params={})
     details = tuple(_solve_at(handle, c, cfg) for c in c_list)
     per_c = tuple((r.c, r.passes(cert)) for r in details)
     return StrictExactnessVerdict(per_c=per_c, first_passing_c=_first_passing(per_c), details=details)

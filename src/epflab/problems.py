@@ -8,12 +8,12 @@ validated at load time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
+from .cones import dist_lorentz, dist_psd_minus, proj_lorentz
 from .errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
 
 Array = np.ndarray
@@ -123,7 +123,6 @@ class ConstrainedProblem:
     sample_feasible: Optional[Callable[[np.random.Generator], Array]] = None
     # Penalty kinds the harness should exercise on this instance.
     penalties: Tuple[str, ...] = ("linear",)
-    f_nonnegative: bool = False
 
     def f(self, x) -> float:
         val = float(self.objective(np.asarray(x, dtype=float)))
@@ -211,8 +210,11 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         derivs = problem.sdp_block.derivative(x)
         grad = grad + np.array([float(np.sum(lam_sdp * d)) for d in derivs])
         complementarity += abs(float(np.sum(lam_sdp * g_mat)))
-        dual += dist_psd_minus(-lam_sdp)
-        primal += dist_psd_minus(g_mat)
+        # Finite input can overflow (1e308 + 1e308); the residual is then NaN,
+        # as on SOC blocks, not an eigensolver error.
+        finite = np.isfinite(lam_sdp).all() and np.isfinite(g_mat).all()
+        dual += dist_psd_minus(-lam_sdp) if finite else np.nan
+        primal += dist_psd_minus(g_mat) if finite else np.nan
     if problem.n_eq > 0:
         if mu is None:
             raise DimensionMismatch("equality constraints require mu")
@@ -258,7 +260,6 @@ def _toy_lin_1() -> ConstrainedProblem:
         project_feasible=lambda x: np.clip(np.asarray(x, float), -2.0, 0.0),
         sample_feasible=lambda rng: np.array([rng.uniform(-2.0, 0.0)]),
         penalties=("linear", "al-hpr"),
-        f_nonnegative=False,
     )
 
 
@@ -293,7 +294,6 @@ def _toy_eq_1() -> ConstrainedProblem:
         project_feasible=project,
         sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp", "al-hpr"),
-        f_nonnegative=True,
     )
 
 
@@ -325,7 +325,6 @@ def _toy_socp_1() -> ConstrainedProblem:
         project_feasible=lambda x: proj_lorentz(x),
         sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp"),
-        f_nonnegative=True,
     )
 
 
@@ -366,7 +365,6 @@ def _toy_socp_2() -> ConstrainedProblem:
         project_feasible=project,
         sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp"),
-        f_nonnegative=True,
     )
 
 
@@ -403,7 +401,6 @@ def _toy_sdp_1() -> ConstrainedProblem:
         project_feasible=project,
         sample_feasible=sample,
         penalties=("linear", "qorder", "c1-sdp"),
-        f_nonnegative=True,
     )
 
 

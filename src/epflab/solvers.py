@@ -1,15 +1,14 @@
 """Box-constrained multistart minimization used by the exactness harness.
 
-Two local methods: Nelder-Mead (default, handles the kinks and +inf
-sentinels of penalty functions) and projected gradient descent with
-backtracking.  Starts come from a scrambled Sobol sequence, so results
-are bit-reproducible for a fixed seed.
+One local method, Nelder-Mead, which handles the kinks and +inf
+sentinels of penalty functions.  Starts come from a scrambled Sobol
+sequence, so results are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -17,25 +16,31 @@ from scipy.optimize import Bounds, minimize as scipy_minimize
 from scipy.stats import qmc
 
 from .errors import AllStartsFailed
-from .problems import fd_gradient
+
+# The solver policy: every budget and tolerance of a local solve.  They are
+# read at call time, so a test can monkeypatch them.
+# Nelder-Mead iterations per coordinate of one multistart start.
+ITERS_PER_DIM = 400
+# polish refines one point with this multiple of that budget.
+POLISH_ITERS_FACTOR = 4
+# Nelder-Mead stops when the simplex spans less than XATOL and its values
+# less than FATOL (scipy's xatol and fatol).
+XATOL = 1e-9
+FATOL = 1e-11
+# Sobol draws allowed per requested start while skipping points where F = +inf.
+DRAWS_PER_START = 64
+# A start agrees with the best when its value is within this relative tolerance.
+AGREE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "nelder-mead"
-    max_iters: int = 400
-    x_tol: float = 1e-9
-    f_tol: float = 1e-11
     n_starts: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("nelder-mead", "gradient-descent-backtracking"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.x_tol <= 0 or self.f_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -50,13 +55,13 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     """Draw Sobol starts, keeping only points where func is finite.
 
     Penalties with a barrier domain are +inf on much of the box, so we
-    keep drawing (up to 64x the requested count) until enough usable
-    starts are found.
+    keep drawing (up to DRAWS_PER_START times the requested count) until
+    enough usable starts are found.
     """
     dim = lower.shape[0]
     sampler = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
     starts = []
-    budget = 64 * cfg.n_starts
+    budget = DRAWS_PER_START * cfg.n_starts
     drawn = 0
     # Sobol balance wants power-of-two draws.
     batch_size = 1 << (cfg.n_starts - 1).bit_length()
@@ -72,51 +77,15 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     return starts
 
 
-def _local_nelder_mead(func, start, lower, upper, cfg: SolverConfig):
+def _nelder_mead(func, start, lower, upper, iters_per_dim: int):
     res = scipy_minimize(
         func,
         start,
         method="Nelder-Mead",
         bounds=Bounds(lower, upper),
-        options={
-            "maxiter": cfg.max_iters * start.shape[0],
-            "xatol": cfg.x_tol,
-            "fatol": cfg.f_tol,
-        },
+        options={"maxiter": iters_per_dim * start.shape[0], "xatol": XATOL, "fatol": FATOL},
     )
     return np.asarray(res.x, dtype=float), float(res.fun)
-
-
-def _local_gradient_descent(func, start, lower, upper, cfg: SolverConfig):
-    x = np.clip(start, lower, upper)
-    f_val = func(x)
-    for _ in range(cfg.max_iters):
-        try:
-            grad = fd_gradient(func, x, step=1e-7 * (1.0 + float(np.linalg.norm(x))))
-        except Exception:
-            break
-        g_norm = float(np.linalg.norm(grad))
-        if g_norm <= 1e-12:
-            break
-        step = 1.0
-        moved = False
-        while step > 1e-14:
-            trial = np.clip(x - step * grad, lower, upper)
-            f_trial = func(trial)
-            if math.isfinite(f_trial) and f_trial <= f_val - 1e-4 * step * g_norm ** 2:
-                x, f_val = trial, f_trial
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        if step * g_norm < cfg.x_tol:
-            break
-    return x, float(f_val)
-
-
-def _local_method(cfg: SolverConfig):
-    return _local_nelder_mead if cfg.method == "nelder-mead" else _local_gradient_descent
 
 
 def minimize(
@@ -134,24 +103,23 @@ def minimize(
     starts = _finite_starts(func, lower, upper, cfg)
     if not starts:
         raise AllStartsFailed("objective is non-finite at every sampled start")
-    local = _local_method(cfg)
     best_x = None
     best_f = math.inf
     values = []
     for start in starts:
-        x, f_val = local(func, start, lower, upper, cfg)
+        x, f_val = _nelder_mead(func, start, lower, upper, ITERS_PER_DIM)
         values.append(f_val)
         if f_val < best_f:
             best_f = f_val
             best_x = x
     if best_x is None or not math.isfinite(best_f):
         raise AllStartsFailed("no start produced a finite minimum")
-    agreeing = sum(1 for v in values if v <= best_f + 1e-6 * (1.0 + abs(best_f)))
+    agreeing = sum(1 for v in values if v <= best_f + AGREE_RTOL * (1.0 + abs(best_f)))
     return MinimizeResult(x=best_x, value=best_f, n_starts_used=len(starts), n_starts_agreeing=agreeing)
 
 
-def polish(func, x0, lower, upper, cfg: SolverConfig) -> Tuple[np.ndarray, float]:
-    """Re-run the local method from a known good point with a tight budget."""
-    local_cfg = replace(cfg, max_iters=4 * cfg.max_iters)
-    return _local_method(cfg)(func, np.asarray(x0, dtype=float), np.asarray(lower, float),
-                              np.asarray(upper, float), local_cfg)
+def polish(func, x0, lower, upper) -> Tuple[np.ndarray, float]:
+    """Re-run Nelder-Mead from a known good point with POLISH_ITERS_FACTOR
+    times the iteration budget of a start."""
+    return _nelder_mead(func, np.asarray(x0, dtype=float), np.asarray(lower, float),
+                        np.asarray(upper, float), POLISH_ITERS_FACTOR * ITERS_PER_DIM)

@@ -225,7 +225,6 @@ def test_criterion_09_nonlinear_penalty_conditions():
         name="qtoy", dim=1,
         objective=lambda x: float(x[0] + 1.0),
         lower=np.array([-1.0]), upper=np.array([1.0]),
-        f_nonnegative=True,
     )
     phi = lambda x: max(0.0, -float(np.asarray(x)[0]))
     qf = QFunction.q_order(1.0)

@@ -186,10 +186,13 @@ def test_check_kkt_non_finite_input_exit_3():
 
 
 def test_check_kkt_nan_residual_exit_2():
-    # Finite entries whose products overflow give a NaN residual, which fails.
-    out = run_cli("check-kkt", "--problem", "toy-socp-1", "--x", "1e308,1e308",
-                  "--lambda", "-1e308,1e308")
-    assert out.returncode == 2
+    # Finite entries whose products overflow give a NaN residual, which fails,
+    # on an SOC problem and on an SDP problem alike.
+    for problem, x, lam in (("toy-socp-1", "1e308,1e308", "-1e308,1e308"),
+                            ("toy-sdp-1", "1e308,-1e308", "1e308,0,0,1e308")):
+        out = run_cli("check-kkt", "--problem", problem, "--x", x, "--lambda", lam)
+        assert out.returncode == 2, (problem, out.stderr)
+        assert "kkt_residual = nan" in out.stdout, problem
 
 
 def test_check_kkt_mu_length_exit_3():

@@ -78,7 +78,7 @@ def test_sweep_requires_increasing_grid():
 
 def test_sweep_records_failures():
     p = get_problem("toy-lin-1")
-    broken = PenaltyHandle(kind="linear", problem=p, func=lambda x, c: math.inf, params={})
+    broken = PenaltyHandle(problem=p, func=lambda x, c: math.inf, params={})
     records = c_sweep(broken, [1.0, 2.0], CFG)
     assert all(r.failed for r in records)
 
@@ -92,12 +92,12 @@ def test_penalty_type_probe_pass_and_fixtures():
     from epflab.penalties import LinearPenalty, default_phi
 
     phi = default_phi(p)
-    anti = PenaltyHandle(kind="linear", problem=p,
+    anti = PenaltyHandle(problem=p,
                          func=lambda x, c: p.f(x) - c * phi(x), params={})
     assert not penalty_type_probe(c_sweep(anti, [0.5, 1.0, 2.0, 4.0], CFG))
 
     # Constant positive infeasibility can never reach a zero gap.
-    stuck = PenaltyHandle(kind="linear", problem=p,
+    stuck = PenaltyHandle(problem=p,
                           func=lambda x, c: p.f(x) + c * 1.0 + float(x[0] ** 2), params={})
     records = c_sweep(stuck, [0.5, 1.0, 2.0, 4.0], CFG)
     # All minimizers sit at x = 0 (feasible), so force the fixture's point
@@ -143,13 +143,13 @@ def test_sublevel_bounded_probe():
     pen = make_penalty(p, "c1-socp")
     assert sublevel_bounded_probe(pen, 10.0, p.certificate.f_star)
     # Non-coercive fixture: big negative values on the shell.
-    loose = PenaltyHandle(kind="linear", problem=p,
+    loose = PenaltyHandle(problem=p,
                           func=lambda x, c: -float(np.linalg.norm(x)), params={})
     assert not sublevel_bounded_probe(loose, 10.0, p.certificate.f_star)
     # F = f everywhere with f coercive enough that every shell value
     # beats the optimum: toy-eq-1 has f = ||x||^2 >= 9 on the shell.
     q = get_problem("toy-eq-1")
-    coercive = PenaltyHandle(kind="linear", problem=q, func=lambda x, c: q.f(x), params={})
+    coercive = PenaltyHandle(problem=q, func=lambda x, c: q.f(x), params={})
     assert sublevel_bounded_probe(coercive, 10.0, q.certificate.f_star)
 
 
@@ -201,11 +201,11 @@ def test_estimate_c_star_nonmonotone_detection():
         if c > 7.0:
             return float((x[0] - 1.0) ** 2)  # argmin far from x* = 0
         return float(-x[0] + 2.0 * max(0.0, x[0]))
-    handle = PenaltyHandle(kind="linear", problem=p, func=tricky, params={})
+    handle = PenaltyHandle(problem=p, func=tricky, params={})
     with pytest.raises(NonMonotonePredicate):
         estimate_c_star(handle, 4.0, 6.0, cfg=CFG)
     # A confirm solve with no finite start (at c = 8) is a failing c too.
-    walled = PenaltyHandle(kind="linear", problem=p, func=_walled, params={})
+    walled = PenaltyHandle(problem=p, func=_walled, params={})
     with pytest.raises(NonMonotonePredicate):
         estimate_c_star(walled, 4.0, 6.0, cfg=CFG)
 

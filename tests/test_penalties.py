@@ -72,7 +72,6 @@ def test_qpen_examples():
         objective=lambda x: float(x[0] + 1.0),
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
-        f_nonnegative=True,
     )
     phi = lambda x: max(0.0, -float(np.asarray(x)[0]))
     q1 = QFunction.q_order(1.0)

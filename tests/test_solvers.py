@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+from epflab import solvers
 from epflab.errors import AllStartsFailed
 from epflab.solvers import MinimizeResult, SolverConfig, minimize, polish
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(method="newton")
-    with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(x_tol=0.0)
 
 
 def test_minimize_convex_quadratic():
@@ -53,13 +51,6 @@ def test_minimize_deterministic():
     assert r1.value == r2.value
 
 
-def test_gradient_descent_method():
-    func = lambda x: float((x[0] - 0.5) ** 2)
-    cfg = SolverConfig(method="gradient-descent-backtracking", n_starts=4, seed=0)
-    res = minimize(func, np.array([-2.0]), np.array([2.0]), cfg)
-    assert abs(res.x[0] - 0.5) <= 1e-4
-
-
 def test_minimize_respects_box():
     func = lambda x: float(-x[0])  # pushed to the upper bound
     res = minimize(func, np.array([-1.0]), np.array([2.0]), SolverConfig(n_starts=4, seed=0))
@@ -69,9 +60,41 @@ def test_minimize_respects_box():
 
 def test_polish_improves():
     func = lambda x: float((x[0] - 1.0) ** 4)
-    cfg = SolverConfig(n_starts=4, seed=0)
-    x, val = polish(func, np.array([0.9]), np.array([-2.0]), np.array([2.0]), cfg)
+    x, val = polish(func, np.array([0.9]), np.array([-2.0]), np.array([2.0]))
     assert val <= func(np.array([0.9]))
+
+
+def _record_options(monkeypatch):
+    """Record the options of every Nelder-Mead call the solver makes."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["options"])
+        return scipy_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "scipy_minimize", recording)
+    return seen
+
+
+def test_nelder_mead_policy_options(monkeypatch):
+    seen = _record_options(monkeypatch)
+    func = lambda x: float(np.sum((x - 0.3) ** 2))
+    box = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    minimize(func, *box, SolverConfig(n_starts=1, seed=0))
+    assert seen == [{"maxiter": 400 * 2, "xatol": 1e-9, "fatol": 1e-11}]
+    seen.clear()
+    polish(func, np.zeros(2), *box)
+    assert seen == [{"maxiter": 1600 * 2, "xatol": 1e-9, "fatol": 1e-11}]
+
+
+def test_nelder_mead_budget_read_at_call_time(monkeypatch):
+    seen = _record_options(monkeypatch)
+    monkeypatch.setattr(solvers, "ITERS_PER_DIM", 3)
+    func = lambda x: float(np.sum((x - 0.3) ** 2))
+    box = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    minimize(func, *box, SolverConfig(n_starts=1, seed=0))
+    polish(func, np.zeros(2), *box)
+    assert [opts["maxiter"] for opts in seen] == [3 * 2, 4 * 3 * 2]
 
 
 @pytest.mark.parametrize("lower, upper", [
