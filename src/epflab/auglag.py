@@ -14,6 +14,8 @@ from .errors import UnboundedBelow
 from .problems import ConstrainedProblem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section steps per refinement: the bracket shrinks by 0.618^80 ~ 2e-17.
+GOLDEN_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -69,18 +71,18 @@ class GridSpec:
 EQ_STIFFNESS = 1e12
 
 
-def equality_parameterization(problem: ConstrainedProblem, stiffness: float = EQ_STIFFNESS) -> DualizingParam:
+def equality_parameterization(problem: ConstrainedProblem) -> DualizingParam:
     """Constraint-shift parameterization for equality constraints.
 
     The exact scheme is f(x) plus the indicator of h(x) + p = 0, which a
-    grid oracle cannot sample; a stiff quadratic (stiffness/2)||h + p||^2
+    grid oracle cannot sample; a stiff quadratic (EQ_STIFFNESS/2)||h + p||^2
     stands in for the indicator.  Phi(x, 0) = f(x) holds exactly on the
     feasible set.
     """
 
     def evaluate(x, p):
         resid = problem.h(x) + p
-        return problem.f(x) + 0.5 * stiffness * float(resid @ resid)
+        return problem.f(x) + 0.5 * EQ_STIFFNESS * float(resid @ resid)
 
     return DualizingParam(evaluator=evaluate, p_dim=problem.n_eq)
 
@@ -112,12 +114,12 @@ def scalar_inequalities(problem: ConstrainedProblem):
     return u, len(flat_blocks)
 
 
-def _golden_section(func, lo: float, hi: float, iters: int = 80) -> Tuple[float, float]:
+def _golden_section(func, lo: float, hi: float) -> Tuple[float, float]:
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = func(x1), func(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)

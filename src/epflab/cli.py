@@ -202,7 +202,9 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
         lam_sdp = np.zeros((prob.sdp_block.order,) * 2)
     if mu is None and prob.n_eq > 0:
         mu = np.zeros(prob.n_eq)
-    res = kkt_residual(prob, x, lam=lam, mu=mu, lam_sdp=lam_sdp)
+    # Finite input can overflow to a NaN residual, which fails below; numpy stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = kkt_residual(prob, x, lam=lam, mu=mu, lam_sdp=lam_sdp)
     click.echo(f"kkt_residual = {res:.12e}")
     if not res <= 1e-6:
         sys.exit(2)

@@ -31,9 +31,6 @@ class LinearPenalty:
         phi = self.phi if self.phi is not None else default_phi(self.problem)
         return float(phi(x))
 
-    def __call__(self, x, c: float) -> float:
-        return linear_eval(self, x, c)
-
 
 def linear_eval(penalty: LinearPenalty, x, c: float) -> float:
     """F(x, c) = f(x) + c * phi(x)."""

@@ -48,16 +48,14 @@ class SocBlock:
 
     dim: int
     g: Callable[[Array], Array]
-    jac: Optional[Callable[[Array], Array]] = None
+    jac: Callable[[Array], Array]
     # True when the block has the flat form (u(x), 0, ..., 0), i.e. it
     # encodes the scalar inequality -u(x) <= 0.  Such blocks admit the
     # classic HPR augmented Lagrangian treatment.
     scalar: bool = False
 
     def jacobian(self, x: Array) -> Array:
-        if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float)
-        return np.atleast_2d(fd_gradient(self.g, x))
+        return np.asarray(self.jac(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -67,18 +65,10 @@ class SdpBlock:
     order: int
     G: Callable[[Array], Array]
     # dG(x)[k] = dG/dx_k, one symmetric matrix per coordinate.
-    dG: Optional[Callable[[Array], Sequence[Array]]] = None
+    dG: Callable[[Array], Sequence[Array]]
 
     def derivative(self, x: Array) -> list:
-        if self.dG is not None:
-            return [np.asarray(m, dtype=float) for m in self.dG(x)]
-        mats = []
-        step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        for k in range(x.shape[0]):
-            e = np.zeros_like(np.asarray(x, dtype=float))
-            e[k] = step
-            mats.append((np.asarray(self.G(x + e)) - np.asarray(self.G(x - e))) / (2 * step))
-        return mats
+        return [np.asarray(m, dtype=float) for m in self.dG(x)]
 
 
 @dataclass(frozen=True)
@@ -106,23 +96,38 @@ class FeasibilityGap:
 
 @dataclass(frozen=True)
 class ConstrainedProblem:
+    """States its analytic derivatives and a finite box (README "Problem
+    contract"); construction rejects a bad box or a partial equality part."""
+
     name: str
     dim: int
     objective: Callable[[Array], float]
-    gradient: Optional[Callable[[Array], Array]] = None
+    gradient: Callable[[Array], Array]
+    lower: Array
+    upper: Array
     soc_blocks: Tuple[SocBlock, ...] = ()
     sdp_block: Optional[SdpBlock] = None
     eq: Optional[Callable[[Array], Array]] = None
     eq_jac: Optional[Callable[[Array], Array]] = None
     n_eq: int = 0
-    lower: Optional[Array] = None
-    upper: Optional[Array] = None
     certificate: Optional[KnownSolution] = None
     # Projection onto the feasible set Omega (dist oracle for error bounds).
     project_feasible: Optional[Callable[[Array], Array]] = None
     sample_feasible: Optional[Callable[[np.random.Generator], Array]] = None
     # Penalty kinds the harness should exercise on this instance.
     penalties: Tuple[str, ...] = ("linear",)
+
+    def __post_init__(self):
+        lower, upper = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        if lower.shape != (self.dim,) or upper.shape != (self.dim,):
+            raise ValueError(f"{self.name}: lower and upper must have shape ({self.dim},)")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all() and np.all(lower <= upper)):
+            raise ValueError(f"{self.name}: the box must be finite with lower <= upper")
+        given = {self.eq is not None, self.eq_jac is not None, self.n_eq > 0}
+        if len(given) != 1 or self.n_eq < 0:
+            raise ValueError(f"{self.name}: eq, eq_jac and n_eq > 0 must be given together")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def f(self, x) -> float:
         val = float(self.objective(np.asarray(x, dtype=float)))
@@ -131,10 +136,7 @@ class ConstrainedProblem:
         return val
 
     def grad_f(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        return fd_gradient(self.objective, x)
+        return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
 
     def h(self, x) -> Array:
         if self.eq is None:
@@ -144,15 +146,10 @@ class ConstrainedProblem:
     def jac_h(self, x) -> Array:
         if self.eq is None:
             return np.zeros((0, self.dim))
-        x = np.asarray(x, dtype=float)
-        if self.eq_jac is not None:
-            return np.atleast_2d(np.asarray(self.eq_jac(x), dtype=float))
-        return np.atleast_2d(fd_gradient(self.eq, x))
+        return np.atleast_2d(np.asarray(self.eq_jac(np.asarray(x, dtype=float)), dtype=float))
 
     def box(self) -> Tuple[Array, Array]:
-        lo = self.lower if self.lower is not None else np.full(self.dim, -np.inf)
-        hi = self.upper if self.upper is not None else np.full(self.dim, np.inf)
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return self.lower, self.upper
 
     def dist_omega(self, x) -> float:
         if self.project_feasible is None:

@@ -97,18 +97,15 @@ class BarrierState:
         return self.a_val > 0.0 and self.b_val > 0.0
 
 
-def _solve_normal_equations(normal: Array, rhs: Array, on_degenerate: str):
-    """Minimize z'Nz + 2 rhs'z: solve N z = -rhs.
+def _solve_normal_equations(normal: Array, rhs: Array):
+    """Minimize z'Nz + 2 rhs'z: solve N z = -rhs by Cholesky.
 
-    ``on_degenerate="lstsq"`` falls back to the minimum-norm solution of
-    the singular system instead of raising; degeneracy is still reported
-    so callers can surface it.
+    A singular system means the nondegeneracy surrogate failed at x; the
+    minimum-norm solution is returned instead, flagged as degenerate.
     """
     try:
         return chol_solve(normal, -rhs), False
     except NotPositiveDefinite:
-        if on_degenerate != "lstsq":
-            raise
         return np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
 
 
@@ -116,7 +113,6 @@ def estimate_multipliers_soc(
     problem: ConstrainedProblem,
     x,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-    on_degenerate: str = "raise",
 ) -> MultiplierEstimate:
     """Multiplier estimate (lambda(x), mu(x)) for SOC/equality problems.
 
@@ -124,8 +120,8 @@ def estimate_multipliers_soc(
       ||grad_x L||^2
       + zeta1 * sum_i (<lambda_i, g_i>^2 + ||(lambda_i)_0 gbar_i + (g_i)_0 lambdabar_i||^2)
       + (zeta2/2) * (||h||^2 + sum_i dist^2(g_i, Q)) * (||lambda||^2 + ||mu||^2)
-    via its normal equations.  A singular system means the nondegeneracy
-    surrogate failed at x.
+    via its normal equations; a singular system gives the minimum-norm
+    estimate with ``degenerate`` set.
     """
     x = np.asarray(x, dtype=float)
     blocks = problem.soc_blocks
@@ -159,7 +155,7 @@ def estimate_multipliers_soc(
         rho += float(np.linalg.norm(h_val) ** 2)
     normal += stack.T @ stack + 0.5 * cfg.zeta2 * rho * np.eye(m)
     rhs = stack.T @ grad_f
-    z, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
+    z, degenerate = _solve_normal_equations(normal, rhs)
     lambdas = []
     col = 0
     for k in sizes:
@@ -195,7 +191,6 @@ def estimate_multipliers_sdp(
     problem: ConstrainedProblem,
     x,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-    on_degenerate: str = "raise",
 ) -> MultiplierEstimate:
     """SDP analogue of the multiplier estimate, with lambda a symmetric
     matrix parameterized by its upper-triangular entries."""
@@ -224,7 +219,7 @@ def estimate_multipliers_sdp(
     rho = float(np.linalg.norm(h_val) ** 2) + dist ** 2
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
-    z, degenerate = _solve_normal_equations(normal, rhs, on_degenerate)
+    z, degenerate = _solve_normal_equations(normal, rhs)
     return MultiplierEstimate(
         lambdas=(),
         mu=z[n_lam:],
@@ -300,7 +295,7 @@ def c1_penalty_soc(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq")
+    est = estimate_multipliers_soc(problem, x, cfg)
     state = barrier_state_soc(alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
@@ -326,7 +321,7 @@ def c1_penalty_sdp(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_sdp(problem, x, cfg, on_degenerate="lstsq")
+    est = estimate_multipliers_sdp(problem, x, cfg)
     state = barrier_state_sdp(alpha, kappa, est)
     if not state.inside_domain:
         return math.inf
@@ -355,7 +350,7 @@ def phi_aux(
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg, on_degenerate="lstsq")
+    est = estimate_multipliers_soc(problem, x, cfg)
     state = barrier_state_soc(alpha, kappa, est)
     if not state.inside_domain:
         raise OutsideDomain(f"x outside Omega_alpha (a={state.a_val}, b={state.b_val})")

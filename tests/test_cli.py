@@ -193,6 +193,7 @@ def test_check_kkt_nan_residual_exit_2():
         out = run_cli("check-kkt", "--problem", problem, "--x", x, "--lambda", lam)
         assert out.returncode == 2, (problem, out.stderr)
         assert "kkt_residual = nan" in out.stdout, problem
+        assert "RuntimeWarning" not in out.stderr, (problem, out.stderr)
 
 
 def test_check_kkt_mu_length_exit_3():

@@ -89,7 +89,7 @@ def test_penalty_type_probe_pass_and_fixtures():
     assert penalty_type_probe(records)
 
     # Broken penalty F = f - c*phi rewards infeasibility.
-    from epflab.penalties import LinearPenalty, default_phi
+    from epflab.penalties import default_phi
 
     phi = default_phi(p)
     anti = PenaltyHandle(problem=p,
@@ -106,6 +106,17 @@ def test_penalty_type_probe_pass_and_fixtures():
                        feasibility_gap_total=2.0, dist_to_xstar=2.0,
                        n_starts_agreeing=1) for r in records]
     assert not penalty_type_probe(bad)
+
+    # A gap growing by more than 10 % fails even when the last gap is zero,
+    # and so does a sweep with a failed solve.
+    def with_gaps(gaps, failed_at=None):
+        return [SweepRecord(c=float(i + 1), best_x=(0.0,), best_F=0.0, feasibility_gap_total=gap,
+                            dist_to_xstar=0.0, n_starts_agreeing=1, failed=i == failed_at)
+                for i, gap in enumerate(gaps)]
+
+    assert penalty_type_probe(with_gaps([0.5, 0.2, 0.2, 0.0]))
+    assert not penalty_type_probe(with_gaps([0.5, 0.2, 0.3, 0.0]))
+    assert not penalty_type_probe(with_gaps([0.5, 0.2, 0.2, 0.0], failed_at=1))
 
     with pytest.raises(ValueError):
         penalty_type_probe(records[:2])

@@ -1,8 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no test file, imports a name it never uses.
 
-The check parses each module with ``ast``: every name bound by a
-module-level import must appear as a name somewhere else in the module.
-``__init__.py`` re-exports what it imports and is skipped.
+The check parses each file with ``ast``: every name bound by a
+module-level import must appear as a name somewhere else in the file.
+The package's ``__init__.py`` re-exports what it imports and is skipped.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epflab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "epflab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -35,6 +37,7 @@ def test_guard_sees_an_unused_import():
     assert unused_imports(source) == ["math"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -70,6 +70,7 @@ def test_qpen_examples():
         name="qtoy",
         dim=1,
         objective=lambda x: float(x[0] + 1.0),
+        gradient=lambda x: np.ones(1),
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
     )
@@ -136,7 +137,7 @@ def test_error_bound_quadratic_phi_fails_linear_bound():
 
 def test_error_bound_requires_oracle():
     p = get_problem("toy-lin-1")
-    bare = ConstrainedProblem(name="bare", dim=1, objective=p.objective,
+    bare = ConstrainedProblem(name="bare", dim=1, objective=p.objective, gradient=p.gradient,
                               lower=np.array([-1.0]), upper=np.array([1.0]))
     with pytest.raises(NoFeasibleDistanceOracle):
         estimate_error_bound(bare, lambda x: 0.0, np.zeros(1), 1.0, 1.0, 10)

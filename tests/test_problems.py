@@ -5,6 +5,9 @@ import pytest
 
 from epflab.errors import DimensionMismatch, UnknownProblem
 from epflab.problems import (
+    ConstrainedProblem,
+    SdpBlock,
+    SocBlock,
     fd_gradient,
     feasibility_gap,
     get_problem,
@@ -91,15 +94,60 @@ def test_kkt_residual_dimension_checks():
         kkt_residual(p, np.array([1.0, 1.0]), lam=[np.zeros(3)])
 
 
+def _derivative_pairs(p):
+    """(function, its analytic derivative) for the objective and every
+    constraint, each derivative laid out as fd_gradient lays it out."""
+    pairs = [(p.objective, p.grad_f)]
+    pairs += [(block.g, block.jacobian) for block in p.soc_blocks]
+    if p.eq is not None:
+        pairs.append((p.eq, p.jac_h))
+    if p.sdp_block is not None:
+        block = p.sdp_block
+        pairs.append((block.G, lambda x: np.stack(block.derivative(x), axis=-1)))
+    return pairs
+
+
 def test_fd_matches_analytic_gradients():
     rng = np.random.default_rng(0)
     for p in registry():
         lo, hi = p.box()
         for _ in range(100):
             x = lo + rng.uniform(size=p.dim) * (hi - lo)
-            num = fd_gradient(p.objective, x)
-            ana = p.grad_f(x)
-            assert np.linalg.norm(num - ana) <= 1e-5 * (1.0 + np.linalg.norm(ana))
+            for func, analytic in _derivative_pairs(p):
+                num = fd_gradient(func, x)
+                ana = analytic(x)
+                assert num.shape == ana.shape
+                assert np.linalg.norm(num - ana) <= 1e-5 * (1.0 + np.linalg.norm(ana))
+
+
+def test_problem_contract():
+    base = dict(name="contract", dim=2, objective=lambda x: float(x @ x),
+                gradient=lambda x: 2.0 * x, lower=[-1, -1], upper=[1, 1])
+    eq, eq_jac = lambda x: np.array([x[0]]), lambda x: np.array([[1.0, 0.0]])
+    lo, hi = ConstrainedProblem(**base, eq=eq, eq_jac=eq_jac, n_eq=1).box()
+    assert lo.dtype == hi.dtype == float and np.array_equal(hi, [1.0, 1.0])
+    # Derivatives and bounds are required fields.
+    for missing in ("gradient", "lower", "upper"):
+        with pytest.raises(TypeError):
+            ConstrainedProblem(**{k: v for k, v in base.items() if k != missing})
+    with pytest.raises(TypeError):
+        SocBlock(dim=2, g=lambda x: x)
+    with pytest.raises(TypeError):
+        SdpBlock(order=2, G=lambda x: np.diag(x))
+    bad = (
+        dict(lower=[-1.0, -np.inf]),
+        dict(upper=[1.0, np.nan]),
+        dict(lower=[-1.0, -1.0, -1.0]),
+        dict(upper=[[1.0], [1.0]]),
+        dict(lower=[2.0, -1.0]),
+        dict(eq=eq, n_eq=1),
+        dict(eq_jac=eq_jac, n_eq=1),
+        dict(eq=eq, eq_jac=eq_jac),
+        dict(n_eq=1),
+    )
+    for override in bad:
+        with pytest.raises(ValueError):
+            ConstrainedProblem(**{**base, **override})
 
 
 def test_sample_feasible_stays_feasible():

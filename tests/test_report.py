@@ -1,7 +1,5 @@
 import math
 
-import numpy as np
-
 from epflab.harness import SweepRecord, c_sweep, geometric_grid, make_penalty
 from epflab.problems import get_problem
 from epflab.report import (

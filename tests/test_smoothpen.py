@@ -5,7 +5,7 @@ import pytest
 
 from epflab import smoothpen
 from epflab.cones import proj_psd
-from epflab.errors import NotPositiveDefinite, OutsideDomain
+from epflab.errors import OutsideDomain
 from epflab.problems import ConstrainedProblem, SdpBlock, get_problem, kkt_residual
 from epflab.smoothpen import (
     DEFAULT_ESTIMATOR,
@@ -36,6 +36,7 @@ def test_multiplier_recovery_eq():
 def test_multiplier_recovery_socp():
     p = get_problem("toy-socp-1")
     est = estimate_multipliers_soc(p, p.certificate.x_star)
+    assert not est.degenerate
     assert np.allclose(est.lambdas[0], [-2.0, 2.0], atol=1e-10)
 
 
@@ -46,20 +47,19 @@ def test_multiplier_recovery_sdp():
 
 
 def test_multiplier_estimate_unconstrained():
-    bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2))
+    bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2),
+                              gradient=lambda x: 2.0 * x, lower=-np.ones(1), upper=np.ones(1))
     est = estimate_multipliers_soc(bare, np.array([0.3]))
     assert est.lambdas == ()
     assert est.mu.shape == (0,)
     assert est.subproblem_residual == 0.0
 
 
-def test_degenerate_point_raises_then_lstsq():
+def test_degenerate_point_lstsq():
     # Toy-SOCP-2 at its optimum has a one-dimensional multiplier family,
     # so the normal matrix is singular.
     p = get_problem("toy-socp-2")
-    with pytest.raises(NotPositiveDefinite):
-        estimate_multipliers_soc(p, p.certificate.x_star)
-    est = estimate_multipliers_soc(p, p.certificate.x_star, on_degenerate="lstsq")
+    est = estimate_multipliers_soc(p, p.certificate.x_star)
     assert est.degenerate
     assert est.subproblem_residual <= 1e-8
     # The min-norm representative is still a valid KKT pair.
@@ -95,7 +95,8 @@ def test_barrier_state_examples():
 
 
 def test_barrier_state_feasible_no_multipliers():
-    bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2))
+    bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2),
+                              gradient=lambda x: 2.0 * x, lower=-np.ones(1), upper=np.ones(1))
     est = estimate_multipliers_soc(bare, np.array([0.1]))
     st = barrier_state_soc(1.0, 2.0, est)
     assert st.a_val == st.p_val == st.b_val == st.q_val == 1.0
@@ -188,7 +189,7 @@ def test_phi_aux_representation():
         full = c1_penalty_soc(p, x, 5.0)
         if not math.isfinite(full):
             continue
-        est = est_soc(p, x, on_degenerate="lstsq")
+        est = est_soc(p, x)
         state = bstate(1.0, 2.0, est)
         val = p.f(x) + phi_aux(p, x, 5.0) / state.p_val
         assert abs(val - full) <= 1e-9
@@ -215,7 +216,7 @@ def test_phi_aux_matches_inner_minimization():
     p = get_problem("toy-socp-1")
     x = np.array([0.4, -0.3])
     c = 2.0
-    est = estimate_multipliers_soc(p, x, on_degenerate="lstsq")
+    est = estimate_multipliers_soc(p, x)
     state = barrier_state_soc(1.0, 2.0, est)
     closed = phi_aux(p, x, c)
     g_val = p.soc_blocks[0].g(x)
@@ -301,9 +302,9 @@ def test_sdp_estimate_matches_loop_reference(problem, monkeypatch):
     seen = []
     solve = smoothpen._solve_normal_equations
 
-    def record(normal, rhs, on_degenerate):
+    def record(normal, rhs):
         seen.append(normal)
-        return solve(normal, rhs, on_degenerate)
+        return solve(normal, rhs)
 
     monkeypatch.setattr(smoothpen, "_solve_normal_equations", record)
 
@@ -314,7 +315,7 @@ def test_sdp_estimate_matches_loop_reference(problem, monkeypatch):
     lo, hi = problem.box()
     for _ in range(200):
         x = rng.uniform(lo, hi)
-        est = estimate_multipliers_sdp(problem, x, on_degenerate="lstsq")
+        est = estimate_multipliers_sdp(problem, x)
         normal, lam, mu, dist = _loop_sdp_estimate(problem, x)
         assert close(seen.pop(), normal)
         assert close(est.lam_sdp, lam)
@@ -322,20 +323,25 @@ def test_sdp_estimate_matches_loop_reference(problem, monkeypatch):
         assert abs(est.block_dists[0] - dist) <= 1e-12 * dist
 
 
-def test_c1_sdp_matches_proj_psd_formula():
-    p = get_problem("toy-sdp-1")
+@pytest.mark.parametrize("p", [get_problem("toy-sdp-1"), _order3_sdp_problem()],
+                         ids=["toy-sdp-1", "order-3-eq"])
+def test_c1_sdp_matches_proj_psd_formula(p):
     rng = np.random.default_rng(12)
+    lo, hi = p.box()
     checked = 0
     while checked < 200:
-        x = rng.uniform(-3.0, 3.0, size=2)
+        x = rng.uniform(lo, hi)
         c = float(rng.choice([0.5, 2.0, 30.0]))
         value = c1_penalty_sdp(p, x, c)
         if not math.isfinite(value):
             continue
-        est = estimate_multipliers_sdp(p, x, on_degenerate="lstsq")
-        pv = barrier_state_sdp(1.0, 1.0, est).p_val
+        est = estimate_multipliers_sdp(p, x)
+        state = barrier_state_sdp(1.0, 1.0, est)
+        pv = state.p_val
         plus = proj_psd(c * p.sdp_block.G(x) + pv * est.lam_sdp)
         lam_sq = float(np.sum(est.lam_sdp ** 2))
-        old = p.f(x) + (float(np.trace(plus @ plus)) - pv * pv * lam_sq) / (2.0 * c * pv)
+        h_val = p.h(x)
+        old = (p.f(x) + (float(np.trace(plus @ plus)) - pv * pv * lam_sq) / (2.0 * c * pv)
+               + float(est.mu @ h_val) + c / (2.0 * state.q_val) * float(h_val @ h_val))
         assert abs(value - old) <= 1e-12 * max(1.0, abs(old))
         checked += 1

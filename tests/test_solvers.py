@@ -6,7 +6,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from epflab import solvers
 from epflab.errors import AllStartsFailed
-from epflab.solvers import MinimizeResult, SolverConfig, minimize, polish
+from epflab.solvers import SolverConfig, minimize, polish
 
 
 def test_config_validation():
