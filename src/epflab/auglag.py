@@ -16,6 +16,8 @@ from .problems import ConstrainedProblem
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Golden-section steps per refinement: the bracket shrinks by 0.618^80 ~ 2e-17.
 GOLDEN_ITERS = 80
+# valley_check: random perturbations drawn per radius.
+VALLEY_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -221,25 +223,19 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam_ineq=None, mu=None, c: f
     return float(value)
 
 
-def valley_check(
-    aug: AugmentingFn,
-    radii: Sequence[float],
-    n_samples: int = 2000,
-    seed: int = 0,
-    p_dim: int = 1,
-    outer_radius: Optional[float] = None,
-) -> bool:
+def valley_check(aug: AugmentingFn, radii: Sequence[float], p_dim: int = 1) -> bool:
     """Sampled valley-at-zero test: sigma must stay bounded away from 0
-    outside every neighborhood of the origin."""
+    outside every neighborhood of the origin, sampled on each shell
+    r <= ||p|| <= max(4, 4 max(radii))."""
     radii = list(radii)
     if not radii or any(r <= 0 for r in radii) or sorted(radii) != radii:
         raise ValueError("radii must be positive and ascending")
-    rng = np.random.default_rng(seed)
-    outer = outer_radius if outer_radius is not None else max(4.0, 4.0 * max(radii))
+    rng = np.random.default_rng(0)
+    outer = max(4.0, 4.0 * max(radii))
     ok = True
     for r in radii:
         smallest = math.inf
-        for _ in range(n_samples):
+        for _ in range(VALLEY_SAMPLES):
             direction = rng.normal(size=p_dim)
             norm = float(np.linalg.norm(direction))
             if norm == 0.0:

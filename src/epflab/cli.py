@@ -38,7 +38,8 @@ def _apply_config(ctx: click.Context) -> None:
     """Overlay the ``--config`` JSON object onto options left at their
     defaults.  Keys are long flag names without ``--`` (``-`` or ``_``
     between words); each value goes through its option's type as if typed
-    on the command line."""
+    on the command line: a JSON string as is, any other value as its JSON
+    text (``false``, ``3``, ``null``)."""
     path = ctx.params.get("config")
     if path is None:
         return
@@ -55,7 +56,7 @@ def _apply_config(ctx: click.Context) -> None:
         opt = options.get(key.replace("-", "_"))
         if opt is None:
             raise click.UsageError(f"config {path}: no option --{key} in '{ctx.command.name}'")
-        value = opt.type_cast_value(ctx, str(val))
+        value = opt.type_cast_value(ctx, val if isinstance(val, str) else json.dumps(val))
         if ctx.get_parameter_source(opt.name) == click.core.ParameterSource.DEFAULT:
             ctx.params[opt.name] = value
 

@@ -15,9 +15,9 @@ LORENTZ_MEMBER_TOL = 1e-12
 PSD_MEMBER_TOL = 1e-8
 
 
-def in_lorentz(y, tol: float = LORENTZ_MEMBER_TOL) -> bool:
+def in_lorentz(y) -> bool:
     y = np.asarray(y, dtype=float)
-    return y[0] >= np.linalg.norm(y[1:]) - tol
+    return y[0] >= np.linalg.norm(y[1:]) - LORENTZ_MEMBER_TOL
 
 
 def proj_lorentz(y) -> np.ndarray:
@@ -78,25 +78,6 @@ def dist_psd_minus(a) -> float:
     return float(np.linalg.norm(np.maximum(eig_sym(a).values, 0.0)))
 
 
-def in_psd_minus(a, tol: float = PSD_MEMBER_TOL) -> bool:
+def in_psd_minus(a) -> bool:
     decomp = eig_sym(sym(a))
-    return float(decomp.values[-1]) <= tol
-
-
-def split_blocks(y, blocks) -> list:
-    """Split a stacked vector into per-block Lorentz points.
-
-    Every block dimension must be >= 2 and the dimensions must sum to the
-    length of y.
-    """
-    y = np.asarray(y, dtype=float)
-    if any(b < 2 for b in blocks):
-        raise ValueError("every Lorentz block needs dimension >= 2")
-    if sum(blocks) != y.shape[0]:
-        raise ValueError("block dimensions do not sum to the total dimension")
-    out = []
-    offset = 0
-    for b in blocks:
-        out.append(y[offset : offset + b])
-        offset += b
-    return out
+    return float(decomp.values[-1]) <= PSD_MEMBER_TOL

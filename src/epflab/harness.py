@@ -20,7 +20,7 @@ from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import LinearPenalty, QFunction, linear_eval, qpen_eval, default_phi
 from .problems import ConstrainedProblem, KnownSolution, feasibility_gap
-from .smoothpen import EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
+from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
 from .solvers import SolverConfig, minimize, polish
 
 
@@ -48,7 +48,7 @@ def _qorder(problem, q, **_):
 
 def _c1(problem, alpha, kappa, zeta1, zeta2, sdp=False, **_):
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
-    kap = (1.0 if sdp else 2.0) if kappa is None else kappa
+    kap = (KAPPA_SDP if sdp else KAPPA_SOC) if kappa is None else kappa
     params = dict(alpha=alpha, kappa=kap, zeta1=zeta1, zeta2=zeta2)
     if sdp:
         return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg), params
@@ -121,6 +121,8 @@ SUBLEVEL_EXPANSION = 2.0
 SUBLEVEL_SAMPLES = 2000
 # Norm ball the sweep's minimizers must stay in (localize's nondegeneracy probe).
 NONDEGENERACY_RADIUS = 10.0
+# Fewest sweep records the penalty-type probe judges a trend from.
+MIN_SWEEP_RECORDS = 4
 
 
 @dataclass(frozen=True)
@@ -205,8 +207,8 @@ def penalty_type_probe(records: Sequence[SweepRecord]) -> bool:
     """Feasibility gaps along the sweep must shrink to ~0 without growing
     (10% noise allowance), mirroring cluster points of minimizers being
     feasible as c grows."""
-    if len(records) < 4:
-        raise ValueError("need at least 4 sweep records")
+    if len(records) < MIN_SWEEP_RECORDS:
+        raise ValueError(f"need at least {MIN_SWEEP_RECORDS} sweep records")
     if any(r.failed for r in records):
         return False
     gaps = [r.feasibility_gap_total for r in records]
@@ -235,12 +237,13 @@ def nondegeneracy_probe(records: Sequence[SweepRecord], radius: float) -> bool:
 def local_exactness_probe(
     penalty: PenaltyHandle,
     x_star,
-    c_list: Sequence[float],
+    c: float,
     radius: float = 0.5,
     seed: int = 0,
 ) -> bool:
-    """True iff from some tested c onward, x_star minimizes F(., c) over a
-    sampled neighborhood intersected with the box."""
+    """True iff x_star minimizes F(., c) over a sampled neighborhood
+    intersected with the box.  On an increasing c list, "from some tested
+    c on" holds exactly when it holds at the largest c, so callers pass that."""
     x_star = np.asarray(x_star, dtype=float)
     problem = penalty.problem
     lower, upper = problem.box()
@@ -254,11 +257,8 @@ def local_exactness_probe(
             continue
         r = radius * rng.uniform() ** (1.0 / dim)
         samples.append(np.clip(x_star + direction / norm * r, lower, upper))
-    per_c = []
-    for c in c_list:
-        base = penalty(x_star, c)
-        per_c.append((c, all(penalty(x, c) >= base - LOCAL_SLACK for x in samples)))
-    return _first_passing(per_c) is not None
+    base = penalty(x_star, c)
+    return all(penalty(x, c) >= base - LOCAL_SLACK for x in samples)
 
 
 def sublevel_bounded_probe(
@@ -358,13 +358,13 @@ def strict_exactness_probe(
     c_list: Sequence[float],
     cfg: SolverConfig = SolverConfig(),
 ) -> StrictExactnessVerdict:
-    """For each c, minimize the augmented Lagrangian over the box and
-    compare minimum and argmin against the certificate; a failed solve
-    is a failing c."""
+    """For each c of an increasing list, minimize the augmented Lagrangian
+    over the box (``c_sweep``) and compare minimum and argmin against the
+    certificate; a failed solve is a failing c."""
     cert = problem.certificate
     if cert is None:
         raise ValueError(f"{problem.name} carries no certificate")
     handle = PenaltyHandle(problem=problem, func=al_func, params={})
-    details = tuple(_solve_at(handle, c, cfg) for c in c_list)
+    details = tuple(c_sweep(handle, c_list, cfg))
     per_c = tuple((r.c, r.passes(cert)) for r in details)
     return StrictExactnessVerdict(per_c=per_c, first_passing_c=_first_passing(per_c), details=details)

@@ -12,6 +12,12 @@ import numpy as np
 from .errors import NegativeObjective, NoFeasibleDistanceOracle, NonFiniteEvaluation
 from .problems import ConstrainedProblem, feasibility_gap
 
+# Checker policy: the fixed sampling of the paper-condition checkers.
+# check_strict_monotone samples Q on this many points per axis of [0, 5]^2.
+MONOTONE_GRID = 20
+# check_q_local_condition tests this many t values in [0, t0).
+Q_LOCAL_GRID = 200
+
 
 def default_phi(problem: ConstrainedProblem) -> Callable:
     """Infeasibility measure: total feasibility gap (zero iff feasible)."""
@@ -69,11 +75,10 @@ class QFunction:
             raise ValueError("Q is defined on nonnegative arguments")
         return float(self.func(t, s))
 
-    def check_strict_monotone(self, t_max: float = 5.0, s_max: float = 5.0, n: int = 20) -> bool:
-        """Sampled strict monotonicity on an n-by-n grid."""
-        ts = np.linspace(0.0, t_max, n)
-        ss = np.linspace(0.0, s_max, n)
-        vals = np.array([[self(t, s) for s in ss] for t in ts])
+    def check_strict_monotone(self) -> bool:
+        """Sampled strict monotonicity on a ``MONOTONE_GRID``-square grid of [0, 5]^2."""
+        axis = np.linspace(0.0, 5.0, MONOTONE_GRID)
+        vals = np.array([[self(t, s) for s in axis] for t in axis])
         along_t = np.diff(vals, axis=0)
         along_s = np.diff(vals, axis=1)
         return bool(np.all(along_t > 0) and np.all(along_s > 0))
@@ -117,7 +122,6 @@ def estimate_error_bound(
     radius: float,
     alpha: float,
     n_samples: int,
-    seed: int = 0,
 ) -> ErrorBoundEstimate:
     """Empirical error-bound modulus: the minimum of phi(x)/dist(x, Omega)^alpha
     over uniform samples in B(x_center, radius) intersected with the box.
@@ -132,7 +136,7 @@ def estimate_error_bound(
     if problem.project_feasible is None:
         raise NoFeasibleDistanceOracle(f"{problem.name} has no Omega-projection oracle")
     x_center = np.asarray(x_center, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo, hi = problem.box()
     tau = math.inf
     used = 0
@@ -147,10 +151,8 @@ def estimate_error_bound(
     return ErrorBoundEstimate(tau=tau, alpha_holder=alpha, radius=radius, sample_count=used)
 
 
-def check_q_local_condition(
-    qf: QFunction, f_star_val: float, c0: float, t0: float, n_grid: int = 200
-) -> bool:
-    """Grid check of the local-exactness condition
+def check_q_local_condition(qf: QFunction, f_star_val: float, c0: float, t0: float) -> bool:
+    """Grid check (``Q_LOCAL_GRID`` points) of the local-exactness condition
     Q(f* - t, c0*t) >= Q(f*, 0) for all t in [0, t0).
 
     Holds for the q-th order instance with q <= 1 and fails for q > 1.
@@ -158,7 +160,7 @@ def check_q_local_condition(
     if not (0.0 < t0 < f_star_val):
         raise ValueError("t0 must lie in (0, f_star_val)")
     base = qf(f_star_val, 0.0)
-    for t in np.linspace(0.0, t0, n_grid, endpoint=False):
+    for t in np.linspace(0.0, t0, Q_LOCAL_GRID, endpoint=False):
         if qf(f_star_val - t, c0 * t) < base - 1e-14:
             return False
     return True

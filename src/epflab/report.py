@@ -9,6 +9,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import NonMonotonePredicate
 from .harness import (
+    MIN_SWEEP_RECORDS,
     NONDEGENERACY_RADIUS,
     SweepRecord,
     c_sweep,
@@ -59,6 +60,8 @@ def localize(
     **penalty_kwargs,
 ) -> ExactnessReport:
     """Run the whole localization battery for one problem/penalty pair."""
+    if c_steps < MIN_SWEEP_RECORDS:
+        raise ValueError(f"need at least {MIN_SWEEP_RECORDS} sweep records, got c_steps={c_steps}")
     penalty = make_penalty(problem, kind, **penalty_kwargs)
     grid = geometric_grid(c_min, c_max, c_steps)
     records = c_sweep(penalty, grid, cfg)
@@ -69,9 +72,7 @@ def localize(
     sublevel = False
     c_star: Optional[float] = None
     if cert is not None:
-        # Every other grid c, ending at the last one.
-        local_cs = grid[::2] if len(grid) % 2 else grid[::2] + [grid[-1]]
-        local = local_exactness_probe(penalty, cert.x_star, local_cs, seed=cfg.seed)
+        local = local_exactness_probe(penalty, cert.x_star, grid[-1], seed=cfg.seed)
         sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
         # Bisect between the last failing grid c and the next one; with no
         # failing record the bracket's low end passes, with a failing last

@@ -18,6 +18,11 @@ from .problems import ConstrainedProblem
 
 Array = np.ndarray
 
+# Default barrier exponents: dist^kappa must be differentiable, which needs
+# kappa >= 2 for a Lorentz distance and kappa >= 1 for the squared PSD one.
+KAPPA_SOC = 2.0
+KAPPA_SDP = 1.0
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -282,7 +287,7 @@ def c1_penalty_soc(
     x,
     c: float,
     alpha: float = 1.0,
-    kappa: float = 2.0,
+    kappa: float = KAPPA_SOC,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
 ) -> float:
     """Continuously differentiable penalty for SOC/equality problems.
@@ -310,7 +315,7 @@ def c1_penalty_sdp(
     x,
     c: float,
     alpha: float = 1.0,
-    kappa: float = 1.0,
+    kappa: float = KAPPA_SDP,
     cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
 ) -> float:
     """SDP counterpart:
@@ -333,25 +338,19 @@ def c1_penalty_sdp(
     return float(value)
 
 
-def phi_aux(
-    problem: ConstrainedProblem,
-    x,
-    c: float,
-    alpha: float = 1.0,
-    kappa: float = 2.0,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> float:
+def phi_aux(problem: ConstrainedProblem, x, c: float) -> float:
     """Inner minimum Phi(x, c) = min over y in K - G(x) of
     (-p <lambda, y> + (c/2)||y||^2), in closed form.
 
-    Satisfies f + Phi/p + <mu, h> + (c/2q)||h||^2 = c1_penalty_soc, since
-    both are built on the same block sum.
+    Satisfies f + Phi/p + <mu, h> + (c/2q)||h||^2 = c1_penalty_soc at that
+    function's defaults (alpha = 1, ``KAPPA_SOC``, ``DEFAULT_ESTIMATOR``),
+    since both are built on the same block sum.
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg)
-    state = barrier_state_soc(alpha, kappa, est)
+    est = estimate_multipliers_soc(problem, x)
+    state = barrier_state_soc(1.0, KAPPA_SOC, est)
     if not state.inside_domain:
         raise OutsideDomain(f"x outside Omega_alpha (a={state.a_val}, b={state.b_val})")
     return float(state.p_val * _soc_block_sum(est, state.p_val, c))

@@ -121,6 +121,15 @@ def test_config_kappa_matches_flag(tmp_path):
     assert from_config.stdout != default.stdout
 
 
+def test_config_json_boolean_matches_flag(tmp_path):
+    args = ("estimate-cstar", "--problem", "toy-lin-1", "--penalty", "linear",
+            "--c-lo", "0.5", "--c-hi", "8", "--starts", "4")
+    from_config = run_cli(*args, "--config", _write_config(tmp_path, {"strict": False}))
+    from_flag = run_cli(*args, "--strict", "false")
+    assert from_config.returncode == from_flag.returncode == 0, from_config.stderr
+    assert from_config.stdout == from_flag.stdout
+
+
 def test_config_lambda_matches_flag(tmp_path):
     args = ("estimate-cstar", "--problem", "toy-eq-1", "--penalty", "al-hpr",
             "--c-lo", "1", "--c-hi", "64", "--starts", "8")

@@ -11,7 +11,6 @@ from epflab.cones import (
     moreau_check,
     proj_lorentz,
     proj_psd,
-    split_blocks,
 )
 
 
@@ -109,13 +108,3 @@ def test_psd_distance_identity():
 def test_in_psd_minus():
     assert in_psd_minus(-np.eye(2))
     assert not in_psd_minus(np.diag([1.0, -1.0]))
-
-
-def test_split_blocks():
-    parts = split_blocks(np.arange(5.0), [2, 3])
-    assert np.allclose(parts[0], [0.0, 1.0])
-    assert np.allclose(parts[1], [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        split_blocks(np.arange(5.0), [2, 2])
-    with pytest.raises(ValueError):
-        split_blocks(np.arange(3.0), [1, 2])

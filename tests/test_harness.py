@@ -139,14 +139,14 @@ def test_local_exactness_probe():
     p = get_problem("toy-lin-1")
     pen = make_penalty(p, "linear")
     x_star = p.certificate.x_star
-    assert local_exactness_probe(pen, x_star, [0.5, 2.0, 8.0], radius=0.5)
-    assert not local_exactness_probe(pen, x_star, [0.25, 0.5], radius=0.5)
+    assert local_exactness_probe(pen, x_star, 8.0, radius=0.5)
+    assert not local_exactness_probe(pen, x_star, 0.5, radius=0.5)
 
 
 def test_local_exactness_c1_socp():
     p = get_problem("toy-socp-1")
     pen = make_penalty(p, "c1-socp")
-    assert local_exactness_probe(pen, p.certificate.x_star, [1.0, 10.0, 100.0, 1000.0], radius=0.3)
+    assert local_exactness_probe(pen, p.certificate.x_star, 1000.0, radius=0.3)
 
 
 def test_sublevel_bounded_probe():
@@ -227,6 +227,9 @@ def test_strict_exactness_probe_records_failed_solve():
     assert verdict.per_c == ((4.0, True), (8.0, False))
     assert verdict.first_passing_c is None
     assert verdict.details[1].failed
+    # The up-set reading of first_passing_c needs an increasing c list.
+    with pytest.raises(ValueError):
+        strict_exactness_probe(p, _walled, [8.0, 4.0], CFG)
 
 
 def test_localize_bisects_inside_sweep_bracket():
@@ -246,21 +249,33 @@ def test_localize_bisects_inside_sweep_bracket():
     assert grid[j] < rep.c_star <= grid[j + 1]
 
 
-def test_localize_local_probe_tests_each_c_once(monkeypatch):
+def test_localize_local_probe_judges_largest_c(monkeypatch):
     import epflab.report as report
 
     seen = []
     probe = report.local_exactness_probe
 
-    def record(penalty, x_star, c_list, **kwargs):
-        seen.append(list(c_list))
-        return probe(penalty, x_star, c_list, **kwargs)
+    def record(penalty, x_star, c, **kwargs):
+        seen.append(c)
+        return probe(penalty, x_star, c, **kwargs)
 
     monkeypatch.setattr(report, "local_exactness_probe", record)
     p = get_problem("toy-lin-1")
-    # Every other grid c, ending at the last one, each once.
-    for steps, picked in ((5, [0, 2, 4]), (4, [0, 2, 3])):
+    for steps in (5, 4):
         grid = geometric_grid(0.5, 32.0, steps)
         localize(p, "linear", cfg=SolverConfig(n_starts=2, seed=0), c_min=0.5, c_max=32.0,
                  c_steps=steps)
-        assert seen.pop() == [grid[i] for i in picked]
+        assert seen == [grid[-1]]
+        seen.clear()
+
+
+def test_localize_rejects_short_sweep_before_solving(monkeypatch):
+    import epflab.report as report
+
+    def no_sweep(*args, **kwargs):
+        pytest.fail("localize swept before validating c_steps")
+
+    monkeypatch.setattr(report, "c_sweep", no_sweep)
+    with pytest.raises(ValueError):
+        localize(get_problem("toy-socp-1"), "c1-socp", cfg=SolverConfig(n_starts=2, seed=0),
+                 c_steps=3)
