@@ -15,8 +15,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import EpflabError, UnknownProblem
-from .harness import PENALTY_KINDS, estimate_c_star, c_sweep, geometric_grid, make_penalty
+from .errors import EpflabError, NegativeObjective, UnknownProblem
+from .harness import (PENALTY_KINDS, PENALTY_PARAMS, c_sweep, estimate_c_star, geometric_grid,
+                      make_penalty)
 from .problems import fd_gradient, get_problem, kkt_residual, registry
 from .report import localize, serialize_report, sweep_to_csv
 from .solvers import DRAWS_PER_START, SolverConfig
@@ -73,9 +74,12 @@ def _setup(ctx: click.Context):
 
 
 def _penalty_kwargs(v: dict, prob) -> dict:
-    kwargs = {k: v[k] for k in ("q", "alpha", "kappa", "zeta1", "zeta2")}
+    """The penalty options set on the command line or through ``--config``."""
+    kwargs = {k: v[k] for k in ("q", "alpha", "kappa", "zeta1", "zeta2") if v[k] is not None}
     lam = _parse_csv(v["lam"])
-    if v["penalty"] == "al-hpr" and lam is not None:
+    if lam is not None:
+        if v["penalty"] != "al-hpr":
+            raise click.UsageError(f"penalty {v['penalty']!r} does not read --lambda")
         # One multiplier per scalar inequality first, then one per equality.
         n_ineq = sum(1 for b in prob.soc_blocks if b.scalar)
         kwargs["lam"], kwargs["mu"] = lam[:n_ineq], lam[n_ineq:]
@@ -108,17 +112,22 @@ def list_problems():
         click.echo(line)
 
 
+def _penalty_option(flag: str, name: str, text: str, value_type=float):
+    """An option unset by default; its help names the penalty kinds that read it."""
+    kinds = ", ".join(k for k, names in PENALTY_PARAMS.items() if name in names)
+    return click.option(flag, name, type=value_type, default=None, help=f"{text} ({kinds})")
+
+
 def _penalty_options(fn):
     """The options every penalty command shares."""
     fn = click.option("--problem", required=True)(fn)
     fn = click.option("--penalty", type=click.Choice(PENALTY_KINDS), required=True)(fn)
-    fn = click.option("--q", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--alpha", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--kappa", type=float, default=None)(fn)
-    fn = click.option("--zeta1", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--zeta2", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--lambda", "lam", type=str, default=None,
-                      help="comma-separated tuning multipliers (al-hpr)")(fn)
+    fn = _penalty_option("--q", "q", "exponent of the nonlinear penalty")(fn)
+    fn = _penalty_option("--alpha", "alpha", "barrier level")(fn)
+    fn = _penalty_option("--kappa", "kappa", "barrier exponent")(fn)
+    fn = _penalty_option("--zeta1", "zeta1", "multiplier-estimate weight")(fn)
+    fn = _penalty_option("--zeta2", "zeta2", "multiplier-estimate weight")(fn)
+    fn = _penalty_option("--lambda", "lam", "comma-separated tuning multipliers", str)(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     return fn
 
@@ -275,7 +284,8 @@ def run():
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(3)
-    except (UnknownProblem, OSError, ValueError) as exc:
+    # A penalty that does not fit the problem is an input error.
+    except (UnknownProblem, NegativeObjective, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
     except SystemExit:

@@ -10,6 +10,7 @@ evidence, not proof.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ import numpy as np
 
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
-from .penalties import LinearPenalty, QFunction, linear_eval, qpen_eval, default_phi
+from .penalties import QFunction, default_phi, linear_eval, qpen_eval
 from .problems import ConstrainedProblem, KnownSolution, feasibility_gap
 from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
 from .solvers import SolverConfig, minimize, polish
@@ -36,23 +37,26 @@ class PenaltyHandle:
         return self.func(x, c)
 
 
-def _linear(problem, **_):
-    pen = LinearPenalty(problem)
-    return lambda x, c: linear_eval(pen, x, c), {}
+def _linear(problem):
+    phi = default_phi(problem)
+    return lambda x, c: linear_eval(problem, phi, x, c), {}
 
 
-def _qorder(problem, q, **_):
+def _qorder(problem, q=1.0):
     qf, phi = QFunction.q_order(q), default_phi(problem)
     return lambda x, c: qpen_eval(qf, problem, phi, x, c), {"q": q}
 
 
-def _c1(problem, alpha, kappa, zeta1, zeta2, sdp=False, **_):
+def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
-    kap = (KAPPA_SDP if sdp else KAPPA_SOC) if kappa is None else kappa
-    params = dict(alpha=alpha, kappa=kap, zeta1=zeta1, zeta2=zeta2)
-    if sdp:
-        return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg), params
-    return lambda x, c: c1_penalty_soc(problem, x, c, alpha=alpha, kappa=kap, cfg=cfg), params
+    params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
+    return lambda x, c: c1_penalty_soc(problem, x, c, alpha=alpha, kappa=kappa, cfg=cfg), params
+
+
+def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
+    cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
+    params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
+    return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kappa, cfg=cfg), params
 
 
 def _multipliers(values, n: int, name: str, params: dict) -> Optional[np.ndarray]:
@@ -66,7 +70,7 @@ def _multipliers(values, n: int, name: str, params: dict) -> Optional[np.ndarray
     return arr
 
 
-def _al_hpr(problem, lam, mu, **_):
+def _al_hpr(problem, lam=None, mu=None):
     cert = problem.certificate
     if cert is not None:
         lam = cert.hpr_ineq_star if lam is None else lam
@@ -77,35 +81,34 @@ def _al_hpr(problem, lam, mu, **_):
     return lambda x, c: hpr_closed_form(problem, x, lam_ineq=lam, mu=mu, c=c), params
 
 
-# Penalty kind -> builder of F and of the parameters a report records.  F
-# calls its evaluator through this module's globals, which a tracer may wrap.
-_BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1,
-             "c1-sdp": lambda problem, **kw: _c1(problem, sdp=True, **kw), "al-hpr": _al_hpr}
+# Penalty kind -> builder of F and of the parameters a report records.  A
+# builder's keyword parameters, with their defaults, are all the kind reads.
+# F calls its evaluator through this module's globals, which a tracer may wrap.
+_BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1_socp, "c1-sdp": _c1_sdp,
+             "al-hpr": _al_hpr}
 PENALTY_KINDS = tuple(_BUILDERS)
+# Penalty kind -> the names of the parameters it reads.
+PENALTY_PARAMS = {kind: tuple(inspect.signature(build).parameters)[1:]
+                  for kind, build in _BUILDERS.items()}
 
 
-def make_penalty(
-    problem: ConstrainedProblem,
-    kind: str,
-    q: float = 1.0,
-    alpha: float = 1.0,
-    kappa: Optional[float] = None,
-    zeta1: float = 1.0,
-    zeta2: float = 1.0,
-    lam=None,
-    mu=None,
-) -> PenaltyHandle:
+def make_penalty(problem: ConstrainedProblem, kind: str, **params) -> PenaltyHandle:
     """Build the requested separating function for a problem.
 
-    For ``al-hpr`` the tuning multipliers default to the certificate's
-    HPR pair; ``lam`` needs one entry per scalar SOC block and ``mu`` one
-    per equality (ValueError otherwise).
+    ``params`` may set only what the kind reads (``PENALTY_PARAMS``);
+    anything else raises ValueError before anything is built.  For
+    ``al-hpr`` the tuning multipliers default to the certificate's HPR
+    pair; ``lam`` needs one entry per scalar SOC block and ``mu`` one per
+    equality (ValueError otherwise).
     """
     if kind not in PENALTY_KINDS:
         raise UnknownProblem(f"unknown penalty kind {kind!r}")
-    func, params = _BUILDERS[kind](problem, q=q, alpha=alpha, kappa=kappa, zeta1=zeta1,
-                                   zeta2=zeta2, lam=lam, mu=mu)
-    return PenaltyHandle(problem=problem, func=func, params=params)
+    unread = [name for name in params if name not in PENALTY_PARAMS[kind]]
+    if unread:
+        reads = ", ".join(PENALTY_PARAMS[kind]) or "none"
+        raise ValueError(f"penalty {kind!r} does not read {', '.join(unread)} (it reads {reads})")
+    func, recorded = _BUILDERS[kind](problem, **params)
+    return PenaltyHandle(problem=problem, func=func, params=recorded)
 
 
 # The verdict policy: every threshold behind a reported c* or verdict.
@@ -113,9 +116,10 @@ def make_penalty(
 PASS_TOL = 1e-4
 # estimate_c_star confirms its c* by one more solve at this multiple of it.
 CONFIRM_FACTOR = 2.0
-# Local probe: neighborhood samples, and how far below F(x*, c) one may be.
+# How far below F(x*, c) (local probe) or f* (sublevel probe) a sample may lie.
+PROBE_SLACK = 1e-9
+# Local probe: neighborhood samples.
 LOCAL_SAMPLES = 200
-LOCAL_SLACK = 1e-9
 # Sublevel probe: samples of the box scaled by this factor about its center.
 SUBLEVEL_EXPANSION = 2.0
 SUBLEVEL_SAMPLES = 2000
@@ -258,7 +262,7 @@ def local_exactness_probe(
         r = radius * rng.uniform() ** (1.0 / dim)
         samples.append(np.clip(x_star + direction / norm * r, lower, upper))
     base = penalty(x_star, c)
-    return all(penalty(x, c) >= base - LOCAL_SLACK for x in samples)
+    return all(penalty(x, c) >= base - PROBE_SLACK for x in samples)
 
 
 def sublevel_bounded_probe(
@@ -280,7 +284,7 @@ def sublevel_bounded_probe(
         if np.all(point >= lower) and np.all(point <= upper):
             continue
         found_shell += 1
-        if penalty(point, c0) < f_star - 1e-9:
+        if penalty(point, c0) < f_star - PROBE_SLACK:
             return False
     return found_shell > 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,22 +28,12 @@ def default_phi(problem: ConstrainedProblem) -> Callable:
     return phi
 
 
-@dataclass(frozen=True)
-class LinearPenalty:
-    problem: ConstrainedProblem
-    phi: Optional[Callable] = None
-
-    def infeasibility(self, x) -> float:
-        phi = self.phi if self.phi is not None else default_phi(self.problem)
-        return float(phi(x))
-
-
-def linear_eval(penalty: LinearPenalty, x, c: float) -> float:
+def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
     """F(x, c) = f(x) + c * phi(x)."""
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
-    f_val = penalty.problem.f(x)
-    phi_val = penalty.infeasibility(x)
+    f_val = problem.f(x)
+    phi_val = float(phi(x))
     if np.isnan(f_val) or np.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in linear penalty evaluation")
     return f_val + c * phi_val
@@ -110,8 +100,6 @@ def exp_transform(problem: ConstrainedProblem) -> Callable:
 @dataclass(frozen=True)
 class ErrorBoundEstimate:
     tau: float
-    alpha_holder: float
-    radius: float
     sample_count: int
 
 
@@ -148,7 +136,7 @@ def estimate_error_bound(
             continue
         used += 1
         tau = min(tau, float(phi(x)) / dist ** alpha)
-    return ErrorBoundEstimate(tau=tau, alpha_holder=alpha, radius=radius, sample_count=used)
+    return ErrorBoundEstimate(tau=tau, sample_count=used)
 
 
 def check_q_local_condition(qf: QFunction, f_star_val: float, c0: float, t0: float) -> bool:

@@ -62,27 +62,25 @@ def localize(
     """Run the whole localization battery for one problem/penalty pair."""
     if c_steps < MIN_SWEEP_RECORDS:
         raise ValueError(f"need at least {MIN_SWEEP_RECORDS} sweep records, got c_steps={c_steps}")
+    cert = problem.certificate
+    if cert is None:
+        raise ValueError(f"{problem.name} carries no certificate")
     penalty = make_penalty(problem, kind, **penalty_kwargs)
     grid = geometric_grid(c_min, c_max, c_steps)
     records = c_sweep(penalty, grid, cfg)
     ptype = penalty_type_probe(records)
     nondeg = nondegeneracy_probe(records, NONDEGENERACY_RADIUS)
-    cert = problem.certificate
-    local = False
-    sublevel = False
-    c_star: Optional[float] = None
-    if cert is not None:
-        local = local_exactness_probe(penalty, cert.x_star, grid[-1], seed=cfg.seed)
-        sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
-        # Bisect between the last failing grid c and the next one; with no
-        # failing record the bracket's low end passes, with a failing last
-        # record its high end fails.
-        failing = [i for i, r in enumerate(records) if not r.passes(cert)]
-        j = min(failing[-1], len(grid) - 2) if failing else 0
-        try:
-            c_star = estimate_c_star(penalty, grid[j], grid[j + 1], tol_rel=tol_rel, cfg=cfg).c_star
-        except NonMonotonePredicate:
-            c_star = None
+    local = local_exactness_probe(penalty, cert.x_star, grid[-1], seed=cfg.seed)
+    sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
+    # Bisect between the last failing grid c and the next one; with no
+    # failing record the bracket's low end passes, with a failing last
+    # record its high end fails.
+    failing = [i for i, r in enumerate(records) if not r.passes(cert)]
+    j = min(failing[-1], len(grid) - 2) if failing else 0
+    try:
+        c_star = estimate_c_star(penalty, grid[j], grid[j + 1], tol_rel=tol_rel, cfg=cfg).c_star
+    except NonMonotonePredicate:
+        c_star = None
     return ExactnessReport(
         problem=problem.name,
         penalty=kind,

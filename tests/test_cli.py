@@ -222,3 +222,23 @@ def test_gradcheck_points_below_one_exit_3():
     out = run_cli("gradcheck", "--problem", "toy-eq-1", "--penalty", "al-hpr", "--points", "0")
     assert out.returncode == 3
     assert "checked" not in out.stdout
+
+
+def test_penalty_option_the_kind_does_not_read_exit_3(tmp_path):
+    base = ("estimate-cstar", "--problem", "toy-lin-1", "--c-lo", "0.5", "--c-hi", "8",
+            "--starts", "2")
+    for extra, option in ((("--penalty", "linear", "--q", "2"), "q"),
+                          (("--penalty", "linear", "--config", _write_config(tmp_path, {"q": 2})),
+                           "q"),
+                          (("--penalty", "c1-socp", "--lambda", "1"), "--lambda")):
+        out = run_cli(*base, *extra)
+        assert out.returncode == 3, (extra, out.stderr)
+        assert option in out.stderr and "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+
+def test_penalty_that_does_not_fit_the_problem_exit_3():
+    # toy-lin-1's objective is negative on part of its box, which qorder does not allow.
+    out = run_cli("estimate-cstar", "--problem", "toy-lin-1", "--penalty", "qorder", "--starts", "2")
+    assert out.returncode == 3
+    assert "exp_transform" in out.stderr and "Traceback" not in out.stderr

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from epflab.errors import NonMonotonePredicate, UnknownProblem
 from epflab.harness import (
+    _BUILDERS,
+    PENALTY_KINDS,
     PenaltyHandle,
     SweepRecord,
     c_sweep,
@@ -17,8 +20,9 @@ from epflab.harness import (
     strict_exactness_probe,
     sublevel_bounded_probe,
 )
-from epflab.problems import get_problem
+from epflab.problems import ConstrainedProblem, get_problem
 from epflab.report import localize
+from epflab.smoothpen import KAPPA_SDP, KAPPA_SOC
 from epflab.solvers import SolverConfig
 
 CFG = SolverConfig(n_starts=8, seed=0)
@@ -43,6 +47,47 @@ def test_make_penalty_kinds():
         assert math.isfinite(handle(p.certificate.x_star, 2.0))
     with pytest.raises(UnknownProblem):
         make_penalty(p, "bogus")
+
+
+def test_builders_declare_what_they_read():
+    import epflab.cli as cli
+
+    declared = set()
+    for kind, build in _BUILDERS.items():
+        params = list(inspect.signature(build).parameters.values())[1:]
+        assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params), kind
+        declared.update(p.name for p in params)
+    # Every penalty option of the CLI is read by some kind.
+    options = {p.name for p in cli._penalty_options(lambda: None).__click_params__}
+    assert options - {"problem", "penalty", "seed"} <= declared
+    assert {"q", "alpha", "kappa", "zeta1", "zeta2", "lam"} <= declared
+
+
+UNREAD = [(kind, name) for kind in PENALTY_KINDS
+          for name in sorted({n for b in _BUILDERS.values() for n in inspect.signature(b).parameters}
+                             - set(inspect.signature(_BUILDERS[kind]).parameters))]
+
+
+@pytest.mark.parametrize("kind,name", UNREAD)
+def test_make_penalty_rejects_unread_parameter(kind, name, monkeypatch):
+    import epflab.harness as harness
+
+    def no_build(*args, **kwargs):
+        pytest.fail("make_penalty built a penalty from an unread parameter")
+
+    monkeypatch.setitem(harness._BUILDERS, kind, no_build)
+    with pytest.raises(ValueError, match=name):
+        make_penalty(get_problem("toy-eq-1"), kind, **{name: 1.0})
+
+
+def test_make_penalty_names_every_unread_parameter():
+    with pytest.raises(ValueError, match="q, alpha, lam"):
+        make_penalty(get_problem("toy-lin-1"), "linear", q=2.0, alpha=1.0, lam=[1.0])
+    # The C1 kinds share their parameters and differ in the default kappa.
+    soc, sdp = get_problem("toy-socp-1"), get_problem("toy-sdp-1")
+    assert make_penalty(soc, "c1-socp").params["kappa"] == KAPPA_SOC
+    assert make_penalty(sdp, "c1-sdp").params["kappa"] == KAPPA_SDP
+    assert make_penalty(sdp, "c1-sdp", kappa=3.0).params["kappa"] == 3.0
 
 
 def test_make_penalty_al_hpr_multiplier_lengths():
@@ -279,3 +324,17 @@ def test_localize_rejects_short_sweep_before_solving(monkeypatch):
     with pytest.raises(ValueError):
         localize(get_problem("toy-socp-1"), "c1-socp", cfg=SolverConfig(n_starts=2, seed=0),
                  c_steps=3)
+
+
+def test_localize_rejects_problem_without_certificate(monkeypatch):
+    import epflab.report as report
+
+    def no_sweep(*args, **kwargs):
+        pytest.fail("localize swept a problem with no certificate")
+
+    monkeypatch.setattr(report, "c_sweep", no_sweep)
+    bare = ConstrainedProblem(name="bare", dim=1, objective=lambda x: float(x[0] ** 2),
+                              gradient=lambda x: 2.0 * x,
+                              lower=np.array([-1.0]), upper=np.array([1.0]))
+    with pytest.raises(ValueError, match="no certificate"):
+        localize(bare, "linear", cfg=SolverConfig(n_starts=2, seed=0), c_steps=4)

@@ -5,7 +5,6 @@ import pytest
 
 from epflab.errors import NegativeObjective, NoFeasibleDistanceOracle
 from epflab.penalties import (
-    LinearPenalty,
     QFunction,
     check_q_local_condition,
     default_phi,
@@ -18,37 +17,37 @@ from epflab.problems import ConstrainedProblem, get_problem
 
 
 def _toy_lin():
-    p = get_problem("toy-lin-1")
-    return LinearPenalty(p, phi=lambda x: max(0.0, float(np.asarray(x)[0])))
+    """toy-lin-1 with phi(x) = max(0, x) as its infeasibility measure."""
+    return get_problem("toy-lin-1"), lambda x: max(0.0, float(np.asarray(x)[0]))
 
 
 def test_linear_eval_examples():
-    pen = _toy_lin()
-    assert linear_eval(pen, np.array([0.0]), 1.0) == 0.0
-    assert linear_eval(pen, np.array([1.0]), 3.0) == 2.0
-    assert linear_eval(pen, np.array([-2.0]), 5.0) == 2.0
+    p, phi = _toy_lin()
+    assert linear_eval(p, phi, np.array([0.0]), 1.0) == 0.0
+    assert linear_eval(p, phi, np.array([1.0]), 3.0) == 2.0
+    assert linear_eval(p, phi, np.array([-2.0]), 5.0) == 2.0
 
 
 def test_linear_eval_requires_positive_c():
     with pytest.raises(ValueError):
-        linear_eval(_toy_lin(), np.array([0.0]), 0.0)
+        linear_eval(*_toy_lin(), np.array([0.0]), 0.0)
 
 
 def test_linear_eval_default_phi_zero_iff_feasible():
     p = get_problem("toy-eq-1")
-    pen = LinearPenalty(p)
-    assert pen.infeasibility(np.array([1.0, 1.0])) <= 1e-12
-    assert pen.infeasibility(np.array([0.0, 0.0])) > 0.1
+    phi = default_phi(p)
+    assert phi(np.array([1.0, 1.0])) <= 1e-12
+    assert phi(np.array([0.0, 0.0])) > 0.1
 
 
 def test_linear_eval_affine_increasing_in_c():
-    pen = _toy_lin()
+    p, phi = _toy_lin()
     x = np.array([0.7])
-    v1, v2, v4 = (linear_eval(pen, x, c) for c in (1.0, 2.0, 4.0))
+    v1, v2, v4 = (linear_eval(p, phi, x, c) for c in (1.0, 2.0, 4.0))
     assert v1 < v2 < v4
     assert abs((v4 - v2) - 2.0 * (v2 - v1)) <= 1e-12
     feas = np.array([-1.0])
-    assert linear_eval(pen, feas, 1.0) == linear_eval(pen, feas, 100.0)
+    assert linear_eval(p, phi, feas, 1.0) == linear_eval(p, phi, feas, 100.0)
 
 
 def test_q_order_monotone():
