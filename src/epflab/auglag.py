@@ -210,7 +210,7 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam_ineq=None, mu=None, c: f
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
-    if problem.soc_blocks:
+    if problem.soc_blocks or problem.sdp_block is not None:
         u, n_ineq = scalar_inequalities(problem)
         lam_ineq = np.zeros(n_ineq) if lam_ineq is None else np.atleast_1d(np.asarray(lam_ineq, float))
         u_val = u(x)

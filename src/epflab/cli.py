@@ -63,14 +63,13 @@ def _apply_config(ctx: click.Context) -> None:
 
 
 def _setup(ctx: click.Context):
-    """Option values (after ``--config``), problem, penalty handle and solver
-    config (None without ``--starts``) of a penalty command."""
+    """Option values (after ``--config``), problem, penalty keyword arguments
+    and solver config (None without ``--starts``) of a penalty command."""
     _apply_config(ctx)
     v = ctx.params
     prob = get_problem(v["problem"])
-    handle = make_penalty(prob, v["penalty"], **_penalty_kwargs(v, prob))
     cfg = SolverConfig(n_starts=v["starts"], seed=v["seed"]) if "starts" in v else None
-    return v, prob, handle, cfg
+    return v, prob, _penalty_kwargs(v, prob), cfg
 
 
 def _penalty_kwargs(v: dict, prob) -> dict:
@@ -148,7 +147,8 @@ _config_option = click.option("--config", type=click.Path(exists=False), default
 @click.pass_context
 def sweep(ctx, **_):
     """Minimize F(., c) along a geometric c grid and emit a CSV."""
-    v, prob, handle, cfg = _setup(ctx)
+    v, prob, kwargs, cfg = _setup(ctx)
+    handle = make_penalty(prob, v["penalty"], **kwargs)
     records = c_sweep(handle, geometric_grid(v["c_min"], v["c_max"], v["c_steps"]), cfg)
     _emit(sweep_to_csv(records, prob.dim), v["out"])
 
@@ -165,7 +165,8 @@ def sweep(ctx, **_):
 @click.pass_context
 def estimate_cstar_cmd(ctx, **_):
     """Bisect for the least exact penalty parameter."""
-    v, prob, handle, cfg = _setup(ctx)
+    v, prob, kwargs, cfg = _setup(ctx)
+    handle = make_penalty(prob, v["penalty"], **kwargs)
     strict = v["strict"] == "true"
     result = estimate_c_star(handle, v["c_lo"], v["c_hi"], tol_rel=v["tol_rel"], cfg=cfg,
                              strict=strict)
@@ -227,7 +228,8 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
 @click.pass_context
 def gradcheck(ctx, **_):
     """Finite-difference smoothness check of F(., c) on random box points."""
-    v, prob, handle, _ = _setup(ctx)
+    v, prob, kwargs, _ = _setup(ctx)
+    handle = make_penalty(prob, v["penalty"], **kwargs)
     c, points = v["c"], v["points"]
     rng = np.random.default_rng(v["seed"])
     lower, upper = prob.box()
@@ -268,9 +270,10 @@ def gradcheck(ctx, **_):
 @click.pass_context
 def localize_cmd(ctx, **_):
     """Run the full localization battery and emit an ExactnessReport."""
-    v, prob, _, cfg = _setup(ctx)
+    v, prob, kwargs, cfg = _setup(ctx)
+    # localize builds the penalty, and rejects one that does not fit, before it solves.
     rep = localize(prob, v["penalty"], cfg=cfg, c_min=v["c_min"], c_max=v["c_max"],
-                   c_steps=v["c_steps"], **_penalty_kwargs(v, prob))
+                   c_steps=v["c_steps"], **kwargs)
     _emit(serialize_report(rep), v["out"])
     if not rep.all_passed:
         sys.exit(2)

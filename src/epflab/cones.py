@@ -7,6 +7,8 @@ matrices are 2-D arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import eig_sym, sym
@@ -31,8 +33,8 @@ def proj_lorentz(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 2:
         raise ValueError("Lorentz point needs total dimension >= 2")
-    head = y[0]
-    tail_norm = float(np.linalg.norm(y[1:]))
+    head, tail = y[0], y[1:]
+    tail_norm = math.sqrt(tail @ tail)
     if head >= tail_norm:
         return y.astype(float, copy=True)
     if head <= -tail_norm:
@@ -40,14 +42,15 @@ def proj_lorentz(y) -> np.ndarray:
     coef = 0.5 * (head + tail_norm)
     out = np.empty_like(y, dtype=float)
     out[0] = coef
-    out[1:] = (coef / tail_norm) * y[1:]
+    out[1:] = (coef / tail_norm) * tail
     return out
 
 
 def dist_lorentz(y) -> float:
     """Distance from y to the second-order cone."""
     y = np.asarray(y, dtype=float)
-    return float(np.linalg.norm(y - proj_lorentz(y)))
+    gap = y - proj_lorentz(y)
+    return math.sqrt(gap @ gap)
 
 
 def moreau_check(y) -> float:

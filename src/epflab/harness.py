@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .auglag import hpr_closed_form
+from .auglag import hpr_closed_form, scalar_inequalities
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import QFunction, default_phi, linear_eval, qpen_eval
 from .problems import ConstrainedProblem, KnownSolution, feasibility_gap
@@ -71,12 +71,14 @@ def _multipliers(values, n: int, name: str, params: dict) -> Optional[np.ndarray
 
 
 def _al_hpr(problem, lam=None, mu=None):
+    # ValueError for a true Lorentz or matrix block: HPR needs scalar inequalities.
+    _, n_ineq = scalar_inequalities(problem)
     cert = problem.certificate
     if cert is not None:
         lam = cert.hpr_ineq_star if lam is None else lam
         mu = cert.mu_star if mu is None else mu
     params: Dict[str, float] = {}
-    lam = _multipliers(lam, sum(b.scalar for b in problem.soc_blocks), "lambda", params)
+    lam = _multipliers(lam, n_ineq, "lambda", params)
     mu = _multipliers(mu, problem.n_eq, "mu", params)
     return lambda x, c: hpr_closed_form(problem, x, lam_ineq=lam, mu=mu, c=c), params
 
@@ -99,7 +101,8 @@ def make_penalty(problem: ConstrainedProblem, kind: str, **params) -> PenaltyHan
     anything else raises ValueError before anything is built.  For
     ``al-hpr`` the tuning multipliers default to the certificate's HPR
     pair; ``lam`` needs one entry per scalar SOC block and ``mu`` one per
-    equality (ValueError otherwise).
+    equality (ValueError otherwise), and a problem with a true Lorentz or
+    matrix block raises ValueError.
     """
     if kind not in PENALTY_KINDS:
         raise UnknownProblem(f"unknown penalty kind {kind!r}")
@@ -303,13 +306,19 @@ def estimate_c_star(
     tol_rel: float = 0.02,
     cfg: SolverConfig = SolverConfig(),
     strict: bool = True,
+    *,
+    sweep: Sequence[SweepRecord] = (),
 ) -> CStarResult:
     """Geometric bisection for the least exact penalty parameter.
 
     The pass predicate at c is ``SweepRecord.passes`` on the polished
-    multistart argmin of F(., c).  Bisection presumes passes form an
-    up-set in c; the confirmation probe at ``CONFIRM_FACTOR * c_star``
-    raises NonMonotonePredicate if that structure is violated.
+    multistart argmin of F(., c).  ``sweep`` holds records this penalty
+    already solved at this ``cfg`` (``c_sweep``); a c found there is
+    judged from its record instead of solved again, which gives the same
+    answer because a solve is deterministic for a fixed ``cfg``.
+    Bisection presumes passes form an up-set in c; the confirmation probe
+    at ``CONFIRM_FACTOR * c_star`` raises NonMonotonePredicate if that
+    structure is violated.
     """
     if not (0 < c_lo < c_hi):
         raise ValueError("need 0 < c_lo < c_hi")
@@ -320,9 +329,11 @@ def estimate_c_star(
     if cert is None:
         raise ValueError(f"{penalty.problem.name} carries no certificate")
     history: List[Tuple[float, bool]] = []
+    solved = {rec.c: rec for rec in sweep}
 
     def predicate(c: float) -> bool:
-        ok = _solve_at(penalty, c, cfg).passes(cert, strict)
+        rec = solved.get(c)
+        ok = (rec if rec is not None else _solve_at(penalty, c, cfg)).passes(cert, strict)
         history.append((float(c), ok))
         return ok
 

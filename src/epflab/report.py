@@ -74,11 +74,12 @@ def localize(
     sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
     # Bisect between the last failing grid c and the next one; with no
     # failing record the bracket's low end passes, with a failing last
-    # record its high end fails.
+    # record its high end fails.  Both ends are judged from their records.
     failing = [i for i, r in enumerate(records) if not r.passes(cert)]
     j = min(failing[-1], len(grid) - 2) if failing else 0
     try:
-        c_star = estimate_c_star(penalty, grid[j], grid[j + 1], tol_rel=tol_rel, cfg=cfg).c_star
+        c_star = estimate_c_star(penalty, grid[j], grid[j + 1], tol_rel=tol_rel, cfg=cfg,
+                                 sweep=records[j:j + 2]).c_star
     except NonMonotonePredicate:
         c_star = None
     return ExactnessReport(

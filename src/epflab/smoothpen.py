@@ -150,15 +150,23 @@ def estimate_multipliers_soc(
         g_val = np.asarray(block.g(x), dtype=float)
         g_vals.append(g_val)
         stack[:, col : col + k] = block.jacobian(x).T
-        flat = np.column_stack((g_val[1:], g_val[0] * np.eye(k - 1)))
-        normal[col : col + k, col : col + k] += cfg.zeta1 * (np.outer(g_val, g_val) + flat.T @ flat)
+        # g g' + F'F with F = [gbar, g0 I], written out entry by entry.
+        head, gbar = g_val[0], g_val[1:]
+        curv = np.outer(g_val, g_val)
+        curv[0, 0] += gbar @ gbar
+        curv[0, 1:] += head * gbar
+        curv[1:, 0] += head * gbar
+        curv.flat[k + 1 :: k + 1] += head * head
+        normal[col : col + k, col : col + k] += cfg.zeta1 * curv
         dists.append(dist_lorentz(g_val))
         rho += dists[-1] ** 2
         col += k
     if problem.n_eq > 0:
         stack[:, col:] = problem.jac_h(x).T
         rho += float(np.linalg.norm(h_val) ** 2)
-    normal += stack.T @ stack + 0.5 * cfg.zeta2 * rho * np.eye(m)
+    gram = stack.T @ stack
+    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
+    normal += gram
     rhs = stack.T @ grad_f
     z, degenerate = _solve_normal_equations(normal, rhs)
     lambdas = []

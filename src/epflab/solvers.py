@@ -23,10 +23,13 @@ from .errors import AllStartsFailed
 ITERS_PER_DIM = 400
 # polish refines one point with this multiple of that budget.
 POLISH_ITERS_FACTOR = 4
-# Nelder-Mead stops when the simplex spans less than XATOL and its values
-# less than FATOL (scipy's xatol and fatol).
-XATOL = 1e-9
-FATOL = 1e-11
+# Nelder-Mead stops when the simplex spans less than its xatol and its
+# values less than its fatol.  Starts stop at the coarse start pair; only
+# the winner is refined to the tight polish pair.
+START_XATOL = 1e-6
+START_FATOL = 1e-8
+POLISH_XATOL = 1e-9
+POLISH_FATOL = 1e-11
 # Sobol draws allowed per requested start while skipping points where F = +inf.
 DRAWS_PER_START = 64
 # A start agrees with the best when its value is within this relative tolerance.
@@ -77,13 +80,13 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     return starts
 
 
-def _nelder_mead(func, start, lower, upper, iters_per_dim: int):
+def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fatol: float):
     res = scipy_minimize(
         func,
         start,
         method="Nelder-Mead",
         bounds=Bounds(lower, upper),
-        options={"maxiter": iters_per_dim * start.shape[0], "xatol": XATOL, "fatol": FATOL},
+        options={"maxiter": iters_per_dim * start.shape[0], "xatol": xatol, "fatol": fatol},
     )
     return np.asarray(res.x, dtype=float), float(res.fun)
 
@@ -107,7 +110,7 @@ def minimize(
     best_f = math.inf
     values = []
     for start in starts:
-        x, f_val = _nelder_mead(func, start, lower, upper, ITERS_PER_DIM)
+        x, f_val = _nelder_mead(func, start, lower, upper, ITERS_PER_DIM, START_XATOL, START_FATOL)
         values.append(f_val)
         if f_val < best_f:
             best_f = f_val
@@ -120,6 +123,7 @@ def minimize(
 
 def polish(func, x0, lower, upper) -> Tuple[np.ndarray, float]:
     """Re-run Nelder-Mead from a known good point with POLISH_ITERS_FACTOR
-    times the iteration budget of a start."""
+    times the iteration budget of a start, to the polish tolerances."""
     return _nelder_mead(func, np.asarray(x0, dtype=float), np.asarray(lower, float),
-                        np.asarray(upper, float), POLISH_ITERS_FACTOR * ITERS_PER_DIM)
+                        np.asarray(upper, float), POLISH_ITERS_FACTOR * ITERS_PER_DIM,
+                        POLISH_XATOL, POLISH_FATOL)

@@ -142,3 +142,9 @@ def test_strict_exactness_probe_zero_multiplier():
     # Quadratic penalty alone is never exact at finite c.
     assert all(not ok for _, ok in verdict.per_c)
     assert verdict.first_passing_c is None
+
+
+def test_hpr_closed_form_rejects_matrix_block():
+    # toy-sdp-1 has no SOC block; its matrix constraint must not be dropped (F = f).
+    with pytest.raises(ValueError, match="no HPR view"):
+        hpr_closed_form(get_problem("toy-sdp-1"), np.array([3.0, -3.0]), c=100.0)

@@ -4,7 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from click.testing import CliRunner
+
 import epflab
+from epflab import cli, report
 
 # The CLI subprocess imports the same epflab sources as the tests.
 SRC = str(Path(epflab.__file__).resolve().parent.parent)
@@ -242,3 +246,48 @@ def test_penalty_that_does_not_fit_the_problem_exit_3():
     out = run_cli("estimate-cstar", "--problem", "toy-lin-1", "--penalty", "qorder", "--starts", "2")
     assert out.returncode == 3
     assert "exp_transform" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_gradcheck_al_hpr_on_sdp_problem_exit_3():
+    # al-hpr needs scalar inequalities; toy-sdp-1's constraint is a matrix.
+    out = run_cli("gradcheck", "--problem", "toy-sdp-1", "--penalty", "al-hpr", "--points", "1")
+    assert out.returncode == 3
+    assert "no HPR view" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_localize_builds_the_penalty_once(monkeypatch, tmp_path):
+    built, parsed = [], []
+    make_penalty, penalty_kwargs = cli.make_penalty, cli._penalty_kwargs
+
+    def counting_make_penalty(*args, **kwargs):
+        built.append(args[1])
+        return make_penalty(*args, **kwargs)
+
+    def counting_penalty_kwargs(*args):
+        parsed.append(args[0]["lam"])
+        return penalty_kwargs(*args)
+
+    monkeypatch.setattr(cli, "make_penalty", counting_make_penalty)
+    monkeypatch.setattr(report, "make_penalty", counting_make_penalty)
+    monkeypatch.setattr(cli, "_penalty_kwargs", counting_penalty_kwargs)
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(cli.main, [
+        "localize", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "1",
+        "--starts", "2", "--c-max", "8", "--c-steps", "4", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["params"] == {"lambda_0": 1.0}
+    assert built == ["al-hpr"] and parsed == ["1"]
+
+
+@pytest.mark.parametrize("extra", [("--problem", "toy-sdp-1", "--penalty", "al-hpr"),
+                                   ("--problem", "toy-lin-1", "--penalty", "linear", "--q", "2")],
+                         ids=["unfitting-penalty", "unread-option"])
+def test_localize_rejects_penalty_before_solving(monkeypatch, extra):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("solved before the penalty was checked")
+
+    monkeypatch.setattr(report, "c_sweep", no_sweep)
+    monkeypatch.setattr(sys, "argv", ["epflab", "localize", *extra, "--starts", "2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epflab.cones import (
+    LORENTZ_MEMBER_TOL,
     dist_lorentz,
     dist_psd_minus,
     in_lorentz,
@@ -86,6 +89,47 @@ def test_proj_idempotent_and_nonexpansive():
         pa, pb = proj_lorentz(a), proj_lorentz(b)
         assert np.linalg.norm(proj_lorentz(pa) - pa) <= 1e-12
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) * (1.0 + 1e-12)
+
+
+def _lorentz_points(bound: float):
+    """Finite vectors of length 2-6 with entries in [-bound, bound]."""
+    return arrays(np.float64, st.integers(2, 6),
+                  elements=st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
+
+
+def _scale(y) -> float:
+    return 1.0 + float(np.linalg.norm(y))
+
+
+@settings(deadline=None)
+@given(_lorentz_points(1e6))
+def test_proj_lorentz_lands_in_the_cone(y):
+    # The cone is scale invariant; at unit scale the member tolerance is a relative one.
+    assert in_lorentz(proj_lorentz(y) / _scale(y))
+
+
+@settings(deadline=None)
+@given(_lorentz_points(1e6))
+def test_proj_lorentz_is_idempotent(y):
+    p = proj_lorentz(y)
+    assert np.linalg.norm(proj_lorentz(p) - p) <= 1e-12 * _scale(y)
+
+
+@settings(deadline=None)
+@given(_lorentz_points(1e6))
+def test_moreau_residual_vanishes(y):
+    assert moreau_check(y) <= 1e-12 * _scale(y)
+
+
+@settings(deadline=None)
+@given(_lorentz_points(1.0))
+def test_dist_lorentz_zero_exactly_at_members(y):
+    # At unit scale: a member is within the member tolerance of the cone,
+    # and a point at distance 0 is a member.
+    if in_lorentz(y):
+        assert dist_lorentz(y) <= LORENTZ_MEMBER_TOL
+    if dist_lorentz(y) == 0.0:
+        assert in_lorentz(y)
 
 
 def test_proj_psd_examples():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epflab import harness
 from epflab.errors import NonMonotonePredicate, UnknownProblem
 from epflab.harness import (
     _BUILDERS,
@@ -292,6 +293,71 @@ def test_localize_bisects_inside_sweep_bracket():
     assert rep.evidence == tuple(records)
     assert rep.c_star == results[j].c_star
     assert grid[j] < rep.c_star <= grid[j + 1]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the first argument after the penalty of every call of ``module.name``."""
+    seen = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        seen.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return seen
+
+
+def test_estimate_c_star_judges_sweep_records_without_solving(monkeypatch):
+    p = get_problem("toy-lin-1")
+    pen = make_penalty(p, "linear")
+    cfg = SolverConfig(n_starts=4, seed=0)
+    grid = geometric_grid(0.5, 32.0, 4)
+    records = c_sweep(pen, grid, cfg)
+    j = max(i for i, r in enumerate(records) if not r.passes(p.certificate))
+    plain = estimate_c_star(pen, grid[j], grid[j + 1], cfg=cfg)
+    solved = _count_calls(monkeypatch, harness, "_solve_at")
+    reused = estimate_c_star(pen, grid[j], grid[j + 1], cfg=cfg, sweep=records[j:j + 2])
+    assert reused == plain
+    assert reused.history[:2] == ((grid[j + 1], True), (grid[j], False))
+    # Every c but the two known ones is solved, in the same order.
+    assert solved == [c for c, _ in plain.history[2:]]
+
+
+def test_estimate_c_star_with_a_failing_known_end_solves_nothing(monkeypatch):
+    p = get_problem("toy-lin-1")
+    pen = make_penalty(p, "linear")
+    cfg = SolverConfig(n_starts=4, seed=0)
+    records = c_sweep(pen, [0.25, 0.5], cfg)
+    assert not any(r.passes(p.certificate) for r in records)
+    solved = _count_calls(monkeypatch, harness, "_solve_at")
+    res = estimate_c_star(pen, 0.25, 0.5, cfg=cfg, sweep=records)
+    assert res.c_star is None and solved == []
+    assert res == estimate_c_star(pen, 0.25, 0.5, cfg=cfg)
+
+
+def test_localize_reuses_both_bracket_ends_of_its_sweep(monkeypatch):
+    p = get_problem("toy-lin-1")
+    pen = make_penalty(p, "linear")
+    cfg = SolverConfig(n_starts=2, seed=0)
+    grid = geometric_grid(0.5, 32.0, 4)
+    minimized = _count_calls(monkeypatch, harness, "minimize")
+    records = c_sweep(pen, grid, cfg)
+    j = max(i for i, r in enumerate(records) if not r.passes(p.certificate))
+    # The high end passes, so the bisection solves both ends again when run alone.
+    assert records[j + 1].passes(p.certificate)
+    estimate_c_star(pen, grid[j], grid[j + 1], cfg=cfg)
+    separate = len(minimized)
+    minimized.clear()
+    localize(p, "linear", cfg=cfg, c_min=0.5, c_max=32.0, c_steps=4)
+    assert len(minimized) == separate - 2
+
+
+@pytest.mark.parametrize("name", ["toy-sdp-1", "toy-socp-1"])
+def test_al_hpr_rejects_problem_without_hpr_view(name):
+    # A matrix block or a true Lorentz block is no scalar inequality.
+    with pytest.raises(ValueError, match="no HPR view"):
+        make_penalty(get_problem(name), "al-hpr")
 
 
 def test_localize_local_probe_judges_largest_c(monkeypatch):

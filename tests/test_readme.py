@@ -28,8 +28,9 @@ def drift(text: str) -> list:
 
 
 def test_guard_sees_a_changed_constant():
-    assert drift("`XATOL = 1e-9` and `FATOL = 1e-11`") == []
-    assert drift("`XATOL = 1e-8` and `NO_SUCH_NAME = 1`") == [("XATOL", "1e-8"), ("NO_SUCH_NAME", "1")]
+    assert drift("`POLISH_XATOL = 1e-9` and `POLISH_FATOL = 1e-11`") == []
+    assert drift("`POLISH_XATOL = 1e-8` and `NO_SUCH_NAME = 1`") == [("POLISH_XATOL", "1e-8"),
+                                                                   ("NO_SUCH_NAME", "1")]
 
 
 def test_readme_constants_match_code():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from epflab import smoothpen
-from epflab.cones import proj_psd
+from epflab.cones import proj_lorentz, proj_psd
 from epflab.errors import OutsideDomain
-from epflab.problems import ConstrainedProblem, SdpBlock, get_problem, kkt_residual
+from epflab.problems import ConstrainedProblem, SdpBlock, SocBlock, get_problem, kkt_residual
 from epflab.smoothpen import (
     DEFAULT_ESTIMATOR,
     EstimatorConfig,
@@ -275,6 +275,72 @@ def _loop_sdp_estimate(problem, x, cfg=DEFAULT_ESTIMATOR):
     for a, e in enumerate(basis):
         lam += z[a] * e
     return normal, lam, z[n_lam:], dist
+
+
+def _column_stack_soc_normal(problem, x, cfg=DEFAULT_ESTIMATOR):
+    """Reference SOC normal matrix as first assembled: F = [gbar, g0 I] by
+    column_stack, F'F by a matrix product, the ridge as a scaled identity."""
+    m = sum(b.dim for b in problem.soc_blocks) + problem.n_eq
+    stack = np.zeros((problem.dim, m))
+    normal = np.zeros((m, m))
+    rho = 0.0
+    col = 0
+    for block in problem.soc_blocks:
+        k = block.dim
+        g_val = np.asarray(block.g(x), dtype=float)
+        stack[:, col : col + k] = block.jacobian(x).T
+        flat = np.column_stack((g_val[1:], g_val[0] * np.eye(k - 1)))
+        normal[col : col + k, col : col + k] += cfg.zeta1 * (np.outer(g_val, g_val) + flat.T @ flat)
+        rho += float(np.linalg.norm(g_val - proj_lorentz(g_val))) ** 2
+        col += k
+    if problem.n_eq > 0:
+        stack[:, col:] = problem.jac_h(x).T
+        rho += float(np.linalg.norm(problem.h(x)) ** 2)
+    normal += stack.T @ stack + 0.5 * cfg.zeta2 * rho * np.eye(m)
+    return normal
+
+
+def _two_block_soc_problem():
+    # A Q_4 and a Q_3 block, both with a non-trivial Jacobian, and one equality.
+    a = np.array([[1.0, -0.5, 0.2], [0.3, 1.0, -0.4], [-0.6, 0.1, 1.0], [0.2, 0.7, -0.3]])
+    b = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, 0.4]])
+    return ConstrainedProblem(
+        name="soc-two-blocks", dim=3,
+        objective=lambda x: float(np.sum((x - 0.4) ** 2)),
+        gradient=lambda x: 2.0 * (x - 0.4),
+        soc_blocks=(
+            SocBlock(dim=4, g=lambda x: a @ x + np.array([1.0, 0.0, 0.2, -0.1]), jac=lambda x: a),
+            SocBlock(dim=3, g=lambda x: b @ (x * x) - np.array([0.5, 0.0, 0.1]),
+                     jac=lambda x: 2.0 * b * x),
+        ),
+        eq=lambda x: np.array([x[0] + x[1] - x[2] ** 2]),
+        eq_jac=lambda x: np.array([[1.0, 1.0, -2.0 * x[2]]]),
+        n_eq=1,
+        lower=-2.0 * np.ones(3), upper=2.0 * np.ones(3),
+    )
+
+
+@pytest.mark.parametrize("problem", [get_problem("toy-eq-1"), get_problem("toy-socp-1"),
+                                     get_problem("toy-socp-2"), _two_block_soc_problem()],
+                         ids=["toy-eq-1", "toy-socp-1", "toy-socp-2", "two-blocks-eq"])
+def test_soc_normal_matrix_matches_column_stack_reference(problem, monkeypatch):
+    seen = []
+    solve = smoothpen._solve_normal_equations
+
+    def record(normal, rhs):
+        seen.append(normal)
+        return solve(normal, rhs)
+
+    monkeypatch.setattr(smoothpen, "_solve_normal_equations", record)
+    rng = np.random.default_rng(13)
+    lo, hi = problem.box()
+    for cfg in (DEFAULT_ESTIMATOR, EstimatorConfig(zeta1=0.3, zeta2=7.0)):
+        for _ in range(300):
+            x = rng.uniform(lo, hi)
+            estimate_multipliers_soc(problem, x, cfg)
+            # Bit for bit, signs of zeros included.
+            new, ref = seen.pop(), _column_stack_soc_normal(problem, x, cfg)
+            assert np.array_equal(new, ref) and np.array_equal(np.signbit(new), np.signbit(ref))
 
 
 def _order3_sdp_problem():

@@ -6,6 +6,8 @@ from scipy.optimize import minimize as scipy_minimize
 
 from epflab import solvers
 from epflab.errors import AllStartsFailed
+from epflab.harness import _solve_at, make_penalty
+from epflab.problems import get_problem
 from epflab.solvers import SolverConfig, minimize, polish
 
 
@@ -81,10 +83,27 @@ def test_nelder_mead_policy_options(monkeypatch):
     func = lambda x: float(np.sum((x - 0.3) ** 2))
     box = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     minimize(func, *box, SolverConfig(n_starts=1, seed=0))
-    assert seen == [{"maxiter": 400 * 2, "xatol": 1e-9, "fatol": 1e-11}]
+    assert seen == [{"maxiter": 400 * 2, "xatol": 1e-6, "fatol": 1e-8}]
     seen.clear()
     polish(func, np.zeros(2), *box)
     assert seen == [{"maxiter": 1600 * 2, "xatol": 1e-9, "fatol": 1e-11}]
+
+
+def test_polish_never_gets_the_start_pair(monkeypatch):
+    seen = _record_options(monkeypatch)
+    monkeypatch.setattr(solvers, "START_XATOL", 0.125)
+    monkeypatch.setattr(solvers, "START_FATOL", 0.25)
+    tight = (solvers.POLISH_XATOL, solvers.POLISH_FATOL)
+    func = lambda x: float(np.sum((x - 0.3) ** 2))
+    box = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    minimize(func, *box, SolverConfig(n_starts=3, seed=0))
+    polish(func, np.zeros(2), *box)
+    assert [(o["xatol"], o["fatol"]) for o in seen] == [(0.125, 0.25)] * 3 + [tight]
+    # The harness's solve at c: every start coarse, then one tight polish of the winner.
+    seen.clear()
+    problem = get_problem("toy-lin-1")
+    _solve_at(make_penalty(problem, "linear"), 4.0, SolverConfig(n_starts=3, seed=0))
+    assert [(o["xatol"], o["fatol"]) for o in seen] == [(0.125, 0.25)] * 3 + [tight]
 
 
 def test_nelder_mead_budget_read_at_call_time(monkeypatch):
