@@ -114,8 +114,9 @@ def estimate_error_bound(
     """Empirical error-bound modulus: the minimum of phi(x)/dist(x, Omega)^alpha
     over uniform samples in B(x_center, radius) intersected with the box.
 
-    The estimate never exceeds the true modulus over the sampled region;
-    +inf signals that no infeasible sample was drawn.
+    The true modulus is the infimum over the whole region, so a minimum
+    over samples can only overestimate it: the estimate is never below
+    the true modulus.  +inf signals that no infeasible sample was drawn.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, minimize as scipy_minimize
 
 from epflab import solvers
 from epflab.errors import AllStartsFailed
@@ -23,6 +24,7 @@ def test_minimize_convex_quadratic():
     assert np.linalg.norm(res.x - np.array([1.0, -2.0])) <= 1e-6
     assert res.value <= 1e-10
     assert res.n_starts_agreeing >= 1
+    assert res.n_local_failures == 0  # the default budget suffices on a quadratic
 
 
 def test_minimize_linear_penalty_kink():
@@ -67,14 +69,15 @@ def test_polish_improves():
 
 
 def _record_options(monkeypatch):
-    """Record the options of every Nelder-Mead call the solver makes."""
+    """Record (maxiter, xatol, fatol) of every local Nelder-Mead run the solver makes."""
     seen = []
+    loop = solvers._nelder_mead
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs["options"])
-        return scipy_minimize(*args, **kwargs)
+    def recording(func, start, lower, upper, iters_per_dim, xatol, fatol):
+        seen.append({"maxiter": iters_per_dim * start.shape[0], "xatol": xatol, "fatol": fatol})
+        return loop(func, start, lower, upper, iters_per_dim, xatol, fatol)
 
-    monkeypatch.setattr(solvers, "scipy_minimize", recording)
+    monkeypatch.setattr(solvers, "_nelder_mead", recording)
     return seen
 
 
@@ -132,3 +135,124 @@ def test_minimize_rejects_bad_box_before_sampling(lower, upper):
     with pytest.raises(ValueError):
         minimize(func, np.array(lower), np.array(upper), SolverConfig(n_starts=4, seed=0))
     assert calls == []
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([-np.inf], [1.0]),
+    ([-1.0], [np.inf]),
+    ([np.nan], [1.0]),
+    ([-1.0, 2.0], [1.0, 1.0]),
+])
+def test_polish_rejects_bad_box_before_calling_f(lower, upper):
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return 0.0
+
+    with pytest.raises(ValueError, match="finite box with lower <= upper"):
+        polish(func, np.zeros(len(lower)), np.array(lower), np.array(upper))
+    assert calls == []
+
+
+@pytest.mark.parametrize("x0", [np.zeros(1), np.zeros(3), np.zeros((2, 1))])
+def test_polish_rejects_start_of_another_shape(x0):
+    calls = []
+    with pytest.raises(ValueError, match="polish needs x0 of shape"):
+        polish(lambda x: calls.append(x) or 0.0, x0, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    assert calls == []
+
+
+def _assert_same_as_scipy(func, x0, lower, upper, iters_per_dim, xatol, fatol):
+    """The in-house loop and scipy's bounded Nelder-Mead make the same F calls
+    and return the same bits; returns whether the iteration budget ran out."""
+    scipy_calls, own_calls = [], []
+
+    def logged(calls):
+        return lambda x: calls.append(x.tobytes()) or func(x)
+
+    maxiter = iters_per_dim * x0.shape[0]
+    ref = scipy_minimize(logged(scipy_calls), x0.copy(), method="Nelder-Mead",
+                         bounds=Bounds(lower, upper),
+                         options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    x, value, nfev, hit_cap = solvers._nelder_mead(logged(own_calls), x0.copy(), lower, upper,
+                                                   iters_per_dim, xatol, fatol)
+    assert own_calls == scipy_calls
+    assert x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+    assert np.float64(value).tobytes() == np.float64(ref.fun).tobytes()
+    assert nfev == ref.nfev
+    assert hit_cap == (ref.status == 2)
+    return hit_cap
+
+
+PARITY_FUNCS = {
+    "quadratic": lambda x: float(np.sum(np.arange(1, x.size + 1) * (x - 0.3) ** 2)),
+    "kink": lambda x: float(np.sum(np.abs(x - 0.1)) + abs(x[0] + x[-1])),
+    # +inf left of x0 = 0.2, so some simplices hold several +inf values.
+    "inf-on-part": lambda x: float(np.sum(x ** 2)) if x[0] >= 0.2 else math.inf,
+    "nan-on-part": lambda x: float(np.sum((x - 0.5) ** 2)) if x[0] <= 0.6 else math.nan,
+    # Two plateaus, returned as a size-1 array: from the "ties" start in
+    # three dimensions the first four values are 1, 1, 0, 0, which numpy's
+    # argsort need not sort stably.
+    "plateaus": lambda x: np.array([float(np.all(x[1:] <= 0.5))]),
+}
+
+# Each start's telling coordinate comes first; a start in d dimensions is its first d entries.
+PARITY_STARTS = {
+    "interior": [0.37, -0.61, 0.83],
+    "zero coordinate": [0.0, -0.61, 0.83],
+    "within 5 % of upper": [1.2375, -0.61, 0.83],
+    "on a bound": [-1.5, -0.61, 1.25],
+    "in the +inf region": [-0.5, -0.61, 0.83],
+    "next to the NaN region": [0.59, -0.61, 0.83],
+    "ties": [0.2, 0.48, 0.48],
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(PARITY_FUNCS))
+def test_nelder_mead_matches_scipy_bit_for_bit(name):
+    func = PARITY_FUNCS[name]
+    for dim in (1, 2, 3):
+        cases = [(np.array(start[:dim]), np.full(dim, -1.5), np.full(dim, 1.25))
+                 for start in PARITY_STARTS.values()]
+        # A +0.0 start on a -0.0 upper bound: the clips must keep np.clip's signed zeros.
+        cases.append((np.zeros(dim), np.full(dim, -1.0), np.full(dim, -0.0)))
+        for start, lower, upper in cases:
+            for iters_per_dim, xatol, fatol in ((400, 1e-6, 1e-8), (1600, 1e-9, 1e-11), (1, 1e-6, 1e-8)):
+                hit_cap = _assert_same_as_scipy(func, start, lower, upper, iters_per_dim, xatol, fatol)
+                # One iteration per coordinate is too few for any run to converge.
+                assert hit_cap or iters_per_dim > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_nelder_mead_matches_scipy_on_random_quadratics(dim, seed):
+    rng = np.random.default_rng(seed)
+    lower = -rng.uniform(0.1, 3.0, dim)
+    upper = rng.uniform(0.1, 3.0, dim)
+    center = rng.uniform(2.0 * lower, 2.0 * upper)  # sometimes outside the box
+    root = rng.normal(size=(dim, dim))
+    hessian = root @ root.T + 0.1 * np.eye(dim)
+    func = lambda x: float((x - center) @ hessian @ (x - center))
+    _assert_same_as_scipy(func, rng.uniform(lower, upper), lower, upper, 400, 1e-6, 1e-8)
+
+
+def test_budget_of_one_iteration_per_coordinate_fails_every_start(monkeypatch):
+    monkeypatch.setattr(solvers, "ITERS_PER_DIM", 1)
+    func = lambda x: float(np.sum((x - 0.3) ** 2))
+    res = minimize(func, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), SolverConfig(n_starts=5, seed=0))
+    assert res.n_local_failures == res.n_starts_used == 5
+
+
+def test_nfev_counts_the_local_solves_only():
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return float(np.sum((x - 0.3) ** 2))
+
+    cfg = SolverConfig(n_starts=5, seed=0)
+    res = minimize(func, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), cfg)
+    # func is finite everywhere, so the Sobol screening evaluates exactly n_starts points.
+    assert res.nfev == len(calls) - cfg.n_starts > 0
