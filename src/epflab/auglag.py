@@ -1,6 +1,6 @@
 """Rockafellar-Wets augmented Lagrangian: dualizing parameterizations,
 augmenting functions, a grid oracle for the inner infimum, and the
-Hestenes-Powell-Rockafellar closed form."""
+closed form of the conic augmented Lagrangian."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cones import dist_lorentz, dist_psd_minus
 from .errors import UnboundedBelow
 from .problems import ConstrainedProblem
 
@@ -102,20 +103,6 @@ def inequality_parameterization(ineq: Callable, n_ineq: int, objective: Callable
     return DualizingParam(evaluator=evaluate, p_dim=n_ineq)
 
 
-def scalar_inequalities(problem: ConstrainedProblem):
-    """Scalar-inequality view u(x) <= 0 derived from flat SOC blocks."""
-    flat_blocks = [b for b in problem.soc_blocks if b.scalar]
-    if len(flat_blocks) != len(problem.soc_blocks):
-        raise ValueError(f"{problem.name} has non-scalar cone blocks; no HPR view")
-    if problem.sdp_block is not None:
-        raise ValueError(f"{problem.name} has a matrix block; no HPR view")
-
-    def u(x):
-        return np.array([-float(np.asarray(b.g(x))[0]) for b in flat_blocks])
-
-    return u, len(flat_blocks)
-
-
 def _golden_section(func, lo: float, hi: float) -> Tuple[float, float]:
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
@@ -199,23 +186,33 @@ def al_eval_grid(
     return ALValue(value=float(psi(p)), inner_argmin=p)
 
 
-def hpr_closed_form(problem: ConstrainedProblem, x, lam_ineq=None, mu=None, c: float = 1.0) -> float:
-    """Hestenes-Powell-Rockafellar augmented Lagrangian in closed form,
-    with sigma = (1/2)||p||^2:
+def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=None,
+                    c: float = 1.0) -> float:
+    """Augmented Lagrangian of the cone program in closed form, with
+    sigma = (1/2)||p||^2 (Shapiro and Sun, Math. Oper. Res. 29, 2004):
 
-      f + sum_j (1/2c)([lam_j + c u_j]_+^2 - lam_j^2)   (inequalities u_j <= 0)
-        + <mu, h> + (c/2)||h||^2                        (equalities)
+      f + sum_i (dist_Q(lam_i + c g_i)^2 - ||lam_i||^2) / 2c     (SOC blocks)
+        + (dist_{-S+}(Lam + c G)^2 - ||Lam||_F^2) / 2c          (SDP block)
+        + <mu, h> + (c/2)||h||^2                                (equalities)
+
+    The multipliers follow ``kkt_residual``: ``lam`` holds one array per
+    SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector;
+    a missing one is zero.  On a flat block (-u(x), 0) with lam_i =
+    (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
-    if problem.soc_blocks or problem.sdp_block is not None:
-        u, n_ineq = scalar_inequalities(problem)
-        lam_ineq = np.zeros(n_ineq) if lam_ineq is None else np.atleast_1d(np.asarray(lam_ineq, float))
-        u_val = u(x)
-        plus = np.maximum(lam_ineq + c * u_val, 0.0)
-        value += float(np.sum(plus ** 2 - lam_ineq ** 2)) / (2.0 * c)
+    for i, block in enumerate(problem.soc_blocks):
+        lam_i = np.zeros(block.dim) if lam is None else lam[i]
+        d = dist_lorentz(lam_i + c * np.asarray(block.g(x), dtype=float))
+        value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
+    if problem.sdp_block is not None:
+        order = problem.sdp_block.order
+        lam_m = np.zeros((order, order)) if lam_sdp is None else lam_sdp
+        d = dist_psd_minus(lam_m + c * np.asarray(problem.sdp_block.G(x), dtype=float))
+        value += (d * d - float(np.sum(lam_m * lam_m))) / (2.0 * c)
     if problem.n_eq > 0:
         mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
         h_val = problem.h(x)

@@ -18,7 +18,8 @@ from . import __version__
 from .errors import EpflabError, NegativeObjective, UnknownProblem
 from .harness import (PENALTY_KINDS, PENALTY_PARAMS, c_sweep, estimate_c_star, geometric_grid,
                       make_penalty)
-from .problems import fd_gradient, get_problem, kkt_residual, registry
+from .problems import (fd_gradient, flat_multipliers, get_problem, kkt_residual, registry,
+                       split_multipliers)
 from .report import localize, serialize_report, sweep_to_csv
 from .solvers import DRAWS_PER_START, SolverConfig
 
@@ -79,9 +80,9 @@ def _penalty_kwargs(v: dict, prob) -> dict:
     if lam is not None:
         if v["penalty"] != "al-hpr":
             raise click.UsageError(f"penalty {v['penalty']!r} does not read --lambda")
-        # One multiplier per scalar inequality first, then one per equality.
-        n_ineq = sum(1 for b in prob.soc_blocks if b.scalar)
-        kwargs["lam"], kwargs["mu"] = lam[:n_ineq], lam[n_ineq:]
+        # The cone entries in their flat layout first, then one per equality.
+        n_cone = flat_multipliers(prob).size
+        kwargs["lam"], kwargs["mu"] = lam[:n_cone], lam[n_cone:]
     return kwargs
 
 
@@ -126,7 +127,9 @@ def _penalty_options(fn):
     fn = _penalty_option("--kappa", "kappa", "barrier exponent")(fn)
     fn = _penalty_option("--zeta1", "zeta1", "multiplier-estimate weight")(fn)
     fn = _penalty_option("--zeta2", "zeta2", "multiplier-estimate weight")(fn)
-    fn = _penalty_option("--lambda", "lam", "comma-separated tuning multipliers", str)(fn)
+    fn = _penalty_option("--lambda", "lam", "comma-separated tuning multipliers: the SOC "
+                         "blocks' entries in order, the SDP matrix row-major, then one per "
+                         "equality", str)(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
     return fn
 
@@ -182,7 +185,7 @@ def estimate_cstar_cmd(ctx, **_):
 @click.option("--problem", required=True)
 @click.option("--x", "x_csv", required=True, help="comma-separated point")
 @click.option("--lambda", "lam_csv", default=None,
-              help="stacked SOC multipliers, or row-major matrix for SDP problems")
+              help="the SOC blocks' entries in order, then the SDP matrix row-major")
 @click.option("--mu", "mu_csv", default=None)
 def check_kkt(problem, x_csv, lam_csv, mu_csv):
     """Evaluate the KKT residual at a given primal-dual candidate."""
@@ -194,23 +197,7 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
     mu = _parse_csv(mu_csv)
     if mu is not None and mu.shape[0] != prob.n_eq:
         raise click.UsageError(f"--mu needs {prob.n_eq} entries")
-    lam = None
-    lam_sdp = None
-    if lam_flat is not None:
-        if prob.sdp_block is not None:
-            order = prob.sdp_block.order
-            if lam_flat.shape[0] != order * order:
-                raise click.UsageError(f"--lambda needs {order * order} entries (row-major)")
-            lam_sdp = lam_flat.reshape(order, order)
-        else:
-            sizes = [b.dim for b in prob.soc_blocks]
-            if lam_flat.shape[0] != sum(sizes):
-                raise click.UsageError(f"--lambda needs {sum(sizes)} stacked entries")
-            lam = np.split(lam_flat, np.cumsum(sizes)[:-1])
-    elif prob.soc_blocks:
-        lam = [np.zeros(b.dim) for b in prob.soc_blocks]
-    elif prob.sdp_block is not None:
-        lam_sdp = np.zeros((prob.sdp_block.order,) * 2)
+    lam, lam_sdp = split_multipliers(prob, flat_multipliers(prob) if lam_flat is None else lam_flat)
     if mu is None and prob.n_eq > 0:
         mu = np.zeros(prob.n_eq)
     # Finite input can overflow to a NaN residual, which fails below; numpy stays quiet.

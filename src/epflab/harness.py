@@ -1,6 +1,6 @@
 """Empirical exactness harness: penalty factory, one solve-at-c kernel
-behind c-sweeps, least-exact-penalty-parameter estimation and the
-strict-exactness probe, and the localization probes.
+behind c-sweeps, least-exact-penalty-parameter estimation, and the
+localization probes.
 
 The probes turn the localization-principle conditions (penalty-type
 behavior, non-degeneracy, local exactness, sublevel boundedness) into
@@ -17,10 +17,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .auglag import hpr_closed_form, scalar_inequalities
+from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import QFunction, default_phi, linear_eval, qpen_eval
-from .problems import ConstrainedProblem, KnownSolution, feasibility_gap
+from .problems import (ConstrainedProblem, KnownSolution, feasibility_gap, flat_multipliers,
+                       split_multipliers)
 from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
 from .solvers import SolverConfig, minimize, polish
 
@@ -59,28 +60,23 @@ def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
     return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kappa, cfg=cfg), params
 
 
-def _multipliers(values, n: int, name: str, params: dict) -> Optional[np.ndarray]:
-    """``values`` as n multipliers, recorded in ``params`` as ``name_i``."""
-    if values is None:
-        return None
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.shape != (n,):
-        raise ValueError(f"al-hpr needs {n} {name} multiplier(s), got {arr.size}")
-    params.update({f"{name}_{i}": float(v) for i, v in enumerate(arr)})
-    return arr
-
-
 def _al_hpr(problem, lam=None, mu=None):
-    # ValueError for a true Lorentz or matrix block: HPR needs scalar inequalities.
-    _, n_ineq = scalar_inequalities(problem)
+    # lam is the flat cone layout of flat_multipliers; decoded here, once.
     cert = problem.certificate
-    if cert is not None:
-        lam = cert.hpr_ineq_star if lam is None else lam
-        mu = cert.mu_star if mu is None else mu
-    params: Dict[str, float] = {}
-    lam = _multipliers(lam, n_ineq, "lambda", params)
-    mu = _multipliers(mu, problem.n_eq, "mu", params)
-    return lambda x, c: hpr_closed_form(problem, x, lam_ineq=lam, mu=mu, c=c), params
+    if lam is None:
+        lam = flat_multipliers(problem, getattr(cert, "lambda_star", None),
+                               getattr(cert, "lambda_sdp_star", None))
+    if mu is None:
+        mu = getattr(cert, "mu_star", None)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.shape != (problem.n_eq,):
+        raise ValueError(f"al-hpr needs {problem.n_eq} equality multiplier(s), got {mu.size}")
+    lam_soc, lam_sdp = split_multipliers(problem, lam)
+    params = {f"lambda_{i}": float(v) for i, v in enumerate(lam)}
+    params.update({f"mu_{i}": float(v) for i, v in enumerate(mu)})
+    return (lambda x, c: hpr_closed_form(problem, x, lam=lam_soc, lam_sdp=lam_sdp, mu=mu, c=c),
+            params)
 
 
 # Penalty kind -> builder of F and of the parameters a report records.  A
@@ -99,10 +95,10 @@ def make_penalty(problem: ConstrainedProblem, kind: str, **params) -> PenaltyHan
 
     ``params`` may set only what the kind reads (``PENALTY_PARAMS``);
     anything else raises ValueError before anything is built.  For
-    ``al-hpr`` the tuning multipliers default to the certificate's HPR
-    pair; ``lam`` needs one entry per scalar SOC block and ``mu`` one per
-    equality (ValueError otherwise), and a problem with a true Lorentz or
-    matrix block raises ValueError.
+    ``al-hpr`` the tuning multipliers default to the certificate's, or to
+    zero where it has none; ``lam`` takes the cone entries in the layout
+    of ``problems.flat_multipliers`` and ``mu`` one entry per equality
+    (ValueError on another count or a non-symmetric SDP multiplier).
     """
     if kind not in PENALTY_KINDS:
         raise UnknownProblem(f"unknown penalty kind {kind!r}")
@@ -179,17 +175,6 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
         dist_to_xstar=float(np.linalg.norm(x - cert.x_star)) if cert is not None else math.nan,
         n_starts_agreeing=result.n_starts_agreeing,
     )
-
-
-def _first_passing(per_c: Sequence[Tuple[float, bool]]) -> Optional[float]:
-    """The first tested c from which every later tested c passes, or None."""
-    first = None
-    for c, ok in per_c:
-        if not ok:
-            first = None
-        elif first is None:
-            first = c
-    return first
 
 
 def geometric_grid(c_min: float, c_max: float, n_steps: int) -> List[float]:
@@ -358,28 +343,3 @@ def estimate_c_star(
         )
     history.append((float(confirm_c), True))
     return CStarResult(c_star=float(c_star), history=tuple(history), confirm=confirm)
-
-
-@dataclass(frozen=True)
-class StrictExactnessVerdict:
-    per_c: Tuple[Tuple[float, bool], ...]
-    first_passing_c: Optional[float]
-    details: Tuple[SweepRecord, ...]
-
-
-def strict_exactness_probe(
-    problem: ConstrainedProblem,
-    al_func: Callable[[np.ndarray, float], float],
-    c_list: Sequence[float],
-    cfg: SolverConfig = SolverConfig(),
-) -> StrictExactnessVerdict:
-    """For each c of an increasing list, minimize the augmented Lagrangian
-    over the box (``c_sweep``) and compare minimum and argmin against the
-    certificate; a failed solve is a failing c."""
-    cert = problem.certificate
-    if cert is None:
-        raise ValueError(f"{problem.name} carries no certificate")
-    handle = PenaltyHandle(problem=problem, func=al_func, params={})
-    details = tuple(c_sweep(handle, c_list, cfg))
-    per_c = tuple((r.c, r.passes(cert)) for r in details)
-    return StrictExactnessVerdict(per_c=per_c, first_passing_c=_first_passing(per_c), details=details)

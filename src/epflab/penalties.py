@@ -82,19 +82,10 @@ def qpen_eval(qf: QFunction, problem: ConstrainedProblem, phi, x, c: float) -> f
     f_val = problem.f(x)
     if f_val < -1e-12:
         raise NegativeObjective(
-            f"f({np.asarray(x)}) = {f_val} < 0; wrap the objective with exp_transform first"
+            f"f({np.asarray(x)}) = {f_val} < 0; qorder needs f >= 0 on the whole box"
         )
     phi_val = float(phi(x))
     return qf(max(f_val, 0.0), c * phi_val)
-
-
-def exp_transform(problem: ConstrainedProblem) -> Callable:
-    """Objective wrapper exp(f(x)), making any objective nonnegative."""
-
-    def wrapped(x):
-        return math.exp(problem.f(x))
-
-    return wrapped
 
 
 @dataclass(frozen=True)

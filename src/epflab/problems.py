@@ -49,10 +49,6 @@ class SocBlock:
     dim: int
     g: Callable[[Array], Array]
     jac: Callable[[Array], Array]
-    # True when the block has the flat form (u(x), 0, ..., 0), i.e. it
-    # encodes the scalar inequality -u(x) <= 0.  Such blocks admit the
-    # classic HPR augmented Lagrangian treatment.
-    scalar: bool = False
 
     def jacobian(self, x: Array) -> Array:
         return np.asarray(self.jac(x), dtype=float)
@@ -78,9 +74,6 @@ class KnownSolution:
     lambda_star: Optional[Tuple[Array, ...]] = None
     mu_star: Optional[Array] = None
     lambda_sdp_star: Optional[Array] = None
-    # Multipliers for the HPR augmented Lagrangian view (scalar
-    # inequalities from flat SOC blocks, then equalities).
-    hpr_ineq_star: Optional[Array] = None
 
 
 @dataclass(frozen=True)
@@ -223,6 +216,42 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     return float(np.linalg.norm(grad)) + complementarity + dual + primal
 
 
+def flat_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None) -> Array:
+    """Cone multipliers in their flat layout, which ``--lambda`` uses: each
+    SOC block's entries in block order, then the SDP multiplier row-major.
+    A part given as None is zeros; ``split_multipliers`` reads it back."""
+    if lam is None:
+        lam = [np.zeros(block.dim) for block in problem.soc_blocks]
+    parts = [np.zeros(0)] + [np.asarray(v, dtype=float).ravel() for v in lam]
+    if problem.sdp_block is not None:
+        order = problem.sdp_block.order
+        parts.append(np.zeros(order * order) if lam_sdp is None
+                     else np.asarray(lam_sdp, dtype=float).ravel())
+    return np.concatenate(parts)
+
+
+def split_multipliers(problem: ConstrainedProblem, flat) -> Tuple[list, Optional[Array]]:
+    """``(lam, lam_sdp)``, as ``kkt_residual`` takes them, from the layout
+    of ``flat_multipliers``.  Raises ValueError on a wrong count or a
+    non-symmetric SDP multiplier."""
+    flat = np.atleast_1d(np.asarray(flat, dtype=float))
+    order = problem.sdp_block.order if problem.sdp_block is not None else 0
+    size = sum(block.dim for block in problem.soc_blocks) + order * order
+    if flat.shape != (size,):
+        raise ValueError(f"{problem.name} takes {size} cone multiplier entries (the SOC blocks "
+                         f"in order, then the SDP matrix row-major), got {flat.size}")
+    lam, start = [], 0
+    for block in problem.soc_blocks:
+        lam.append(flat[start:start + block.dim])
+        start += block.dim
+    if problem.sdp_block is None:
+        return lam, None
+    lam_sdp = flat[start:].reshape(order, order)
+    if not np.array_equal(lam_sdp, lam_sdp.T):
+        raise ValueError(f"{problem.name}: the SDP multiplier must be symmetric")
+    return lam, lam_sdp
+
+
 # ---------------------------------------------------------------------------
 # Benchmark registry
 # ---------------------------------------------------------------------------
@@ -231,8 +260,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
 def _toy_lin_1() -> ConstrainedProblem:
     # min -x  s.t.  x <= 0  (flat SOC block (-x, 0)),  x in [-2, 2].
     # Optimum x* = 0, f* = 0.  The SOC multiplier at the cone vertex is
-    # non-unique; (-1, 0) is one valid choice.  HPR view: x <= 0 with
-    # multiplier 1.
+    # non-unique; (-1, 0) is one valid choice.
     def g(x):
         return np.array([-x[0], 0.0])
 
@@ -243,14 +271,13 @@ def _toy_lin_1() -> ConstrainedProblem:
         x_star=np.array([0.0]),
         f_star=0.0,
         lambda_star=(np.array([-1.0, 0.0]),),
-        hpr_ineq_star=np.array([1.0]),
     )
     return ConstrainedProblem(
         name="toy-lin-1",
         dim=1,
         objective=lambda x: -x[0],
         gradient=lambda x: np.array([-1.0]),
-        soc_blocks=(SocBlock(dim=2, g=g, jac=jac, scalar=True),),
+        soc_blocks=(SocBlock(dim=2, g=g, jac=jac),),
         lower=np.array([-2.0]),
         upper=np.array([2.0]),
         certificate=cert,

@@ -2,7 +2,10 @@
 
 One local method, Nelder-Mead, which handles the kinks and +inf
 sentinels of penalty functions.  Starts come from a scrambled Sobol
-sequence, so results are bit-reproducible for a fixed seed.
+sequence, so results are bit-reproducible for a fixed seed on one
+machine.  The simplex is ordered by numpy's default argsort, as in
+scipy, which is not stable on 4 or more values: on a problem of 3 or
+more coordinates, tied F values may order differently on another CPU.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from epflab.auglag import (
     hpr_closed_form,
     inequality_parameterization,
     norm_augmenting,
-    scalar_inequalities,
     valley_check,
 )
 from epflab.cones import dist_psd_minus, proj_lorentz, proj_psd
@@ -171,8 +170,9 @@ def test_criterion_08_augmented_lagrangian_oracle():
     p_eq = get_problem("toy-eq-1")
     dual_eq = equality_parameterization(p_eq)
     p_lin = get_problem("toy-lin-1")
-    u, n_ineq = scalar_inequalities(p_lin)
-    dual_in = inequality_parameterization(u, n_ineq, p_lin.f)
+    # The flat block g = (-u, 0) is u(x) = x <= 0; multiplier l >= 0 is the SOC (-l, 0).
+    u = lambda x: np.array([-float(p_lin.soc_blocks[0].g(x)[0])])
+    dual_in = inequality_parameterization(u, 1, p_lin.f)
     grid1 = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]), n_per_axis=81)
     for _ in range(50):
         x = rng.uniform(-2, 2, size=2)
@@ -186,7 +186,7 @@ def test_criterion_08_augmented_lagrangian_oracle():
         lam = rng.uniform(0, 4, size=1)
         c = float(rng.uniform(0.5, 8.0))
         gv = al_eval_grid(dual_in, sigma, x, lam, c, grid1)
-        cf = hpr_closed_form(p_lin, x, lam_ineq=lam, c=c)
+        cf = hpr_closed_form(p_lin, x, lam=[np.array([-lam[0], 0.0])], c=c)
         assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
 
     # 2-D perturbation: two equality constraints.

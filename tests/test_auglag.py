@@ -10,12 +10,12 @@ from epflab.auglag import (
     hpr_closed_form,
     inequality_parameterization,
     norm_augmenting,
-    scalar_inequalities,
     valley_check,
 )
+from epflab.cones import proj_lorentz, proj_psd
 from epflab.errors import UnboundedBelow
-from epflab.harness import strict_exactness_probe
-from epflab.problems import get_problem
+from epflab.harness import c_sweep, estimate_c_star, make_penalty
+from epflab.problems import flat_multipliers, get_problem, registry
 from epflab.solvers import SolverConfig
 
 
@@ -45,9 +45,11 @@ def test_al_grid_equality_off_optimum():
 
 
 def test_al_grid_matches_hpr_inequality():
+    # toy-lin-1's flat block g = (-u, 0) is the scalar inequality u(x) = x <= 0;
+    # its multiplier l >= 0 is the SOC multiplier (-l, 0).
     p = get_problem("toy-lin-1")
-    u, n_ineq = scalar_inequalities(p)
-    dual = inequality_parameterization(u, n_ineq, p.f)
+    u = lambda x: np.array([-float(p.soc_blocks[0].g(x)[0])])
+    dual = inequality_parameterization(u, 1, p.f)
     grid = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]), n_per_axis=81)
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -55,7 +57,7 @@ def test_al_grid_matches_hpr_inequality():
         lam = rng.uniform(0, 4, size=1)
         c = float(rng.uniform(0.5, 8.0))
         gv = al_eval_grid(dual, half_norm_squared(), x, lam, c, grid)
-        cf = hpr_closed_form(p, x, lam_ineq=lam, c=c)
+        cf = hpr_closed_form(p, x, lam=[np.array([-lam[0], 0.0])], c=c)
         assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
 
 
@@ -87,7 +89,7 @@ def test_hpr_closed_form_examples():
     assert hpr_closed_form(p, np.zeros(2), mu=np.array([-2.0]), c=4.0) == pytest.approx(12.0)
     pl = get_problem("toy-lin-1")
     # f(1) = -1 plus (1/4)[0 + 2*1]_+^2 = 1.
-    assert hpr_closed_form(pl, np.array([1.0]), lam_ineq=np.array([0.0]), c=2.0) == pytest.approx(0.0)
+    assert hpr_closed_form(pl, np.array([1.0]), lam=[np.zeros(2)], c=2.0) == pytest.approx(0.0)
 
 
 def test_hpr_nondecreasing_in_c_and_weak_duality():
@@ -106,16 +108,65 @@ def test_hpr_nondecreasing_in_c_and_weak_duality():
 
 
 def test_hpr_kkt_anchor():
-    p = get_problem("toy-eq-1")
-    for c in (0.5, 1.0, 10.0, 100.0):
-        assert hpr_closed_form(p, p.certificate.x_star, mu=p.certificate.mu_star, c=c) == pytest.approx(2.0)
+    # With the certificate's multipliers the augmented Lagrangian equals f* at x*.
+    for p in registry():
+        cert = p.certificate
+        for c in (0.5, 1.0, 10.0, 100.0):
+            value = hpr_closed_form(p, cert.x_star, lam=cert.lambda_star,
+                                    lam_sdp=cert.lambda_sdp_star, mu=cert.mu_star, c=c)
+            assert value == pytest.approx(cert.f_star, abs=1e-12), (p.name, c)
+            assert make_penalty(p, "al-hpr")(cert.x_star, c) == value, (p.name, c)
 
 
-def test_scalar_inequalities_rejects_true_cones():
-    with pytest.raises(ValueError):
-        scalar_inequalities(get_problem("toy-socp-1"))
-    with pytest.raises(ValueError):
-        scalar_inequalities(get_problem("toy-sdp-1"))
+def _symmetrized(a):
+    return 0.5 * (a + a.T) if a.ndim == 2 else a
+
+
+@pytest.mark.parametrize("name", ["toy-socp-1", "toy-sdp-1"])
+def test_hpr_closed_form_is_inner_infimum(name):
+    # The closed form is the inner infimum over p with g(x) + p in K of
+    # f - <lam, p> + (c/2)||p||^2, attained at p* = proj_K(g + lam/c) - g.
+    # toy-socp-1 has K = Q_2; toy-sdp-1 has G(x) in K = -S+, so proj_K(A) = A - [A]_+.
+    p = get_problem(name)
+    if p.soc_blocks:
+        cone_value, project = p.soc_blocks[0].g, proj_lorentz
+    else:
+        cone_value, project = p.sdp_block.G, lambda a: a - proj_psd(a)
+    lo, hi = p.box()
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        x = lo + rng.uniform(size=p.dim) * (hi - lo)
+        g = np.asarray(cone_value(x), dtype=float)
+        lam = _symmetrized(rng.uniform(-4, 4, size=g.shape))
+        c = float(np.exp(rng.uniform(-2, 5)))
+
+        def inner(pert):
+            return p.f(x) - float(np.sum(lam * pert)) + 0.5 * c * float(np.sum(pert * pert))
+
+        multipliers = {"lam": [lam]} if p.soc_blocks else {"lam_sdp": lam}
+        cf = hpr_closed_form(p, x, c=c, **multipliers)
+        p_star = project(g + lam / c) - g
+        scale = (1.0 + abs(p.f(x)) + abs(float(np.sum(lam * p_star)))
+                 + 0.5 * c * float(np.sum(p_star * p_star)))
+        assert abs(cf - inner(p_star)) <= 1e-12 * scale, (x, lam, c)
+        for _ in range(20):
+            # A point of K near the minimizer, or farther away.
+            noise = _symmetrized(rng.normal(scale=rng.choice([1e-3, 1e-1, 2.0]), size=g.shape))
+            q = project(g + p_star + noise)
+            assert inner(q - g) >= cf - 1e-12 * scale, (x, lam, c)
+
+
+@pytest.mark.parametrize("name", ["toy-socp-1", "toy-socp-2", "toy-sdp-1"])
+def test_al_hpr_c_star_on_cone_problems(name):
+    # On these convex problems the augmented Lagrangian at the certificate's
+    # multipliers is exact for every c > 0; with zero multipliers it is the
+    # quadratic penalty, which is exact at no finite c.
+    p = get_problem(name)
+    cfg = SolverConfig(n_starts=8, seed=0)
+    res = estimate_c_star(make_penalty(p, "al-hpr"), 0.5, 1024.0, cfg=cfg, strict=True)
+    assert res.c_star == 0.5
+    zero = make_penalty(p, "al-hpr", lam=flat_multipliers(p), mu=np.zeros(p.n_eq))
+    assert estimate_c_star(zero, 0.5, 1024.0, cfg=cfg, strict=True).c_star is None
 
 
 def test_valley_check_fixtures():
@@ -127,24 +178,19 @@ def test_valley_check_fixtures():
 
 
 def test_strict_exactness_probe_true_multiplier():
+    # The strict-exactness probe: an al-hpr sweep judged by SweepRecord.passes.
     p = get_problem("toy-eq-1")
-    mu_star = p.certificate.mu_star
-    al = lambda x, c: hpr_closed_form(p, x, mu=mu_star, c=c)
-    verdict = strict_exactness_probe(p, al, [1.0, 4.0, 16.0], SolverConfig(n_starts=8, seed=0))
-    assert verdict.first_passing_c is not None
-    assert verdict.first_passing_c <= 16.0
+    records = c_sweep(make_penalty(p, "al-hpr", mu=p.certificate.mu_star), [1.0, 4.0, 16.0],
+                      SolverConfig(n_starts=8, seed=0))
+    # Some c <= 16 passes along with every larger tested c: the last one, 16, passes.
+    assert records[-1].passes(p.certificate)
 
 
 def test_strict_exactness_probe_zero_multiplier():
     p = get_problem("toy-eq-1")
-    al = lambda x, c: hpr_closed_form(p, x, mu=np.zeros(1), c=c)
-    verdict = strict_exactness_probe(p, al, [1.0, 4.0], SolverConfig(n_starts=8, seed=0))
-    # Quadratic penalty alone is never exact at finite c.
-    assert all(not ok for _, ok in verdict.per_c)
-    assert verdict.first_passing_c is None
-
-
-def test_hpr_closed_form_rejects_matrix_block():
-    # toy-sdp-1 has no SOC block; its matrix constraint must not be dropped (F = f).
-    with pytest.raises(ValueError, match="no HPR view"):
-        hpr_closed_form(get_problem("toy-sdp-1"), np.array([3.0, -3.0]), c=100.0)
+    records = c_sweep(make_penalty(p, "al-hpr", mu=np.zeros(1)), [1.0, 4.0],
+                      SolverConfig(n_starts=8, seed=0))
+    # Quadratic penalty alone is never exact at finite c: no c passes, so none
+    # passes from some c on.
+    assert all(not r.passes(p.certificate) for r in records)
+    assert not records[-1].passes(p.certificate)

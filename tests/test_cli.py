@@ -183,11 +183,12 @@ def test_gradcheck_gives_up_when_f_is_never_finite():
 
 
 def test_localize_al_hpr_lambda_length_exit_3():
-    # toy-lin-1 has one scalar inequality and no equality, so --lambda takes one entry.
-    out = run_cli("localize", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "1,5",
-                  "--c-steps", "4", "--starts", "2")
-    assert out.returncode == 3
-    assert "Traceback" not in out.stderr
+    # toy-lin-1 has one 2-entry SOC block and no equality, so --lambda takes two entries.
+    for lam in ("1", "1,5,0"):
+        out = run_cli("localize", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", lam,
+                      "--c-steps", "4", "--starts", "2")
+        assert out.returncode == 3, lam
+        assert "Traceback" not in out.stderr
 
 
 def test_check_kkt_non_finite_input_exit_3():
@@ -217,7 +218,7 @@ def test_check_kkt_mu_length_exit_3():
 
 
 def test_penalty_lambda_non_finite_exit_3():
-    out = run_cli("gradcheck", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "nan",
+    out = run_cli("gradcheck", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "nan,0",
                   "--points", "1")
     assert out.returncode == 3
 
@@ -245,14 +246,22 @@ def test_penalty_that_does_not_fit_the_problem_exit_3():
     # toy-lin-1's objective is negative on part of its box, which qorder does not allow.
     out = run_cli("estimate-cstar", "--problem", "toy-lin-1", "--penalty", "qorder", "--starts", "2")
     assert out.returncode == 3
-    assert "exp_transform" in out.stderr and "Traceback" not in out.stderr
+    assert "f >= 0 on the whole box" in out.stderr and "Traceback" not in out.stderr
 
 
-def test_gradcheck_al_hpr_on_sdp_problem_exit_3():
-    # al-hpr needs scalar inequalities; toy-sdp-1's constraint is a matrix.
-    out = run_cli("gradcheck", "--problem", "toy-sdp-1", "--penalty", "al-hpr", "--points", "1")
-    assert out.returncode == 3
-    assert "no HPR view" in out.stderr and "Traceback" not in out.stderr
+def test_cone_multiplier_layout_errors_exit_3():
+    # --lambda lists the SOC blocks' entries, then the SDP matrix row-major, which must
+    # be symmetric; a wrong count or an asymmetric matrix is an input error.
+    for args, message in ((("gradcheck", "--problem", "toy-sdp-1", "--penalty", "al-hpr",
+                            "--lambda", "1,2,0,0", "--points", "1"), "symmetric"),
+                          (("check-kkt", "--problem", "toy-sdp-1", "--x", "0.5,1",
+                            "--lambda", "1,2,0,0"), "symmetric"),
+                          (("check-kkt", "--problem", "toy-socp-1", "--x", "1,1",
+                            "--lambda", "-2,2,0"), "takes 2 cone multiplier entries")):
+        out = run_cli(*args)
+        assert out.returncode == 3, (args, out.stderr)
+        assert message in out.stderr and "Traceback" not in out.stderr, args
+        assert out.stdout == "", args
 
 
 def test_localize_builds_the_penalty_once(monkeypatch, tmp_path):
@@ -272,14 +281,16 @@ def test_localize_builds_the_penalty_once(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_penalty_kwargs", counting_penalty_kwargs)
     out = tmp_path / "report.json"
     result = CliRunner().invoke(cli.main, [
-        "localize", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "1",
+        "localize", "--problem", "toy-lin-1", "--penalty", "al-hpr", "--lambda", "-1,0",
         "--starts", "2", "--c-max", "8", "--c-steps", "4", "--out", str(out)])
     assert result.exit_code == 0, result.output
-    assert json.loads(out.read_text())["params"] == {"lambda_0": 1.0}
-    assert built == ["al-hpr"] and parsed == ["1"]
+    assert json.loads(out.read_text())["params"] == {"lambda_0": -1.0, "lambda_1": 0.0}
+    assert built == ["al-hpr"] and parsed == ["-1,0"]
 
 
-@pytest.mark.parametrize("extra", [("--problem", "toy-sdp-1", "--penalty", "al-hpr"),
+# toy-lin-1's al-hpr takes two --lambda entries; one does not fit the problem.
+@pytest.mark.parametrize("extra", [("--problem", "toy-lin-1", "--penalty", "al-hpr",
+                                    "--lambda", "1"),
                                    ("--problem", "toy-lin-1", "--penalty", "linear", "--q", "2")],
                          ids=["unfitting-penalty", "unread-option"])
 def test_localize_rejects_penalty_before_solving(monkeypatch, extra):

@@ -18,7 +18,6 @@ from epflab.harness import (
     make_penalty,
     nondegeneracy_probe,
     penalty_type_probe,
-    strict_exactness_probe,
     sublevel_bounded_probe,
 )
 from epflab.problems import ConstrainedProblem, get_problem
@@ -92,18 +91,23 @@ def test_make_penalty_names_every_unread_parameter():
 
 
 def test_make_penalty_al_hpr_multiplier_lengths():
-    lin, eq = get_problem("toy-lin-1"), get_problem("toy-eq-1")
-    # toy-lin-1: one scalar SOC block and no equality; toy-eq-1: one equality only.
-    for problem, kwargs in ((lin, {"lam": [1.0, 5.0]}), (lin, {"mu": [5.0]}),
-                            (eq, {"lam": [0.0]}), (eq, {"mu": [0.0, 0.0]}), (eq, {"mu": []})):
+    lin, eq, sdp = get_problem("toy-lin-1"), get_problem("toy-eq-1"), get_problem("toy-sdp-1")
+    # toy-lin-1: one 2-entry SOC block and no equality; toy-eq-1: one equality only;
+    # toy-sdp-1: one 2x2 matrix block, row-major, which must be symmetric.
+    for problem, kwargs in ((lin, {"lam": [1.0]}), (lin, {"lam": [1.0, 5.0, 0.0]}),
+                            (lin, {"mu": [5.0]}), (eq, {"lam": [0.0]}), (eq, {"mu": [0.0, 0.0]}),
+                            (eq, {"mu": []}), (sdp, {"lam": [1.0, 0.0, 0.0]}),
+                            (sdp, {"lam": [1.0, 2.0, 0.0, 0.0]})):
         with pytest.raises(ValueError):
             make_penalty(problem, "al-hpr", **kwargs)
-    assert make_penalty(lin, "al-hpr").params == {"lambda_0": 1.0}
-    assert make_penalty(lin, "al-hpr", lam=[3.0]).params == {"lambda_0": 3.0}
+    assert make_penalty(lin, "al-hpr").params == {"lambda_0": -1.0, "lambda_1": 0.0}
+    assert make_penalty(lin, "al-hpr", lam=[1.0, 5.0]).params == {"lambda_0": 1.0, "lambda_1": 5.0}
     assert make_penalty(eq, "al-hpr").params == {"mu_0": -2.0}
     handle = make_penalty(eq, "al-hpr", mu=[0.0])
     assert handle.params == {"mu_0": 0.0}
     assert math.isfinite(handle(eq.certificate.x_star, 2.0))
+    assert make_penalty(sdp, "al-hpr").params == {"lambda_0": 1.0, "lambda_1": 0.0,
+                                                  "lambda_2": 0.0, "lambda_3": 0.0}
 
 
 def test_sweep_toy_lin():
@@ -269,13 +273,15 @@ def test_estimate_c_star_nonmonotone_detection():
 
 def test_strict_exactness_probe_records_failed_solve():
     p = get_problem("toy-lin-1")
-    verdict = strict_exactness_probe(p, _walled, [4.0, 8.0], CFG)
-    assert verdict.per_c == ((4.0, True), (8.0, False))
-    assert verdict.first_passing_c is None
-    assert verdict.details[1].failed
-    # The up-set reading of first_passing_c needs an increasing c list.
+    walled = PenaltyHandle(problem=p, func=_walled, params={})
+    records = c_sweep(walled, [4.0, 8.0], CFG)
+    assert [(r.c, r.passes(p.certificate)) for r in records] == [(4.0, True), (8.0, False)]
+    # No c passes from some tested c on: the last one fails.
+    assert not records[-1].passes(p.certificate)
+    assert records[1].failed
+    # The up-set reading of the sweep needs an increasing c list.
     with pytest.raises(ValueError):
-        strict_exactness_probe(p, _walled, [8.0, 4.0], CFG)
+        c_sweep(walled, [8.0, 4.0], CFG)
 
 
 def test_localize_bisects_inside_sweep_bracket():
@@ -351,13 +357,6 @@ def test_localize_reuses_both_bracket_ends_of_its_sweep(monkeypatch):
     minimized.clear()
     localize(p, "linear", cfg=cfg, c_min=0.5, c_max=32.0, c_steps=4)
     assert len(minimized) == separate - 2
-
-
-@pytest.mark.parametrize("name", ["toy-sdp-1", "toy-socp-1"])
-def test_al_hpr_rejects_problem_without_hpr_view(name):
-    # A matrix block or a true Lorentz block is no scalar inequality.
-    with pytest.raises(ValueError, match="no HPR view"):
-        make_penalty(get_problem(name), "al-hpr")
 
 
 def test_localize_local_probe_judges_largest_c(monkeypatch):

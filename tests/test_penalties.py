@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from epflab.penalties import (
     check_q_local_condition,
     default_phi,
     estimate_error_bound,
-    exp_transform,
     linear_eval,
     qpen_eval,
 )
@@ -103,13 +100,6 @@ def test_qpen_nondecreasing_in_c():
         assert hi_val >= lo_val - 1e-12
         if phi(x) > 1e-8:
             assert hi_val > lo_val
-
-
-def test_exp_transform_nonnegative():
-    p = get_problem("toy-lin-1")
-    wrapped = exp_transform(p)
-    assert wrapped(np.array([2.0])) == pytest.approx(math.exp(-2.0))
-    assert wrapped(np.array([-2.0])) > 0.0
 
 
 def test_error_bound_identity_phi():
