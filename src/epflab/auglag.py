@@ -132,7 +132,11 @@ def al_eval_grid(
     """Inner infimum of Phi(x, p) - <lam, p> + c*sigma(p) by exhaustive
     grid search plus one coordinate-wise golden-section refinement pass.
 
-    Validation oracle only; perturbation dimension is capped at 3.
+    Validation oracle only; perturbation dimension is capped at 3.  It is
+    reliable only when the feasible set of p is box-shaped (scalar
+    inequality or equality parameterizations): on a curved Lorentz wall
+    the golden refinement stalls, with relative errors up to 3e-2
+    measured against the closed form, and a finer grid does not help.
     """
     if dual.p_dim > 3:
         raise ValueError("grid oracle supports perturbation dimension <= 3")

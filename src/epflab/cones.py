@@ -47,9 +47,26 @@ def proj_lorentz(y) -> np.ndarray:
 
 
 def dist_lorentz(y) -> float:
-    """Distance from y to the second-order cone."""
+    """Distance from y to the second-order cone.
+
+    ``||y - proj_lorentz(y)||`` by the projection's three cases, with the
+    same float operations on each entry, so the bits are the same.
+    """
     y = np.asarray(y, dtype=float)
-    gap = y - proj_lorentz(y)
+    if y.shape[0] < 2:
+        raise ValueError("Lorentz point needs total dimension >= 2")
+    head, tail = y[0], y[1:]
+    tail_norm = math.sqrt(tail @ tail)
+    if head >= tail_norm:
+        if head < math.inf:
+            return 0.0
+        gap = y - y  # inf - inf: the NaN that y - proj_lorentz(y) gives
+    elif head <= -tail_norm:
+        gap = y
+    else:
+        coef = 0.5 * (head + tail_norm)
+        gap = y - (coef / tail_norm) * y
+        gap[0] = head - coef
     return math.sqrt(gap @ gap)
 
 

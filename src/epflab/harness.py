@@ -266,15 +266,14 @@ def sublevel_bounded_probe(
     center = 0.5 * (lower + upper)
     half = 0.5 * (upper - lower)
     rng = np.random.default_rng(seed)
-    found_shell = 0
-    for _ in range(SUBLEVEL_SAMPLES):
-        point = center + rng.uniform(-SUBLEVEL_EXPANSION, SUBLEVEL_EXPANSION, size=problem.dim) * half
-        if np.all(point >= lower) and np.all(point <= upper):
-            continue
-        found_shell += 1
+    # One draw of all rows is the same stream as one draw per row.
+    draws = rng.uniform(-SUBLEVEL_EXPANSION, SUBLEVEL_EXPANSION, size=(SUBLEVEL_SAMPLES, problem.dim))
+    points = center + draws * half
+    shell = points[~(np.all(points >= lower, axis=1) & np.all(points <= upper, axis=1))]
+    for point in shell:
         if penalty(point, c0) < f_star - PROBE_SLACK:
             return False
-    return found_shell > 0
+    return len(shell) > 0
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ entry; order is capped at 64 (desk scale, no sparse paths).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,12 @@ def chol_solve(a, b) -> np.ndarray:
     pivot diag(L)^2 is below PIVOT_RTOL times the largest diagonal entry;
     this is the operational nondegeneracy test used by the
     multiplier-estimate subproblems.  Non-finite input raises ValueError.
+
+    The finiteness scan runs only where non-finite input can have ended
+    up: before any NotPositiveDefinite, and when the largest diagonal
+    entry or the solution is not finite.  A non-finite off-diagonal entry
+    makes ``potrf`` fail or leaves a NaN or inf in the factor, which
+    reaches the solution; a non-finite rhs reaches it too.
     """
     a = sym(a)
     b = np.asarray(b, dtype=float)
@@ -59,19 +66,28 @@ def chol_solve(a, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
         return np.zeros(0)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("system has non-finite entries")
     max_diag = float(a.diagonal().max())
     if max_diag <= 0.0:
+        _require_finite(a, b)
         raise NotPositiveDefinite("no positive diagonal entry")
     factor, info = dpotrf(a, lower=1, clean=0)
     if info != 0:
+        _require_finite(a, b)
         raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
     min_pivot = float(factor.diagonal().min()) ** 2
     threshold = PIVOT_RTOL * max_diag
     if min_pivot < threshold:
+        _require_finite(a, b)
         raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
-    return dpotrs(factor, b, lower=1)[0]
+    x = dpotrs(factor, b, lower=1)[0]
+    if not (math.isfinite(max_diag) and all(map(math.isfinite, x.tolist()))):
+        _require_finite(a, b)
+    return x
+
+
+def _require_finite(a, b) -> None:
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("system has non-finite entries")
 
 
 def eig_sym(a) -> EigenDecomp:

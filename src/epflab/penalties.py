@@ -34,7 +34,7 @@ def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
         raise ValueError("penalty parameter c must be positive")
     f_val = problem.f(x)
     phi_val = float(phi(x))
-    if np.isnan(f_val) or np.isnan(phi_val):
+    if math.isnan(f_val) or math.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in linear penalty evaluation")
     return f_val + c * phi_val
 

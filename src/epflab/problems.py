@@ -8,6 +8,7 @@ validated at load time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -124,7 +125,7 @@ class ConstrainedProblem:
 
     def f(self, x) -> float:
         val = float(self.objective(np.asarray(x, dtype=float)))
-        if np.isnan(val):
+        if math.isnan(val):
             raise NonFiniteEvaluation(f"objective is NaN at {x}")
         return val
 
@@ -160,9 +161,17 @@ def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
         soc += dist_lorentz(block.g(x))
     if problem.sdp_block is not None:
         soc += dist_psd_minus(problem.sdp_block.G(x))
-    eq = float(np.linalg.norm(problem.h(x)))
+    eq = 0.0
+    if problem.eq is not None:
+        # What np.linalg.norm computes on a 1-D vector, without its dispatch.
+        h = problem.h(x)
+        eq = math.sqrt(h @ h)
     lo, hi = problem.box()
-    box = float(np.linalg.norm(x - np.clip(x, lo, hi)))
+    box = 0.0
+    # Inside the box x - clip(x) is all zeros; NaN fails the test and keeps
+    # the norm, so it still propagates.
+    if not all(l <= v <= u for v, l, u in zip(x.tolist(), lo.tolist(), hi.tolist())):
+        box = float(np.linalg.norm(x - np.clip(x, lo, hi)))
     return FeasibilityGap(soc_gap=soc, eq_gap=eq, box_gap=box)
 
 

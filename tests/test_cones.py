@@ -152,3 +152,44 @@ def test_psd_distance_identity():
 def test_in_psd_minus():
     assert in_psd_minus(-np.eye(2))
     assert not in_psd_minus(np.diag([1.0, -1.0]))
+
+
+def _reference_dist_lorentz(y):
+    """dist_lorentz as it was before its closed form: ||y - proj_lorentz(y)||."""
+    y = np.asarray(y, dtype=float)
+    gap = y - proj_lorentz(y)
+    return math.sqrt(gap @ gap)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Bit equality, sign of zero included; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def _lorentz_edge_points(draw):
+    # Signed zeros and infinities in the tail, a zero tail, and a head on
+    # either boundary ray head = +-||tail||.
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                        st.floats(-1e6, 1e6))
+    tail = draw(arrays(np.float64, st.integers(1, 5), elements=entries))
+    if draw(st.booleans()):
+        tail = np.copysign(0.0, tail)
+    with np.errstate(all="ignore"):
+        norm = math.sqrt(tail @ tail)
+    head = draw(st.one_of(st.sampled_from([norm, -norm, 0.0, -0.0]), entries))
+    return np.concatenate(([head], tail))
+
+
+@settings(deadline=None, max_examples=500)
+@given(_lorentz_edge_points())
+def test_dist_lorentz_matches_projection_reference(y):
+    with np.errstate(all="ignore"):
+        assert _same_float(dist_lorentz(y), _reference_dist_lorentz(y))
+
+
+def test_dist_lorentz_rejects_scalar():
+    with pytest.raises(ValueError):
+        dist_lorentz(np.array([1.0]))

@@ -20,7 +20,7 @@ from epflab.harness import (
     penalty_type_probe,
     sublevel_bounded_probe,
 )
-from epflab.problems import ConstrainedProblem, get_problem
+from epflab.problems import ConstrainedProblem, get_problem, registry
 from epflab.report import localize
 from epflab.smoothpen import KAPPA_SDP, KAPPA_SOC
 from epflab.solvers import SolverConfig
@@ -212,6 +212,47 @@ def test_sublevel_bounded_probe():
     q = get_problem("toy-eq-1")
     coercive = PenaltyHandle(problem=q, func=lambda x, c: q.f(x), params={})
     assert sublevel_bounded_probe(coercive, 10.0, q.certificate.f_star)
+
+
+def _reference_sublevel_bounded_probe(penalty, c0, f_star, seed=0):
+    """sublevel_bounded_probe as it was: one draw and one box test per sample."""
+    problem = penalty.problem
+    lower, upper = problem.box()
+    center = 0.5 * (lower + upper)
+    half = 0.5 * (upper - lower)
+    rng = np.random.default_rng(seed)
+    found_shell = 0
+    for _ in range(harness.SUBLEVEL_SAMPLES):
+        point = center + rng.uniform(-harness.SUBLEVEL_EXPANSION, harness.SUBLEVEL_EXPANSION,
+                                     size=problem.dim) * half
+        if np.all(point >= lower) and np.all(point <= upper):
+            continue
+        found_shell += 1
+        if penalty(point, c0) < f_star - harness.PROBE_SLACK:
+            return False
+    return found_shell > 0
+
+
+@pytest.mark.parametrize("pair", [(p.name, kind) for p in registry() for kind in p.penalties],
+                         ids="/".join)
+def test_sublevel_probe_matches_per_sample_reference(pair):
+    # Same evaluated points, in the same order, and the same verdict.  At
+    # c0 = 0.5 toy-lin-1/linear fails (the early exit) and every other pair passes.
+    pen = make_penalty(get_problem(pair[0]), pair[1])
+    f_star = pen.problem.certificate.f_star
+    for seed in range(4):
+        seen = {"new": [], "ref": []}
+
+        def recorder(key):
+            def func(x, c):
+                seen[key].append(np.array(x))
+                return pen(x, c)
+            return PenaltyHandle(problem=pen.problem, func=func, params={})
+
+        verdict = sublevel_bounded_probe(recorder("new"), 0.5, f_star, seed=seed)
+        assert verdict == _reference_sublevel_bounded_probe(recorder("ref"), 0.5, f_star, seed=seed)
+        assert len(seen["new"]) == len(seen["ref"]) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(seen["new"], seen["ref"]))
 
 
 def test_estimate_c_star_toy_lin():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from epflab.errors import NotPositiveDefinite
-from epflab.numerics import MAX_ORDER, chol_solve, eig_sym, sym
+from epflab.numerics import MAX_ORDER, PIVOT_RTOL, chol_solve, eig_sym, sym
 
 
 def test_sym_rejects_nonsquare():
@@ -85,6 +85,68 @@ def test_chol_solve_nonfinite_rejected():
         chol_solve(np.array([[1.0, np.nan], [np.nan, 2.0]]), np.ones(2))
     with pytest.raises(ValueError):
         chol_solve(np.eye(2), np.array([np.inf, 1.0]))
+    # An inf diagonal: potrf factors diag(inf, inf) and the pivot test passes.
+    for diag in ([np.inf, 1.0], [np.inf, np.inf], [-np.inf, 1.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            chol_solve(np.diag(diag), np.ones(2))
+    # Non-positive diagonal, so the first NotPositiveDefinite test would fire.
+    with pytest.raises(ValueError):
+        chol_solve(np.array([[-1.0, np.inf], [np.inf, -1.0]]), np.ones(2))
+
+
+def _reference_chol_solve(a, b):
+    """chol_solve as it was with every contract check up front."""
+    a = sym(a)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("system has non-finite entries")
+    max_diag = float(a.diagonal().max())
+    if max_diag <= 0.0:
+        raise NotPositiveDefinite("no positive diagonal entry")
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
+    min_pivot = float(factor.diagonal().min()) ** 2
+    threshold = PIVOT_RTOL * max_diag
+    if min_pivot < threshold:
+        raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
+    return dpotrs(factor, b, lower=1)[0]
+
+
+def _outcome(solve, a, b):
+    try:
+        return solve(a, b)
+    except (ValueError, NotPositiveDefinite) as exc:
+        return type(exc), str(exc)
+
+
+def test_chol_solve_matches_checks_first_reference():
+    # Same bits or the same error as with the finiteness scan up front, on
+    # SPD, indefinite, near-singular and non-finite systems of order <= 6.
+    rng = np.random.default_rng(41)
+    special = [np.nan, np.inf, -np.inf]
+    for trial in range(6000):
+        n = int(rng.integers(1, 7))
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + rng.uniform(-0.5, 1.0) * np.eye(n)
+        b = rng.normal(size=n)
+        kind = trial % 6
+        if kind == 1:
+            i, j = rng.integers(0, n, size=2)
+            a[i, j] = a[j, i] = special[trial % 3]
+        elif kind == 2:
+            b[rng.integers(0, n)] = special[trial % 3]
+        elif kind == 3:
+            # One inf on the diagonal, or all of it (then every pivot is inf).
+            a[np.diag_indices(n) if trial % 12 == 3 else (0, 0)] = np.inf
+        elif kind == 4:
+            a *= 1e-300
+        with np.errstate(all="ignore"):
+            new, ref = _outcome(chol_solve, a, b), _outcome(_reference_chol_solve, a, b)
+        if isinstance(ref, tuple):
+            assert new == ref
+        else:
+            assert np.array_equal(new, ref) and np.array_equal(np.signbit(new), np.signbit(ref))
 
 
 def test_chol_solve_empty():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from epflab.cones import dist_psd_minus, proj_lorentz
 from epflab.errors import DimensionMismatch, UnknownProblem
 from epflab.problems import (
     ConstrainedProblem,
@@ -65,6 +66,57 @@ def test_feasibility_gap_box_component():
     p = get_problem("toy-lin-1")
     gap = feasibility_gap(p, np.array([3.0]))
     assert gap.box_gap == pytest.approx(1.0)
+    assert feasibility_gap(p, np.array([2.0])).box_gap == 0.0
+
+
+def _reference_feasibility_gap(problem, x):
+    """feasibility_gap as it was before its fast paths: every term a norm."""
+    x = np.asarray(x, dtype=float)
+    soc = 0.0
+    for block in problem.soc_blocks:
+        g = np.asarray(block.g(x), dtype=float)
+        gap = g - proj_lorentz(g)
+        soc += math.sqrt(gap @ gap)
+    if problem.sdp_block is not None:
+        soc += dist_psd_minus(problem.sdp_block.G(x))
+    eq = float(np.linalg.norm(problem.h(x)))
+    lo, hi = problem.box()
+    box = float(np.linalg.norm(x - np.clip(x, lo, hi)))
+    return soc, eq, box
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Bit equality, sign of zero included; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
+def test_feasibility_gap_matches_norm_reference(problem):
+    rng = np.random.default_rng(29)
+    lo, hi = problem.box()
+    wide = 2.0 * (hi - lo)
+    points = [rng.uniform(lo, hi) for _ in range(1000)]
+    points += [rng.uniform(lo - wide, hi + wide) for _ in range(1000)]
+    points += [lo.copy(), hi.copy(), -0.0 * lo]
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e308]
+    for value in special:
+        for i in range(problem.dim):
+            for base in (problem.certificate.x_star, hi + 1.0):
+                x = np.array(base, dtype=float)
+                x[i] = value
+                points.append(x)
+    with np.errstate(all="ignore"):
+        for x in points:
+            try:
+                ref = _reference_feasibility_gap(problem, x)
+            except ValueError:  # eig_sym rejects a non-finite G(x)
+                with pytest.raises(ValueError):
+                    feasibility_gap(problem, x)
+                continue
+            gap = feasibility_gap(problem, x)
+            assert all(map(_same_float, (gap.soc_gap, gap.eq_gap, gap.box_gap), ref)), x
 
 
 def test_kkt_residual_certified():
