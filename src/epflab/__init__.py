@@ -9,15 +9,7 @@ localization conditions and estimates least exact penalty parameters.
 
 __version__ = "0.1.0"
 
-from .cones import (
-    dist_lorentz,
-    dist_psd_minus,
-    in_lorentz,
-    in_psd_minus,
-    moreau_check,
-    proj_lorentz,
-    proj_psd,
-)
+from .cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
 from .errors import (
     AllStartsFailed,
     DimensionMismatch,
@@ -26,23 +18,9 @@ from .errors import (
     NonFiniteEvaluation,
     NonMonotonePredicate,
     NotPositiveDefinite,
-    OutsideDomain,
-    UnboundedBelow,
     UnknownProblem,
 )
-from .auglag import (
-    ALValue,
-    AugmentingFn,
-    DualizingParam,
-    GridSpec,
-    al_eval_grid,
-    equality_parameterization,
-    half_norm_squared,
-    hpr_closed_form,
-    inequality_parameterization,
-    norm_augmenting,
-    valley_check,
-)
+from .auglag import hpr_closed_form
 from .harness import (
     CStarResult,
     PenaltyHandle,
@@ -57,12 +35,7 @@ from .harness import (
     sublevel_bounded_probe,
 )
 from .numerics import chol_solve, eig_sym, sym
-from .penalties import (
-    QFunction,
-    estimate_error_bound,
-    linear_eval,
-    qpen_eval,
-)
+from .penalties import QFunction, linear_eval, qpen_eval
 from .problems import (
     ConstrainedProblem,
     KnownSolution,
@@ -87,18 +60,14 @@ from .solvers import MinimizeResult, SolverConfig, minimize, polish
 
 __all__ = [
     "__version__",
-    "ALValue",
     "AllStartsFailed",
-    "AugmentingFn",
     "BarrierState",
     "CStarResult",
     "ConstrainedProblem",
     "DimensionMismatch",
-    "DualizingParam",
     "EpflabError",
     "EstimatorConfig",
     "ExactnessReport",
-    "GridSpec",
     "KnownSolution",
     "MinimizeResult",
     "MultiplierEstimate",
@@ -106,14 +75,11 @@ __all__ = [
     "NonFiniteEvaluation",
     "NonMonotonePredicate",
     "NotPositiveDefinite",
-    "OutsideDomain",
     "PenaltyHandle",
     "QFunction",
     "SolverConfig",
     "SweepRecord",
-    "UnboundedBelow",
     "UnknownProblem",
-    "al_eval_grid",
     "barrier_state_sdp",
     "barrier_state_soc",
     "c1_penalty_sdp",
@@ -123,28 +89,20 @@ __all__ = [
     "dist_lorentz",
     "dist_psd_minus",
     "eig_sym",
-    "equality_parameterization",
     "estimate_c_star",
-    "estimate_error_bound",
     "estimate_multipliers_sdp",
     "estimate_multipliers_soc",
     "feasibility_gap",
     "geometric_grid",
     "get_problem",
-    "half_norm_squared",
     "hpr_closed_form",
-    "in_lorentz",
-    "in_psd_minus",
-    "inequality_parameterization",
     "kkt_residual",
     "linear_eval",
     "local_exactness_probe",
     "localize",
     "make_penalty",
     "minimize",
-    "moreau_check",
     "nondegeneracy_probe",
-    "norm_augmenting",
     "parse_report",
     "penalty_type_probe",
     "polish",
@@ -156,5 +114,4 @@ __all__ = [
     "sublevel_bounded_probe",
     "sweep_to_csv",
     "sym",
-    "valley_check",
 ]

@@ -13,14 +13,6 @@ import numpy as np
 
 from .numerics import eig_sym, sym
 
-LORENTZ_MEMBER_TOL = 1e-12
-PSD_MEMBER_TOL = 1e-8
-
-
-def in_lorentz(y) -> bool:
-    y = np.asarray(y, dtype=float)
-    return y[0] >= np.linalg.norm(y[1:]) - LORENTZ_MEMBER_TOL
-
 
 def proj_lorentz(y) -> np.ndarray:
     """Euclidean projection onto the second-order cone.
@@ -70,17 +62,6 @@ def dist_lorentz(y) -> float:
     return math.sqrt(gap @ gap)
 
 
-def moreau_check(y) -> float:
-    """Residual of the Moreau decomposition y = proj_K(y) + proj_{-K}(y).
-
-    The Lorentz cone is self-dual, so the polar projection is
-    -proj_K(-y).  The residual should vanish to roundoff for every y.
-    """
-    y = np.asarray(y, dtype=float)
-    polar_part = -proj_lorentz(-y)
-    return float(np.linalg.norm(y - proj_lorentz(y) - polar_part))
-
-
 def proj_psd(a) -> np.ndarray:
     """Projection [A]_+ onto the positive semidefinite cone."""
     a = sym(a)
@@ -96,8 +77,3 @@ def dist_psd_minus(a) -> float:
     norm of the clipped eigenvalues, without rebuilding [A]_+.
     """
     return float(np.linalg.norm(np.maximum(eig_sym(a).values, 0.0)))
-
-
-def in_psd_minus(a) -> bool:
-    decomp = eig_sym(sym(a))
-    return float(decomp.values[-1]) <= PSD_MEMBER_TOL

@@ -25,20 +25,8 @@ class NegativeObjective(EpflabError):
     """Objective is negative where the nonlinear penalty requires f >= 0."""
 
 
-class NoFeasibleDistanceOracle(EpflabError):
-    """No way to compute dist(x, Omega) for this problem."""
-
-
 class UnknownProblem(EpflabError):
     """Registry lookup failed."""
-
-
-class OutsideDomain(EpflabError):
-    """Point lies outside the effective domain of the penalty."""
-
-
-class UnboundedBelow(EpflabError):
-    """Grid minimization detected values decreasing toward the grid edge."""
 
 
 class AllStartsFailed(EpflabError):

@@ -40,9 +40,6 @@ class EigenDecomp:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 def chol_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.

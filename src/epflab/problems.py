@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus, proj_lorentz
+from .cones import dist_lorentz, dist_psd_minus
 from .errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
 
 Array = np.ndarray
@@ -105,9 +105,6 @@ class ConstrainedProblem:
     eq_jac: Optional[Callable[[Array], Array]] = None
     n_eq: int = 0
     certificate: Optional[KnownSolution] = None
-    # Projection onto the feasible set Omega (dist oracle for error bounds).
-    project_feasible: Optional[Callable[[Array], Array]] = None
-    sample_feasible: Optional[Callable[[np.random.Generator], Array]] = None
     # Penalty kinds the harness should exercise on this instance.
     penalties: Tuple[str, ...] = ("linear",)
 
@@ -144,11 +141,6 @@ class ConstrainedProblem:
 
     def box(self) -> Tuple[Array, Array]:
         return self.lower, self.upper
-
-    def dist_omega(self, x) -> float:
-        if self.project_feasible is None:
-            raise NotImplementedError
-        return float(np.linalg.norm(np.asarray(x, float) - self.project_feasible(x)))
 
 
 def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
@@ -290,8 +282,6 @@ def _toy_lin_1() -> ConstrainedProblem:
         lower=np.array([-2.0]),
         upper=np.array([2.0]),
         certificate=cert,
-        project_feasible=lambda x: np.clip(np.asarray(x, float), -2.0, 0.0),
-        sample_feasible=lambda rng: np.array([rng.uniform(-2.0, 0.0)]),
         penalties=("linear", "al-hpr"),
     )
 
@@ -303,16 +293,6 @@ def _toy_eq_1() -> ConstrainedProblem:
         f_star=2.0,
         mu_star=np.array([-2.0]),
     )
-
-    def project(x):
-        x = np.asarray(x, dtype=float)
-        shift = (x[0] + x[1] - 2.0) / 2.0
-        return x - shift * np.ones(2)
-
-    def sample(rng):
-        t = rng.uniform(-1.0, 3.0)
-        return np.array([t, 2.0 - t])
-
     return ConstrainedProblem(
         name="toy-eq-1",
         dim=2,
@@ -324,8 +304,6 @@ def _toy_eq_1() -> ConstrainedProblem:
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
         certificate=cert,
-        project_feasible=project,
-        sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp", "al-hpr"),
     )
 
@@ -338,12 +316,6 @@ def _toy_socp_1() -> ConstrainedProblem:
         f_star=2.0,
         lambda_star=(np.array([-2.0, 2.0]),),
     )
-
-    def sample(rng):
-        tail = rng.uniform(-2.0, 2.0)
-        head = rng.uniform(abs(tail), 3.0)
-        return np.array([head, tail])
-
     return ConstrainedProblem(
         name="toy-socp-1",
         dim=2,
@@ -355,8 +327,6 @@ def _toy_socp_1() -> ConstrainedProblem:
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
         certificate=cert,
-        project_feasible=lambda x: proj_lorentz(x),
-        sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp"),
     )
 
@@ -371,16 +341,6 @@ def _toy_socp_2() -> ConstrainedProblem:
         lambda_star=(np.array([-2.0, 2.0]),),
         mu_star=np.array([0.0]),
     )
-
-    def project(x):
-        # Omega is the ray {x1 = x2 >= 0}.
-        t = max(0.0, 0.5 * (x[0] + x[1]))
-        return np.array([t, t])
-
-    def sample(rng):
-        t = rng.uniform(0.0, 3.0)
-        return np.array([t, t])
-
     return ConstrainedProblem(
         name="toy-socp-2",
         dim=2,
@@ -395,8 +355,6 @@ def _toy_socp_2() -> ConstrainedProblem:
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
         certificate=cert,
-        project_feasible=project,
-        sample_feasible=sample,
         penalties=("linear", "qorder", "c1-socp"),
     )
 
@@ -416,12 +374,6 @@ def _toy_sdp_1() -> ConstrainedProblem:
     def dG(x):
         return [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]
 
-    def project(x):
-        return np.array([min(x[0], 0.5), max(x[1], 0.0)])
-
-    def sample(rng):
-        return np.array([rng.uniform(-2.0, 0.5), rng.uniform(0.0, 3.0)])
-
     return ConstrainedProblem(
         name="toy-sdp-1",
         dim=2,
@@ -431,8 +383,6 @@ def _toy_sdp_1() -> ConstrainedProblem:
         lower=np.array([-3.0, -3.0]),
         upper=np.array([3.0, 3.0]),
         certificate=cert,
-        project_feasible=project,
-        sample_feasible=sample,
         penalties=("linear", "qorder", "c1-sdp"),
     )
 

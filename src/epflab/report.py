@@ -108,7 +108,13 @@ def _encode_float(v: float):
         return "nan"
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return float(f"{v:.17g}")
+    return float(v)
+
+
+def _parse_int(text: str):
+    # _dump writes an integral float without a point, so JSON reads it as an
+    # int; float() of that int is exact, except that -0 loses its sign.
+    return -0.0 if text == "-0" else int(text)
 
 
 def _decode_float(v) -> float:
@@ -192,7 +198,7 @@ def serialize_report(report: ExactnessReport) -> str:
 
 
 def parse_report(text: str) -> ExactnessReport:
-    d = json.loads(text)
+    d = json.loads(text, parse_int=_parse_int)
     verdicts = d["verdicts"]
     return ExactnessReport(
         problem=d["problem"],

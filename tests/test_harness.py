@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epflab import harness
-from epflab.errors import NonMonotonePredicate, UnknownProblem
+from epflab.errors import NonFiniteEvaluation, NonMonotonePredicate, UnknownProblem
 from epflab.harness import (
     _BUILDERS,
     PENALTY_KINDS,
@@ -20,7 +20,7 @@ from epflab.harness import (
     penalty_type_probe,
     sublevel_bounded_probe,
 )
-from epflab.problems import ConstrainedProblem, get_problem, registry
+from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
 from epflab.report import localize
 from epflab.smoothpen import KAPPA_SDP, KAPPA_SOC
 from epflab.solvers import SolverConfig
@@ -444,3 +444,19 @@ def test_localize_rejects_problem_without_certificate(monkeypatch):
                               lower=np.array([-1.0]), upper=np.array([1.0]))
     with pytest.raises(ValueError, match="no certificate"):
         localize(bare, "linear", cfg=SolverConfig(n_starts=2, seed=0), c_steps=4)
+
+
+def test_classic_kinds_raise_on_a_nan_constraint():
+    # f = x + 1 >= 0 on [-1, 1]; the SOC block g = (1, x) turns NaN past x = 0.5.
+    def g(x):
+        return np.array([1.0, x[0]]) if x[0] <= 0.5 else np.full(2, np.nan)
+
+    prob = ConstrainedProblem(name="nan-past-half", dim=1, objective=lambda x: float(x[0] + 1.0),
+                              gradient=lambda x: np.ones(1),
+                              soc_blocks=(SocBlock(dim=2, g=g, jac=lambda x: np.array([[0.0], [1.0]])),),
+                              lower=np.array([-1.0]), upper=np.array([1.0]))
+    for kind in ("linear", "qorder", "al-hpr"):
+        pen = make_penalty(prob, kind)
+        assert math.isfinite(pen(np.array([0.2]), 2.0)), kind
+        with pytest.raises(NonFiniteEvaluation):
+            pen(np.array([0.7]), 2.0)

