@@ -74,6 +74,13 @@ def dist_psd_minus(a) -> float:
     """Distance from A to the negative semidefinite cone.
 
     Equals the Frobenius norm of [A]_+, i.e. dist^2 = trace([A]_+^2): the
-    norm of the clipped eigenvalues, without rebuilding [A]_+.
+    norm of the clipped eigenvalues, without rebuilding [A]_+.  NaN when
+    the symmetrized A has a non-finite entry.
     """
-    return float(np.linalg.norm(np.maximum(eig_sym(a).values, 0.0)))
+    try:
+        clipped = np.maximum(eig_sym(a).values, 0.0)
+    except ValueError:
+        if np.isfinite(sym(a)).all():
+            raise
+        return math.nan
+    return math.sqrt(clipped @ clipped)

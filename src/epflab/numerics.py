@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -88,7 +88,8 @@ def _require_finite(a, b) -> None:
 
 
 def eig_sym(a) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
+    """Eigendecomposition of a symmetric matrix by LAPACK's ``syevd``,
+    called directly (the routine ``np.linalg.eigh`` runs, same bits).
 
     Raises ValueError for order above MAX_ORDER or non-finite entries, and
     NoConvergence when LAPACK does not converge.
@@ -97,10 +98,9 @@ def eig_sym(a) -> EigenDecomp:
     n = a.shape[0]
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    values, vectors, info = dsyevd(a, compute_v=1, lower=1)
+    if info != 0:
+        raise NoConvergence(f"eigendecomposition did not converge (LAPACK info {info})")
     return EigenDecomp(values, vectors)

@@ -203,9 +203,8 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         complementarity += abs(float(np.sum(lam_sdp * g_mat)))
         # Finite input can overflow (1e308 + 1e308); the residual is then NaN,
         # as on SOC blocks, not an eigensolver error.
-        finite = np.isfinite(lam_sdp).all() and np.isfinite(g_mat).all()
-        dual += dist_psd_minus(-lam_sdp) if finite else np.nan
-        primal += dist_psd_minus(g_mat) if finite else np.nan
+        dual += dist_psd_minus(-lam_sdp)
+        primal += dist_psd_minus(g_mat)
     if problem.n_eq > 0:
         if mu is None:
             raise DimensionMismatch("equality constraints require mu")

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
-from .errors import NotPositiveDefinite
+from .errors import NonFiniteEvaluation, NotPositiveDefinite
 from .numerics import chol_solve
 from .problems import ConstrainedProblem
 
@@ -48,7 +48,8 @@ class MultiplierEstimate:
     (G(x),) for the SDP block, ``h_val`` holds h(x), and ``block_dists``
     the distance of each constraint block to its cone at x, dist(g_i(x), Q)
     or (dist(G(x), S-),), so the barrier and the penalty at the same x do
-    not evaluate them again.
+    not evaluate them again.  ``lambda_norm_sq`` is ||lambda||^2 over every
+    cone block, computed once by the estimator.
     """
 
     lambdas: Tuple[Array, ...]
@@ -58,13 +59,7 @@ class MultiplierEstimate:
     block_dists: Tuple[float, ...] = ()
     g_vals: Tuple[Array, ...] = ()
     h_val: Optional[Array] = None
-
-    @property
-    def lambda_norm_sq(self) -> float:
-        total = sum(float(v @ v) for v in self.lambdas)
-        if self.lam_sdp is not None:
-            total += float(np.sum(self.lam_sdp * self.lam_sdp))
-        return total
+    lambda_norm_sq: float = 0.0
 
     @property
     def mu_norm_sq(self) -> float:
@@ -107,7 +102,8 @@ def estimate_multipliers_soc(
       + zeta1 * sum_i (<lambda_i, g_i>^2 + ||(lambda_i)_0 gbar_i + (g_i)_0 lambdabar_i||^2)
       + (zeta2/2) * (||h||^2 + sum_i dist^2(g_i, Q)) * (||lambda||^2 + ||mu||^2)
     via its normal equations; a singular system gives the minimum-norm
-    estimate with ``degenerate`` set.
+    estimate with ``degenerate`` set.  A non-finite constraint value (g_i,
+    h, or G in the SDP analogue) raises NonFiniteEvaluation.
     """
     x = np.asarray(x, dtype=float)
     blocks = problem.soc_blocks
@@ -118,9 +114,7 @@ def estimate_multipliers_soc(
     h_val = problem.h(x)
     if m == 0:
         return MultiplierEstimate(lambdas=(), mu=np.zeros(0), h_val=h_val)
-    d = problem.dim
-    grad_f = problem.grad_f(x)
-    stack = np.zeros((d, m))
+    stack = np.zeros((problem.dim, m))
     normal = np.zeros((m, m))
     rho = 0.0
     dists = []
@@ -131,24 +125,28 @@ def estimate_multipliers_soc(
         g_val = np.asarray(block.g(x), dtype=float)
         g_vals.append(g_val)
         stack[:, col : col + k] = block.jacobian(x).T
-        # g g' + F'F with F = [gbar, g0 I], written out entry by entry.
-        head, gbar = g_val[0], g_val[1:]
-        curv = np.outer(g_val, g_val)
-        curv[0, 0] += gbar @ gbar
-        curv[0, 1:] += head * gbar
-        curv[1:, 0] += head * gbar
-        curv.flat[k + 1 :: k + 1] += head * head
-        normal[col : col + k, col : col + k] += cfg.zeta1 * curv
+        # g g' + F'F with F = [gbar, g0 I] on floats: 2 g0 g_j along the head row
+        # and column, g_i^2 + g0^2 on the tail diagonal; 0.0 + turns -0.0 into 0.0.
+        vals = g_val.tolist()
+        curv = [[gi * gj for gj in vals] for gi in vals]
+        for i in range(1, k):
+            curv[0][i] += curv[0][i]
+            curv[i][0] += curv[i][0]
+            curv[i][i] += vals[0] * vals[0]
+        curv[0][0] += float(g_val[1:] @ g_val[1:])
+        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
         dists.append(dist_lorentz(g_val))
         rho += dists[-1] ** 2
         col += k
     if problem.n_eq > 0:
         stack[:, col:] = problem.jac_h(x).T
-        rho += float(np.linalg.norm(h_val) ** 2)
+        rho += math.sqrt(h_val @ h_val) ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
     gram = stack.T @ stack
     gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
     normal += gram
-    rhs = stack.T @ grad_f
+    rhs = stack.T @ problem.grad_f(x)
     z, degenerate = _solve_normal_equations(normal, rhs)
     lambdas = []
     col = 0
@@ -162,20 +160,22 @@ def estimate_multipliers_soc(
         block_dists=tuple(dists),
         g_vals=tuple(g_vals),
         h_val=h_val,
+        lambda_norm_sq=sum(float(v @ v) for v in lambdas),
     )
 
 
 @lru_cache(maxsize=None)
-def _sym_basis(order: int) -> Tuple[Array, Array]:
+def _sym_basis(order: int) -> Tuple[Array, Array, Array]:
     """Basis E_ij + E_ji (E_ii on the diagonal), i <= j in row-major order,
     of the symmetric matrices of an order, as a read-only
-    (n_lam, order, order) array and its (n_lam, order**2) flattening."""
+    (n_lam, order, order) array, its (n_lam, order**2) flattening and the
+    sum of each basis matrix's entries (1 on the diagonal, else 2)."""
     rows, cols = np.triu_indices(order)
     basis = np.zeros((rows.size, order, order))
     basis[np.arange(rows.size), rows, cols] = 1.0
     basis[np.arange(rows.size), cols, rows] = 1.0
     basis.flags.writeable = False
-    return basis, basis.reshape(rows.size, -1)
+    return basis, basis.reshape(rows.size, -1), np.where(rows == cols, 1.0, 2.0)
 
 
 def estimate_multipliers_sdp(
@@ -192,7 +192,7 @@ def estimate_multipliers_sdp(
     if problem.soc_blocks:
         raise ValueError("mixed SOC and SDP blocks are not supported")
     # <E_a, M> for every basis matrix E_a is one product with the flat basis.
-    basis, flat = _sym_basis(block.order)
+    basis, flat, basis_sums = _sym_basis(block.order)
     n_lam = basis.shape[0]
     m = n_lam + problem.n_eq
     g_mat = np.asarray(block.G(x), dtype=float)
@@ -205,20 +205,24 @@ def estimate_multipliers_sdp(
     curv = np.zeros((m, m))
     curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
     gram = np.ones(m)
-    gram[:n_lam] = np.sum(flat, axis=1)
+    gram[:n_lam] = basis_sums
     dist = dist_psd_minus(g_mat)
-    rho = float(np.linalg.norm(h_val) ** 2) + dist ** 2
+    rho = math.sqrt(h_val @ h_val) ** 2 + dist ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
     z, degenerate = _solve_normal_equations(normal, rhs)
+    lam_sdp = (z[:n_lam] @ flat).reshape(basis.shape[1:])
     return MultiplierEstimate(
         lambdas=(),
         mu=z[n_lam:],
-        lam_sdp=(z[:n_lam] @ flat).reshape(basis.shape[1:]),
+        lam_sdp=lam_sdp,
         degenerate=degenerate,
         block_dists=(dist,),
         g_vals=(g_mat,),
         h_val=h_val,
+        lambda_norm_sq=float(np.sum(lam_sdp * lam_sdp)),
     )
 
 
@@ -243,7 +247,7 @@ def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> Barri
     """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    b_val = alpha - float(np.linalg.norm(est.h_val) ** 2)
+    b_val = alpha - math.sqrt(est.h_val @ est.h_val) ** 2
     p_val = a_val / (1.0 + est.lambda_norm_sq)
     q_val = b_val / (1.0 + est.mu_norm_sq)
     return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
+from epflab.numerics import MAX_ORDER
 from paper_checks import LORENTZ_MEMBER_TOL, in_lorentz, in_psd_minus, moreau_check
 
 
@@ -139,6 +140,19 @@ def test_psd_distance_identity():
         a = 0.5 * (a + a.T)
         plus = proj_psd(a)
         assert abs(dist_psd_minus(a) ** 2 - np.trace(plus @ plus)) <= 1e-8
+
+
+def test_dist_psd_minus_nonfinite_is_nan():
+    # Also where only the symmetrization overflows; a bad shape or order
+    # still raises.
+    for a in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+              [[1e308, 1e308], [1e308, 1.0]]):
+        with np.errstate(over="ignore"):
+            assert math.isnan(dist_psd_minus(np.array(a)))
+    with pytest.raises(ValueError):
+        dist_psd_minus(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        dist_psd_minus(np.eye(MAX_ORDER + 1))
 
 
 def test_in_psd_minus():

@@ -20,7 +20,7 @@ from epflab.harness import (
     penalty_type_probe,
     sublevel_bounded_probe,
 )
-from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
+from epflab.problems import ConstrainedProblem, SdpBlock, SocBlock, get_problem, registry
 from epflab.report import localize
 from epflab.smoothpen import KAPPA_SDP, KAPPA_SOC
 from epflab.solvers import SolverConfig
@@ -459,4 +459,35 @@ def test_classic_kinds_raise_on_a_nan_constraint():
         pen = make_penalty(prob, kind)
         assert math.isfinite(pen(np.array([0.2]), 2.0)), kind
         with pytest.raises(NonFiniteEvaluation):
+            pen(np.array([0.7]), 2.0)
+
+
+def _turns_non_finite_past_half(kind, bad):
+    """f = x + 1 >= 0 on [-1, 1] with one constraint block, feasible at
+    x <= 0.5 and all ``bad`` past it: an SOC block (1, x) for c1-socp, the
+    2x2 block diag(x - 1, -1) <= 0 for every other kind."""
+    common = dict(dim=1, objective=lambda x: float(x[0] + 1.0), gradient=lambda x: np.ones(1),
+                  lower=np.array([-1.0]), upper=np.array([1.0]))
+    if kind == "c1-socp":
+        def g(x):
+            return np.array([1.0, x[0]]) if x[0] <= 0.5 else np.full(2, bad)
+
+        block = SocBlock(dim=2, g=g, jac=lambda x: np.array([[0.0], [1.0]]))
+        return ConstrainedProblem(name="soc-past-half", soc_blocks=(block,), **common)
+
+    def G(x):
+        return np.diag([x[0] - 1.0, -1.0]) if x[0] <= 0.5 else np.full((2, 2), bad)
+
+    block = SdpBlock(order=2, G=G, dG=lambda x: [np.diag([1.0, 0.0])])
+    return ConstrainedProblem(name="sdp-past-half", sdp_block=block, **common)
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_non_finite_constraint_value_raises_typed_error(kind):
+    # A NaN or infinite constraint value is a failed evaluation (CLI exit 2),
+    # not an input error from the linear algebra underneath.
+    for bad in (np.nan, np.inf):
+        pen = make_penalty(_turns_non_finite_past_half(kind, bad), kind)
+        assert math.isfinite(pen(np.array([0.2]), 2.0)), (kind, bad)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEvaluation):
             pen(np.array([0.7]), 2.0)

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from epflab.errors import NotPositiveDefinite
-from epflab.numerics import MAX_ORDER, PIVOT_RTOL, chol_solve, eig_sym, sym
+from epflab import numerics
+from epflab.cones import dist_psd_minus
+from epflab.errors import NoConvergence, NotPositiveDefinite
+from epflab.numerics import MAX_ORDER, PIVOT_RTOL, EigenDecomp, chol_solve, eig_sym, sym
 from paper_checks import reconstruct
 
 
@@ -195,3 +197,64 @@ def test_eig_random_invariant():
         assert np.linalg.norm(reconstruct(d) - a) <= 1e-8
         assert np.linalg.norm(d.vectors.T @ d.vectors - np.eye(n)) <= 1e-10
         assert np.all(np.diff(d.values) >= -1e-12)
+
+
+def _reference_eig_sym(a):
+    """eig_sym as it was on ``np.linalg.eigh``."""
+    a = sym(a)
+    n = a.shape[0]
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition did not converge: {exc}") from exc
+    return EigenDecomp(values, vectors)
+
+
+def _same_bits(new, ref):
+    return np.array_equal(new, ref) and np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+def test_eig_sym_matches_eigh_reference_bit_for_bit():
+    # Orders 0-8, dense and diagonal, entry scales 1e-6 to 1e6, some or all
+    # entries -0.0: values and vectors have the bits np.linalg.eigh gives.
+    rng = np.random.default_rng(43)
+    matrices = [np.full((n, n), fill) for n in range(9) for fill in (0.0, -0.0)]
+    for trial in range(6000):
+        n = trial % 9
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        if trial % 3 == 0:
+            a = np.diag(np.diag(a))
+        if trial % 4 == 1:
+            a[rng.random((n, n)) < 0.4] = -0.0
+        matrices.append(a)
+    for a in matrices:
+        new, ref = eig_sym(a), _reference_eig_sym(a)
+        assert _same_bits(new.values, ref.values), a
+        assert _same_bits(new.vectors, ref.vectors), a
+
+
+def test_eig_no_convergence_maps_lapack_info(monkeypatch):
+    def failing(a, compute_v, lower):
+        return np.zeros(a.shape[0]), np.eye(a.shape[0]), 1
+
+    monkeypatch.setattr(numerics, "dsyevd", failing)
+    with pytest.raises(NoConvergence, match="LAPACK info 1"):
+        eig_sym(np.eye(2))
+
+
+@st.composite
+def _symmetric_input(draw):
+    n = draw(st.integers(0, 6))
+    entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return draw(arrays(float, (n, n), elements=entries))
+
+
+@settings(deadline=None)
+@given(_symmetric_input())
+def test_dist_psd_minus_matches_eigh_norm(a):
+    ref = float(np.linalg.norm(np.maximum(np.linalg.eigh(sym(a))[0], 0)))
+    assert _same_bits(np.float64(dist_psd_minus(a)), np.float64(ref))
