@@ -50,10 +50,9 @@ def dist_lorentz(y) -> float:
     head, tail = y[0], y[1:]
     tail_norm = math.sqrt(tail @ tail)
     if head >= tail_norm:
-        if head < math.inf:
-            return 0.0
-        gap = y - y  # inf - inf: the NaN that y - proj_lorentz(y) gives
-    elif head <= -tail_norm:
+        # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
+        return 0.0 if head < math.inf else math.nan
+    if head <= -tail_norm:
         gap = y
     else:
         coef = 0.5 * (head + tail_norm)

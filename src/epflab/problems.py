@@ -64,8 +64,8 @@ class SdpBlock:
     # dG(x)[k] = dG/dx_k, one symmetric matrix per coordinate.
     dG: Callable[[Array], Sequence[Array]]
 
-    def derivative(self, x: Array) -> list:
-        return [np.asarray(m, dtype=float) for m in self.dG(x)]
+    def derivative(self, x: Array) -> Array:
+        return np.asarray(self.dG(x), dtype=float)  # (dim, order, order)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class ConstrainedProblem:
     def h(self, x) -> Array:
         if self.eq is None:
             return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.eq(np.asarray(x, dtype=float)), dtype=float))
+        return np.asarray(self.eq(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_eq)
 
     def jac_h(self, x) -> Array:
         if self.eq is None:
@@ -257,140 +257,139 @@ def split_multipliers(problem: ConstrainedProblem, flat) -> Tuple[list, Optional
 # ---------------------------------------------------------------------------
 
 
-def _toy_lin_1() -> ConstrainedProblem:
-    # min -x  s.t.  x <= 0  (flat SOC block (-x, 0)),  x in [-2, 2].
-    # Optimum x* = 0, f* = 0.  The SOC multiplier at the cone vertex is
-    # non-unique; (-1, 0) is one valid choice.
-    def g(x):
-        return np.array([-x[0], 0.0])
-
-    def jac(x):
-        return np.array([[-1.0], [0.0]])
-
-    cert = KnownSolution(
-        x_star=np.array([0.0]),
-        f_star=0.0,
-        lambda_star=(np.array([-1.0, 0.0]),),
-    )
-    return ConstrainedProblem(
-        name="toy-lin-1",
-        dim=1,
-        objective=lambda x: -x[0],
-        gradient=lambda x: np.array([-1.0]),
-        soc_blocks=(SocBlock(dim=2, g=g, jac=jac),),
-        lower=np.array([-2.0]),
-        upper=np.array([2.0]),
-        certificate=cert,
-        penalties=("linear", "al-hpr"),
-    )
+def _frozen(data) -> Array:
+    out = np.array(data, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
-def _toy_eq_1() -> ConstrainedProblem:
-    # min x1^2 + x2^2  s.t.  x1 + x2 = 2.  x* = (1, 1), f* = 2, mu* = -2.
-    cert = KnownSolution(
-        x_star=np.array([1.0, 1.0]),
-        f_star=2.0,
-        mu_star=np.array([-2.0]),
-    )
-    return ConstrainedProblem(
-        name="toy-eq-1",
-        dim=2,
-        objective=lambda x: float(x[0] ** 2 + x[1] ** 2),
-        gradient=lambda x: 2.0 * np.asarray(x, dtype=float),
-        eq=lambda x: np.array([x[0] + x[1] - 2.0]),
-        eq_jac=lambda x: np.array([[1.0, 1.0]]),
-        n_eq=1,
-        lower=np.array([-3.0, -3.0]),
-        upper=np.array([3.0, 3.0]),
-        certificate=cert,
-        penalties=("linear", "qorder", "c1-socp", "al-hpr"),
-    )
+def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], Array]:
+    """x -> const + coefs @ x (None is zero) on Python floats.  An entry
+    sums its nonzero terms by coordinate from -0.0, which adds exactly; the
+    constant is the term of a coordinate fixed at 1.0, last or first."""
+    coefs = np.asarray(coefs, dtype=float)
+    const = np.zeros(len(coefs)) if const is None else np.ravel(const)
+    entries = []
+    for c, row in zip(const.tolist(), coefs.tolist()):
+        pairs = list(enumerate(row))
+        pairs.insert(0 if const_first else len(row), (len(row), c))
+        terms = tuple((k, a) for k, a in pairs if a != 0.0)
+        entries.append((-0.0 if terms else 0.0, terms))
+    picks = [terms[0][0] for _, terms in entries if len(terms) == 1 and terms[0][1] == 1.0]
+    if len(picks) == len(entries) and max(picks, default=0) < coefs.shape[1]:
+        # Each entry is one coordinate (x in Q, say): the same bits, by index.
+        return lambda x, index=np.array(picks): x[index]
+
+    def value(x):
+        xs = x.tolist()
+        xs.append(1.0)
+        out = []
+        for total, terms in entries:
+            for k, a in terms:
+                total += a * xs[k]
+            out.append(total)
+        return np.array(out)
+
+    return value
 
 
-def _toy_socp_1() -> ConstrainedProblem:
-    # min x1^2 + (x2-2)^2  s.t.  (x1, x2) in Q_2.  x* = (1, 1), f* = 2,
-    # lambda* = (-2, 2).
-    cert = KnownSolution(
-        x_star=np.array([1.0, 1.0]),
-        f_star=2.0,
-        lambda_star=(np.array([-2.0, 2.0]),),
-    )
-    return ConstrainedProblem(
-        name="toy-socp-1",
-        dim=2,
-        objective=lambda x: float(x[0] ** 2 + (x[1] - 2.0) ** 2),
-        gradient=lambda x: np.array([2.0 * x[0], 2.0 * (x[1] - 2.0)]),
-        soc_blocks=(
-            SocBlock(dim=2, g=lambda x: np.asarray(x, dtype=float).copy(), jac=lambda x: np.eye(2)),
-        ),
-        lower=np.array([-3.0, -3.0]),
-        upper=np.array([3.0, 3.0]),
-        certificate=cert,
-        penalties=("linear", "qorder", "c1-socp"),
-    )
+def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSolution],
+                   penalties: Tuple[str, ...], weight: float = 0.0, center=None, linear=None,
+                   soc=(), sdp=None, eq=None) -> ConstrainedProblem:
+    """The problem  min w ||x - a||^2 + q'x  s.t.  A_i x + b_i in Q,
+    G0 + sum_k x_k G_k <= 0,  E x - e = 0  and  x in [lower, upper],  from
+    its data: ``weight`` w, ``center`` a, ``linear`` q, ``soc`` pairs
+    (A_i, b_i), ``sdp`` the pair (G0, [G_k]) and ``eq`` the pair (E, e).
+    A vector or G0 given as None is zero.  The gradient, Jacobians and dG
+    are derived from the data, the constant ones stored read-only.  Values
+    keep the bits of the formula written out (README "Problem contract")."""
+    dim = len(lower)
+    center = None if center is None else _frozen(center)
+    q = _frozen(np.zeros(dim) if linear is None else linear)
+    shifts = () if center is None else tuple((k, a) for k, a in enumerate(center.tolist()) if a != 0.0)
+    lin_terms = tuple((k, a) for k, a in enumerate(q.tolist()) if a != 0.0)
+    start = -0.0 if weight or lin_terms else 0.0
 
+    def objective(x):
+        # w * sum (x_k - a_k) ** 2 + (sum q_k x_k), each sum by coordinate.
+        xs = x.tolist()
+        value = start
+        for k, a in lin_terms:
+            value += a * xs[k]
+        if weight:
+            for k, a in shifts:
+                xs[k] -= a
+            # float ** is C pow, as numpy's scalar **, but raises on overflow.
+            try:
+                squares = -0.0
+                for v in xs:
+                    squares += v ** 2
+            except OverflowError:
+                squares = sum(v * v for v in xs)
+            value = weight * squares + value
+        return value
 
-def _toy_socp_2() -> ConstrainedProblem:
-    # Toy-SOCP-1 plus the equality x1 - x2 = 0; same optimum.  The
-    # multiplier family at x* is one-dimensional; (-2, 2) with mu = 0 is
-    # a valid certificate pair.
-    cert = KnownSolution(
-        x_star=np.array([1.0, 1.0]),
-        f_star=2.0,
-        lambda_star=(np.array([-2.0, 2.0]),),
-        mu_star=np.array([0.0]),
-    )
-    return ConstrainedProblem(
-        name="toy-socp-2",
-        dim=2,
-        objective=lambda x: float(x[0] ** 2 + (x[1] - 2.0) ** 2),
-        gradient=lambda x: np.array([2.0 * x[0], 2.0 * (x[1] - 2.0)]),
-        soc_blocks=(
-            SocBlock(dim=2, g=lambda x: np.asarray(x, dtype=float).copy(), jac=lambda x: np.eye(2)),
-        ),
-        eq=lambda x: np.array([x[0] - x[1]]),
-        eq_jac=lambda x: np.array([[1.0, -1.0]]),
-        n_eq=1,
-        lower=np.array([-3.0, -3.0]),
-        upper=np.array([3.0, 3.0]),
-        certificate=cert,
-        penalties=("linear", "qorder", "c1-socp"),
-    )
+    def gradient(x):
+        if not weight:
+            return q
+        grad = (2.0 * weight) * (x if center is None else x - center)
+        return grad if linear is None else grad + q
 
-
-def _toy_sdp_1() -> ConstrainedProblem:
-    # min (x1-1)^2 + (x2-1)^2  s.t.  diag(x1 - 0.5, -x2) <= 0.
-    # x* = (0.5, 1), f* = 0.25, lambda* = diag(1, 0).
-    cert = KnownSolution(
-        x_star=np.array([0.5, 1.0]),
-        f_star=0.25,
-        lambda_sdp_star=np.diag([1.0, 0.0]),
-    )
-
-    def G(x):
-        return np.diag([x[0] - 0.5, -x[1]])
-
-    def dG(x):
-        return [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]
-
-    return ConstrainedProblem(
-        name="toy-sdp-1",
-        dim=2,
-        objective=lambda x: float((x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2),
-        gradient=lambda x: np.array([2.0 * (x[0] - 1.0), 2.0 * (x[1] - 1.0)]),
-        sdp_block=SdpBlock(order=2, G=G, dG=dG),
-        lower=np.array([-3.0, -3.0]),
-        upper=np.array([3.0, 3.0]),
-        certificate=cert,
-        penalties=("linear", "qorder", "c1-sdp"),
-    )
-
-
-_BUILDERS = (_toy_lin_1, _toy_eq_1, _toy_socp_1, _toy_socp_2, _toy_sdp_1)
+    blocks = []
+    for A, b in soc:
+        A = _frozen(A)
+        blocks.append(SocBlock(dim=len(A), g=_affine_map(b, A), jac=lambda x, A=A: A))
+    sdp_block = None
+    if sdp is not None:
+        dG = _frozen(sdp[1])
+        order = dG.shape[1]
+        G = _affine_map(sdp[0], dG.reshape(dim, -1).T, const_first=True)
+        sdp_block = SdpBlock(order=order, G=lambda x: G(x).reshape(order, order), dG=lambda x: dG)
+    h = E = None
+    if eq is not None:
+        E = _frozen(eq[0])
+        h = _affine_map(None if eq[1] is None else np.negative(eq[1]), E)
+    return ConstrainedProblem(name=name, dim=dim, objective=objective, gradient=gradient,
+                              lower=lower, upper=upper, soc_blocks=tuple(blocks), sdp_block=sdp_block,
+                              eq=h, eq_jac=None if E is None else lambda x: E,
+                              n_eq=0 if E is None else len(E), certificate=certificate,
+                              penalties=penalties)
 
 
 def registry(validate: bool = True) -> list:
-    problems = [build() for build in _BUILDERS]
+    box = ([-3.0, -3.0], [3.0, 3.0])
+    problems = [
+        # min -x  s.t.  x <= 0  (flat SOC block (-x, 0)),  x in [-2, 2].  x* = 0,
+        # f* = 0; the multiplier at the cone vertex is not unique, (-1, 0) is one.
+        affine_problem("toy-lin-1", [-2.0], [2.0], penalties=("linear", "al-hpr"), linear=[-1.0],
+                       soc=[([[-1.0], [0.0]], None)],
+                       certificate=KnownSolution(x_star=np.array([0.0]), f_star=0.0,
+                                                 lambda_star=(np.array([-1.0, 0.0]),))),
+        # min x1^2 + x2^2  s.t.  x1 + x2 = 2.  x* = (1, 1), f* = 2, mu* = -2.
+        affine_problem("toy-eq-1", *box, penalties=("linear", "qorder", "c1-socp", "al-hpr"),
+                       weight=1.0, eq=([[1.0, 1.0]], [2.0]),
+                       certificate=KnownSolution(x_star=np.array([1.0, 1.0]), f_star=2.0,
+                                                 mu_star=np.array([-2.0]))),
+        # min x1^2 + (x2-2)^2  s.t.  (x1, x2) in Q_2.  x* = (1, 1), f* = 2, lambda* = (-2, 2).
+        affine_problem("toy-socp-1", *box, penalties=("linear", "qorder", "c1-socp"), weight=1.0,
+                       center=[0.0, 2.0], soc=[(np.eye(2), None)],
+                       certificate=KnownSolution(x_star=np.array([1.0, 1.0]), f_star=2.0,
+                                                 lambda_star=(np.array([-2.0, 2.0]),))),
+        # Toy-SOCP-1 plus x1 - x2 = 0; same optimum.  The multipliers at x* form
+        # a line; (-2, 2) with mu = 0 is one valid pair.
+        affine_problem("toy-socp-2", *box, penalties=("linear", "qorder", "c1-socp"), weight=1.0,
+                       center=[0.0, 2.0], soc=[(np.eye(2), None)], eq=([[1.0, -1.0]], None),
+                       certificate=KnownSolution(x_star=np.array([1.0, 1.0]), f_star=2.0,
+                                                 lambda_star=(np.array([-2.0, 2.0]),),
+                                                 mu_star=np.array([0.0]))),
+        # min (x1-1)^2 + (x2-1)^2  s.t.  diag(x1 - 0.5, -x2) <= 0.  x* = (0.5, 1), f* = 0.25,
+        # lambda* = diag(1, 0).
+        affine_problem("toy-sdp-1", *box, penalties=("linear", "qorder", "c1-sdp"), weight=1.0,
+                       center=[1.0, 1.0],
+                       sdp=(np.diag([-0.5, 0.0]), [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]),
+                       certificate=KnownSolution(x_star=np.array([0.5, 1.0]), f_star=0.25,
+                                                 lambda_sdp_star=np.diag([1.0, 0.0]))),
+    ]
     if validate:
         for p in problems:
             _validate_certificate(p)

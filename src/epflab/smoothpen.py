@@ -198,18 +198,18 @@ def estimate_multipliers_sdp(
     g_mat = np.asarray(block.G(x), dtype=float)
     h_val = problem.h(x)
     grad_f = problem.grad_f(x)
+    dist = dist_psd_minus(g_mat)
+    rho = math.sqrt(h_val @ h_val) ** 2 + dist ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
     stack = np.zeros((problem.dim, m))
-    stack[:, :n_lam] = np.reshape(block.derivative(x), (problem.dim, -1)) @ flat.T
+    stack[:, :n_lam] = block.derivative(x).reshape(problem.dim, -1) @ flat.T
     if problem.n_eq > 0:
         stack[:, n_lam:] = problem.jac_h(x).T
     curv = np.zeros((m, m))
     curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
     gram = np.ones(m)
     gram[:n_lam] = basis_sums
-    dist = dist_psd_minus(g_mat)
-    rho = math.sqrt(h_val @ h_val) ** 2 + dist ** 2
-    if not math.isfinite(rho):
-        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
     normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
     rhs = stack.T @ grad_f
     z, degenerate = _solve_normal_equations(normal, rhs)

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -491,3 +493,20 @@ def test_non_finite_constraint_value_raises_typed_error(kind):
         assert math.isfinite(pen(np.array([0.2]), 2.0)), (kind, bad)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteEvaluation):
             pen(np.array([0.7]), 2.0)
+
+
+def test_infinite_constraint_value_raises_without_a_numpy_warning():
+    # An infinite SOC head and an infinite SDP entry are failed evaluations
+    # that raise before any array arithmetic on them could warn.
+    socp = get_problem("toy-socp-1")
+    block = SocBlock(dim=2, g=lambda x: np.array([np.inf, x[1]]), jac=socp.soc_blocks[0].jac)
+    sdp = get_problem("toy-sdp-1")
+    sdp_block = SdpBlock(order=2, G=lambda x: np.diag([np.inf, -x[1]]), dG=sdp.sdp_block.dG)
+    cases = [(dataclasses.replace(socp, soc_blocks=(block,)), ("linear", "qorder", "c1-socp", "al-hpr")),
+             (dataclasses.replace(sdp, sdp_block=sdp_block), ("linear", "qorder", "c1-sdp", "al-hpr"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for problem, kinds in cases:
+            for kind in kinds:
+                with pytest.raises(NonFiniteEvaluation):
+                    make_penalty(problem, kind)(np.array([0.7, 0.3]), 2.0)

@@ -2,19 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epflab.cones import dist_psd_minus, proj_lorentz
 from epflab.errors import DimensionMismatch, UnknownProblem
 from epflab.problems import (
     ConstrainedProblem,
+    KnownSolution,
     SdpBlock,
     SocBlock,
+    _validate_certificate,
+    affine_problem,
     fd_gradient,
     feasibility_gap,
     get_problem,
     kkt_residual,
     registry,
 )
+from epflab.report import localize, serialize_report
+from epflab.solvers import SolverConfig
 from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE
 
 
@@ -93,8 +99,9 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
-@pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
-def test_feasibility_gap_matches_norm_reference(problem):
+def _probe_points(problem) -> list:
+    """Uniform points in the box and around it, the box corners, -0.0, and
+    each special value in turn at x* and just outside the box."""
     rng = np.random.default_rng(29)
     lo, hi = problem.box()
     wide = 2.0 * (hi - lo)
@@ -108,8 +115,13 @@ def test_feasibility_gap_matches_norm_reference(problem):
                 x = np.array(base, dtype=float)
                 x[i] = value
                 points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
+def test_feasibility_gap_matches_norm_reference(problem):
     with np.errstate(all="ignore"):
-        for x in points:
+        for x in _probe_points(problem):
             ref = _reference_feasibility_gap(problem, x)
             gap = feasibility_gap(problem, x)
             assert all(map(_same_float, (gap.soc_gap, gap.eq_gap, gap.box_gap), ref)), x
@@ -217,3 +229,255 @@ def test_project_feasible_is_feasible():
             # equality parts); the box A is handled separately.
             gap = feasibility_gap(p, proj)
             assert gap.soc_gap + gap.eq_gap <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# affine_problem: the registry against its hand-written builders, derived
+# derivatives, and problems written as data.
+# ---------------------------------------------------------------------------
+
+
+def _reference_toy_lin_1() -> ConstrainedProblem:
+    def g(x):
+        return np.array([-x[0], 0.0])
+
+    def jac(x):
+        return np.array([[-1.0], [0.0]])
+
+    cert = KnownSolution(
+        x_star=np.array([0.0]),
+        f_star=0.0,
+        lambda_star=(np.array([-1.0, 0.0]),),
+    )
+    return ConstrainedProblem(
+        name="toy-lin-1",
+        dim=1,
+        objective=lambda x: -x[0],
+        gradient=lambda x: np.array([-1.0]),
+        soc_blocks=(SocBlock(dim=2, g=g, jac=jac),),
+        lower=np.array([-2.0]),
+        upper=np.array([2.0]),
+        certificate=cert,
+        penalties=("linear", "al-hpr"),
+    )
+
+
+def _reference_toy_eq_1() -> ConstrainedProblem:
+    cert = KnownSolution(
+        x_star=np.array([1.0, 1.0]),
+        f_star=2.0,
+        mu_star=np.array([-2.0]),
+    )
+    return ConstrainedProblem(
+        name="toy-eq-1",
+        dim=2,
+        objective=lambda x: float(x[0] ** 2 + x[1] ** 2),
+        gradient=lambda x: 2.0 * np.asarray(x, dtype=float),
+        eq=lambda x: np.array([x[0] + x[1] - 2.0]),
+        eq_jac=lambda x: np.array([[1.0, 1.0]]),
+        n_eq=1,
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
+        certificate=cert,
+        penalties=("linear", "qorder", "c1-socp", "al-hpr"),
+    )
+
+
+def _reference_toy_socp_1() -> ConstrainedProblem:
+    cert = KnownSolution(
+        x_star=np.array([1.0, 1.0]),
+        f_star=2.0,
+        lambda_star=(np.array([-2.0, 2.0]),),
+    )
+    return ConstrainedProblem(
+        name="toy-socp-1",
+        dim=2,
+        objective=lambda x: float(x[0] ** 2 + (x[1] - 2.0) ** 2),
+        gradient=lambda x: np.array([2.0 * x[0], 2.0 * (x[1] - 2.0)]),
+        soc_blocks=(
+            SocBlock(dim=2, g=lambda x: np.asarray(x, dtype=float).copy(), jac=lambda x: np.eye(2)),
+        ),
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
+        certificate=cert,
+        penalties=("linear", "qorder", "c1-socp"),
+    )
+
+
+def _reference_toy_socp_2() -> ConstrainedProblem:
+    cert = KnownSolution(
+        x_star=np.array([1.0, 1.0]),
+        f_star=2.0,
+        lambda_star=(np.array([-2.0, 2.0]),),
+        mu_star=np.array([0.0]),
+    )
+    return ConstrainedProblem(
+        name="toy-socp-2",
+        dim=2,
+        objective=lambda x: float(x[0] ** 2 + (x[1] - 2.0) ** 2),
+        gradient=lambda x: np.array([2.0 * x[0], 2.0 * (x[1] - 2.0)]),
+        soc_blocks=(
+            SocBlock(dim=2, g=lambda x: np.asarray(x, dtype=float).copy(), jac=lambda x: np.eye(2)),
+        ),
+        eq=lambda x: np.array([x[0] - x[1]]),
+        eq_jac=lambda x: np.array([[1.0, -1.0]]),
+        n_eq=1,
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
+        certificate=cert,
+        penalties=("linear", "qorder", "c1-socp"),
+    )
+
+
+def _reference_toy_sdp_1() -> ConstrainedProblem:
+    cert = KnownSolution(
+        x_star=np.array([0.5, 1.0]),
+        f_star=0.25,
+        lambda_sdp_star=np.diag([1.0, 0.0]),
+    )
+
+    def G(x):
+        return np.diag([x[0] - 0.5, -x[1]])
+
+    def dG(x):
+        return [np.diag([1.0, 0.0]), np.diag([0.0, -1.0])]
+
+    return ConstrainedProblem(
+        name="toy-sdp-1",
+        dim=2,
+        objective=lambda x: float((x[0] - 1.0) ** 2 + (x[1] - 1.0) ** 2),
+        gradient=lambda x: np.array([2.0 * (x[0] - 1.0), 2.0 * (x[1] - 1.0)]),
+        sdp_block=SdpBlock(order=2, G=G, dG=dG),
+        lower=np.array([-3.0, -3.0]),
+        upper=np.array([3.0, 3.0]),
+        certificate=cert,
+        penalties=("linear", "qorder", "c1-sdp"),
+    )
+
+
+# The registry's problems as they were written before affine_problem: the
+# reference its factory calls must match bit for bit.
+REFERENCE = {build().name: build for build in (_reference_toy_lin_1, _reference_toy_eq_1,
+                                                _reference_toy_socp_1, _reference_toy_socp_2,
+                                                _reference_toy_sdp_1)}
+
+
+def _values(problem, x) -> list:
+    """Every value and derivative the problem states at x, as float arrays."""
+    out = [problem.objective(x), problem.grad_f(x)]
+    for block in problem.soc_blocks:
+        out += [block.g(x), block.jacobian(x)]
+    if problem.sdp_block is not None:
+        out += [problem.sdp_block.G(x), problem.sdp_block.derivative(x)]
+    out += [problem.h(x), problem.jac_h(x)]
+    return [np.asarray(v, dtype=float) for v in out]
+
+
+@pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
+def test_registry_matches_hand_written_reference_bit_for_bit(problem):
+    reference = REFERENCE[problem.name]()
+    assert list(REFERENCE) == [p.name for p in registry()]
+    assert (problem.dim, problem.n_eq, problem.penalties) == (reference.dim, reference.n_eq,
+                                                              reference.penalties)
+    assert [b.dim for b in problem.soc_blocks] == [b.dim for b in reference.soc_blocks]
+    assert all(map(np.array_equal, problem.box(), reference.box()))
+    with np.errstate(all="ignore"):
+        for x in _probe_points(problem):
+            got, want = _values(problem, x), _values(reference, x)
+            assert [v.shape for v in got] == [v.shape for v in want], x
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert all(map(_same_float, a.ravel().tolist(), b.ravel().tolist())), (x, i)
+
+
+@pytest.mark.parametrize("name,kind", [("toy-lin-1", "linear"), ("toy-eq-1", "al-hpr"),
+                                       ("toy-socp-2", "c1-socp"), ("toy-sdp-1", "c1-sdp")])
+def test_localize_report_matches_hand_written_reference(name, kind):
+    cfg = SolverConfig(n_starts=2, seed=3)
+    reports = [serialize_report(localize(p, kind, cfg=cfg, c_max=64.0, c_steps=4))
+               for p in (get_problem(name), REFERENCE[name]())]
+    assert reports[0] == reports[1]
+
+
+def test_affine_problem_stores_constant_derivatives_read_only():
+    for p in registry():
+        x = p.certificate.x_star
+        parts = [p.jac_h(x)] if p.n_eq else []
+        parts += [b.jacobian(x) for b in p.soc_blocks]
+        if p.sdp_block is not None:
+            parts.append(p.sdp_block.derivative(x))
+            assert p.sdp_block.derivative(x).shape == (p.dim, p.sdp_block.order, p.sdp_block.order)
+        assert parts and not any(m.flags.writeable for m in parts), p.name
+
+
+def _symmetric(rng, order):
+    m = rng.normal(size=(order, order)) * (rng.uniform(size=(order, order)) < 0.7)
+    return m + m.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 4), n_soc=st.integers(0, 2), order=st.integers(2, 3),
+       n_eq=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_affine_problem_derivatives_match_finite_differences(dim, n_soc, order, n_eq, seed):
+    rng = np.random.default_rng(seed)
+
+    def sparse(*shape):
+        # Zero entries exercise the skipped terms of every affine map.
+        return rng.normal(size=shape) * (rng.uniform(size=shape) < 0.7)
+
+    def maybe(vector):
+        return vector if rng.uniform() < 0.7 else None
+
+    weight = float(rng.choice([0.0, rng.uniform(-2.0, 2.0)]))
+    center, linear = maybe(sparse(dim)), maybe(sparse(dim))
+    soc = []
+    for m in rng.integers(2, 4, size=n_soc):
+        # Some blocks only pick coordinates, which affine_problem reads by index.
+        A = sparse(m, dim) if rng.uniform() < 0.7 else np.eye(dim)[rng.integers(0, dim, size=m)]
+        soc.append((A, maybe(sparse(m))))
+    G0, Gk = maybe(_symmetric(rng, order)), [_symmetric(rng, order) for _ in range(dim)]
+    eq = (sparse(n_eq, dim), maybe(sparse(n_eq))) if n_eq else None
+    p = affine_problem("random", -np.ones(dim), np.ones(dim), certificate=None, penalties=(),
+                       weight=weight, center=center, linear=linear, soc=soc, sdp=(G0, Gk), eq=eq)
+    x = rng.uniform(-1.0, 1.0, size=dim)
+    a = np.zeros(dim) if center is None else center
+    q = np.zeros(dim) if linear is None else linear
+    # Each value is the formula it is built from ...
+    assert math.isclose(p.f(x), weight * float((x - a) @ (x - a)) + float(q @ x), abs_tol=1e-12)
+    for block, (A, b) in zip(p.soc_blocks, soc):
+        assert np.allclose(block.g(x), A @ x + (0.0 if b is None else b), atol=1e-12)
+    G_ref = (0.0 if G0 is None else G0) + np.tensordot(x, np.asarray(Gk), axes=1)
+    assert np.allclose(p.sdp_block.G(x), G_ref, atol=1e-12)
+    if eq is not None:
+        assert np.allclose(p.h(x), eq[0] @ x - (0.0 if eq[1] is None else eq[1]), atol=1e-12)
+    # ... and each derivative matches central differences.
+    for func, analytic in _derivative_pairs(p):
+        num, ana = fd_gradient(func, x), analytic(x)
+        assert num.shape == ana.shape
+        assert np.linalg.norm(num - ana) <= 1e-6 * (1.0 + np.linalg.norm(ana))
+
+
+def test_new_problems_are_a_few_lines_of_data():
+    box = ([-3.0, -3.0], [3.0, 3.0])
+    # min -x^2 s.t. x = 0 on [-2, 2] (ROADMAP item 3): a nonconvex objective.
+    toy_nc_1 = affine_problem(
+        "toy-nc-1", [-2.0], [2.0], penalties=("linear", "al-hpr"), weight=-1.0, eq=([[1.0]], None),
+        certificate=KnownSolution(x_star=np.array([0.0]), f_star=0.0, mu_star=np.array([0.0])))
+    # min (x1 - 2)^2 + x2^2 over the unit disc, in two cone encodings (item 5).
+    disc = dict(weight=1.0, center=[2.0, 0.0])
+    disc_socp = affine_problem(
+        "disc-socp", *box, penalties=("linear", "qorder", "c1-socp"), **disc,
+        soc=[([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0])],
+        certificate=KnownSolution(x_star=np.array([1.0, 0.0]), f_star=1.0,
+                                  lambda_star=(np.array([-2.0, 2.0, 0.0]),)))
+    disc_sdp = affine_problem(
+        "disc-sdp", *box, penalties=("linear", "qorder", "c1-sdp"), **disc,
+        sdp=(-np.eye(2), [np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [-1.0, 0.0]])]),
+        certificate=KnownSolution(x_star=np.array([1.0, 0.0]), f_star=1.0,
+                                  lambda_sdp_star=np.diag([2.0, 0.0])))
+    for p in (toy_nc_1, disc_socp, disc_sdp):
+        _validate_certificate(p)
+    # Both encodings state the same set: the disc.
+    for x in np.random.default_rng(5).uniform(-1.5, 1.5, size=(200, 2)):
+        inside = feasibility_gap(disc_socp, x).soc_gap == 0.0
+        assert inside == (feasibility_gap(disc_sdp, x).soc_gap <= 1e-12) == (x @ x <= 1.0), x
+    assert disc_sdp.sdp_block.G(np.array([0.5, 0.25])).tolist() == [[-0.5, -0.25], [-0.25, -1.5]]
