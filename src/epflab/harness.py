@@ -19,10 +19,11 @@ import numpy as np
 
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
-from .penalties import QFunction, default_phi, linear_eval, qpen_eval
+from .penalties import QFunction, default_phi, linear_state, linear_value, qpen_state, qpen_value
 from .problems import (ConstrainedProblem, KnownSolution, feasibility_gap, flat_multipliers,
                        split_multipliers)
-from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_penalty_soc, c1_penalty_sdp
+from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state_sdp, c1_state_soc, c1_value_sdp,
+                        c1_value_soc)
 from .solvers import SolverConfig, minimize, polish
 
 
@@ -38,26 +39,68 @@ class PenaltyHandle:
         return self.func(x, c)
 
 
+_MISSING = object()
+
+
+def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> Callable:
+    """F(x, c) = value(state(x), c), with state(x), everything of F that
+    does not read c, kept by the bytes of x.
+
+    The memo holds the states met at the current c and at the c before
+    it: a new c drops the older set, and a state found there is copied
+    into the current one.  An x of another shape than (dim,) is never
+    looked up or stored, and a state that raises is not stored.
+    """
+    shape = (problem.dim,)
+    current: dict = {}
+    previous: dict = {}
+    current_c = None
+
+    def func(x, c):
+        nonlocal current, previous, current_c
+        if c <= 0:
+            raise ValueError("penalty parameter c must be positive")
+        if c != current_c:
+            current, previous, current_c = {}, current, c
+        x = np.asarray(x, dtype=float)
+        if x.shape != shape:
+            return value(state(x), c)
+        key = x.tobytes()
+        found = current.get(key, _MISSING)
+        if found is _MISSING:
+            found = previous.get(key, _MISSING)
+            if found is _MISSING:
+                found = state(x)
+            current[key] = found
+        return value(found, c)
+
+    return func
+
+
 def _linear(problem):
     phi = default_phi(problem)
-    return lambda x, c: linear_eval(problem, phi, x, c), {}
+    return _memoized(problem, lambda x: linear_state(problem, phi, x),
+                     lambda s, c: linear_value(s, c)), {}
 
 
 def _qorder(problem, q=1.0):
     qf, phi = QFunction.q_order(q), default_phi(problem)
-    return lambda x, c: qpen_eval(qf, problem, phi, x, c), {"q": q}
+    return _memoized(problem, lambda x: qpen_state(problem, phi, x),
+                     lambda s, c: qpen_value(qf, s, c)), {"q": q}
 
 
 def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
-    return lambda x, c: c1_penalty_soc(problem, x, c, alpha=alpha, kappa=kappa, cfg=cfg), params
+    return _memoized(problem, lambda x: c1_state_soc(problem, x, alpha=alpha, kappa=kappa, cfg=cfg),
+                     lambda s, c: c1_value_soc(problem, s, c)), params
 
 
 def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
-    return lambda x, c: c1_penalty_sdp(problem, x, c, alpha=alpha, kappa=kappa, cfg=cfg), params
+    return _memoized(problem, lambda x: c1_state_sdp(problem, x, alpha=alpha, kappa=kappa, cfg=cfg),
+                     lambda s, c: c1_value_sdp(problem, s, c)), params
 
 
 def _al_hpr(problem, lam=None, mu=None):
@@ -75,13 +118,15 @@ def _al_hpr(problem, lam=None, mu=None):
     lam_soc, lam_sdp = split_multipliers(problem, lam)
     params = {f"lambda_{i}": float(v) for i, v in enumerate(lam)}
     params.update({f"mu_{i}": float(v) for i, v in enumerate(mu)})
+    # Every term reads c (dist(lam + c g)), so F is evaluated in one piece.
     return (lambda x, c: hpr_closed_form(problem, x, lam=lam_soc, lam_sdp=lam_sdp, mu=mu, c=c),
             params)
 
 
 # Penalty kind -> builder of F and of the parameters a report records.  A
 # builder's keyword parameters, with their defaults, are all the kind reads.
-# F calls its evaluator through this module's globals, which a tracer may wrap.
+# F calls its evaluator, or its two stages, through this module's globals,
+# which a tracer may wrap.  Each handle of a staged kind owns its memo.
 _BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1_socp, "c1-sdp": _c1_sdp,
              "al-hpr": _al_hpr}
 PENALTY_KINDS = tuple(_BUILDERS)

@@ -1,36 +1,50 @@
 """Classic separating functions: the linear penalty f + c*phi and the
-nonlinear Q-penalty."""
+nonlinear Q-penalty.
+
+Each is split in two stages: ``*_state(x)`` packs what does not read c
+(f and phi) into a float64 array, and ``*_value(state, c)`` finishes F
+from it; the one-shot ``*_eval`` is the value of the state."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import NegativeObjective, NonFiniteEvaluation
-from .problems import ConstrainedProblem, feasibility_gap
+from .problems import ConstrainedProblem, infeasibility
+
+Array = np.ndarray
 
 
 def default_phi(problem: ConstrainedProblem) -> Callable:
     """Infeasibility measure: total feasibility gap (zero iff feasible)."""
+    return partial(infeasibility, problem)
 
-    def phi(x):
-        return feasibility_gap(problem, x).total
 
-    return phi
+def linear_state(problem: ConstrainedProblem, phi, x) -> Array:
+    """(f(x), phi(x)); a NaN in either raises NonFiniteEvaluation."""
+    f_val = problem.f(x)
+    phi_val = float(phi(x))
+    if math.isnan(f_val) or math.isnan(phi_val):
+        raise NonFiniteEvaluation("NaN in linear penalty evaluation")
+    return np.array((f_val, phi_val))
+
+
+def linear_value(state: Array, c: float) -> float:
+    """f + c * phi from ``linear_state``."""
+    f_val, phi_val = state.tolist()
+    return f_val + c * phi_val
 
 
 def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
     """F(x, c) = f(x) + c * phi(x)."""
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
-    f_val = problem.f(x)
-    phi_val = float(phi(x))
-    if math.isnan(f_val) or math.isnan(phi_val):
-        raise NonFiniteEvaluation("NaN in linear penalty evaluation")
-    return f_val + c * phi_val
+    return linear_value(linear_state(problem, phi, x), c)
 
 
 @dataclass(frozen=True)
@@ -60,12 +74,9 @@ class QFunction:
         return float(self.func(t, s))
 
 
-def qpen_eval(qf: QFunction, problem: ConstrainedProblem, phi, x, c: float) -> float:
-    """F(x, c) = Q(f(x), c * phi(x)); requires the nonnegative-objective
-    standing assumption of the nonlinear penalty theory.  A NaN phi raises
-    NonFiniteEvaluation."""
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
+def qpen_state(problem: ConstrainedProblem, phi, x) -> Array:
+    """(max(f(x), 0), phi(x)); f(x) < -1e-12 raises NegativeObjective and a
+    NaN phi NonFiniteEvaluation."""
     f_val = problem.f(x)
     if f_val < -1e-12:
         raise NegativeObjective(
@@ -74,4 +85,19 @@ def qpen_eval(qf: QFunction, problem: ConstrainedProblem, phi, x, c: float) -> f
     phi_val = float(phi(x))
     if math.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in q-order penalty evaluation")
-    return qf(max(f_val, 0.0), c * phi_val)
+    return np.array((max(f_val, 0.0), phi_val))
+
+
+def qpen_value(qf: QFunction, state: Array, c: float) -> float:
+    """Q(max(f, 0), c * phi) from ``qpen_state``."""
+    f_pos, phi_val = state.tolist()
+    return qf(f_pos, c * phi_val)
+
+
+def qpen_eval(qf: QFunction, problem: ConstrainedProblem, phi, x, c: float) -> float:
+    """F(x, c) = Q(f(x), c * phi(x)); requires the nonnegative-objective
+    standing assumption of the nonlinear penalty theory.  A NaN phi raises
+    NonFiniteEvaluation."""
+    if c <= 0:
+        raise ValueError("penalty parameter c must be positive")
+    return qpen_value(qf, qpen_state(problem, phi, x), c)

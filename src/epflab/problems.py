@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,9 +143,14 @@ class ConstrainedProblem:
     def box(self) -> Tuple[Array, Array]:
         return self.lower, self.upper
 
+    @cached_property
+    def box_floats(self) -> Tuple[list, list]:
+        """``box()`` as lists of Python floats, for per-point box tests."""
+        return self.lower.tolist(), self.upper.tolist()
 
-def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
-    """Componentwise infeasibility measure; total is zero iff x is feasible."""
+
+def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
+    """The cone, equality and box terms of the feasibility gap at x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.dim},)")
@@ -158,13 +164,23 @@ def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
         # What np.linalg.norm computes on a 1-D vector, without its dispatch.
         h = problem.h(x)
         eq = math.sqrt(h @ h)
-    lo, hi = problem.box()
     box = 0.0
     # Inside the box x - clip(x) is all zeros; NaN fails the test and keeps
     # the norm, so it still propagates.
-    if not all(l <= v <= u for v, l, u in zip(x.tolist(), lo.tolist(), hi.tolist())):
-        box = float(np.linalg.norm(x - np.clip(x, lo, hi)))
-    return FeasibilityGap(soc_gap=soc, eq_gap=eq, box_gap=box)
+    if not all(l <= v <= u for v, l, u in zip(x.tolist(), *problem.box_floats)):
+        box = float(np.linalg.norm(x - np.clip(x, problem.lower, problem.upper)))
+    return soc, eq, box
+
+
+def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
+    """Componentwise infeasibility measure; total is zero iff x is feasible."""
+    return FeasibilityGap(*_gap_terms(problem, x))
+
+
+def infeasibility(problem: ConstrainedProblem, x) -> float:
+    """``feasibility_gap(problem, x).total`` without building the record."""
+    soc, eq, box = _gap_terms(problem, x)
+    return soc + eq + box
 
 
 def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None) -> float:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,6 +178,20 @@ def _sym_basis(order: int) -> Tuple[Array, Array, Array]:
     return basis, basis.reshape(rows.size, -1), np.where(rows == cols, 1.0, 2.0)
 
 
+def _sdp_normal(normal: Array, curv: Array, gram: Array, cfg: EstimatorConfig, rho: float) -> Array:
+    """normal + zeta1 (curv + curv') / 2 + (zeta2 / 2) rho diag(gram), added
+    into ``normal`` in that order, with the bits of the sum written out."""
+    sym_curv = curv + curv.T
+    sym_curv *= cfg.zeta1 * 0.5
+    normal += sym_curv
+    ridge = 0.5 * cfg.zeta2 * rho
+    diag = normal.diagonal() + ridge * gram
+    # diag(gram) adds ridge * 0.0 off the diagonal, which turns -0.0 into 0.0.
+    normal += ridge * 0.0
+    normal.flat[:: len(gram) + 1] = diag
+    return normal
+
+
 def estimate_multipliers_sdp(
     problem: ConstrainedProblem,
     x,
@@ -210,7 +224,7 @@ def estimate_multipliers_sdp(
     curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
     gram = np.ones(m)
     gram[:n_lam] = basis_sums
-    normal = stack.T @ stack + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
+    normal = _sdp_normal(stack.T @ stack, curv, gram, cfg, rho)
     rhs = stack.T @ grad_f
     z, degenerate = _solve_normal_equations(normal, rhs)
     lam_sdp = (z[:n_lam] @ flat).reshape(basis.shape[1:])
@@ -253,20 +267,66 @@ def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> Barri
     return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
 
 
-def _soc_block_sum(est: MultiplierEstimate, p: float, c: float) -> float:
-    """sum_i (c / 2p) [dist^2(g_i + (p/c) lambda_i, Q) - (p/c)^2 ||lambda_i||^2],
-    the cone part of c1_penalty_soc."""
-    total = 0.0
-    for g_val, lam_i in zip(est.g_vals, est.lambdas):
-        shifted = g_val + (p / c) * lam_i
-        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(lam_i @ lam_i))
-    return total
+# The packed c-free state of a c1 penalty at a point of the barrier domain
+# starts with f(x), p(x), q(x), <mu(x), h(x)> and ||h(x)||^2.
+_HEAD = 5
 
 
-def _eq_terms(est: MultiplierEstimate, q: float, c: float) -> float:
-    """<mu, h> + (c / 2q) ||h||^2, the equality part of both c1 penalties."""
+def _state_head(problem: ConstrainedProblem, x: Array, barrier: BarrierState,
+                est: MultiplierEstimate) -> Tuple[float, ...]:
+    if problem.n_eq == 0:
+        return problem.f(x), barrier.p_val, barrier.q_val, 0.0, 0.0
     h_val = est.h_val
-    return float(est.mu @ h_val) + (c / (2.0 * q)) * float(h_val @ h_val)
+    return problem.f(x), barrier.p_val, barrier.q_val, float(est.mu @ h_val), float(h_val @ h_val)
+
+
+def _value(head: Sequence[float], cone: float, n_eq: int, c: float) -> float:
+    """f + cone part + <mu, h> + (c / 2q) ||h||^2, the sum of both c1 penalties."""
+    f_val, _, q, mu_h, h_sq = head[:_HEAD]
+    value = f_val + cone
+    if n_eq > 0:
+        value += mu_h + (c / (2.0 * q)) * h_sq
+    return float(value)
+
+
+def c1_state_soc(
+    problem: ConstrainedProblem,
+    x,
+    alpha: float = 1.0,
+    kappa: float = KAPPA_SOC,
+    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
+) -> Optional[Array]:
+    """The part of ``c1_penalty_soc`` at x that does not read c, in one
+    float64 array: the head (f, p, q, <mu, h>, ||h||^2), then per SOC block
+    ||lambda_i||^2, g_i(x) and lambda_i.  None outside the barrier domain.
+    Raises what the multiplier estimate and the barrier raise."""
+    x = np.asarray(x, dtype=float)
+    est = estimate_multipliers_soc(problem, x, cfg)
+    barrier = barrier_state_soc(alpha, kappa, est)
+    if not barrier.inside_domain:
+        return None
+    parts = [_state_head(problem, x, barrier, est)]
+    for g_val, lam_i in zip(est.g_vals, est.lambdas):
+        parts += ((float(lam_i @ lam_i),), g_val, lam_i)
+    return np.concatenate(parts)
+
+
+def c1_value_soc(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
+    """``c1_penalty_soc`` at c from its ``c1_state_soc``; +inf for None."""
+    if state is None:
+        return math.inf
+    head = state[:_HEAD].tolist()
+    p = head[1]
+    total = 0.0
+    start = _HEAD
+    for block in problem.soc_blocks:
+        k = block.dim
+        g_val = state[start + 1 : start + 1 + k]
+        lam_i = state[start + 1 + k : start + 1 + 2 * k]
+        shifted = g_val + (p / c) * lam_i
+        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(state[start]))
+        start += 1 + 2 * k
+    return _value(head, total, problem.n_eq, c)
 
 
 def c1_penalty_soc(
@@ -286,15 +346,40 @@ def c1_penalty_soc(
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
+    return c1_value_soc(problem, c1_state_soc(problem, x, alpha, kappa, cfg), c)
+
+
+def c1_state_sdp(
+    problem: ConstrainedProblem,
+    x,
+    alpha: float = 1.0,
+    kappa: float = KAPPA_SDP,
+    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
+) -> Optional[Array]:
+    """The part of ``c1_penalty_sdp`` at x that does not read c, in one
+    float64 array: the head (f, p, q, <mu, h>, ||h||^2), ||lambda||^2, then
+    G(x) and lambda row-major.  None outside the barrier domain."""
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg)
-    state = barrier_state_soc(alpha, kappa, est)
-    if not state.inside_domain:
+    est = estimate_multipliers_sdp(problem, x, cfg)
+    barrier = barrier_state_sdp(alpha, kappa, est)
+    if not barrier.inside_domain:
+        return None
+    head = _state_head(problem, x, barrier, est) + (est.lambda_norm_sq,)
+    return np.concatenate((head, est.g_vals[0].ravel(), est.lam_sdp.ravel()))
+
+
+def c1_value_sdp(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
+    """``c1_penalty_sdp`` at c from its ``c1_state_sdp``; +inf for None."""
+    if state is None:
         return math.inf
-    value = problem.f(x) + _soc_block_sum(est, state.p_val, c)
-    if problem.n_eq > 0:
-        value += _eq_terms(est, state.q_val, c)
-    return float(value)
+    head = state[: _HEAD + 1].tolist()
+    p, lam_sq = head[1], head[_HEAD]
+    order = problem.sdp_block.order
+    start = _HEAD + 1
+    g_mat = state[start : start + order * order].reshape(order, order)
+    lam = state[start + order * order :].reshape(order, order)
+    shifted_sq = dist_psd_minus(c * g_mat + p * lam) ** 2
+    return _value(head, (shifted_sq - p * p * lam_sq) / (2.0 * c * p), problem.n_eq, c)
 
 
 def c1_penalty_sdp(
@@ -312,14 +397,4 @@ def c1_penalty_sdp(
     """
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
-    x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_sdp(problem, x, cfg)
-    state = barrier_state_sdp(alpha, kappa, est)
-    if not state.inside_domain:
-        return math.inf
-    p = state.p_val
-    shifted_sq = dist_psd_minus(c * est.g_vals[0] + p * est.lam_sdp) ** 2
-    value = problem.f(x) + (shifted_sq - p * p * est.lambda_norm_sq) / (2.0 * c * p)
-    if problem.n_eq > 0:
-        value += _eq_terms(est, state.q_val, c)
-    return float(value)
+    return c1_value_sdp(problem, c1_state_sdp(problem, x, alpha, kappa, cfg), c)

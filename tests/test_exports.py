@@ -19,6 +19,11 @@ ALLOWED = {
     "proj_lorentz": "perfbench times it as layer cones.lorentz; tests check dist_lorentz against it",
     "proj_psd": "perfbench times it as layer cones.proj_psd; tests check dist_psd_minus against it",
     "parse_report": "it reads the report format that serialize_report writes",
+    # make_penalty calls the two stages of these; each is value(state(x), c).
+    "linear_eval": "the one-shot linear F; perfbench times it as layer penalties.f",
+    "qpen_eval": "the one-shot q-order F; perfbench times it as layer penalties.f",
+    "c1_penalty_soc": "the one-shot C1 F for SOC problems; perfbench times it as layer smoothpen.f",
+    "c1_penalty_sdp": "the one-shot C1 F for SDP problems; perfbench times it as layer smoothpen.f",
 }
 
 

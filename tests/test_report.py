@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from epflab.harness import SweepRecord, c_sweep, geometric_grid, make_penalty
@@ -60,6 +62,26 @@ def test_serialized_report_keys():
     # 17 significant digits survive parsing exactly.
     rep = _report()
     assert json.loads(serialize_report(rep))["c_star"] == rep.c_star
+
+
+# SHA-256 of the report bytes at seed 0, 4 starts and a 6-point grid on
+# [0.5, 512], recorded before F was split into a memoized state and a
+# c-dependent value.  A speed change must leave these bytes alone.
+_REPORT_SHA256 = {
+    ("toy-lin-1", "linear"): "b0eacf0c20ecad74d62a3df2b1b91368a9928c14cf10e004a3a839a5f23b1bef",
+    ("toy-eq-1", "qorder"): "c29b0237956b3b8c78bdc9aa0c57e8d216419890eb693edf6d10eca2e96a0ce5",
+    ("toy-eq-1", "c1-socp"): "810b5dbb6e3d34aefc4df5fe804bde5c07efc08a25390babd7c8eec68d3c4edf",
+    ("toy-sdp-1", "c1-sdp"): "0e9b40d55c023a7281b2e83281a3124b74f4c4fbba6870e42f8247021faa4d91",
+}
+
+
+@pytest.mark.parametrize("pair", list(_REPORT_SHA256), ids="/".join)
+def test_report_bytes_are_pinned(pair):
+    problem, kind = pair
+    rep = localize(get_problem(problem), kind, cfg=SolverConfig(n_starts=4, seed=0),
+                   c_min=0.5, c_max=512.0, c_steps=6)
+    digest = hashlib.sha256(serialize_report(rep).encode("utf-8")).hexdigest()
+    assert digest == _REPORT_SHA256[pair]
 
 
 def test_sweep_csv_format():

@@ -410,3 +410,30 @@ def test_c1_sdp_matches_proj_psd_formula(p):
                + float(est.mu @ h_val) + c / (2.0 * state.q_val) * float(h_val @ h_val))
         assert abs(value - old) <= 1e-12 * max(1.0, abs(old))
         checked += 1
+
+
+def _six_temporary_sdp_normal(gram_product, curv, gram, cfg, rho):
+    """The SDP normal matrix as first assembled, with ``stack.T @ stack``
+    passed in as ``gram_product``: six m-by-m temporaries."""
+    return gram_product + cfg.zeta1 * 0.5 * (curv + curv.T) + 0.5 * cfg.zeta2 * rho * np.diag(gram)
+
+
+def test_sdp_normal_in_place_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for m in (1, 3, 4, 7):
+        gram = np.ones(m)
+        gram[: m // 2] = 2.0
+        for cfg in (DEFAULT_ESTIMATOR, EstimatorConfig(zeta1=0.3, zeta2=7.0)):
+            for rho in (0.0, 0.37, 12.5):
+                stack = rng.normal(size=(3, m))
+                curv = rng.normal(size=(m, m))
+                # Signed zeros in the Gram matrix and in curv, on and off the diagonal.
+                base = stack.T @ stack
+                base[rng.random((m, m)) < 0.4] = -0.0
+                zeros = rng.random((m, m)) < 0.4
+                curv[zeros] = np.where(rng.random((m, m)) < 0.5, 0.0, -0.0)[zeros]
+                for gram_product in (stack.T @ stack, base):
+                    ref = _six_temporary_sdp_normal(gram_product.copy(), curv, gram, cfg, rho)
+                    new = smoothpen._sdp_normal(gram_product.copy(), curv, gram, cfg, rho)
+                    assert np.array_equal(new, ref)
+                    assert np.array_equal(np.signbit(new), np.signbit(ref))
