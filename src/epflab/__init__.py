@@ -35,7 +35,7 @@ from .harness import (
     sublevel_bounded_probe,
 )
 from .numerics import chol_solve, eig_sym, sym
-from .penalties import QFunction, linear_eval, qpen_eval
+from .penalties import linear_eval, q_order, qpen_eval
 from .problems import (
     ConstrainedProblem,
     KnownSolution,
@@ -76,7 +76,6 @@ __all__ = [
     "NonMonotonePredicate",
     "NotPositiveDefinite",
     "PenaltyHandle",
-    "QFunction",
     "SolverConfig",
     "SweepRecord",
     "UnknownProblem",
@@ -108,6 +107,7 @@ __all__ = [
     "polish",
     "proj_lorentz",
     "proj_psd",
+    "q_order",
     "qpen_eval",
     "registry",
     "serialize_report",

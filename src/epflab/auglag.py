@@ -27,8 +27,8 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
     (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
     A NaN value raises NonFiniteEvaluation.
     """
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
     for i, block in enumerate(problem.soc_blocks):

@@ -19,11 +19,10 @@ import numpy as np
 
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
-from .penalties import QFunction, default_phi, linear_state, linear_value, qpen_state, qpen_value
+from .penalties import default_phi, linear_state, linear_value, q_order, qpen_state, qpen_value
 from .problems import (ConstrainedProblem, KnownSolution, feasibility_gap, flat_multipliers,
                        split_multipliers)
-from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state_sdp, c1_state_soc, c1_value_sdp,
-                        c1_value_soc)
+from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_cone
 from .solvers import SolverConfig, minimize, polish
 
 
@@ -49,7 +48,8 @@ def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> 
     The memo holds the states met at the current c and at the c before
     it: a new c drops the older set, and a state found there is copied
     into the current one.  An x of another shape than (dim,) is never
-    looked up or stored, and a state that raises is not stored.
+    looked up or stored, and a state that raises is not stored.  A c that
+    is not positive and finite raises ValueError before anything is evaluated.
     """
     shape = (problem.dim,)
     current: dict = {}
@@ -58,8 +58,8 @@ def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> 
 
     def func(x, c):
         nonlocal current, previous, current_c
-        if c <= 0:
-            raise ValueError("penalty parameter c must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError("penalty parameter c must be positive and finite")
         if c != current_c:
             current, previous, current_c = {}, current, c
         x = np.asarray(x, dtype=float)
@@ -84,23 +84,25 @@ def _linear(problem):
 
 
 def _qorder(problem, q=1.0):
-    qf, phi = QFunction.q_order(q), default_phi(problem)
+    qf, phi = q_order(q), default_phi(problem)
     return _memoized(problem, lambda x: qpen_state(problem, phi, x),
                      lambda s, c: qpen_value(qf, s, c)), {"q": q}
 
 
-def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
+def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
+    check_cone(problem, sdp)
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
-    return _memoized(problem, lambda x: c1_state_soc(problem, x, alpha=alpha, kappa=kappa, cfg=cfg),
-                     lambda s, c: c1_value_soc(problem, s, c)), params
+    return _memoized(problem, lambda x: c1_state(problem, x, alpha, kappa, cfg),
+                     lambda s, c: c1_value(problem, s, c)), params
+
+
+def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
+    return _c1(problem, False, alpha, kappa, zeta1, zeta2)
 
 
 def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
-    cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
-    params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
-    return _memoized(problem, lambda x: c1_state_sdp(problem, x, alpha=alpha, kappa=kappa, cfg=cfg),
-                     lambda s, c: c1_value_sdp(problem, s, c)), params
+    return _c1(problem, True, alpha, kappa, zeta1, zeta2)
 
 
 def _al_hpr(problem, lam=None, mu=None):
@@ -113,6 +115,8 @@ def _al_hpr(problem, lam=None, mu=None):
         mu = getattr(cert, "mu_star", None)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, dtype=float))
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(mu))):
+        raise ValueError("al-hpr multipliers must be finite")
     if mu.shape != (problem.n_eq,):
         raise ValueError(f"al-hpr needs {problem.n_eq} equality multiplier(s), got {mu.size}")
     lam_soc, lam_sdp = split_multipliers(problem, lam)
@@ -223,8 +227,8 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
 
 
 def geometric_grid(c_min: float, c_max: float, n_steps: int) -> List[float]:
-    if not (0 < c_min < c_max) or n_steps < 2:
-        raise ValueError("need 0 < c_min < c_max and at least two steps")
+    if not (0 < c_min < c_max < math.inf) or n_steps < 2:
+        raise ValueError("need 0 < c_min < c_max < inf and at least two steps")
     return list(np.geomspace(c_min, c_max, n_steps))
 
 
@@ -349,11 +353,12 @@ def estimate_c_star(
     at ``CONFIRM_FACTOR * c_star`` raises NonMonotonePredicate if that
     structure is violated.
     """
-    if not (0 < c_lo < c_hi):
-        raise ValueError("need 0 < c_lo < c_hi")
-    # 1 + tol_rel must be a float above 1, or the bracket never gets narrow enough.
-    if not 1.0 + tol_rel > 1.0:
-        raise ValueError("tol_rel must be positive")
+    if not (0 < c_lo < c_hi < math.inf):
+        raise ValueError("need 0 < c_lo < c_hi < inf")
+    # 1 + tol_rel must be a float above 1, or the bracket never gets narrow
+    # enough, and finite, or the bisection never starts.
+    if not 1.0 < 1.0 + tol_rel < math.inf:
+        raise ValueError("tol_rel must be positive and finite")
     cert = penalty.problem.certificate
     if cert is None:
         raise ValueError(f"{penalty.problem.name} carries no certificate")

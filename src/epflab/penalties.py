@@ -8,7 +8,6 @@ from it; the one-shot ``*_eval`` is the value of the state."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -26,10 +25,11 @@ def default_phi(problem: ConstrainedProblem) -> Callable:
 
 
 def linear_state(problem: ConstrainedProblem, phi, x) -> Array:
-    """(f(x), phi(x)); a NaN in either raises NonFiniteEvaluation."""
+    """(f(x), phi(x)); a NaN phi raises NonFiniteEvaluation here, a NaN f
+    inside ``ConstrainedProblem.f``."""
     f_val = problem.f(x)
     phi_val = float(phi(x))
-    if math.isnan(f_val) or math.isnan(phi_val):
+    if math.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in linear penalty evaluation")
     return np.array((f_val, phi_val))
 
@@ -42,36 +42,26 @@ def linear_value(state: Array, c: float) -> float:
 
 def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
     """F(x, c) = f(x) + c * phi(x)."""
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
     return linear_value(linear_state(problem, phi, x), c)
 
 
-@dataclass(frozen=True)
-class QFunction:
-    """Aggregator Q(t, s) on [0, inf]^2, strictly monotone on finite points.
+def q_order(q: float) -> Callable[[float, float], float]:
+    """The q-th order aggregator Q(t, s) = (t^q + s^q)^(1/q) on [0, inf]^2,
+    strictly monotone on finite points and +inf where t or s is; q must be
+    positive and finite, and a negative argument raises ValueError."""
+    if not 0.0 < q < math.inf:
+        raise ValueError("q must be positive and finite")
 
-    ``q_order(q)`` builds the q-th order instance ((t^q + s^q)^(1/q)).
-    """
-
-    func: Callable[[float, float], float]
-
-    @staticmethod
-    def q_order(q: float) -> "QFunction":
-        if q <= 0:
-            raise ValueError("q must be positive")
-
-        def evaluate(t: float, s: float) -> float:
-            if math.isinf(t) or math.isinf(s):
-                return math.inf
-            return (t ** q + s ** q) ** (1.0 / q)
-
-        return QFunction(func=evaluate)
-
-    def __call__(self, t: float, s: float) -> float:
+    def evaluate(t: float, s: float) -> float:
         if t < 0 or s < 0:
             raise ValueError("Q is defined on nonnegative arguments")
-        return float(self.func(t, s))
+        if math.isinf(t) or math.isinf(s):
+            return math.inf
+        return float((t ** q + s ** q) ** (1.0 / q))
+
+    return evaluate
 
 
 def qpen_state(problem: ConstrainedProblem, phi, x) -> Array:
@@ -88,16 +78,16 @@ def qpen_state(problem: ConstrainedProblem, phi, x) -> Array:
     return np.array((max(f_val, 0.0), phi_val))
 
 
-def qpen_value(qf: QFunction, state: Array, c: float) -> float:
+def qpen_value(qf: Callable, state: Array, c: float) -> float:
     """Q(max(f, 0), c * phi) from ``qpen_state``."""
     f_pos, phi_val = state.tolist()
     return qf(f_pos, c * phi_val)
 
 
-def qpen_eval(qf: QFunction, problem: ConstrainedProblem, phi, x, c: float) -> float:
+def qpen_eval(qf: Callable, problem: ConstrainedProblem, phi, x, c: float) -> float:
     """F(x, c) = Q(f(x), c * phi(x)); requires the nonnegative-objective
     standing assumption of the nonlinear penalty theory.  A NaN phi raises
     NonFiniteEvaluation."""
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
     return qpen_value(qf, qpen_state(problem, phi, x), c)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,15 +26,15 @@ KAPPA_SDP = 1.0
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Weights of the multiplier-estimate subproblem; only positivity is
-    required, 1.0 is the working default for both."""
+    """Weights of the multiplier-estimate subproblem; each must be positive
+    and finite, 1.0 is the working default for both."""
 
     zeta1: float = 1.0
     zeta2: float = 1.0
 
     def __post_init__(self):
-        if self.zeta1 <= 0 or self.zeta2 <= 0:
-            raise ValueError("zeta1 and zeta2 must be positive")
+        if not (0.0 < self.zeta1 < math.inf and 0.0 < self.zeta2 < math.inf):
+            raise ValueError("zeta1 and zeta2 must be positive and finite")
 
 
 DEFAULT_ESTIMATOR = EstimatorConfig()
@@ -60,10 +60,6 @@ class MultiplierEstimate:
     g_vals: Tuple[Array, ...] = ()
     h_val: Optional[Array] = None
     lambda_norm_sq: float = 0.0
-
-    @property
-    def mu_norm_sq(self) -> float:
-        return float(self.mu @ self.mu)
 
 
 @dataclass(frozen=True)
@@ -244,79 +240,68 @@ def barrier_state_soc(alpha: float, kappa: float, est: MultiplierEstimate) -> Ba
     """Barrier terms p(x), q(x) built from constraint violations and the
     multiplier estimate ``est`` at x, whose constraint values and cone
     distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
-    if kappa < 2:
-        raise ValueError("kappa must be >= 2 for SOC problems")
+    if not 2.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 2 for SOC problems")
     dist_sum = sum(dist ** kappa for dist in est.block_dists)
     return _barrier_state(alpha, alpha - dist_sum, est)
 
 
 def barrier_state_sdp(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1 for SDP problems")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 1 for SDP problems")
     dist_sq = est.block_dists[0] ** 2
     return _barrier_state(alpha, alpha - dist_sq ** kappa, est)
 
 
 def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
     """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     b_val = alpha - math.sqrt(est.h_val @ est.h_val) ** 2
     p_val = a_val / (1.0 + est.lambda_norm_sq)
-    q_val = b_val / (1.0 + est.mu_norm_sq)
+    q_val = b_val / (1.0 + float(est.mu @ est.mu))
     return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
 
 
-# The packed c-free state of a c1 penalty at a point of the barrier domain
-# starts with f(x), p(x), q(x), <mu(x), h(x)> and ||h(x)||^2.
+def check_cone(problem: ConstrainedProblem, sdp: bool) -> None:
+    """ValueError unless ``problem`` has an SDP block exactly when ``sdp``."""
+    if (problem.sdp_block is not None) != sdp:
+        raise ValueError(f"c1-{'sdp' if sdp else 'socp'} does not fit {problem.name}, which has "
+                         f"{'no' if sdp else 'an'} SDP block")
+
+
+# A c1 state starts with f(x), p(x), q(x), <mu(x), h(x)> and ||h(x)||^2.
 _HEAD = 5
 
 
-def _state_head(problem: ConstrainedProblem, x: Array, barrier: BarrierState,
-                est: MultiplierEstimate) -> Tuple[float, ...]:
-    if problem.n_eq == 0:
-        return problem.f(x), barrier.p_val, barrier.q_val, 0.0, 0.0
-    h_val = est.h_val
-    return problem.f(x), barrier.p_val, barrier.q_val, float(est.mu @ h_val), float(h_val @ h_val)
-
-
-def _value(head: Sequence[float], cone: float, n_eq: int, c: float) -> float:
-    """f + cone part + <mu, h> + (c / 2q) ||h||^2, the sum of both c1 penalties."""
-    f_val, _, q, mu_h, h_sq = head[:_HEAD]
-    value = f_val + cone
-    if n_eq > 0:
-        value += mu_h + (c / (2.0 * q)) * h_sq
-    return float(value)
-
-
-def c1_state_soc(
-    problem: ConstrainedProblem,
-    x,
-    alpha: float = 1.0,
-    kappa: float = KAPPA_SOC,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> Optional[Array]:
-    """The part of ``c1_penalty_soc`` at x that does not read c, in one
-    float64 array: the head (f, p, q, <mu, h>, ||h||^2), then per SOC block
-    ||lambda_i||^2, g_i(x) and lambda_i.  None outside the barrier domain.
-    Raises what the multiplier estimate and the barrier raise."""
+def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
+             cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> Optional[Array]:
+    """The part of the C1 penalty at x that does not read c, in one float64
+    array: the head (f, p, q, <mu, h>, ||h||^2), then per cone block
+    ||lambda_i||^2, g_i(x) and lambda_i (Lambda and G(x) row-major).  The
+    multiplier estimate and the barrier are the SDP ones on a problem with an
+    SDP block, else the SOC ones.  None outside the barrier domain."""
     x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_soc(problem, x, cfg)
-    barrier = barrier_state_soc(alpha, kappa, est)
+    sdp = problem.sdp_block is not None
+    est = (estimate_multipliers_sdp if sdp else estimate_multipliers_soc)(problem, x, cfg)
+    barrier = (barrier_state_sdp if sdp else barrier_state_soc)(alpha, kappa, est)
     if not barrier.inside_domain:
         return None
-    parts = [_state_head(problem, x, barrier, est)]
-    for g_val, lam_i in zip(est.g_vals, est.lambdas):
+    h_val = est.h_val
+    mu_h, h_sq = (float(est.mu @ h_val), float(h_val @ h_val)) if problem.n_eq > 0 else (0.0, 0.0)
+    parts = [(problem.f(x), barrier.p_val, barrier.q_val, mu_h, h_sq)]
+    for g_val, lam_i in zip(est.g_vals, est.lambdas):  # no SOC blocks on an SDP problem
         parts += ((float(lam_i @ lam_i),), g_val, lam_i)
+    if sdp:
+        parts += ((est.lambda_norm_sq,), est.g_vals[0].ravel(), est.lam_sdp.ravel())
     return np.concatenate(parts)
 
 
-def c1_value_soc(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
-    """``c1_penalty_soc`` at c from its ``c1_state_soc``; +inf for None."""
+def c1_value(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
+    """The C1 penalty at c from its ``c1_state``; +inf for None."""
     if state is None:
         return math.inf
-    head = state[:_HEAD].tolist()
-    p = head[1]
+    f_val, p, q, mu_h, h_sq = state[:_HEAD].tolist()
     total = 0.0
     start = _HEAD
     for block in problem.soc_blocks:
@@ -326,17 +311,19 @@ def c1_value_soc(problem: ConstrainedProblem, state: Optional[Array], c: float) 
         shifted = g_val + (p / c) * lam_i
         total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(state[start]))
         start += 1 + 2 * k
-    return _value(head, total, problem.n_eq, c)
+    if problem.sdp_block is not None:
+        g_lam = state[start + 1 :].reshape(2, -1, problem.sdp_block.order)  # G(x), Lambda
+        shifted_sq = dist_psd_minus(c * g_lam[0] + p * g_lam[1]) ** 2
+        # The only cone term of an SDP problem: set, not added to 0.0, so a -0.0 keeps its sign.
+        total = (shifted_sq - p * p * float(state[start])) / (2.0 * c * p)
+    value = f_val + total
+    if problem.n_eq > 0:
+        value += mu_h + (c / (2.0 * q)) * h_sq
+    return float(value)
 
 
-def c1_penalty_soc(
-    problem: ConstrainedProblem,
-    x,
-    c: float,
-    alpha: float = 1.0,
-    kappa: float = KAPPA_SOC,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> float:
+def c1_penalty_soc(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
+                   kappa: float = KAPPA_SOC, cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> float:
     """Continuously differentiable penalty for SOC/equality problems.
 
     F(x, c) = f(x)
@@ -344,57 +331,20 @@ def c1_penalty_soc(
       + <mu, h> + (c / 2q) ||h||^2
     on the barrier domain, +inf outside it.
     """
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
-    return c1_value_soc(problem, c1_state_soc(problem, x, alpha, kappa, cfg), c)
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
+    check_cone(problem, sdp=False)
+    return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)
 
 
-def c1_state_sdp(
-    problem: ConstrainedProblem,
-    x,
-    alpha: float = 1.0,
-    kappa: float = KAPPA_SDP,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> Optional[Array]:
-    """The part of ``c1_penalty_sdp`` at x that does not read c, in one
-    float64 array: the head (f, p, q, <mu, h>, ||h||^2), ||lambda||^2, then
-    G(x) and lambda row-major.  None outside the barrier domain."""
-    x = np.asarray(x, dtype=float)
-    est = estimate_multipliers_sdp(problem, x, cfg)
-    barrier = barrier_state_sdp(alpha, kappa, est)
-    if not barrier.inside_domain:
-        return None
-    head = _state_head(problem, x, barrier, est) + (est.lambda_norm_sq,)
-    return np.concatenate((head, est.g_vals[0].ravel(), est.lam_sdp.ravel()))
-
-
-def c1_value_sdp(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
-    """``c1_penalty_sdp`` at c from its ``c1_state_sdp``; +inf for None."""
-    if state is None:
-        return math.inf
-    head = state[: _HEAD + 1].tolist()
-    p, lam_sq = head[1], head[_HEAD]
-    order = problem.sdp_block.order
-    start = _HEAD + 1
-    g_mat = state[start : start + order * order].reshape(order, order)
-    lam = state[start + order * order :].reshape(order, order)
-    shifted_sq = dist_psd_minus(c * g_mat + p * lam) ** 2
-    return _value(head, (shifted_sq - p * p * lam_sq) / (2.0 * c * p), problem.n_eq, c)
-
-
-def c1_penalty_sdp(
-    problem: ConstrainedProblem,
-    x,
-    c: float,
-    alpha: float = 1.0,
-    kappa: float = KAPPA_SDP,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> float:
+def c1_penalty_sdp(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
+                   kappa: float = KAPPA_SDP, cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> float:
     """SDP counterpart:
     F = f + (1 / 2cp) (trace([cG + p lambda]_+^2) - p^2 trace(lambda^2))
         + <mu, h> + (c / 2q) ||h||^2,
     with trace([A]_+^2) = dist^2(A, S-).
     """
-    if c <= 0:
-        raise ValueError("penalty parameter c must be positive")
-    return c1_value_sdp(problem, c1_state_sdp(problem, x, alpha, kappa, cfg), c)
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
+    check_cone(problem, sdp=True)
+    return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)

@@ -17,7 +17,7 @@ from epflab.harness import (
     nondegeneracy_probe,
     penalty_type_probe,
 )
-from epflab.penalties import QFunction, qpen_eval
+from epflab.penalties import q_order, qpen_eval
 from epflab.problems import ConstrainedProblem, get_problem, registry
 from epflab.report import localize, serialize_report
 from epflab.smoothpen import (
@@ -216,9 +216,9 @@ def test_criterion_08_augmented_lagrangian_oracle():
 
 
 def test_criterion_09_nonlinear_penalty_conditions():
-    assert check_q_local_condition(QFunction.q_order(0.5), 1.0, 1.0, 0.9)
-    assert check_q_local_condition(QFunction.q_order(1.0), 1.0, 1.0, 0.9)
-    assert not check_q_local_condition(QFunction.q_order(2.0), 1.0, 1.0, 0.9)
+    assert check_q_local_condition(q_order(0.5), 1.0, 1.0, 0.9)
+    assert check_q_local_condition(q_order(1.0), 1.0, 1.0, 0.9)
+    assert not check_q_local_condition(q_order(2.0), 1.0, 1.0, 0.9)
 
     # 1-D toy: f = x + 1 on [-1, 1], constraint x >= 0.
     prob = ConstrainedProblem(
@@ -228,7 +228,7 @@ def test_criterion_09_nonlinear_penalty_conditions():
         lower=np.array([-1.0]), upper=np.array([1.0]),
     )
     phi = lambda x: max(0.0, -float(np.asarray(x)[0]))
-    qf = QFunction.q_order(1.0)
+    qf = q_order(1.0)
     grid = np.linspace(-1.0, 1.0, 100_001)
     for c in (0.5, 2.0):
         func = lambda x: qpen_eval(qf, prob, phi, x, c)

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import epflab
-from epflab import cli, report
+from epflab import cli, harness, report
 
 # The CLI subprocess imports the same epflab sources as the tests.
 SRC = str(Path(epflab.__file__).resolve().parent.parent)
@@ -302,3 +302,52 @@ def test_localize_rejects_penalty_before_solving(monkeypatch, extra):
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 3
+
+
+def _run_in_process(monkeypatch, capsys, args):
+    """Exit code and standard error of ``epflab *args``, run in this process."""
+    monkeypatch.setattr(sys, "argv", ["epflab", *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    return exc.value.code, capsys.readouterr().err
+
+
+_C1_SOCP = ("--problem", "toy-socp-1", "--penalty", "c1-socp")
+_GRADCHECK = ("gradcheck", "--problem", "toy-socp-1", "--points", "3", "--penalty")
+_CSTAR = ("estimate-cstar", "--problem", "toy-socp-1", "--penalty", "linear", "--starts", "2")
+_SWEEP = ("sweep", "--problem", "toy-socp-1", "--penalty", "linear", "--starts", "2")
+
+
+# A NaN or infinite penalty parameter, c or c bracket is an input error
+# (exit 3), never a predicate that fails (exit 2) or a report of +inf F.
+@pytest.mark.parametrize("command,option,value", [
+    (("localize", *_C1_SOCP), "--alpha", "nan"),
+    (("localize", *_C1_SOCP), "--alpha", "inf"),
+    ((*_GRADCHECK, "c1-socp"), "--kappa", "nan"),
+    ((*_GRADCHECK, "c1-socp"), "--kappa", "inf"),
+    ((*_GRADCHECK, "c1-socp"), "--zeta1", "nan"),
+    ((*_GRADCHECK, "c1-socp"), "--zeta2", "inf"),
+    ((*_GRADCHECK, "qorder"), "--q", "nan"),
+    ((*_GRADCHECK, "qorder"), "--q", "inf"),
+    ((*_GRADCHECK, "linear"), "--c", "nan"),
+    ((*_GRADCHECK, "al-hpr"), "--c", "inf"),
+    (_CSTAR, "--c-hi", "inf"),
+    (_CSTAR, "--c-lo", "nan"),
+    (_SWEEP, "--c-max", "inf"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v.lstrip("-"))
+def test_non_finite_input_exit_3(monkeypatch, capsys, command, option, value):
+    code, err = _run_in_process(monkeypatch, capsys, (*command, option, value))
+    assert code == 3, err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem,kind", [("toy-socp-1", "c1-sdp"), ("toy-sdp-1", "c1-socp")])
+def test_c1_kind_on_the_other_cone_exit_3_before_any_evaluation(monkeypatch, capsys, problem, kind):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("F evaluated before the cone was checked")
+
+    monkeypatch.setattr(harness, "c1_state", evaluated)
+    code, err = _run_in_process(monkeypatch, capsys, ("estimate-cstar", "--problem", problem,
+                                                      "--penalty", kind, "--starts", "2"))
+    assert code == 3, err
+    assert f"{kind} does not fit {problem}" in err

@@ -38,8 +38,9 @@ def _walled(x, c):
 def test_geometric_grid():
     grid = geometric_grid(1.0, 8.0, 4)
     assert np.allclose(grid, [1.0, 2.0, 4.0, 8.0])
-    with pytest.raises(ValueError):
-        geometric_grid(2.0, 1.0, 4)
+    for c_min, c_max in ((2.0, 1.0), (1.0, math.inf), (math.nan, 8.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            geometric_grid(c_min, c_max, 4)
 
 
 def test_make_penalty_kinds():
@@ -99,7 +100,10 @@ def test_make_penalty_al_hpr_multiplier_lengths():
     for problem, kwargs in ((lin, {"lam": [1.0]}), (lin, {"lam": [1.0, 5.0, 0.0]}),
                             (lin, {"mu": [5.0]}), (eq, {"lam": [0.0]}), (eq, {"mu": [0.0, 0.0]}),
                             (eq, {"mu": []}), (sdp, {"lam": [1.0, 0.0, 0.0]}),
-                            (sdp, {"lam": [1.0, 2.0, 0.0, 0.0]})):
+                            (sdp, {"lam": [1.0, 2.0, 0.0, 0.0]}),
+                            # Each entry must be finite.
+                            (lin, {"lam": [math.nan, 0.0]}), (eq, {"mu": [math.inf]}),
+                            (sdp, {"lam": [1.0, 0.0, 0.0, -math.inf]})):
         with pytest.raises(ValueError):
             make_penalty(problem, "al-hpr", **kwargs)
     assert make_penalty(lin, "al-hpr").params == {"lambda_0": -1.0, "lambda_1": 0.0}
@@ -290,10 +294,12 @@ def test_estimate_c_star_reproducible():
 
 def test_estimate_c_star_validation():
     p = get_problem("toy-lin-1")
-    with pytest.raises(ValueError):
-        estimate_c_star(make_penalty(p, "linear"), 4.0, 1.0, cfg=CFG)
-    # With 1 + tol_rel == 1 the bracket never narrows enough and bisection never ends.
-    for tol_rel in (0.0, -0.5, 1e-17):
+    for c_lo, c_hi in ((4.0, 1.0), (1.0, math.inf), (math.nan, 4.0)):
+        with pytest.raises(ValueError):
+            estimate_c_star(make_penalty(p, "linear"), c_lo, c_hi, cfg=CFG)
+    # With 1 + tol_rel == 1 the bracket never narrows enough and bisection never
+    # ends; with 1 + tol_rel == inf it never starts and c* is the bracket's midpoint.
+    for tol_rel in (0.0, -0.5, 1e-17, math.inf, math.nan):
         with pytest.raises(ValueError):
             estimate_c_star(make_penalty(p, "linear"), 0.25, 64.0, tol_rel=tol_rel, cfg=CFG)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epflab.errors import NegativeObjective
-from epflab.penalties import QFunction, default_phi, linear_eval, qpen_eval
+from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
 from epflab.problems import ConstrainedProblem, get_problem
 from paper_checks import (
     NoFeasibleDistanceOracle,
@@ -25,8 +25,9 @@ def test_linear_eval_examples():
 
 
 def test_linear_eval_requires_positive_c():
-    with pytest.raises(ValueError):
-        linear_eval(*_toy_lin(), np.array([0.0]), 0.0)
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            linear_eval(*_toy_lin(), np.array([0.0]), c)
 
 
 def test_linear_eval_default_phi_zero_iff_feasible():
@@ -48,15 +49,23 @@ def test_linear_eval_affine_increasing_in_c():
 
 def test_q_order_monotone():
     for q in (0.5, 1.0, 2.0):
-        assert check_strict_monotone(QFunction.q_order(q))
-    with pytest.raises(ValueError):
-        QFunction.q_order(0.0)
+        assert check_strict_monotone(q_order(q))
+    for q in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            q_order(q)
 
 
 def test_q_rejects_negative_arguments():
-    qf = QFunction.q_order(1.0)
+    qf = q_order(1.0)
     with pytest.raises(ValueError):
         qf(-1.0, 0.0)
+
+
+def test_q_is_infinite_where_an_argument_is():
+    for q in (0.5, 1.0, 2.0):
+        qf = q_order(q)
+        assert qf(float("inf"), 0.0) == qf(1.0, float("inf")) == float("inf")
+        assert type(qf(1.0, 2.0)) is float
 
 
 def test_qpen_examples():
@@ -70,9 +79,9 @@ def test_qpen_examples():
         upper=np.array([1.0]),
     )
     phi = lambda x: max(0.0, -float(np.asarray(x)[0]))
-    q1 = QFunction.q_order(1.0)
+    q1 = q_order(1.0)
     assert qpen_eval(q1, prob, phi, np.array([0.0]), 2.0) == 1.0
-    q2 = QFunction.q_order(2.0)
+    q2 = q_order(2.0)
     assert qpen_eval(q2, prob, phi, np.array([-1.0]), 2.0) == pytest.approx(2.0)
     # Feasible reduction: Q(f, 0) = f for the q-th order instance.
     assert qpen_eval(q1, prob, phi, np.array([0.5]), 9.0) == pytest.approx(1.5)
@@ -82,13 +91,13 @@ def test_qpen_rejects_negative_objective():
     p = get_problem("toy-lin-1")  # f = -x goes negative
     phi = default_phi(p)
     with pytest.raises(NegativeObjective):
-        qpen_eval(QFunction.q_order(1.0), p, phi, np.array([1.0]), 1.0)
+        qpen_eval(q_order(1.0), p, phi, np.array([1.0]), 1.0)
 
 
 def test_qpen_nondecreasing_in_c():
     p = get_problem("toy-eq-1")
     phi = default_phi(p)
-    qf = QFunction.q_order(1.0)
+    qf = q_order(1.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.uniform(-3, 3, size=2)
@@ -132,8 +141,8 @@ def test_error_bound_requires_oracle():
 
 
 def test_q_local_condition():
-    assert check_q_local_condition(QFunction.q_order(1.0), 1.0, 1.0, 0.9)
-    assert check_q_local_condition(QFunction.q_order(0.5), 1.0, 1.0, 0.9)
-    assert not check_q_local_condition(QFunction.q_order(2.0), 1.0, 1.0, 0.1)
+    assert check_q_local_condition(q_order(1.0), 1.0, 1.0, 0.9)
+    assert check_q_local_condition(q_order(0.5), 1.0, 1.0, 0.9)
+    assert not check_q_local_condition(q_order(2.0), 1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        check_q_local_condition(QFunction.q_order(1.0), 1.0, 1.0, 1.5)
+        check_q_local_condition(q_order(1.0), 1.0, 1.0, 1.5)

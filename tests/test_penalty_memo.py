@@ -7,25 +7,108 @@ import numpy as np
 import pytest
 
 from epflab import harness, smoothpen
+from epflab.cones import dist_lorentz, dist_psd_minus
 from epflab.errors import NegativeObjective, NonFiniteEvaluation
 from epflab.harness import make_penalty
-from epflab.penalties import QFunction, default_phi, linear_eval, qpen_eval
+from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
 from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
-from epflab.smoothpen import c1_penalty_sdp, c1_penalty_soc
+from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, barrier_state_sdp,
+                              barrier_state_soc, c1_penalty_sdp, c1_penalty_soc,
+                              estimate_multipliers_sdp, estimate_multipliers_soc)
 
 STAGED = ("linear", "qorder", "c1-socp", "c1-sdp")
 
 
+# The C1 stages as they were written before the SOC and SDP states were
+# folded into one c1_state and one c1_value, kept as a frozen reference:
+# the one-shot c1 functions now share the code under test.
+_HEAD = 5
+
+
+def _state_head(problem, x, barrier, est):
+    if problem.n_eq == 0:
+        return problem.f(x), barrier.p_val, barrier.q_val, 0.0, 0.0
+    h_val = est.h_val
+    return problem.f(x), barrier.p_val, barrier.q_val, float(est.mu @ h_val), float(h_val @ h_val)
+
+
+def _value(head, cone, n_eq, c):
+    f_val, _, q, mu_h, h_sq = head[:_HEAD]
+    value = f_val + cone
+    if n_eq > 0:
+        value += mu_h + (c / (2.0 * q)) * h_sq
+    return float(value)
+
+
+def _reference_state_soc(problem, x, alpha=1.0, kappa=KAPPA_SOC, cfg=DEFAULT_ESTIMATOR):
+    x = np.asarray(x, dtype=float)
+    est = estimate_multipliers_soc(problem, x, cfg)
+    barrier = barrier_state_soc(alpha, kappa, est)
+    if not barrier.inside_domain:
+        return None
+    parts = [_state_head(problem, x, barrier, est)]
+    for g_val, lam_i in zip(est.g_vals, est.lambdas):
+        parts += ((float(lam_i @ lam_i),), g_val, lam_i)
+    return np.concatenate(parts)
+
+
+def _reference_value_soc(problem, state, c):
+    if state is None:
+        return math.inf
+    head = state[:_HEAD].tolist()
+    p = head[1]
+    total = 0.0
+    start = _HEAD
+    for block in problem.soc_blocks:
+        k = block.dim
+        g_val = state[start + 1 : start + 1 + k]
+        lam_i = state[start + 1 + k : start + 1 + 2 * k]
+        shifted = g_val + (p / c) * lam_i
+        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(state[start]))
+        start += 1 + 2 * k
+    return _value(head, total, problem.n_eq, c)
+
+
+def _reference_state_sdp(problem, x, alpha=1.0, kappa=KAPPA_SDP, cfg=DEFAULT_ESTIMATOR):
+    x = np.asarray(x, dtype=float)
+    est = estimate_multipliers_sdp(problem, x, cfg)
+    barrier = barrier_state_sdp(alpha, kappa, est)
+    if not barrier.inside_domain:
+        return None
+    head = _state_head(problem, x, barrier, est) + (est.lambda_norm_sq,)
+    return np.concatenate((head, est.g_vals[0].ravel(), est.lam_sdp.ravel()))
+
+
+def _reference_value_sdp(problem, state, c):
+    if state is None:
+        return math.inf
+    head = state[: _HEAD + 1].tolist()
+    p, lam_sq = head[1], head[_HEAD]
+    order = problem.sdp_block.order
+    start = _HEAD + 1
+    g_mat = state[start : start + order * order].reshape(order, order)
+    lam = state[start + order * order :].reshape(order, order)
+    shifted_sq = dist_psd_minus(c * g_mat + p * lam) ** 2
+    return _value(head, (shifted_sq - p * p * lam_sq) / (2.0 * c * p), problem.n_eq, c)
+
+
 def _one_shot(problem, kind):
-    """The one-shot F of a kind at the defaults of its builder."""
+    """The one-shot F of a kind at the defaults of its builder; for the c1
+    kinds, the frozen reference stages."""
     phi = default_phi(problem)
     if kind == "linear":
         return lambda x, c: linear_eval(problem, phi, x, c)
     if kind == "qorder":
-        return lambda x, c: qpen_eval(QFunction.q_order(1.0), problem, phi, x, c)
+        return lambda x, c: qpen_eval(q_order(1.0), problem, phi, x, c)
     if kind == "c1-socp":
-        return lambda x, c: c1_penalty_soc(problem, x, c)
-    return lambda x, c: c1_penalty_sdp(problem, x, c)
+        return lambda x, c: _reference_value_soc(problem, _reference_state_soc(problem, x), c)
+    return lambda x, c: _reference_value_sdp(problem, _reference_state_sdp(problem, x), c)
+
+
+def _fits(problem, kind):
+    """Whether make_penalty builds ``kind`` on ``problem``: a c1 kind needs
+    its own cone."""
+    return not kind.startswith("c1") or (problem.sdp_block is not None) == (kind == "c1-sdp")
 
 
 def _outcome(func, x, c):
@@ -61,15 +144,44 @@ def _sequences(points):
 @pytest.mark.parametrize("kind", STAGED)
 @pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
 def test_memo_matches_one_shot_bit_for_bit(problem, kind):
-    handle = make_penalty(problem, kind)
     reference = _one_shot(problem, kind)
+    if not _fits(problem, kind):
+        # Both reject a c1 kind of the other cone: the reference at its
+        # first F, make_penalty when it builds the handle.
+        with pytest.raises(ValueError):
+            reference(problem.certificate.x_star, 1.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            make_penalty(problem, kind)
+        return
+    handle = make_penalty(problem, kind)
+    one_shot = {"c1-socp": c1_penalty_soc, "c1-sdp": c1_penalty_sdp}.get(kind)
     seen = set()
     with np.errstate(all="ignore"):
         for x, c in _sequences(_points(problem)):
-            seen.add(_outcome(reference, x, c))
-            assert _outcome(handle, x, c) == _outcome(reference, x, c), (x.tolist(), c)
+            expected = _outcome(reference, x, c)
+            seen.add(expected)
+            assert _outcome(handle, x, c) == expected, (x.tolist(), c)
+            if one_shot is not None:
+                assert _outcome(lambda z, t: one_shot(problem, z, t), x, c) == expected
     if kind in problem.penalties and kind.startswith("c1"):
         assert "inf" in seen, "no point outside the barrier domain"
+
+
+@pytest.mark.parametrize("kind", ("c1-socp", "c1-sdp"))
+def test_c1_kind_on_the_other_cone_raises_before_any_evaluation(kind, monkeypatch):
+    def evaluated(*args, **kwargs):
+        pytest.fail("F evaluated something for a penalty of the other cone")
+
+    monkeypatch.setattr(harness, "c1_state", evaluated)
+    monkeypatch.setattr(smoothpen, "c1_state", evaluated)
+    one_shot = c1_penalty_sdp if kind == "c1-sdp" else c1_penalty_soc
+    mismatched = [p for p in registry() if not _fits(p, kind)]
+    assert mismatched
+    for problem in mismatched:
+        with pytest.raises(ValueError, match=f"{kind} does not fit {problem.name}"):
+            make_penalty(problem, kind)
+        with pytest.raises(ValueError, match=f"{kind} does not fit {problem.name}"):
+            one_shot(problem, problem.certificate.x_star, 1.0)
 
 
 def _nan_past_half():
@@ -107,12 +219,12 @@ def test_nonpositive_c_raises_before_any_evaluation(kind, monkeypatch):
     handle = make_penalty(problem, kind)
 
     def evaluated(*args, **kwargs):
-        pytest.fail("F evaluated something at a nonpositive c")
+        pytest.fail("F evaluated something at a c that is not positive and finite")
 
-    for name in ("linear_state", "qpen_state", "c1_state_soc", "c1_state_sdp"):
+    for name in ("linear_state", "qpen_state", "c1_state"):
         monkeypatch.setattr(harness, name, evaluated)
-    for c in (0.0, -1.0, -0.0):
-        with pytest.raises(ValueError, match="must be positive"):
+    for c in (0.0, -1.0, -0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             handle(problem.certificate.x_star, c)
 
 

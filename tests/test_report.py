@@ -66,11 +66,16 @@ def test_serialized_report_keys():
 
 # SHA-256 of the report bytes at seed 0, 4 starts and a 6-point grid on
 # [0.5, 512], recorded before F was split into a memoized state and a
-# c-dependent value.  A speed change must leave these bytes alone.
+# c-dependent value; the two toy-socp pairs were recorded before the SOC
+# and SDP c1 stages were folded into one.  toy-socp-2 is the pair whose
+# c1 value has both an SOC block and an equality term.  A speed change or
+# a refactor must leave these bytes alone.
 _REPORT_SHA256 = {
     ("toy-lin-1", "linear"): "b0eacf0c20ecad74d62a3df2b1b91368a9928c14cf10e004a3a839a5f23b1bef",
     ("toy-eq-1", "qorder"): "c29b0237956b3b8c78bdc9aa0c57e8d216419890eb693edf6d10eca2e96a0ce5",
     ("toy-eq-1", "c1-socp"): "810b5dbb6e3d34aefc4df5fe804bde5c07efc08a25390babd7c8eec68d3c4edf",
+    ("toy-socp-1", "c1-socp"): "15813501099c6bc0c0f2336e85fa1c5aaee5169cca244021c4da8d6ce017a83e",
+    ("toy-socp-2", "c1-socp"): "a5a761972537ac2f1e64d469b2ec0bb4b0be24d020c42a63346f20931999cecc",
     ("toy-sdp-1", "c1-sdp"): "0e9b40d55c023a7281b2e83281a3124b74f4c4fbba6870e42f8247021faa4d91",
 }
 

@@ -20,8 +20,10 @@ from paper_checks import SAMPLE_FEASIBLE, OutsideDomain, phi_aux, subproblem_dia
 
 
 def test_estimator_config_positivity():
-    with pytest.raises(ValueError):
-        EstimatorConfig(zeta1=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for name in ("zeta1", "zeta2"):
+            with pytest.raises(ValueError):
+                EstimatorConfig(**{name: bad})
 
 
 def test_multiplier_recovery_eq():
