@@ -22,7 +22,8 @@ from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import default_phi, linear_state, linear_value, q_order, qpen_state, qpen_value
 from .problems import (ConstrainedProblem, KnownSolution, feasibility_gap, flat_multipliers,
                        split_multipliers)
-from .smoothpen import KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_cone
+from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_barrier,
+                        check_cone, constant_normal_data)
 from .solvers import SolverConfig, minimize, polish
 
 
@@ -92,8 +93,10 @@ def _qorder(problem, q=1.0):
 def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
     check_cone(problem, sdp)
     cfg = EstimatorConfig(zeta1=zeta1, zeta2=zeta2)
+    check_barrier(sdp, alpha, kappa)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
-    return _memoized(problem, lambda x: c1_state(problem, x, alpha, kappa, cfg),
+    data = constant_normal_data(problem)
+    return _memoized(problem, lambda x: c1_state(problem, x, alpha, kappa, cfg, data),
                      lambda s, c: c1_value(problem, s, c)), params
 
 

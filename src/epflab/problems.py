@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,10 +50,11 @@ class SocBlock:
 
     dim: int
     g: Callable[[Array], Array]
-    jac: Callable[[Array], Array]
+    # The Jacobian of g: a callable of x, or one array when it is constant.
+    jac: Union[Callable[[Array], Array], Array]
 
     def jacobian(self, x: Array) -> Array:
-        return np.asarray(self.jac(x), dtype=float)
+        return np.asarray(self.jac(x) if callable(self.jac) else self.jac, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,12 @@ class SdpBlock:
 
     order: int
     G: Callable[[Array], Array]
-    # dG(x)[k] = dG/dx_k, one symmetric matrix per coordinate.
-    dG: Callable[[Array], Sequence[Array]]
+    # dG(x)[k] = dG/dx_k, one symmetric matrix per coordinate (an array if constant).
+    dG: Union[Callable[[Array], Sequence[Array]], Array]
 
     def derivative(self, x: Array) -> Array:
-        return np.asarray(self.dG(x), dtype=float)  # (dim, order, order)
+        dG = self.dG(x) if callable(self.dG) else self.dG
+        return np.asarray(dG, dtype=float)  # (dim, order, order)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class ConstrainedProblem:
     soc_blocks: Tuple[SocBlock, ...] = ()
     sdp_block: Optional[SdpBlock] = None
     eq: Optional[Callable[[Array], Array]] = None
-    eq_jac: Optional[Callable[[Array], Array]] = None
+    eq_jac: Optional[Union[Callable[[Array], Array], Array]] = None
     n_eq: int = 0
     certificate: Optional[KnownSolution] = None
     # Penalty kinds the harness should exercise on this instance.
@@ -138,7 +140,8 @@ class ConstrainedProblem:
     def jac_h(self, x) -> Array:
         if self.eq is None:
             return np.zeros((0, self.dim))
-        return np.atleast_2d(np.asarray(self.eq_jac(np.asarray(x, dtype=float)), dtype=float))
+        jac = self.eq_jac(np.asarray(x, dtype=float)) if callable(self.eq_jac) else self.eq_jac
+        return np.atleast_2d(np.asarray(jac, dtype=float))
 
     def box(self) -> Tuple[Array, Array]:
         return self.lower, self.upper
@@ -317,7 +320,8 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
     its data: ``weight`` w, ``center`` a, ``linear`` q, ``soc`` pairs
     (A_i, b_i), ``sdp`` the pair (G0, [G_k]) and ``eq`` the pair (E, e).
     A vector or G0 given as None is zero.  The gradient, Jacobians and dG
-    are derived from the data, the constant ones stored read-only.  Values
+    are derived from the data; the Jacobians and dG are read-only arrays,
+    not callables.  Values
     keep the bits of the formula written out (README "Problem contract")."""
     dim = len(lower)
     center = None if center is None else _frozen(center)
@@ -354,20 +358,20 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
     blocks = []
     for A, b in soc:
         A = _frozen(A)
-        blocks.append(SocBlock(dim=len(A), g=_affine_map(b, A), jac=lambda x, A=A: A))
+        blocks.append(SocBlock(dim=len(A), g=_affine_map(b, A), jac=A))
     sdp_block = None
     if sdp is not None:
         dG = _frozen(sdp[1])
         order = dG.shape[1]
         G = _affine_map(sdp[0], dG.reshape(dim, -1).T, const_first=True)
-        sdp_block = SdpBlock(order=order, G=lambda x: G(x).reshape(order, order), dG=lambda x: dG)
+        sdp_block = SdpBlock(order=order, G=lambda x: G(x).reshape(order, order), dG=dG)
     h = E = None
     if eq is not None:
         E = _frozen(eq[0])
         h = _affine_map(None if eq[1] is None else np.negative(eq[1]), E)
     return ConstrainedProblem(name=name, dim=dim, objective=objective, gradient=gradient,
                               lower=lower, upper=upper, soc_blocks=tuple(blocks), sdp_block=sdp_block,
-                              eq=h, eq_jac=None if E is None else lambda x: E,
+                              eq=h, eq_jac=E,
                               n_eq=0 if E is None else len(E), certificate=certificate,
                               penalties=penalties)
 

@@ -86,80 +86,6 @@ def _solve_normal_equations(normal: Array, rhs: Array):
         return np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
 
 
-def estimate_multipliers_soc(
-    problem: ConstrainedProblem,
-    x,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> MultiplierEstimate:
-    """Multiplier estimate (lambda(x), mu(x)) for SOC/equality problems.
-
-    Minimizes the convex quadratic
-      ||grad_x L||^2
-      + zeta1 * sum_i (<lambda_i, g_i>^2 + ||(lambda_i)_0 gbar_i + (g_i)_0 lambdabar_i||^2)
-      + (zeta2/2) * (||h||^2 + sum_i dist^2(g_i, Q)) * (||lambda||^2 + ||mu||^2)
-    via its normal equations; a singular system gives the minimum-norm
-    estimate with ``degenerate`` set.  A non-finite constraint value (g_i,
-    h, or G in the SDP analogue) raises NonFiniteEvaluation.
-    """
-    x = np.asarray(x, dtype=float)
-    blocks = problem.soc_blocks
-    if problem.sdp_block is not None:
-        raise ValueError("use estimate_multipliers_sdp for matrix-constrained problems")
-    sizes = [b.dim for b in blocks]
-    m = sum(sizes) + problem.n_eq
-    h_val = problem.h(x)
-    if m == 0:
-        return MultiplierEstimate(lambdas=(), mu=np.zeros(0), h_val=h_val)
-    stack = np.zeros((problem.dim, m))
-    normal = np.zeros((m, m))
-    rho = 0.0
-    dists = []
-    g_vals = []
-    col = 0
-    for block in blocks:
-        k = block.dim
-        g_val = np.asarray(block.g(x), dtype=float)
-        g_vals.append(g_val)
-        stack[:, col : col + k] = block.jacobian(x).T
-        # g g' + F'F with F = [gbar, g0 I] on floats: 2 g0 g_j along the head row
-        # and column, g_i^2 + g0^2 on the tail diagonal; 0.0 + turns -0.0 into 0.0.
-        vals = g_val.tolist()
-        curv = [[gi * gj for gj in vals] for gi in vals]
-        for i in range(1, k):
-            curv[0][i] += curv[0][i]
-            curv[i][0] += curv[i][0]
-            curv[i][i] += vals[0] * vals[0]
-        curv[0][0] += float(g_val[1:] @ g_val[1:])
-        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
-        dists.append(dist_lorentz(g_val))
-        rho += dists[-1] ** 2
-        col += k
-    if problem.n_eq > 0:
-        stack[:, col:] = problem.jac_h(x).T
-        rho += math.sqrt(h_val @ h_val) ** 2
-    if not math.isfinite(rho):
-        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
-    gram = stack.T @ stack
-    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
-    normal += gram
-    rhs = stack.T @ problem.grad_f(x)
-    z, degenerate = _solve_normal_equations(normal, rhs)
-    lambdas = []
-    col = 0
-    for k in sizes:
-        lambdas.append(z[col : col + k])
-        col += k
-    return MultiplierEstimate(
-        lambdas=tuple(lambdas),
-        mu=z[col:],
-        degenerate=degenerate,
-        block_dists=tuple(dists),
-        g_vals=tuple(g_vals),
-        h_val=h_val,
-        lambda_norm_sq=sum(float(v @ v) for v in lambdas),
-    )
-
-
 @lru_cache(maxsize=None)
 def _sym_basis(order: int) -> Tuple[Array, Array, Array]:
     """Basis E_ij + E_ji (E_ii on the diagonal), i <= j in row-major order,
@@ -172,6 +98,83 @@ def _sym_basis(order: int) -> Tuple[Array, Array, Array]:
     basis[np.arange(rows.size), cols, rows] = 1.0
     basis.flags.writeable = False
     return basis, basis.reshape(rows.size, -1), np.where(rows == cols, 1.0, 2.0)
+
+
+def _normal_data(problem: ConstrainedProblem, x=None) -> Tuple[Array, Array, Optional[Array]]:
+    """The half of the multiplier estimate's normal equations that reads
+    only the constraint derivatives at x: the stack J' (dim, m) of one
+    column per multiplier entry (the SDP basis coefficients or the SOC
+    blocks' entries, then mu), its Gram matrix J'J and, for an SDP block,
+    the ridge weights (the basis sums, then ones).  With x None every
+    derivative must be an array."""
+    cols = [np.zeros((problem.dim, 0))] + [soc.jacobian(x).T for soc in problem.soc_blocks]
+    weights = None
+    if problem.sdp_block is not None:
+        _, flat, basis_sums = _sym_basis(problem.sdp_block.order)
+        cols.append(problem.sdp_block.derivative(x).reshape(problem.dim, -1) @ flat.T)
+        weights = np.concatenate((basis_sums, np.ones(problem.n_eq)))
+    if problem.n_eq > 0:
+        cols.append(problem.jac_h(x).T)
+    stack = np.hstack(cols)
+    return stack, stack.T @ stack, weights
+
+
+def constant_normal_data(problem: ConstrainedProblem):
+    """``_normal_data(problem)``, built once for every x, when each constraint
+    derivative of the problem is an array; else None."""
+    derivs = [block.jac for block in problem.soc_blocks] + [problem.eq_jac]
+    if problem.sdp_block is not None:
+        derivs.append(problem.sdp_block.dG)
+    return None if any(map(callable, derivs)) else _normal_data(problem)
+
+
+def _cone_terms(problem: ConstrainedProblem, x: Array):
+    """The constraint values at x (g_i(x) per SOC block, or (G(x),)), each
+    block's cone distance, h(x), h'h and rho = ||h||^2 + the sum of the
+    squared distances; NonFiniteEvaluation unless rho is finite."""
+    block = problem.sdp_block
+    g_vals = [] if block is None else [np.asarray(block.G(x), dtype=float)]
+    h_val = problem.h(x)
+    h_sq = float(h_val @ h_val) if problem.n_eq > 0 else 0.0
+    if block is not None:
+        dists = [dist_psd_minus(g_vals[0])]
+        rho = math.sqrt(h_sq) ** 2 + dists[0] ** 2
+    else:
+        dists, rho = [], 0.0
+        for soc in problem.soc_blocks:
+            g_vals.append(np.asarray(soc.g(x), dtype=float))
+            dists.append(dist_lorentz(g_vals[-1]))
+            rho += dists[-1] ** 2
+        if problem.n_eq > 0:
+            rho += math.sqrt(h_sq) ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
+    return g_vals, dists, h_val, h_sq, rho
+
+
+def _soc_normal(gram: Array, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
+    """zeros + zeta1 (g g' + F'F, F = [gbar, g0 I], per block) + (J'J + (zeta2 / 2) rho I),
+    summed in that order."""
+    m = len(gram)
+    normal = np.zeros((m, m))
+    col = 0
+    for g_val in g_vals:
+        k = len(g_val)
+        # g g' + F'F on floats: 2 g0 g_j along the head row and column,
+        # g_i^2 + g0^2 on the tail diagonal; 0.0 + turns -0.0 into 0.0.
+        vals = g_val.tolist()
+        curv = [[gi * gj for gj in vals] for gi in vals]
+        for i in range(1, k):
+            curv[0][i] += curv[0][i]
+            curv[i][0] += curv[i][0]
+            curv[i][i] += vals[0] * vals[0]
+        curv[0][0] += float(g_val[1:] @ g_val[1:])
+        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
+        col += k
+    gram = gram.copy()
+    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
+    normal += gram
+    return normal
 
 
 def _sdp_normal(normal: Array, curv: Array, gram: Array, cfg: EstimatorConfig, rho: float) -> Array:
@@ -188,75 +191,100 @@ def _sdp_normal(normal: Array, curv: Array, gram: Array, cfg: EstimatorConfig, r
     return normal
 
 
-def estimate_multipliers_sdp(
-    problem: ConstrainedProblem,
-    x,
-    cfg: EstimatorConfig = DEFAULT_ESTIMATOR,
-) -> MultiplierEstimate:
+def _multipliers(problem: ConstrainedProblem, x: Array, cfg, data, g_vals, rho: float):
+    """The estimate at x from one normal-equation solve: lambda_i per SOC
+    block (or (Lambda,) for the SDP block), their squared norms (by a dot
+    product, or ||Lambda||_F^2 by a sum), mu, and whether the system was
+    singular.  ``data`` is ``_normal_data``, built here at x when None."""
+    stack, gram, weights = _normal_data(problem, x) if data is None else data
+    if not len(gram):
+        return [], [], np.zeros(0), False
+    if weights is None:
+        normal = _soc_normal(gram, g_vals, cfg, rho)
+    else:
+        basis, flat, _ = _sym_basis(problem.sdp_block.order)
+        n_lam, m = len(flat), len(weights)
+        curv = np.zeros((m, m))
+        curv[:n_lam, :n_lam] = flat @ (g_vals[0] @ g_vals[0] @ basis).reshape(n_lam, -1).T
+        # _sdp_normal adds into its first argument, which data must not see.
+        normal = _sdp_normal(gram.copy(), curv, weights, cfg, rho)
+    z, degenerate = _solve_normal_equations(normal, stack.T @ problem.grad_f(x))
+    if weights is not None:
+        lam = (z[:n_lam] @ flat).reshape(basis.shape[1:])
+        return [lam], [float(np.sum(lam * lam))], z[n_lam:], degenerate
+    lambdas, col = [], 0
+    for g_val in g_vals:
+        lambdas.append(z[col : col + len(g_val)])
+        col += len(g_val)
+    return lambdas, [float(lam @ lam) for lam in lambdas], z[col:], degenerate
+
+
+def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
+    x = np.asarray(x, dtype=float)
+    g_vals, dists, h_val, _, rho = _cone_terms(problem, x)
+    lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, cfg, None, g_vals, rho)
+    sdp = problem.sdp_block is not None
+    return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=mu,
+                              lam_sdp=lambdas[0] if sdp else None, degenerate=degenerate,
+                              block_dists=tuple(dists), g_vals=tuple(g_vals), h_val=h_val,
+                              lambda_norm_sq=sum(lambda_sqs, 0.0))
+
+
+def estimate_multipliers_soc(problem: ConstrainedProblem, x,
+                             cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> MultiplierEstimate:
+    """Multiplier estimate (lambda(x), mu(x)) for SOC/equality problems.
+
+    Minimizes the convex quadratic
+      ||grad_x L||^2
+      + zeta1 * sum_i (<lambda_i, g_i>^2 + ||(lambda_i)_0 gbar_i + (g_i)_0 lambdabar_i||^2)
+      + (zeta2/2) * (||h||^2 + sum_i dist^2(g_i, Q)) * (||lambda||^2 + ||mu||^2)
+    via its normal equations; a singular system gives the minimum-norm
+    estimate with ``degenerate`` set.  A non-finite constraint value (g_i,
+    h, or G in the SDP analogue) raises NonFiniteEvaluation.
+    """
+    if problem.sdp_block is not None:
+        raise ValueError("use estimate_multipliers_sdp for matrix-constrained problems")
+    return _estimate(problem, x, cfg)
+
+
+def estimate_multipliers_sdp(problem: ConstrainedProblem, x,
+                             cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> MultiplierEstimate:
     """SDP analogue of the multiplier estimate, with lambda a symmetric
     matrix parameterized by its upper-triangular entries."""
-    x = np.asarray(x, dtype=float)
-    block = problem.sdp_block
-    if block is None:
+    if problem.sdp_block is None:
         raise ValueError("problem has no SDP block")
-    if problem.soc_blocks:
-        raise ValueError("mixed SOC and SDP blocks are not supported")
-    # <E_a, M> for every basis matrix E_a is one product with the flat basis.
-    basis, flat, basis_sums = _sym_basis(block.order)
-    n_lam = basis.shape[0]
-    m = n_lam + problem.n_eq
-    g_mat = np.asarray(block.G(x), dtype=float)
-    h_val = problem.h(x)
-    grad_f = problem.grad_f(x)
-    dist = dist_psd_minus(g_mat)
-    rho = math.sqrt(h_val @ h_val) ** 2 + dist ** 2
-    if not math.isfinite(rho):
-        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
-    stack = np.zeros((problem.dim, m))
-    stack[:, :n_lam] = block.derivative(x).reshape(problem.dim, -1) @ flat.T
-    if problem.n_eq > 0:
-        stack[:, n_lam:] = problem.jac_h(x).T
-    curv = np.zeros((m, m))
-    curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
-    gram = np.ones(m)
-    gram[:n_lam] = basis_sums
-    normal = _sdp_normal(stack.T @ stack, curv, gram, cfg, rho)
-    rhs = stack.T @ grad_f
-    z, degenerate = _solve_normal_equations(normal, rhs)
-    lam_sdp = (z[:n_lam] @ flat).reshape(basis.shape[1:])
-    return MultiplierEstimate(
-        lambdas=(),
-        mu=z[n_lam:],
-        lam_sdp=lam_sdp,
-        degenerate=degenerate,
-        block_dists=(dist,),
-        g_vals=(g_mat,),
-        h_val=h_val,
-        lambda_norm_sq=float(np.sum(lam_sdp * lam_sdp)),
-    )
+    check_cone(problem, sdp=True)
+    return _estimate(problem, x, cfg)
+
+
+def check_barrier(sdp: bool, alpha: float, kappa: float) -> None:
+    """ValueError unless kappa is finite and at least the cone's minimum
+    (dist^kappa must be differentiable) and alpha is positive and finite."""
+    least = KAPPA_SDP if sdp else KAPPA_SOC
+    if not least <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= {least:g} for {'SDP' if sdp else 'SOC'} "
+                         "problems")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
 
 
 def barrier_state_soc(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
     """Barrier terms p(x), q(x) built from constraint violations and the
     multiplier estimate ``est`` at x, whose constraint values and cone
     distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
-    if not 2.0 <= kappa < math.inf:
-        raise ValueError("kappa must be finite and >= 2 for SOC problems")
+    check_barrier(False, alpha, kappa)
     dist_sum = sum(dist ** kappa for dist in est.block_dists)
     return _barrier_state(alpha, alpha - dist_sum, est)
 
 
 def barrier_state_sdp(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError("kappa must be finite and >= 1 for SDP problems")
+    check_barrier(True, alpha, kappa)
     dist_sq = est.block_dists[0] ** 2
     return _barrier_state(alpha, alpha - dist_sq ** kappa, est)
 
 
 def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
     """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
     b_val = alpha - math.sqrt(est.h_val @ est.h_val) ** 2
     p_val = a_val / (1.0 + est.lambda_norm_sq)
     q_val = b_val / (1.0 + float(est.mu @ est.mu))
@@ -264,10 +292,13 @@ def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> Barri
 
 
 def check_cone(problem: ConstrainedProblem, sdp: bool) -> None:
-    """ValueError unless ``problem`` has an SDP block exactly when ``sdp``."""
+    """ValueError unless ``problem`` has an SDP block exactly when ``sdp``,
+    and no SOC block beside it."""
     if (problem.sdp_block is not None) != sdp:
         raise ValueError(f"c1-{'sdp' if sdp else 'socp'} does not fit {problem.name}, which has "
                          f"{'no' if sdp else 'an'} SDP block")
+    if sdp and problem.soc_blocks:
+        raise ValueError("mixed SOC and SDP blocks are not supported")
 
 
 # A c1 state starts with f(x), p(x), q(x), <mu(x), h(x)> and ||h(x)||^2.
@@ -275,26 +306,26 @@ _HEAD = 5
 
 
 def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
-             cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> Optional[Array]:
+             cfg: EstimatorConfig = DEFAULT_ESTIMATOR, data=None) -> Optional[Array]:
     """The part of the C1 penalty at x that does not read c, in one float64
     array: the head (f, p, q, <mu, h>, ||h||^2), then per cone block
-    ||lambda_i||^2, g_i(x) and lambda_i (Lambda and G(x) row-major).  The
-    multiplier estimate and the barrier are the SDP ones on a problem with an
-    SDP block, else the SOC ones.  None outside the barrier domain."""
+    ||lambda_i||^2, g_i(x) and lambda_i (Lambda and G(x) row-major), with the
+    bits of the estimate and barrier of the problem's cone.  None outside the
+    barrier domain, before any normal equation is formed.  alpha and kappa
+    must pass ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
     x = np.asarray(x, dtype=float)
+    g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x)
     sdp = problem.sdp_block is not None
-    est = (estimate_multipliers_sdp if sdp else estimate_multipliers_soc)(problem, x, cfg)
-    barrier = (barrier_state_sdp if sdp else barrier_state_soc)(alpha, kappa, est)
-    if not barrier.inside_domain:
+    a_val = alpha - ((dists[0] ** 2) ** kappa if sdp else sum(dist ** kappa for dist in dists))
+    b_val = alpha - math.sqrt(h_sq) ** 2
+    if not (a_val > 0.0 and b_val > 0.0):
         return None
-    h_val = est.h_val
-    mu_h, h_sq = (float(est.mu @ h_val), float(h_val @ h_val)) if problem.n_eq > 0 else (0.0, 0.0)
-    parts = [(problem.f(x), barrier.p_val, barrier.q_val, mu_h, h_sq)]
-    for g_val, lam_i in zip(est.g_vals, est.lambdas):  # no SOC blocks on an SDP problem
-        parts += ((float(lam_i @ lam_i),), g_val, lam_i)
-    if sdp:
-        parts += ((est.lambda_norm_sq,), est.g_vals[0].ravel(), est.lam_sdp.ravel())
-    return np.concatenate(parts)
+    lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, cfg, data, g_vals, rho)
+    state = [problem.f(x), a_val / (1.0 + sum(lambda_sqs)), b_val / (1.0 + float(mu @ mu)),
+             float(mu @ h_val) if problem.n_eq > 0 else 0.0, h_sq]
+    for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
+        state += [lam_sq, *g_val.ravel().tolist(), *lam.ravel().tolist()]
+    return np.array(state)
 
 
 def c1_value(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
@@ -334,6 +365,7 @@ def c1_penalty_soc(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
     if not 0.0 < c < math.inf:
         raise ValueError("penalty parameter c must be positive and finite")
     check_cone(problem, sdp=False)
+    check_barrier(False, alpha, kappa)
     return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)
 
 
@@ -347,4 +379,5 @@ def c1_penalty_sdp(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
     if not 0.0 < c < math.inf:
         raise ValueError("penalty parameter c must be positive and finite")
     check_cone(problem, sdp=True)
+    check_barrier(True, alpha, kappa)
     return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)

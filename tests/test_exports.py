@@ -24,6 +24,11 @@ ALLOWED = {
     "qpen_eval": "the one-shot q-order F; perfbench times it as layer penalties.f",
     "c1_penalty_soc": "the one-shot C1 F for SOC problems; perfbench times it as layer smoothpen.f",
     "c1_penalty_sdp": "the one-shot C1 F for SDP problems; perfbench times it as layer smoothpen.f",
+    # c1_state computes the estimate and the barrier in one pass, with their bits.
+    "estimate_multipliers_soc": "the SOC multiplier estimate as a record; c1_state shares its code",
+    "estimate_multipliers_sdp": "the SDP multiplier estimate as a record; c1_state shares its code",
+    "barrier_state_soc": "the SOC barrier terms as a record; c1_state computes the same bits",
+    "barrier_state_sdp": "the SDP barrier terms as a record; c1_state computes the same bits",
 }
 
 

@@ -1,6 +1,7 @@
 """A staged penalty handle is value(state(x), c) with a per-handle memo of
 state(x); it must give the one-shot F bit for bit and never keep an error."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,20 +9,149 @@ import pytest
 
 from epflab import harness, smoothpen
 from epflab.cones import dist_lorentz, dist_psd_minus
-from epflab.errors import NegativeObjective, NonFiniteEvaluation
+from epflab.errors import NegativeObjective, NonFiniteEvaluation, NotPositiveDefinite
 from epflab.harness import make_penalty
+from epflab.numerics import chol_solve
 from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
 from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
-from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, barrier_state_sdp,
-                              barrier_state_soc, c1_penalty_sdp, c1_penalty_soc,
-                              estimate_multipliers_sdp, estimate_multipliers_soc)
+from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
+                              MultiplierEstimate, _sym_basis, c1_penalty_sdp, c1_penalty_soc)
 
 STAGED = ("linear", "qorder", "c1-socp", "c1-sdp")
 
 
+# The multiplier estimates and barriers as they were written before the C1
+# state was computed in one pass, kept as a frozen reference: the public
+# estimators and barriers now share the code under test.
+def _solve_normal_equations(normal, rhs):
+    try:
+        return chol_solve(normal, -rhs), False
+    except NotPositiveDefinite:
+        return np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
+
+
+def estimate_multipliers_soc(problem, x, cfg=DEFAULT_ESTIMATOR):
+    x = np.asarray(x, dtype=float)
+    blocks = problem.soc_blocks
+    if problem.sdp_block is not None:
+        raise ValueError("use estimate_multipliers_sdp for matrix-constrained problems")
+    sizes = [b.dim for b in blocks]
+    m = sum(sizes) + problem.n_eq
+    h_val = problem.h(x)
+    if m == 0:
+        return MultiplierEstimate(lambdas=(), mu=np.zeros(0), h_val=h_val)
+    stack = np.zeros((problem.dim, m))
+    normal = np.zeros((m, m))
+    rho = 0.0
+    dists = []
+    g_vals = []
+    col = 0
+    for block in blocks:
+        k = block.dim
+        g_val = np.asarray(block.g(x), dtype=float)
+        g_vals.append(g_val)
+        stack[:, col : col + k] = block.jacobian(x).T
+        vals = g_val.tolist()
+        curv = [[gi * gj for gj in vals] for gi in vals]
+        for i in range(1, k):
+            curv[0][i] += curv[0][i]
+            curv[i][0] += curv[i][0]
+            curv[i][i] += vals[0] * vals[0]
+        curv[0][0] += float(g_val[1:] @ g_val[1:])
+        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
+        dists.append(dist_lorentz(g_val))
+        rho += dists[-1] ** 2
+        col += k
+    if problem.n_eq > 0:
+        stack[:, col:] = problem.jac_h(x).T
+        rho += math.sqrt(h_val @ h_val) ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
+    gram = stack.T @ stack
+    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
+    normal += gram
+    rhs = stack.T @ problem.grad_f(x)
+    z, degenerate = _solve_normal_equations(normal, rhs)
+    lambdas = []
+    col = 0
+    for k in sizes:
+        lambdas.append(z[col : col + k])
+        col += k
+    return MultiplierEstimate(
+        lambdas=tuple(lambdas), mu=z[col:], degenerate=degenerate, block_dists=tuple(dists),
+        g_vals=tuple(g_vals), h_val=h_val, lambda_norm_sq=sum(float(v @ v) for v in lambdas))
+
+
+def _sdp_normal(normal, curv, gram, cfg, rho):
+    sym_curv = curv + curv.T
+    sym_curv *= cfg.zeta1 * 0.5
+    normal += sym_curv
+    ridge = 0.5 * cfg.zeta2 * rho
+    diag = normal.diagonal() + ridge * gram
+    normal += ridge * 0.0
+    normal.flat[:: len(gram) + 1] = diag
+    return normal
+
+
+def estimate_multipliers_sdp(problem, x, cfg=DEFAULT_ESTIMATOR):
+    x = np.asarray(x, dtype=float)
+    block = problem.sdp_block
+    if block is None:
+        raise ValueError("problem has no SDP block")
+    if problem.soc_blocks:
+        raise ValueError("mixed SOC and SDP blocks are not supported")
+    basis, flat, basis_sums = _sym_basis(block.order)
+    n_lam = basis.shape[0]
+    m = n_lam + problem.n_eq
+    g_mat = np.asarray(block.G(x), dtype=float)
+    h_val = problem.h(x)
+    grad_f = problem.grad_f(x)
+    dist = dist_psd_minus(g_mat)
+    rho = math.sqrt(h_val @ h_val) ** 2 + dist ** 2
+    if not math.isfinite(rho):
+        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
+    stack = np.zeros((problem.dim, m))
+    stack[:, :n_lam] = block.derivative(x).reshape(problem.dim, -1) @ flat.T
+    if problem.n_eq > 0:
+        stack[:, n_lam:] = problem.jac_h(x).T
+    curv = np.zeros((m, m))
+    curv[:n_lam, :n_lam] = flat @ (g_mat @ g_mat @ basis).reshape(n_lam, -1).T
+    gram = np.ones(m)
+    gram[:n_lam] = basis_sums
+    normal = _sdp_normal(stack.T @ stack, curv, gram, cfg, rho)
+    rhs = stack.T @ grad_f
+    z, degenerate = _solve_normal_equations(normal, rhs)
+    lam_sdp = (z[:n_lam] @ flat).reshape(basis.shape[1:])
+    return MultiplierEstimate(
+        lambdas=(), mu=z[n_lam:], lam_sdp=lam_sdp, degenerate=degenerate, block_dists=(dist,),
+        g_vals=(g_mat,), h_val=h_val, lambda_norm_sq=float(np.sum(lam_sdp * lam_sdp)))
+
+
+def barrier_state_soc(alpha, kappa, est):
+    if not 2.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 2 for SOC problems")
+    dist_sum = sum(dist ** kappa for dist in est.block_dists)
+    return _barrier_state(alpha, alpha - dist_sum, est)
+
+
+def barrier_state_sdp(alpha, kappa, est):
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError("kappa must be finite and >= 1 for SDP problems")
+    dist_sq = est.block_dists[0] ** 2
+    return _barrier_state(alpha, alpha - dist_sq ** kappa, est)
+
+
+def _barrier_state(alpha, a_val, est):
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    b_val = alpha - math.sqrt(est.h_val @ est.h_val) ** 2
+    p_val = a_val / (1.0 + est.lambda_norm_sq)
+    q_val = b_val / (1.0 + float(est.mu @ est.mu))
+    return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
+
+
 # The C1 stages as they were written before the SOC and SDP states were
-# folded into one c1_state and one c1_value, kept as a frozen reference:
-# the one-shot c1 functions now share the code under test.
+# folded into one c1_state and one c1_value, on the frozen estimates above.
 _HEAD = 5
 
 
@@ -184,6 +314,66 @@ def test_c1_kind_on_the_other_cone_raises_before_any_evaluation(kind, monkeypatc
             one_shot(problem, problem.certificate.x_star, 1.0)
 
 
+def test_mixed_cones_raise_before_any_evaluation(monkeypatch):
+    def evaluated(*args, **kwargs):
+        pytest.fail("F evaluated something on a problem with both cones")
+
+    monkeypatch.setattr(harness, "c1_state", evaluated)
+    monkeypatch.setattr(smoothpen, "c1_state", evaluated)
+    sdp, socp = get_problem("toy-sdp-1"), get_problem("toy-socp-1")
+    mixed = dataclasses.replace(sdp, soc_blocks=socp.soc_blocks)
+    with pytest.raises(ValueError, match="mixed SOC and SDP blocks are not supported"):
+        make_penalty(mixed, "c1-sdp")
+    with pytest.raises(ValueError, match="mixed SOC and SDP blocks are not supported"):
+        c1_penalty_sdp(mixed, sdp.certificate.x_star, 1.0)
+    with pytest.raises(ValueError, match="c1-socp does not fit"):
+        make_penalty(mixed, "c1-socp")
+
+
+_BAD_BARRIER = [
+    *[(dict(alpha=alpha), "alpha must be positive and finite")
+      for alpha in (0.0, -1.0, math.nan, math.inf)],
+    *[(dict(kappa=kappa), "kappa must be finite and >= 2 for SOC problems")
+      for kappa in (1.5, math.nan, math.inf)],
+    *[(dict(kappa=kappa), "kappa must be finite and >= 1 for SDP problems")
+      for kappa in (0.5, math.nan, math.inf)],
+]
+
+
+@pytest.mark.parametrize("params,message", _BAD_BARRIER, ids=lambda v: str(v))
+def test_bad_alpha_or_kappa_raises_before_any_evaluation(params, message, monkeypatch):
+    def evaluated(*args, **kwargs):
+        pytest.fail("F evaluated something for a bad alpha or kappa")
+
+    monkeypatch.setattr(harness, "c1_state", evaluated)
+    monkeypatch.setattr(smoothpen, "c1_state", evaluated)
+    sdp = "SDP" in message
+    problem = get_problem("toy-sdp-1" if sdp else "toy-socp-1")
+    kind, one_shot = ("c1-sdp", c1_penalty_sdp) if sdp else ("c1-socp", c1_penalty_soc)
+    with pytest.raises(ValueError, match=message):
+        make_penalty(problem, kind, **params)
+    with pytest.raises(ValueError, match=message):
+        one_shot(problem, problem.certificate.x_star, 1.0, **params)
+
+
+@pytest.mark.parametrize("kind", ("c1-socp", "c1-sdp"))
+def test_f_outside_the_barrier_domain_makes_no_cholesky_solve(kind, monkeypatch):
+    solves = []
+    solve = smoothpen.chol_solve
+
+    def counting(a, b):
+        solves.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(smoothpen, "chol_solve", counting)
+    problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-socp-1")
+    handle = make_penalty(problem, kind)
+    assert handle(np.array([-3.0, -3.0]), 2.0) == math.inf
+    assert solves == []
+    assert math.isfinite(handle(problem.certificate.x_star, 2.0))
+    assert len(solves) == 1
+
+
 def _nan_past_half():
     # f = x + 1 >= 0 on [-1, 1]; the SOC block g = (1, x) turns NaN past x = 0.5.
     def g(x):
@@ -241,15 +431,15 @@ def test_wrong_shape_raises_after_the_same_bytes_were_cached(kind):
 
 
 def _count_estimates(monkeypatch):
-    """Record the x of every SOC multiplier estimate."""
+    """Record the x of every C1 state, one multiplier estimate each."""
     seen = []
-    estimate = smoothpen.estimate_multipliers_soc
+    state = harness.c1_state
 
     def counting(problem, x, *args, **kwargs):
         seen.append(np.asarray(x, dtype=float).tobytes())
-        return estimate(problem, x, *args, **kwargs)
+        return state(problem, x, *args, **kwargs)
 
-    monkeypatch.setattr(smoothpen, "estimate_multipliers_soc", counting)
+    monkeypatch.setattr(harness, "c1_state", counting)
     return seen
 
 

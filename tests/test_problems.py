@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epflab.cones import dist_psd_minus, proj_lorentz
-from epflab.errors import DimensionMismatch, UnknownProblem
+from epflab.errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
+from epflab.harness import make_penalty
 from epflab.problems import (
     ConstrainedProblem,
     KnownSolution,
@@ -20,6 +22,8 @@ from epflab.problems import (
     registry,
 )
 from epflab.report import localize, serialize_report
+from epflab.smoothpen import (MultiplierEstimate, constant_normal_data, estimate_multipliers_sdp,
+                              estimate_multipliers_soc)
 from epflab.solvers import SolverConfig
 from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE
 
@@ -414,11 +418,13 @@ def _symmetric(rng, order):
     return m + m.T
 
 
-@settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 4), n_soc=st.integers(0, 2), order=st.integers(2, 3),
-       n_eq=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
-def test_affine_problem_derivatives_match_finite_differences(dim, n_soc, order, n_eq, seed):
-    rng = np.random.default_rng(seed)
+# Random affine problem data: dim, SOC blocks, SDP order, equalities, seed.
+AFFINE_DATA = dict(dim=st.integers(1, 4), n_soc=st.integers(0, 2), order=st.integers(2, 3),
+                   n_eq=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _affine_data(rng, dim, n_soc, order, n_eq):
+    """affine_problem keywords for a random problem on [-1, 1]^dim."""
 
     def sparse(*shape):
         # Zero entries exercise the skipped terms of every affine map.
@@ -436,8 +442,18 @@ def test_affine_problem_derivatives_match_finite_differences(dim, n_soc, order, 
         soc.append((A, maybe(sparse(m))))
     G0, Gk = maybe(_symmetric(rng, order)), [_symmetric(rng, order) for _ in range(dim)]
     eq = (sparse(n_eq, dim), maybe(sparse(n_eq))) if n_eq else None
-    p = affine_problem("random", -np.ones(dim), np.ones(dim), certificate=None, penalties=(),
-                       weight=weight, center=center, linear=linear, soc=soc, sdp=(G0, Gk), eq=eq)
+    return dict(lower=-np.ones(dim), upper=np.ones(dim), certificate=None, penalties=(),
+                weight=weight, center=center, linear=linear, soc=soc, sdp=(G0, Gk), eq=eq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**AFFINE_DATA)
+def test_affine_problem_derivatives_match_finite_differences(dim, n_soc, order, n_eq, seed):
+    rng = np.random.default_rng(seed)
+    data = _affine_data(rng, dim, n_soc, order, n_eq)
+    weight, center, linear, soc, (G0, Gk), eq = (
+        data[k] for k in ("weight", "center", "linear", "soc", "sdp", "eq"))
+    p = affine_problem("random", **data)
     x = rng.uniform(-1.0, 1.0, size=dim)
     a = np.zeros(dim) if center is None else center
     q = np.zeros(dim) if linear is None else linear
@@ -454,6 +470,82 @@ def test_affine_problem_derivatives_match_finite_differences(dim, n_soc, order, 
         num, ana = fd_gradient(func, x), analytic(x)
         assert num.shape == ana.shape
         assert np.linalg.norm(num - ana) <= 1e-6 * (1.0 + np.linalg.norm(ana))
+
+
+def _as_callables(p):
+    """The problem with each constant constraint derivative wrapped in a callable."""
+    blocks = tuple(dataclasses.replace(b, jac=lambda x, A=b.jac: A) for b in p.soc_blocks)
+    sdp = p.sdp_block and dataclasses.replace(p.sdp_block, dG=lambda x, dG=p.sdp_block.dG: dG)
+    eq_jac = p.eq_jac if p.eq_jac is None else (lambda x, E=p.eq_jac: E)
+    return dataclasses.replace(p, soc_blocks=blocks, sdp_block=sdp, eq_jac=eq_jac)
+
+
+def _with_nan_constraint(p):
+    """The problem with its first constraint value NaN everywhere, or None
+    when it has no constraint."""
+    if p.sdp_block is not None:
+        order = p.sdp_block.order
+        nan = dataclasses.replace(p.sdp_block, G=lambda x: np.full((order, order), np.nan))
+        return dataclasses.replace(p, sdp_block=nan)
+    if p.soc_blocks:
+        first = p.soc_blocks[0]
+        nan = dataclasses.replace(first, g=lambda x, k=first.dim: np.full(k, np.nan))
+        return dataclasses.replace(p, soc_blocks=(nan,) + p.soc_blocks[1:])
+    if p.n_eq:
+        return dataclasses.replace(p, eq=lambda x, k=p.n_eq: np.full(k, np.nan))
+    return None
+
+
+def _hex_outcome(func, *args):
+    """float.hex of every float func returns, or the type and message of what it raised."""
+    try:
+        out = func(*args)
+    except Exception as exc:  # compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, MultiplierEstimate):
+        parts = (*out.lambdas, out.mu, out.lam_sdp, *out.g_vals, out.block_dists, out.h_val)
+        return [np.asarray(v, float).tobytes() for v in parts if v is not None], out.degenerate
+    return float.hex(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**AFFINE_DATA)
+def test_array_and_callable_derivatives_give_the_same_bits(dim, n_soc, order, n_eq, seed):
+    rng = np.random.default_rng(seed)
+    data = _affine_data(rng, dim, n_soc, order, n_eq)
+    direction = rng.normal(size=dim)
+    neg = np.full(dim, -0.0)
+    points = [np.zeros(dim), neg, np.where(np.arange(dim) % 2 == 0, -0.0, 0.5),
+              *rng.uniform(-1.5, 1.5, size=(4, dim)), 100.0 * direction, -100.0 * direction]
+    for kind in ("c1-socp", "c1-sdp"):
+        one_cone = {"soc": ()} if kind == "c1-sdp" else {"sdp": None}
+        arrays = affine_problem("random", **{**data, **one_cone})
+        calls = _as_callables(arrays)
+        constrained = bool(arrays.soc_blocks or arrays.sdp_block or arrays.n_eq)
+        assert constant_normal_data(arrays) is not None
+        assert (constant_normal_data(calls) is None) == constrained
+        estimate = estimate_multipliers_sdp if kind == "c1-sdp" else estimate_multipliers_soc
+        seen = set()
+        with np.errstate(all="ignore"):
+            for alpha in (1e-3, 1.0, 1e3):
+                both = [make_penalty(p, kind, alpha=alpha) for p in (arrays, calls)]
+                for x in points:
+                    for c in (0.5, 4.0):
+                        outcomes = [_hex_outcome(handle, x, c) for handle in both]
+                        assert outcomes[0] == outcomes[1], (kind, alpha, x.tolist(), c)
+                        seen.add("inf" if outcomes[0] == "inf" else outcomes[0][:2])
+            for x in points:
+                assert _hex_outcome(estimate, arrays, x) == _hex_outcome(estimate, calls, x)
+            # x = 0 at alpha = 1e3 lies inside the barrier domain; one of
+            # +-100 u lies outside it unless no constraint reads x.
+            assert "0x" in seen or "-0" in seen, seen
+            if any(map(np.any, (arrays.jac_h(None), *(b.jac for b in arrays.soc_blocks),
+                                arrays.sdp_block and arrays.sdp_block.dG))):
+                assert "inf" in seen, seen
+            nan = _with_nan_constraint(arrays)
+            for p in () if nan is None else (nan, _as_callables(nan)):
+                with pytest.raises(NonFiniteEvaluation):
+                    make_penalty(p, kind)(points[0], 1.0)
 
 
 def test_new_problems_are_a_few_lines_of_data():
