@@ -14,6 +14,21 @@ import numpy as np
 from .numerics import eig_sym, sym
 
 
+def _lorentz_point(y) -> np.ndarray:
+    """y as a float array; ValueError unless it is 1-D with at least 2 entries."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.shape[0] < 2:
+        raise ValueError(f"Lorentz point needs 1-D total dimension >= 2, got shape {y.shape}")
+    return y
+
+
+def _tail_ratio(coef: float, tail_norm: float) -> float:
+    """coef / ||tail|| of the generic case.  A NaN head leaves the tail norm
+    possibly 0, and an infinite or NaN tail entry makes it inf or NaN;
+    both give NaN, as the division would, without its warning."""
+    return coef / tail_norm if 0.0 < tail_norm < math.inf else math.nan
+
+
 def proj_lorentz(y) -> np.ndarray:
     """Euclidean projection onto the second-order cone.
 
@@ -22,9 +37,7 @@ def proj_lorentz(y) -> np.ndarray:
     here so the tail never gets normalized at zero), and the generic
     closed form otherwise.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] < 2:
-        raise ValueError("Lorentz point needs total dimension >= 2")
+    y = _lorentz_point(y)
     head, tail = y[0], y[1:]
     tail_norm = math.sqrt(tail @ tail)
     if head >= tail_norm:
@@ -34,7 +47,7 @@ def proj_lorentz(y) -> np.ndarray:
     coef = 0.5 * (head + tail_norm)
     out = np.empty_like(y, dtype=float)
     out[0] = coef
-    out[1:] = (coef / tail_norm) * tail
+    out[1:] = _tail_ratio(coef, tail_norm) * tail
     return out
 
 
@@ -42,13 +55,18 @@ def dist_lorentz(y) -> float:
     """Distance from y to the second-order cone.
 
     ``||y - proj_lorentz(y)||`` by the projection's three cases, with the
-    same float operations on each entry, so the bits are the same.
+    same float operations on each entry, so the bits are the same.  The
+    head and a one-entry tail are read as floats: the numpy dot of one
+    entry is its square.  Dots of two or more entries stay numpy dots.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] < 2:
-        raise ValueError("Lorentz point needs total dimension >= 2")
-    head, tail = y[0], y[1:]
-    tail_norm = math.sqrt(tail @ tail)
+    y = _lorentz_point(y)
+    vals = y.tolist()
+    head = vals[0]
+    if len(vals) == 2:
+        tail_norm = math.sqrt(vals[1] * vals[1])
+    else:
+        tail = y[1:]
+        tail_norm = math.sqrt(tail @ tail)
     if head >= tail_norm:
         # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
         return 0.0 if head < math.inf else math.nan
@@ -56,7 +74,7 @@ def dist_lorentz(y) -> float:
         gap = y
     else:
         coef = 0.5 * (head + tail_norm)
-        gap = y - (coef / tail_norm) * y
+        gap = y - _tail_ratio(coef, tail_norm) * y
         gap[0] = head - coef
     return math.sqrt(gap @ gap)
 

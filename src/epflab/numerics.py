@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
+from scipy.linalg.lapack import dposv, dsyevd
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -26,7 +26,9 @@ def sym(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    out = a + a.T
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,9 @@ class EigenDecomp:
 def chol_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A.
 
-    Calls LAPACK's ``potrf``/``potrs`` directly.  Raises
-    NotPositiveDefinite when ``potrf`` cannot factor A or a Cholesky
+    Calls LAPACK's ``posv`` directly, which factors A by ``potrf`` and
+    solves by ``potrs`` in one call and returns the factor.  Raises
+    NotPositiveDefinite when ``posv`` cannot factor A or a Cholesky
     pivot diag(L)^2 is below PIVOT_RTOL times the largest diagonal entry;
     this is the operational nondegeneracy test used by the
     multiplier-estimate subproblems.  Non-finite input raises ValueError.
@@ -53,7 +56,7 @@ def chol_solve(a, b) -> np.ndarray:
     The finiteness scan runs only where non-finite input can have ended
     up: before any NotPositiveDefinite, and when the largest diagonal
     entry or the solution is not finite.  A non-finite off-diagonal entry
-    makes ``potrf`` fail or leaves a NaN or inf in the factor, which
+    makes the factorization fail or leaves a NaN or inf in the factor, which
     reaches the solution; a non-finite rhs reaches it too.
     """
     a = sym(a)
@@ -63,23 +66,29 @@ def chol_solve(a, b) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
         return np.zeros(0)
-    max_diag = float(a.diagonal().max())
+    max_diag = _diagonal_extreme(a, max)
     if max_diag <= 0.0:
         _require_finite(a, b)
         raise NotPositiveDefinite("no positive diagonal entry")
-    factor, info = dpotrf(a, lower=1, clean=0)
+    factor, x, info = dposv(a, b, lower=1)
     if info != 0:
         _require_finite(a, b)
         raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
-    min_pivot = float(factor.diagonal().min()) ** 2
+    min_pivot = _diagonal_extreme(factor, min) ** 2
     threshold = PIVOT_RTOL * max_diag
     if min_pivot < threshold:
         _require_finite(a, b)
         raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
-    x = dpotrs(factor, b, lower=1)[0]
     if not (math.isfinite(max_diag) and all(map(math.isfinite, x.tolist()))):
         _require_finite(a, b)
     return x
+
+
+def _diagonal_extreme(a: np.ndarray, pick) -> float:
+    """``pick`` (max or min) of the diagonal of ``a`` on floats; NaN when it
+    holds a NaN, as numpy's reduction gives."""
+    diag = a.diagonal().tolist()
+    return math.nan if any(map(math.isnan, diag)) else pick(diag)
 
 
 def _require_finite(a, b) -> None:

@@ -100,13 +100,14 @@ def _sym_basis(order: int) -> Tuple[Array, Array, Array]:
     return basis, basis.reshape(rows.size, -1), np.where(rows == cols, 1.0, 2.0)
 
 
-def _normal_data(problem: ConstrainedProblem, x=None) -> Tuple[Array, Array, Optional[Array]]:
+def _normal_data(problem: ConstrainedProblem, x=None):
     """The half of the multiplier estimate's normal equations that reads
     only the constraint derivatives at x: the stack J' (dim, m) of one
     column per multiplier entry (the SDP basis coefficients or the SOC
     blocks' entries, then mu), its Gram matrix J'J and, for an SDP block,
-    the ridge weights (the basis sums, then ones).  With x None every
-    derivative must be an array."""
+    the ridge weights (the basis sums, then ones).  Without an SDP block
+    J'J comes as rows of floats, -0.0 turned into 0.0, for ``_soc_normal``.
+    With x None every derivative must be an array."""
     cols = [np.zeros((problem.dim, 0))] + [soc.jacobian(x).T for soc in problem.soc_blocks]
     weights = None
     if problem.sdp_block is not None:
@@ -116,7 +117,8 @@ def _normal_data(problem: ConstrainedProblem, x=None) -> Tuple[Array, Array, Opt
     if problem.n_eq > 0:
         cols.append(problem.jac_h(x).T)
     stack = np.hstack(cols)
-    return stack, stack.T @ stack, weights
+    gram = stack.T @ stack
+    return stack, gram if weights is not None else (0.0 + gram).tolist(), weights
 
 
 def constant_normal_data(problem: ConstrainedProblem):
@@ -130,11 +132,12 @@ def constant_normal_data(problem: ConstrainedProblem):
 
 def _cone_terms(problem: ConstrainedProblem, x: Array):
     """The constraint values at x (g_i(x) per SOC block, or (G(x),)), each
-    block's cone distance, h(x), h'h and rho = ||h||^2 + the sum of the
-    squared distances; NonFiniteEvaluation unless rho is finite."""
+    block's cone distance, h(x) (None without equalities), h'h and
+    rho = ||h||^2 + the sum of the squared distances; NonFiniteEvaluation
+    unless rho is finite."""
     block = problem.sdp_block
     g_vals = [] if block is None else [np.asarray(block.G(x), dtype=float)]
-    h_val = problem.h(x)
+    h_val = problem.h(x) if problem.n_eq > 0 else None
     h_sq = float(h_val @ h_val) if problem.n_eq > 0 else 0.0
     if block is not None:
         dists = [dist_psd_minus(g_vals[0])]
@@ -152,29 +155,33 @@ def _cone_terms(problem: ConstrainedProblem, x: Array):
     return g_vals, dists, h_val, h_sq, rho
 
 
-def _soc_normal(gram: Array, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
+def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
     """zeros + zeta1 (g g' + F'F, F = [gbar, g0 I], per block) + (J'J + (zeta2 / 2) rho I),
-    summed in that order."""
-    m = len(gram)
-    normal = np.zeros((m, m))
+    summed in that order, on floats from the rows of J'J that ``_normal_data``
+    gives (-0.0 already 0.0, which is what zeros + J'J makes of it)."""
+    ridge = 0.5 * cfg.zeta2 * rho
+    normal = [row[:] for row in gram]
+    for i, row in enumerate(normal):
+        row[i] += ridge
     col = 0
     for g_val in g_vals:
-        k = len(g_val)
-        # g g' + F'F on floats: 2 g0 g_j along the head row and column,
-        # g_i^2 + g0^2 on the tail diagonal; 0.0 + turns -0.0 into 0.0.
+        # g g' + F'F: 2 g0 g_j along the head row and column, g_i^2 + g0^2
+        # on the tail diagonal.
         vals = g_val.tolist()
+        k = len(vals)
         curv = [[gi * gj for gj in vals] for gi in vals]
         for i in range(1, k):
             curv[0][i] += curv[0][i]
             curv[i][0] += curv[i][0]
             curv[i][i] += vals[0] * vals[0]
-        curv[0][0] += float(g_val[1:] @ g_val[1:])
-        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
+        # The numpy dot of a one-entry tail is its square.
+        curv[0][0] += vals[1] * vals[1] if k == 2 else float(g_val[1:] @ g_val[1:])
+        for i, row in enumerate(curv):
+            out = normal[col + i]
+            for j, v in enumerate(row, col):
+                out[j] = (0.0 + cfg.zeta1 * v) + out[j]
         col += k
-    gram = gram.copy()
-    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
-    normal += gram
-    return normal
+    return np.array(normal)
 
 
 def _sdp_normal(normal: Array, curv: Array, gram: Array, cfg: EstimatorConfig, rho: float) -> Array:
@@ -222,6 +229,8 @@ def _multipliers(problem: ConstrainedProblem, x: Array, cfg, data, g_vals, rho: 
 def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
     x = np.asarray(x, dtype=float)
     g_vals, dists, h_val, _, rho = _cone_terms(problem, x)
+    if h_val is None:
+        h_val = problem.h(x)
     lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, cfg, None, g_vals, rho)
     sdp = problem.sdp_block is not None
     return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=mu,
@@ -321,8 +330,11 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     if not (a_val > 0.0 and b_val > 0.0):
         return None
     lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, cfg, data, g_vals, rho)
-    state = [problem.f(x), a_val / (1.0 + sum(lambda_sqs)), b_val / (1.0 + float(mu @ mu)),
-             float(mu @ h_val) if problem.n_eq > 0 else 0.0, h_sq]
+    # Without equalities mu is empty: q = b / (1 + 0.0) = b and <mu, h> = 0.0.
+    q_val, mu_h = b_val, 0.0
+    if problem.n_eq > 0:
+        q_val, mu_h = b_val / (1.0 + float(mu @ mu)), float(mu @ h_val)
+    state = [problem.f(x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq]
     for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
         state += [lam_sq, *g_val.ravel().tolist(), *lam.ravel().tolist()]
     return np.array(state)
@@ -332,21 +344,23 @@ def c1_value(problem: ConstrainedProblem, state: Optional[Array], c: float) -> f
     """The C1 penalty at c from its ``c1_state``; +inf for None."""
     if state is None:
         return math.inf
-    f_val, p, q, mu_h, h_sq = state[:_HEAD].tolist()
+    vals = state.tolist()
+    f_val, p, q, mu_h, h_sq = vals[:_HEAD]
     total = 0.0
     start = _HEAD
+    ratio = p / c
     for block in problem.soc_blocks:
         k = block.dim
-        g_val = state[start + 1 : start + 1 + k]
-        lam_i = state[start + 1 + k : start + 1 + 2 * k]
-        shifted = g_val + (p / c) * lam_i
-        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - (p / c) ** 2 * float(state[start]))
+        # g_i + (p/c) lambda_i entry by entry, as numpy adds them.
+        shifted = [g + ratio * lam for g, lam in zip(vals[start + 1 : start + 1 + k],
+                                                     vals[start + 1 + k : start + 1 + 2 * k])]
+        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - ratio ** 2 * vals[start])
         start += 1 + 2 * k
     if problem.sdp_block is not None:
         g_lam = state[start + 1 :].reshape(2, -1, problem.sdp_block.order)  # G(x), Lambda
         shifted_sq = dist_psd_minus(c * g_lam[0] + p * g_lam[1]) ** 2
         # The only cone term of an SDP problem: set, not added to 0.0, so a -0.0 keeps its sign.
-        total = (shifted_sq - p * p * float(state[start])) / (2.0 * c * p)
+        total = (shifted_sq - p * p * vals[start]) / (2.0 * c * p)
     value = f_val + total
     if problem.n_eq > 0:
         value += mu_h + (c / (2.0 * q)) * h_sq

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,9 +41,16 @@ def test_proj_boundary_ray_tiebreak():
     assert np.allclose(proj_lorentz(np.array([-2.0, 2.0])), 0.0)
 
 
+# Anything that is not 1-D with at least 2 entries: 0-d, too short, 2-D, 3-D.
+_NOT_LORENTZ_POINTS = [3.0, np.float64(3.0), np.array(3.0), np.array([1.0]), np.zeros(0),
+                       np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]), np.eye(2),
+                       np.zeros((2, 0)), np.zeros((2, 3, 4))]
+
+
 def test_proj_rejects_scalar():
-    with pytest.raises(ValueError):
-        proj_lorentz(np.array([1.0]))
+    for y in _NOT_LORENTZ_POINTS:
+        with pytest.raises(ValueError, match="Lorentz point"):
+            proj_lorentz(y)
 
 
 def test_dist_examples():
@@ -174,13 +182,23 @@ def _same_float(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+# Magnitudes whose square overflows or underflows, or nearly does.
+_EXTREME = [1e200, -1e200, 1.4e154, -1.3e154, 1e-200, -1e-200, 1.5e-154, 1.5e-162, 5e-324,
+            -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
 @st.composite
 def _lorentz_edge_points(draw):
-    # Signed zeros and infinities in the tail, a zero tail, and a head on
-    # either boundary ray head = +-||tail||.
+    # Signed zeros and infinities in the tail, a zero tail, a head on either
+    # boundary ray head = +-||tail||, and one-entry tails whose square
+    # overflows or underflows.
     entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
                         st.floats(-1e6, 1e6))
-    tail = draw(arrays(np.float64, st.integers(1, 5), elements=entries))
+    if draw(st.booleans()):
+        tail = np.array([draw(st.one_of(st.sampled_from(_EXTREME), st.floats()))])
+        entries = st.one_of(entries, st.sampled_from(_EXTREME), st.floats())
+    else:
+        tail = draw(arrays(np.float64, st.integers(1, 5), elements=entries))
     if draw(st.booleans()):
         tail = np.copysign(0.0, tail)
     with np.errstate(all="ignore"):
@@ -197,5 +215,26 @@ def test_dist_lorentz_matches_projection_reference(y):
 
 
 def test_dist_lorentz_rejects_scalar():
-    with pytest.raises(ValueError):
-        dist_lorentz(np.array([1.0]))
+    for y in _NOT_LORENTZ_POINTS:
+        with pytest.raises(ValueError, match="Lorentz point"):
+            dist_lorentz(y)
+
+
+# An infinite tail entry makes the tail norm inf and the generic case's
+# coef / ||tail|| NaN; a NaN head or tail entry gives NaN too.
+_NAN_RESULTS = [([1.0, math.inf], [math.inf, math.nan]),
+                ([1.0, -math.inf], [math.inf, math.nan]),
+                ([1.0, math.inf, 1.0], [math.inf, math.nan, math.nan]),
+                ([0.0, 1.0, -math.inf], [math.inf, math.nan, math.nan]),
+                ([math.nan, 0.0], [math.nan, math.nan]),
+                ([math.nan, 0.0, 0.0], [math.nan, math.nan, math.nan]),
+                ([1.0, math.nan], [math.nan, math.nan])]
+
+
+@pytest.mark.parametrize("y,projection", _NAN_RESULTS, ids=str)
+def test_nonfinite_tail_gives_nan_without_a_warning(y, projection):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(dist_lorentz(np.array(y)))
+        out = proj_lorentz(np.array(y))
+    assert np.array_equal(out, projection, equal_nan=True)

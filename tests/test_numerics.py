@@ -98,8 +98,10 @@ def test_chol_solve_nonfinite_rejected():
 
 
 def _reference_chol_solve(a, b):
-    """chol_solve as it was with every contract check up front."""
-    a = sym(a)
+    """chol_solve as it was with every contract check up front, by LAPACK's
+    ``potrf`` and then ``potrs``."""
+    a = np.asarray(a, dtype=float)
+    a = 0.5 * (a + a.T)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("system has non-finite entries")
@@ -150,6 +152,49 @@ def test_chol_solve_matches_checks_first_reference():
             assert new == ref
         else:
             assert np.array_equal(new, ref) and np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+@st.composite
+def _chol_systems(draw):
+    """SPD, near-singular, indefinite and non-finite systems of order 1-6, at
+    entry scales 1, 1e-150, 1e150 and 1e-300."""
+    n = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    m = draw(arrays(float, (n, n), elements=unit))
+    a = m @ m.T
+    kind = draw(st.sampled_from(["spd", "near-singular", "indefinite", "non-finite"]))
+    if kind == "spd":
+        a += draw(st.floats(1e-3, 10.0)) * np.eye(n)
+    elif kind == "near-singular":
+        # Pivots around PIVOT_RTOL times the largest diagonal entry.
+        a[:, 0] = a[0, :] = a[:, -1] * draw(st.sampled_from([1.0, -1.0]))
+        a[0, 0] = a[-1, -1]
+        a += draw(st.floats(0.0, 1e-10)) * np.eye(n)
+    elif kind == "indefinite":
+        a -= draw(st.floats(0.0, 2.0)) * np.eye(n)
+    b = draw(arrays(float, (n,), elements=unit))
+    if kind == "non-finite":
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            b[draw(st.integers(0, n - 1))] = bad
+        else:
+            a[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = bad
+    scale = 10.0 ** draw(st.sampled_from([0, -150, 150, -300]))
+    return a * scale, b
+
+
+@settings(deadline=None, max_examples=500)
+@given(_chol_systems())
+def test_chol_solve_matches_potrf_potrs_by_bytes(system):
+    # Same bytes as the factor-then-solve pair of LAPACK calls, or the same
+    # exception with the same message.
+    a, b = system
+    with np.errstate(all="ignore"):
+        new, ref = _outcome(chol_solve, a, b), _outcome(_reference_chol_solve, a, b)
+    if isinstance(ref, tuple):
+        assert new == ref
+    else:
+        assert new.tobytes() == ref.tobytes()
 
 
 def test_chol_solve_empty():

@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from epflab import harness, smoothpen
-from epflab.cones import dist_lorentz, dist_psd_minus
 from epflab.errors import NegativeObjective, NonFiniteEvaluation, NotPositiveDefinite
 from epflab.harness import make_penalty
-from epflab.numerics import chol_solve
+from epflab.numerics import PIVOT_RTOL
 from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
 from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
 from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
@@ -20,9 +20,71 @@ from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierSt
 STAGED = ("linear", "qorder", "c1-socp", "c1-sdp")
 
 
+# The Cholesky solve (LAPACK's potrf, then potrs) and the two cone
+# distances as they were written on numpy arrays, kept as a frozen
+# reference under the multiplier estimates below.  The PSD distance leaves
+# out the order cap and the NoConvergence mapping, which no point here reaches.
+def _sym(a):
+    a = np.asarray(a, dtype=float)
+    return 0.5 * (a + a.T)
+
+
+def _require_finite(a, b):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("system has non-finite entries")
+
+
+def chol_solve(a, b):
+    a = _sym(a)
+    b = np.asarray(b, dtype=float)
+    max_diag = float(a.diagonal().max())
+    if max_diag <= 0.0:
+        _require_finite(a, b)
+        raise NotPositiveDefinite("no positive diagonal entry")
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        _require_finite(a, b)
+        raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
+    min_pivot = float(factor.diagonal().min()) ** 2
+    threshold = PIVOT_RTOL * max_diag
+    if min_pivot < threshold:
+        _require_finite(a, b)
+        raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
+    x = dpotrs(factor, b, lower=1)[0]
+    if not (math.isfinite(max_diag) and all(map(math.isfinite, x.tolist()))):
+        _require_finite(a, b)
+    return x
+
+
+def dist_lorentz(y):
+    y = np.asarray(y, dtype=float)
+    head, tail = y[0], y[1:]
+    tail_norm = math.sqrt(tail @ tail)
+    if head >= tail_norm:
+        return 0.0 if head < math.inf else math.nan
+    if head <= -tail_norm:
+        gap = y
+    else:
+        coef = 0.5 * (head + tail_norm)
+        gap = y - (coef / tail_norm) * y
+        gap[0] = head - coef
+    return math.sqrt(gap @ gap)
+
+
+def dist_psd_minus(a):
+    a = _sym(a)
+    if not np.isfinite(a).all():
+        return math.nan
+    values, _, info = dsyevd(a, compute_v=1, lower=1)
+    assert info == 0
+    clipped = np.maximum(values, 0.0)
+    return math.sqrt(clipped @ clipped)
+
+
 # The multiplier estimates and barriers as they were written before the C1
 # state was computed in one pass, kept as a frozen reference: the public
-# estimators and barriers now share the code under test.
+# estimators and barriers now share the code under test.  The SOC normal
+# matrix is written into zeros and J'J added on numpy arrays.
 def _solve_normal_equations(normal, rhs):
     try:
         return chol_solve(normal, -rhs), False

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epflab.harness import SweepRecord, c_sweep, geometric_grid, make_penalty
+from epflab.harness import SweepRecord, c_sweep, estimate_c_star, geometric_grid, make_penalty
 from epflab.problems import get_problem
 from epflab.report import (
     ExactnessReport,
@@ -87,6 +87,37 @@ def test_report_bytes_are_pinned(pair):
                    c_min=0.5, c_max=512.0, c_steps=6)
     digest = hashlib.sha256(serialize_report(rep).encode("utf-8")).hexdigest()
     assert digest == _REPORT_SHA256[pair]
+
+
+# SHA-256 of the estimate_c_star answer (c*, the bisection history and the
+# confirmation record, floats by float.hex) at seed 0, 4 starts, strict, on
+# [0.5, 1024] for the four C1 pairs, recorded before the C1 hot path moved
+# from numpy arrays onto floats.  A speed change must leave these alone.
+_CSTAR_SHA256 = {
+    ("toy-eq-1", "c1-socp"): "3804d840d6d3ce48d162c163daf80ee4801511ac11d1a9b3a3d86d08a313e14d",
+    ("toy-socp-1", "c1-socp"): "1234a6212b82cd6457557d1d825bfdd1870199c079b6115ef3c21bf7cc64e134",
+    ("toy-socp-2", "c1-socp"): "aa83405cd6231ab813feaf380c4594144a9cfabf035b4dece7c816a37da7dec3",
+    ("toy-sdp-1", "c1-sdp"): "0a02b7f9e1fcc1535a1c1c39c3c21b779583e18f548d6fa5c4fe39d4fe100517",
+}
+
+
+def _cstar_answer(res) -> str:
+    rec = res.confirm
+    confirm = None if rec is None else (
+        rec.c.hex(), [float(v).hex() for v in rec.best_x], rec.best_F.hex(),
+        rec.feasibility_gap_total.hex(), rec.dist_to_xstar.hex(), rec.n_starts_agreeing,
+        rec.failed)
+    return repr((None if res.c_star is None else res.c_star.hex(),
+                 [(float(c).hex(), ok) for c, ok in res.history], confirm))
+
+
+@pytest.mark.parametrize("pair", list(_CSTAR_SHA256), ids="/".join)
+def test_estimate_c_star_answers_are_pinned(pair):
+    problem, kind = pair
+    res = estimate_c_star(make_penalty(get_problem(problem), kind), 0.5, 1024.0,
+                          cfg=SolverConfig(n_starts=4, seed=0))
+    digest = hashlib.sha256(_cstar_answer(res).encode("utf-8")).hexdigest()
+    assert digest == _CSTAR_SHA256[pair]
 
 
 def test_sweep_csv_format():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epflab import smoothpen
 from epflab.cones import proj_lorentz, proj_psd
@@ -439,3 +441,68 @@ def test_sdp_normal_in_place_matches_reference_bit_for_bit():
                     new = smoothpen._sdp_normal(gram_product.copy(), curv, gram, cfg, rho)
                     assert np.array_equal(new, ref)
                     assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+def _numpy_soc_normal(gram, g_vals, cfg, rho):
+    """The SOC normal matrix as assembled on numpy arrays before it was built
+    on floats: the blocks written into zeros, then J'J plus the ridge added."""
+    m = len(gram)
+    normal = np.zeros((m, m))
+    col = 0
+    for g_val in g_vals:
+        k = len(g_val)
+        vals = g_val.tolist()
+        curv = [[gi * gj for gj in vals] for gi in vals]
+        for i in range(1, k):
+            curv[0][i] += curv[0][i]
+            curv[i][0] += curv[i][0]
+            curv[i][i] += vals[0] * vals[0]
+        curv[0][0] += float(g_val[1:] @ g_val[1:])
+        normal[col : col + k, col : col + k] = [[0.0 + cfg.zeta1 * v for v in row] for row in curv]
+        col += k
+    gram = gram.copy()
+    gram.flat[:: m + 1] += 0.5 * cfg.zeta2 * rho
+    normal += gram
+    return normal
+
+
+# Signed zeros, and magnitudes whose square overflows or underflows.
+_SOC_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.4e154, 1e-200, -1e-200, 1.5e-162, 5e-324]),
+    st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _soc_normal_inputs(draw):
+    g_vals = [draw(arrays(float, k, elements=_SOC_ENTRIES))
+              for k in draw(st.lists(st.sampled_from([2, 2, 3, 4]), min_size=0, max_size=3))]
+    # Never m = 0: _multipliers makes no normal matrix then.
+    m = sum(map(len, g_vals)) + draw(st.integers(0 if g_vals else 1, 2))
+    stack = draw(arrays(float, (draw(st.integers(1, 3)), m), elements=_SOC_ENTRIES))
+    with np.errstate(all="ignore"):
+        gram = stack.T @ stack
+    if draw(st.booleans()):
+        # -0.0 where J'J has none, on and off the diagonal.
+        gram[draw(arrays(bool, (m, m)))] = -0.0
+    positive = st.floats(1e-3, 1e3)
+    cfg = EstimatorConfig(zeta1=draw(st.one_of(st.just(1.0), positive)),
+                          zeta2=draw(st.one_of(st.just(1.0), positive)))
+    return gram, g_vals, cfg, draw(st.sampled_from([0.0, 0.37, 1e300]) | st.floats(0.0, 1e3))
+
+
+@settings(deadline=None, max_examples=500)
+@given(_soc_normal_inputs())
+def test_soc_normal_on_floats_matches_numpy_assembly_by_bytes(inputs):
+    gram, g_vals, cfg, rho = inputs
+    with np.errstate(all="ignore"):
+        ref = _numpy_soc_normal(gram, g_vals, cfg, rho)
+        # J'J as _normal_data hands it on: rows of floats, -0.0 turned into 0.0.
+        new = smoothpen._soc_normal((0.0 + gram).tolist(), g_vals, cfg, rho)
+    assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["toy-eq-1", "toy-socp-1", "toy-socp-2"])
+def test_normal_data_hands_on_gram_rows(name):
+    problem = get_problem(name)
+    stack, gram, weights = smoothpen.constant_normal_data(problem)
+    assert weights is None and gram == (0.0 + stack.T @ stack).tolist()
