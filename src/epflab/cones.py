@@ -22,6 +22,21 @@ def _lorentz_point(y) -> np.ndarray:
     return y
 
 
+def _norm(v: np.ndarray) -> float:
+    """sqrt(v @ v).  ``np.vdot`` is the same numpy dot, bit for bit, without
+    the overflow warning of ``@``.  Where the sum of squares overflows
+    although every entry is finite, the norm is recomputed scaled by the
+    largest |entry|; an infinite entry keeps the norm inf."""
+    sq = np.vdot(v, v)
+    if sq != math.inf:
+        return math.sqrt(sq)
+    scale = max(map(abs, v.tolist()))
+    if scale == math.inf:
+        return math.inf
+    v = v / scale
+    return scale * math.sqrt(np.vdot(v, v))
+
+
 def _tail_ratio(coef: float, tail_norm: float) -> float:
     """coef / ||tail|| of the generic case.  A NaN head leaves the tail norm
     possibly 0, and an infinite or NaN tail entry makes it inf or NaN;
@@ -39,7 +54,7 @@ def proj_lorentz(y) -> np.ndarray:
     """
     y = _lorentz_point(y)
     head, tail = y[0], y[1:]
-    tail_norm = math.sqrt(tail @ tail)
+    tail_norm = _norm(tail)
     if head >= tail_norm:
         return y.astype(float, copy=True)
     if head <= -tail_norm:
@@ -57,16 +72,17 @@ def dist_lorentz(y) -> float:
     ``||y - proj_lorentz(y)||`` by the projection's three cases, with the
     same float operations on each entry, so the bits are the same.  The
     head and a one-entry tail are read as floats: the numpy dot of one
-    entry is its square.  Dots of two or more entries stay numpy dots.
+    entry is its square, and where that overflows the norm is |entry|.
+    Norms of two or more entries stay numpy dots (``_norm``).
     """
     y = _lorentz_point(y)
     vals = y.tolist()
     head = vals[0]
     if len(vals) == 2:
-        tail_norm = math.sqrt(vals[1] * vals[1])
+        sq = vals[1] * vals[1]
+        tail_norm = math.sqrt(sq) if sq != math.inf else abs(vals[1])
     else:
-        tail = y[1:]
-        tail_norm = math.sqrt(tail @ tail)
+        tail_norm = _norm(y[1:])
     if head >= tail_norm:
         # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
         return 0.0 if head < math.inf else math.nan
@@ -76,7 +92,7 @@ def dist_lorentz(y) -> float:
         coef = 0.5 * (head + tail_norm)
         gap = y - _tail_ratio(coef, tail_norm) * y
         gap[0] = head - coef
-    return math.sqrt(gap @ gap)
+    return _norm(gap)
 
 
 def proj_psd(a) -> np.ndarray:

@@ -40,6 +40,7 @@ class PenaltyHandle:
 
 
 _MISSING = object()
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> Callable:
@@ -63,7 +64,8 @@ def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> 
             raise ValueError("penalty parameter c must be positive and finite")
         if c != current_c:
             current, previous, current_c = {}, current, c
-        x = np.asarray(x, dtype=float)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:  # the solver's x passes as is
+            x = np.asarray(x, dtype=float)
         if x.shape != shape:
             return value(state(x), c)
         key = x.tobytes()

@@ -1,22 +1,20 @@
 """Classic separating functions: the linear penalty f + c*phi and the
 nonlinear Q-penalty.
 
-Each is split in two stages: ``*_state(x)`` packs what does not read c
-(f and phi) into a float64 array, and ``*_value(state, c)`` finishes F
+Each is split in two stages: ``*_state(x)`` returns what does not read c
+(f and phi) as a pair of floats, and ``*_value(state, c)`` finishes F
 from it; the one-shot ``*_eval`` is the value of the state."""
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import NegativeObjective, NonFiniteEvaluation
 from .problems import ConstrainedProblem, infeasibility
-
-Array = np.ndarray
 
 
 def default_phi(problem: ConstrainedProblem) -> Callable:
@@ -24,19 +22,19 @@ def default_phi(problem: ConstrainedProblem) -> Callable:
     return partial(infeasibility, problem)
 
 
-def linear_state(problem: ConstrainedProblem, phi, x) -> Array:
+def linear_state(problem: ConstrainedProblem, phi, x) -> Tuple[float, float]:
     """(f(x), phi(x)); a NaN phi raises NonFiniteEvaluation here, a NaN f
     inside ``ConstrainedProblem.f``."""
     f_val = problem.f(x)
     phi_val = float(phi(x))
     if math.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in linear penalty evaluation")
-    return np.array((f_val, phi_val))
+    return f_val, phi_val
 
 
-def linear_value(state: Array, c: float) -> float:
+def linear_value(state: Tuple[float, float], c: float) -> float:
     """f + c * phi from ``linear_state``."""
-    f_val, phi_val = state.tolist()
+    f_val, phi_val = state
     return f_val + c * phi_val
 
 
@@ -64,7 +62,7 @@ def q_order(q: float) -> Callable[[float, float], float]:
     return evaluate
 
 
-def qpen_state(problem: ConstrainedProblem, phi, x) -> Array:
+def qpen_state(problem: ConstrainedProblem, phi, x) -> Tuple[float, float]:
     """(max(f(x), 0), phi(x)); f(x) < -1e-12 raises NegativeObjective and a
     NaN phi NonFiniteEvaluation."""
     f_val = problem.f(x)
@@ -75,12 +73,12 @@ def qpen_state(problem: ConstrainedProblem, phi, x) -> Array:
     phi_val = float(phi(x))
     if math.isnan(phi_val):
         raise NonFiniteEvaluation("NaN in q-order penalty evaluation")
-    return np.array((max(f_val, 0.0), phi_val))
+    return max(f_val, 0.0), phi_val
 
 
-def qpen_value(qf: Callable, state: Array, c: float) -> float:
+def qpen_value(qf: Callable, state: Tuple[float, float], c: float) -> float:
     """Q(max(f, 0), c * phi) from ``qpen_state``."""
-    f_pos, phi_val = state.tolist()
+    f_pos, phi_val = state
     return qf(f_pos, c * phi_val)
 
 

@@ -221,7 +221,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         grad = grad + np.array([float(np.sum(lam_sdp * d)) for d in derivs])
         complementarity += abs(float(np.sum(lam_sdp * g_mat)))
         # Finite input can overflow (1e308 + 1e308); the residual is then NaN,
-        # as on SOC blocks, not an eigensolver error.
+        # a failing residual as on SOC blocks, not an eigensolver error.
         dual += dist_psd_minus(-lam_sdp)
         primal += dist_psd_minus(g_mat)
     if problem.n_eq > 0:

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from math import isnan
+from operator import add
 from typing import Callable, Tuple
 
 import numpy as np
@@ -96,6 +99,62 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     return starts
 
 
+def _argsort(fs: list) -> list:
+    """``np.array(fs).argsort().tolist()``, the order scipy gives the simplex:
+    NaN last, and ties in scipy's order.  On at most 3 values without NaN
+    that is the stable order, which ``sorted`` gives on floats; on 4 or more
+    numpy's sort need not be stable, so numpy is asked."""
+    if len(fs) <= 3 and not any(map(isnan, fs)):
+        return sorted(range(len(fs)), key=fs.__getitem__)
+    return np.array(fs).argsort().tolist()
+
+
+def _box_steps(lows: list, highs: list):
+    """The point maps of bounded Nelder-Mead on float lists, for the box
+    [lows, highs]: the plain clip, then reflection, expansion, outside and
+    inside contraction of the worst vertex v through the centroid a, and the
+    shrink of a vertex v toward the best one a.
+
+    Each map builds its point with scipy's expression and clips it in the
+    same pass, with np.clip's bits: a NaN fails every test and is kept, and
+    on a tie of signed zeros the bound wins.  scipy's bounds of one
+    coordinate have stride 0, and numpy's loop for scalar bounds keeps the
+    point instead (``keep``).
+    """
+    keep = len(lows) == 1
+
+    def clip(p):
+        return [hi if (hi < m if keep else hi <= m) else m for t, lo, hi in zip(p, lows, highs)
+                for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    def reflect(xbar, w):
+        return [hi if (hi < m if keep else hi <= m) else m
+                for a, v, lo, hi in zip(xbar, w, lows, highs)
+                for t in (2 * a - v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    def expand(xbar, w):
+        return [hi if (hi < m if keep else hi <= m) else m
+                for a, v, lo, hi in zip(xbar, w, lows, highs)
+                for t in (3 * a - 2 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    def contract_out(xbar, w):
+        return [hi if (hi < m if keep else hi <= m) else m
+                for a, v, lo, hi in zip(xbar, w, lows, highs)
+                for t in (1.5 * a - 0.5 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    def contract_in(xbar, w):
+        return [hi if (hi < m if keep else hi <= m) else m
+                for a, v, lo, hi in zip(xbar, w, lows, highs)
+                for t in (0.5 * a + 0.5 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    def shrink(best, p):
+        return [hi if (hi < m if keep else hi <= m) else m
+                for a, v, lo, hi in zip(best, p, lows, highs)
+                for t in (a + 0.5 * (v - a),) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+
+    return clip, reflect, expand, contract_out, contract_in, shrink
+
+
 def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fatol: float):
     """One bounded Nelder-Mead run from ``start``: (x, value, F calls, whether
     the budget of iters_per_dim iterations per coordinate ran out).
@@ -106,18 +165,10 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     fixed: reflection 1, expansion 2, contraction 0.5, shrink 0.5, and an
     initial step of 5 % of each coordinate (0.00025 where it is 0).
     """
-    box = list(zip(lower.tolist(), upper.tolist()))
-    n = len(box)
+    lows, highs = lower.tolist(), upper.tolist()
+    n = len(lows)
+    clip, reflect, expand, contract_out, contract_in, shrink_toward = _box_steps(lows, highs)
     nfev = 0
-
-    # np.clip bit for bit, signed zeros included.  scipy's bounds of one
-    # coordinate have stride 0, and numpy's loop for scalar bounds keeps the
-    # point rather than the bound on a tie of signed zeros.
-    if n == 1:
-        (lo1, hi1), = box
-        clip = lambda p: [min(max(p[0], lo1), hi1)]
-    else:
-        clip = lambda p: [min(hi, max(lo, v)) for v, (lo, hi) in zip(p, box)]
 
     def value(p):  # F of a fresh array, as a float (a size-1 result is accepted)
         nonlocal nfev
@@ -125,8 +176,8 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         fx = func(np.array(p))
         return float(fx if isinstance(fx, float) else np.asarray(fx).item())
 
-    def ordered():  # numpy's argsort puts NaN last and keeps scipy's order of ties
-        idx = np.array(fs).argsort().tolist()
+    def ordered():
+        idx = _argsort(fs)
         return [sim[i] for i in idx], [fs[i] for i in idx]
 
     x0 = clip(start.tolist())
@@ -136,41 +187,40 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     # A step past an upper bound is reflected into the box.
-    sim = [clip([2 * hi - v if v > hi else v for v, (_, hi) in zip(p, box)]) for p in sim]
+    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, highs)]) for p in sim]
     fs = [value(p) for p in sim]
     sim, fs = ordered()
     sim, fs = ordered()  # scipy sorts twice here; argsort is not stable on 4 or more values
     maxiter = iters_per_dim * n
     it = 1
     while it < maxiter:
-        s0, w = sim[0], sim[-1]
-        if (all(abs(v - u) <= xatol for p in sim[1:] for v, u in zip(p, s0))
-                and all(abs(fs[0] - f) <= fatol for f in fs[1:])):
+        f0, s0, w = fs[0], sim[0], sim[-1]
+        # Both tests are pure; the cheaper one goes first.
+        if (all([abs(f0 - f) <= fatol for f in fs[1:]])
+                and all([abs(v - u) <= xatol for p in sim[1:] for v, u in zip(p, s0)])):
             break
-        xbar = [0.0] * n  # np.add.reduce starts from +0.0
-        for p in sim[:-1]:
-            xbar = [a + v for a, v in zip(xbar, p)]
-        xbar = [a / n for a in xbar]
-        xr = clip([2 * a - v for a, v in zip(xbar, w)])
+        # Left to right from +0.0, as np.add.reduce sums the vertices.
+        xbar = [reduce(add, col, 0.0) / n for col in zip(*sim[:-1])]
+        xr = reflect(xbar, w)
         fxr = value(xr)
-        if fxr < fs[0]:
-            xe = clip([3 * a - 2 * v for a, v in zip(xbar, w)])
+        if fxr < f0:
+            xe = expand(xbar, w)
             fxe = value(xe)
             sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fs[-2]:
             sim[-1], fs[-1] = xr, fxr
         else:
             if fxr < fs[-1]:
-                xc = clip([1.5 * a - 0.5 * v for a, v in zip(xbar, w)])
+                xc = contract_out(xbar, w)
                 fxc = value(xc)
                 shrink = not fxc <= fxr
             else:
-                xc = clip([0.5 * a + 0.5 * v for a, v in zip(xbar, w)])
+                xc = contract_in(xbar, w)
                 fxc = value(xc)
                 shrink = not fxc < fs[-1]
             if shrink:
                 for j in range(1, n + 1):
-                    sim[j] = clip([a + 0.5 * (v - a) for a, v in zip(s0, sim[j])])
+                    sim[j] = shrink_toward(s0, sim[j])
                     fs[j] = value(sim[j])
             else:
                 sim[-1], fs[-1] = xc, fxc

@@ -1,12 +1,12 @@
 """Checkers of the paper's side conditions, which only the tests read.
 
 No command or report of epflab reads these, so they live beside their
-tests: cone membership and the Moreau residual, the feasible sets of the
-registry problems, the Q-function and error-bound checkers, the
-Rockafellar-Wets grid oracle and valley check, the inner-minimum
-representation ``phi_aux`` and the diagnostics of the multiplier-estimate
-subproblem.  Their sampling budgets, seeds and tolerances are module
-constants.
+tests: cone membership, the Moreau residual and a reference vector norm,
+the feasible sets of the registry problems, the Q-function and
+error-bound checkers, the Rockafellar-Wets grid oracle and valley check,
+the inner-minimum representation ``phi_aux`` and the diagnostics of the
+multiplier-estimate subproblem.  Their sampling budgets, seeds and
+tolerances are module constants.
 """
 
 import math
@@ -48,6 +48,18 @@ def in_lorentz(y) -> bool:
 def in_psd_minus(a) -> bool:
     decomp = eig_sym(sym(a))
     return float(decomp.values[-1]) <= PSD_MEMBER_TOL
+
+
+def reference_norm(v) -> float:
+    """sqrt(v @ v) of a 1-D array; where the sum of squares overflows with
+    every entry finite, the norm scaled by the largest |entry|, as the cone
+    distances compute it."""
+    with np.errstate(over="ignore"):
+        sq = v @ v
+    if sq == math.inf and np.isfinite(v).all():
+        scale = np.abs(v).max()
+        return scale * math.sqrt((v / scale) @ (v / scale))
+    return math.sqrt(sq)
 
 
 def moreau_check(y) -> float:

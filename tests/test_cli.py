@@ -200,13 +200,15 @@ def test_check_kkt_non_finite_input_exit_3():
 
 
 def test_check_kkt_nan_residual_exit_2():
-    # Finite entries whose products overflow give a NaN residual, which fails,
-    # on an SOC problem and on an SDP problem alike.
-    for problem, x, lam in (("toy-socp-1", "1e308,1e308", "-1e308,1e308"),
-                            ("toy-sdp-1", "1e308,-1e308", "1e308,0,0,1e308")):
+    # Finite entries whose products overflow give a residual that is not
+    # finite, which fails, on an SOC problem and on an SDP problem alike.  On
+    # toy-socp-1 it is inf: both points lie on the Lorentz cone's boundary,
+    # at distance 0, and the stationarity term overflows.
+    for problem, x, lam, shown in (("toy-socp-1", "1e308,1e308", "-1e308,1e308", "inf"),
+                                   ("toy-sdp-1", "1e308,-1e308", "1e308,0,0,1e308", "nan")):
         out = run_cli("check-kkt", "--problem", problem, "--x", x, "--lambda", lam)
         assert out.returncode == 2, (problem, out.stderr)
-        assert "kkt_residual = nan" in out.stdout, problem
+        assert f"kkt_residual = {shown}" in out.stdout, problem
         assert "RuntimeWarning" not in out.stderr, (problem, out.stderr)
 
 

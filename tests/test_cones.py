@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
 from epflab.numerics import MAX_ORDER
-from paper_checks import LORENTZ_MEMBER_TOL, in_lorentz, in_psd_minus, moreau_check
+from paper_checks import LORENTZ_MEMBER_TOL, in_lorentz, in_psd_minus, moreau_check, reference_norm
 
 
 def test_proj_interior_fixed():
@@ -171,8 +171,7 @@ def test_in_psd_minus():
 def _reference_dist_lorentz(y):
     """dist_lorentz as it was before its closed form: ||y - proj_lorentz(y)||."""
     y = np.asarray(y, dtype=float)
-    gap = y - proj_lorentz(y)
-    return math.sqrt(gap @ gap)
+    return reference_norm(y - proj_lorentz(y))
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -238,3 +237,105 @@ def test_nonfinite_tail_gives_nan_without_a_warning(y, projection):
         assert math.isnan(dist_lorentz(np.array(y)))
         out = proj_lorentz(np.array(y))
     assert np.array_equal(out, projection, equal_nan=True)
+
+
+# proj_lorentz and dist_lorentz as they were before overflowing sums of
+# squares were rescaled: the frozen reference wherever no sum overflows.
+def _proj_lorentz_unscaled(y):
+    head, tail = y[0], y[1:]
+    tail_norm = math.sqrt(tail @ tail)
+    if head >= tail_norm:
+        return y.copy()
+    if head <= -tail_norm:
+        return np.zeros_like(y)
+    coef = 0.5 * (head + tail_norm)
+    out = np.empty_like(y)
+    out[0] = coef
+    out[1:] = (coef / tail_norm) * tail
+    return out
+
+
+def _dist_lorentz_unscaled(y):
+    head, tail = y[0], y[1:]
+    tail_norm = math.sqrt(tail @ tail)
+    if head >= tail_norm:
+        return 0.0
+    if head <= -tail_norm:
+        gap = y
+    else:
+        coef = 0.5 * (head + tail_norm)
+        gap = y - (coef / tail_norm) * y
+        gap[0] = head - coef
+    return math.sqrt(gap @ gap)
+
+
+def _moderate_points():
+    """Lorentz points whose sums of squares cannot overflow, with signed
+    zeros and boundary rays."""
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False))
+    return arrays(np.float64, st.integers(2, 6), elements=entries)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_moderate_points(), st.sampled_from([None, 1.0, -1.0]))
+def test_lorentz_bits_unchanged_where_no_sum_of_squares_overflows(y, ray):
+    if ray is not None:  # a head on a boundary ray head = +-||tail||
+        y[0] = ray * math.sqrt(y[1:] @ y[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_float(dist_lorentz(y), _dist_lorentz_unscaled(y))
+        assert proj_lorentz(y).tobytes() == _proj_lorentz_unscaled(y).tobytes()
+
+
+def _hypot_reference(y):
+    """(projection, distance) of a finite point from math.hypot, which does
+    not overflow while the result is finite."""
+    head, tail = float(y[0]), y[1:].tolist()
+    tail_norm = math.hypot(*tail)
+    if head >= tail_norm:
+        return [head] + tail, 0.0
+    if head <= -tail_norm:
+        return [0.0] * len(y), math.hypot(head, tail_norm)
+    coef = 0.5 * (head + tail_norm)
+    return [coef] + [coef / tail_norm * t for t in tail], (tail_norm - head) / math.sqrt(2.0)
+
+
+@st.composite
+def _huge_points(draw):
+    """Finite points with entries of magnitude 1e150-1e300, so the sum of
+    squares of the tail overflows."""
+    n = draw(st.integers(2, 6))
+    exps = draw(st.lists(st.floats(150.0, 300.0), min_size=n, max_size=n))
+    mants = draw(st.lists(st.floats(1.0, 9.99), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    y = np.array([s * m * 10.0 ** e for s, m, e in zip(signs, mants, exps)])
+    if draw(st.booleans()):  # a small head
+        y[0] = draw(st.floats(-1.0, 1.0))
+    return y
+
+
+@settings(deadline=None, max_examples=300)
+@given(_huge_points())
+def test_lorentz_overflowing_sums_of_squares_match_hypot(y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = dist_lorentz(y)
+        proj = proj_lorentz(y)
+    ref_proj, ref_dist = _hypot_reference(y)
+    # Relative to the point's size: near a boundary ray both sides cancel.
+    scale = math.hypot(*y.tolist())
+    assert abs(dist - ref_dist) <= 1e-12 * scale
+    assert np.all(np.abs(proj - np.array(ref_proj)) <= 1e-12 * scale)
+
+
+def test_lorentz_overflow_examples():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist_lorentz(np.array([1.0, 1e200])) == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-15)
+        assert proj_lorentz(np.array([1.0, 1e200])) == pytest.approx([5e199, 5e199], rel=1e-15)
+        assert dist_lorentz(np.array([1.0, 1e200, 1e200])) == pytest.approx(1e200, rel=1e-15)
+        assert dist_lorentz(np.array([-1e200, 1e200, 0.0])) == pytest.approx(math.sqrt(2.0) * 1e200,
+                                                                             rel=1e-15)
+        # An infinite entry still makes the tail norm inf, as before.
+        assert math.isnan(dist_lorentz(np.array([1.0, math.inf, 1.0])))

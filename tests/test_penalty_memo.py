@@ -546,3 +546,45 @@ def test_signed_zero_is_its_own_key(monkeypatch):
     for x in (np.array([0.0, 0.5]), np.array([-0.0, 0.5]), np.array([0.0, 0.5])):
         handle(x, 1.0)
     assert len(seen) == 2
+
+
+_STATES = {"linear": "linear_state", "qorder": "qpen_state", "c1-socp": "c1_state",
+           "c1-sdp": "c1_state"}
+
+
+@pytest.mark.parametrize("kind", STAGED)
+def test_every_form_of_x_gives_the_bits_of_its_float64_array(kind, monkeypatch):
+    # The solver passes fresh float64 arrays, which the memo keys as they
+    # are; every other form is converted first and must meet the same entry.
+    problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-eq-1")
+    reference = _one_shot(problem, kind)
+    seen = []
+    state = getattr(harness, _STATES[kind])
+
+    def counting(*args):
+        seen.append(args)
+        return state(*args)
+
+    monkeypatch.setattr(harness, _STATES[kind], counting)
+    handle = make_penalty(problem, kind)
+    x = np.array([0.75, -0.5])  # exact in float32
+    strided = np.array([[0.75, 9.0], [-0.5, 9.0]])[:, 0]
+    assert not strided.flags.c_contiguous
+    forms = [x.copy(), x.tolist(), x.astype(np.float32), strided, x.astype(">f8")]
+    expected = _outcome(reference, x, 2.0)
+    for form in forms:
+        assert _outcome(handle, form, 2.0) == expected, form
+    assert len(seen) == 1
+    # A float32 x that float64 cannot tell from itself: F of its conversion.
+    y32 = np.array([0.1, 0.7], dtype=np.float32)
+    assert _outcome(handle, y32, 2.0) == _outcome(reference, y32.astype(float), 2.0)
+    assert _outcome(handle, y32.astype(float), 2.0) == _outcome(reference, y32.astype(float), 2.0)
+    assert len(seen) == 2
+    # An x of the wrong shape is evaluated every time and never stored.
+    seen.clear()
+    wrong = x.reshape(1, 2)
+    for _ in range(2):
+        assert _outcome(handle, wrong, 2.0) == _outcome(reference, wrong, 2.0)
+    assert len(seen) == 2
+    handle(x, 2.0)
+    assert len(seen) == 2

@@ -25,7 +25,7 @@ from epflab.report import localize, serialize_report
 from epflab.smoothpen import (MultiplierEstimate, constant_normal_data, estimate_multipliers_sdp,
                               estimate_multipliers_soc)
 from epflab.solvers import SolverConfig
-from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE
+from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE, reference_norm
 
 
 def test_fd_gradient_quadratic():
@@ -86,8 +86,7 @@ def _reference_feasibility_gap(problem, x):
     soc = 0.0
     for block in problem.soc_blocks:
         g = np.asarray(block.g(x), dtype=float)
-        gap = g - proj_lorentz(g)
-        soc += math.sqrt(gap @ gap)
+        soc += reference_norm(g - proj_lorentz(g))
     if problem.sdp_block is not None:
         soc += dist_psd_minus(problem.sdp_block.G(x))
     eq = float(np.linalg.norm(problem.h(x)))

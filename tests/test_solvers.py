@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -256,3 +257,107 @@ def test_nfev_counts_the_local_solves_only():
     res = minimize(func, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), cfg)
     # func is finite everywhere, so the Sobol screening evaluates exactly n_starts points.
     assert res.nfev == len(calls) - cfg.n_starts > 0
+
+
+_ORDER_VALUES = [-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan]
+
+
+def test_small_simplex_order_is_numpy_argsort():
+    # The small-simplex order relies on numpy's argsort being stable on at
+    # most 3 values; a numpy whose small sorts change fails here.
+    for length in (2, 3):
+        for fs in itertools.product(_ORDER_VALUES, repeat=length):
+            fs = list(fs)
+            assert solvers._argsort(fs) == np.array(fs).argsort().tolist(), fs
+
+
+# Each point map of the loop and scipy's expression for it, on arrays.
+_STEP_EXPRESSIONS = {
+    "clip": lambda a, v: v,
+    "reflect": lambda a, v: 2 * a - v,
+    "expand": lambda a, v: 3 * a - 2 * v,
+    "contract_out": lambda a, v: 1.5 * a - 0.5 * v,
+    "contract_in": lambda a, v: 0.5 * a + 0.5 * v,
+    "shrink": lambda a, v: a + 0.5 * (v - a),
+}
+_CLIP_BOXES = [(-1.0, 1.0), (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 0.0),
+               (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)]
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5]
+
+
+def _step_maps(lows, highs):
+    clip, *steps = solvers._box_steps(lows, highs)
+    maps = dict(zip(list(_STEP_EXPRESSIONS)[1:], steps))
+    maps["clip"] = lambda a, v: clip(v)
+    return maps
+
+
+def _coordinate_cases():
+    """(a, v, lo, hi) with a and v special or on a bound."""
+    return [(a, v, lo, hi) for lo, hi in _CLIP_BOXES
+            for a in _SPECIAL + [lo, hi] for v in _SPECIAL + [lo, hi]]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fused_steps_are_np_clip_of_the_expression_in_one_coordinate():
+    for a, v, lo, hi in _coordinate_cases():
+        # scipy's bounds of one coordinate have stride 0.
+        lower, upper = np.broadcast_to(np.float64(lo), (1,)), np.broadcast_to(np.float64(hi), (1,))
+        assert lower.strides == (0,)
+        for name, step in _step_maps([lo], [hi]).items():
+            expected = np.clip(_STEP_EXPRESSIONS[name](np.array([a]), np.array([v])), lower, upper)
+            got = np.array(step([a], [v]))
+            assert got.tobytes() == expected.tobytes(), (name, a, v, lo, hi)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fused_steps_are_np_clip_of_the_expression_in_two_coordinates():
+    cases = _coordinate_cases()
+    for i, first in enumerate(cases):
+        second = cases[(7919 * i + 3) % len(cases)]
+        a, v, lows, highs = (list(col) for col in zip(first, second))
+        for name, step in _step_maps(lows, highs).items():
+            expected = np.clip(_STEP_EXPRESSIONS[name](np.array(a), np.array(v)),
+                               np.array(lows), np.array(highs))
+            got = np.array(step(a, v))
+            assert got.tobytes() == expected.tobytes(), (name, first, second)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_nelder_mead_keeps_a_nan_trial_point_as_scipy_does():
+    # On a box near the largest float, 3 * a - 2 * v is inf - inf: np.clip
+    # keeps the NaN, and so must the loop, in every dimension.
+    nan_calls = []
+
+    def func(x):
+        nan_calls.append(bool(np.isnan(x).any()))
+        return float(-(x[0] / 1e308 + x[-1] / 1e308))
+
+    for dim in (1, 2, 3):
+        start, lower, upper = np.full(dim, 1e308), np.zeros(dim), np.full(dim, 1.7e308)
+        nan_calls.clear()
+        _assert_same_as_scipy(func, start, lower, upper, 25, 1e-6, 1e-8)
+        assert any(nan_calls)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), step=st.sampled_from([0.25, 1.0, 4.0]))
+def test_nelder_mead_matches_scipy_on_quantized_objectives_with_inf_regions(dim, seed, step):
+    # Values on a coarse grid tie often, and a wall of +inf cuts the box:
+    # the order of tied and infinite vertices must be scipy's, which at
+    # dim 3 (4 vertices) is numpy's argsort.
+    rng = np.random.default_rng(seed)
+    lower = -rng.uniform(0.1, 3.0, dim)
+    upper = rng.uniform(0.1, 3.0, dim)
+    center = rng.uniform(lower, upper)
+    wall = rng.uniform(lower, upper)
+    k = int(rng.integers(dim))
+
+    def func(x):
+        if x[k] < wall[k]:
+            return math.inf
+        return float(np.floor(np.sum(np.abs(x - center)) / step))
+
+    _assert_same_as_scipy(func, rng.uniform(lower, upper), lower, upper, 400, 1e-6, 1e-8)
