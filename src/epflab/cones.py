@@ -2,7 +2,9 @@
 
 A Lorentz point is a plain 1-D array ``y`` with head ``y[0]`` and tail
 ``y[1:]``; membership in Q_{l+1} means ``y[0] >= ||y[1:]||``.  Symmetric
-matrices are 2-D arrays.
+matrices are 2-D arrays.  The PSD distance of a 2x2 matrix runs on Python
+floats (``dist_psd_minus2``, through ``numerics.eigvals_sym2``) with the
+bits of the LAPACK path every other order takes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .numerics import eig_sym, sym
+from .numerics import eig_sym, eigvals_sym2, sym
 
 
 def _lorentz_point(y) -> np.ndarray:
@@ -44,6 +46,14 @@ def _tail_ratio(coef: float, tail_norm: float) -> float:
     return coef / tail_norm if 0.0 < tail_norm < math.inf else math.nan
 
 
+def _midpoint(head: float, tail_norm: float) -> float:
+    """0.5 * (head + ||tail||), the head of the generic case's projection.
+    Where that sum overflows, 0.5 * head + 0.5 * ||tail||, so a finite
+    point keeps a finite projection; every other result keeps its bits."""
+    coef = 0.5 * (head + tail_norm)
+    return coef if coef != math.inf else 0.5 * head + 0.5 * tail_norm
+
+
 def proj_lorentz(y) -> np.ndarray:
     """Euclidean projection onto the second-order cone.
 
@@ -53,13 +63,13 @@ def proj_lorentz(y) -> np.ndarray:
     closed form otherwise.
     """
     y = _lorentz_point(y)
-    head, tail = y[0], y[1:]
+    head, tail = float(y[0]), y[1:]
     tail_norm = _norm(tail)
     if head >= tail_norm:
         return y.astype(float, copy=True)
     if head <= -tail_norm:
         return np.zeros_like(y, dtype=float)
-    coef = 0.5 * (head + tail_norm)
+    coef = _midpoint(head, tail_norm)
     out = np.empty_like(y, dtype=float)
     out[0] = coef
     out[1:] = _tail_ratio(coef, tail_norm) * tail
@@ -89,7 +99,7 @@ def dist_lorentz(y) -> float:
     if head <= -tail_norm:
         gap = y
     else:
-        coef = 0.5 * (head + tail_norm)
+        coef = _midpoint(head, tail_norm)
         gap = y - _tail_ratio(coef, tail_norm) * y
         gap[0] = head - coef
     return _norm(gap)
@@ -108,8 +118,36 @@ def dist_psd_minus(a) -> float:
 
     Equals the Frobenius norm of [A]_+, i.e. dist^2 = trace([A]_+^2): the
     norm of the clipped eigenvalues, without rebuilding [A]_+.  NaN when
-    the symmetrized A has a non-finite entry.
+    the symmetrized A has a non-finite entry.  A 2x2 A takes
+    ``dist_psd_minus2``, same bits.
     """
+    a = np.asarray(a, dtype=float)
+    if a.shape == (2, 2):
+        return dist_psd_minus2(*a.ravel().tolist())
+    return _dist_psd_minus_eig(a)
+
+
+def dist_psd_minus2(a11: float, a12: float, a21: float, a22: float) -> float:
+    """``dist_psd_minus`` of [[a11, a12], [a21, a22]] on floats, bit for bit.
+
+    Symmetrizes as ``sym`` does and clips as ``np.maximum(v, 0.0)`` does
+    (-0.0 is kept).  Two positive values keep numpy's dot, which OpenBLAS
+    may contract into a fused multiply-add; with at most one, the sum of
+    squares is v * v.  Where ``eigvals_sym2`` returns None the LAPACK path
+    runs.
+    """
+    values = eigvals_sym2((a11 + a11) * 0.5, (a21 + a12) * 0.5, (a22 + a22) * 0.5)
+    if values is None:
+        return _dist_psd_minus_eig(np.array([[a11, a12], [a21, a22]]))
+    lo, hi = values
+    if lo > 0.0:
+        pair = np.array(values)
+        return math.sqrt(pair @ pair)
+    return math.sqrt(hi * hi) if hi > 0.0 else 0.0
+
+
+def _dist_psd_minus_eig(a) -> float:
+    """``dist_psd_minus`` on ``eig_sym``'s eigenvalues."""
     try:
         clipped = np.maximum(eig_sym(a).values, 0.0)
     except ValueError:

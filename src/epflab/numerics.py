@@ -2,7 +2,11 @@
 relative pivot test, and symmetric eigendecomposition.
 
 Everything here works on plain numpy arrays.  Matrices are symmetrized on
-entry; order is capped at 64 (desk scale, no sparse paths).
+entry; order is capped at 64 (desk scale, no sparse paths).  The one
+exception is ``eigvals_sym2``: the eigenvalues of a symmetric 2x2 matrix
+on Python floats, with the float operations ``syevd`` performs at that
+order (``sytd2``, ``steqr``'s split tests, ``laev2`` and the sort), so
+they have its bits wherever neither routine rescales the matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +23,16 @@ MAX_ORDER = 64
 
 # Relative pivot threshold defining "positive definite" for chol_solve.
 PIVOT_RTOL = 1e-12
+
+# LAPACK's dlamch('S') and dlamch('E'), and the bounds derived from them
+# outside which syevd (rmin, rmax) or steqr (ssfmin, ssfmax) rescale the
+# matrix by its largest |entry|: eigvals_sym2 runs where neither does.
+_SAFMIN = 2.0 ** -1022
+_EPS = 2.0 ** -53
+_EPS2 = _EPS * _EPS
+_SMLNUM = _SAFMIN / _EPS
+_UNSCALED_LOW = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)  # 2**-405
+_UNSCALED_HIGH = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)  # about 2**484.5
 
 
 def sym(a) -> np.ndarray:
@@ -113,3 +127,36 @@ def eig_sym(a) -> EigenDecomp:
     if info != 0:
         raise NoConvergence(f"eigendecomposition did not converge (LAPACK info {info})")
     return EigenDecomp(values, vectors)
+
+
+def eigvals_sym2(d1: float, e: float, d2: float):
+    """Ascending eigenvalues of [[d1, e], [e, d2]] with the bits of
+    ``eig_sym``, or None where ``syevd`` would rescale the matrix: its
+    largest |entry| outside [_UNSCALED_LOW, _UNSCALED_HIGH], which takes in
+    0, inf and NaN.
+
+    At order 2 ``sytd2`` leaves the diagonal and e as they are; ``steqr``
+    keeps d1 and d2 when e passes either of its split tests and otherwise
+    hands the block to ``laev2``; then it sorts, ties kept in order.  Every
+    square is t * t, as gfortran compiles x**2, with no fused multiply-add.
+    """
+    a1, ae, a2 = abs(d1), abs(e), abs(d2)
+    if not (a1 <= _UNSCALED_HIGH and ae <= _UNSCALED_HIGH and a2 <= _UNSCALED_HIGH
+            and max(a1, ae, a2) >= _UNSCALED_LOW):
+        return None
+    small, big = (a2, a1) if a2 < a1 else (a1, a2)
+    if not (ae == 0.0 or ae <= (math.sqrt(a1) * math.sqrt(a2)) * _EPS
+            or ae * ae <= (_EPS2 * small) * big + _SAFMIN):
+        # laev2: rt1 is the eigenvalue of larger magnitude.
+        sm = d1 + d2
+        adf, ab = abs(d1 - d2), abs(e + e)
+        acmx, acmn = (d1, d2) if a1 > a2 else (d2, d1)
+        w, z = (adf, ab) if adf > ab else (ab, adf)
+        t = z / w
+        rt = w * math.sqrt(1.0 + t * t)
+        if sm == 0.0:
+            d1, d2 = 0.5 * rt, -0.5 * rt
+        else:
+            d1 = 0.5 * (sm - rt if sm < 0.0 else sm + rt)
+            d2 = (acmx / d1) * acmn - (e / d1) * e
+    return (d2, d1) if d2 < d1 else (d1, d2)

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus
+from .cones import dist_lorentz, dist_psd_minus, dist_psd_minus2
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
 from .numerics import chol_solve
 from .problems import ConstrainedProblem
@@ -357,8 +357,14 @@ def c1_value(problem: ConstrainedProblem, state: Optional[Array], c: float) -> f
         total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - ratio ** 2 * vals[start])
         start += 1 + 2 * k
     if problem.sdp_block is not None:
-        g_lam = state[start + 1 :].reshape(2, -1, problem.sdp_block.order)  # G(x), Lambda
-        shifted_sq = dist_psd_minus(c * g_lam[0] + p * g_lam[1]) ** 2
+        order = problem.sdp_block.order
+        size = order * order
+        # c G + p Lambda entry by entry, as numpy forms it, from G(x) and Lambda row-major.
+        shifted = [c * g + p * lam for g, lam in zip(vals[start + 1 : start + 1 + size],
+                                                     vals[start + 1 + size :])]
+        dist = (dist_psd_minus2(*shifted) if order == 2
+                else dist_psd_minus(np.reshape(shifted, (order, order))))
+        shifted_sq = dist ** 2
         # The only cone term of an SDP problem: set, not added to 0.0, so a -0.0 keeps its sign.
         total = (shifted_sq - p * p * vals[start]) / (2.0 * c * p)
     value = f_val + total

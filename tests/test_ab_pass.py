@@ -15,8 +15,15 @@ def _ab_pass():
 
 def test_one_round_of_a_tree_against_itself(capsys):
     src = str(ROOT / "src")
-    assert _ab_pass().main([src, src, "--workload", "classic-battery", "--rounds", "1"]) == 0
+    ab_pass = _ab_pass()
+    assert ab_pass.main([src, src, "--workload", "classic-battery", "--rounds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
+    # One line per pair, in the workload's order, with each side's median.
+    pairs = [line for line in out if line.startswith("pair ")]
+    workload = ab_pass.WORKLOADS["classic-battery"]
+    names = [f"pair {problem}/{penalty}: " for problem, penalty in workload.pairs]
+    assert len(pairs) == len(names) and all(map(str.startswith, pairs, names))
+    assert all(" s, new median " in line and line.endswith("%)") for line in pairs)
     assert out[0].startswith("round 0: base ")
     shas = [line.rsplit(" ", 1)[1] for line in out if "answers sha256" in line]
     assert len(shas) == 2 and shas[0] == shas[1]

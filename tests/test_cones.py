@@ -297,22 +297,31 @@ def _hypot_reference(y):
         return [head] + tail, 0.0
     if head <= -tail_norm:
         return [0.0] * len(y), math.hypot(head, tail_norm)
-    coef = 0.5 * (head + tail_norm)
-    return [coef] + [coef / tail_norm * t for t in tail], (tail_norm - head) / math.sqrt(2.0)
+    # Halved before they are summed: head + ||tail|| may overflow.
+    coef = 0.5 * head + 0.5 * tail_norm
+    root2 = math.sqrt(2.0)
+    return [coef] + [coef / tail_norm * t for t in tail], tail_norm / root2 - head / root2
 
 
 @st.composite
 def _huge_points(draw):
-    """Finite points with entries of magnitude 1e150-1e300, so the sum of
-    squares of the tail overflows."""
+    """Finite points with entries of magnitude 1e150 up to the largest
+    float, so the sum of squares of the tail overflows, and so may
+    head + ||tail||.  A tail whose norm would overflow is quartered."""
     n = draw(st.integers(2, 6))
-    exps = draw(st.lists(st.floats(150.0, 300.0), min_size=n, max_size=n))
+    exps = draw(st.lists(st.one_of(st.floats(150.0, 308.25), st.floats(307.7, 308.25)),
+                         min_size=n, max_size=n))
     mants = draw(st.lists(st.floats(1.0, 9.99), min_size=n, max_size=n))
     signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
-    y = np.array([s * m * 10.0 ** e for s, m, e in zip(signs, mants, exps)])
+    y = np.array([s * min(m * 10.0 ** e, _FLOAT_MAX) for s, m, e in zip(signs, mants, exps)])
+    if math.hypot(*y[1:].tolist()) == math.inf:
+        y[1:] *= 0.25
     if draw(st.booleans()):  # a small head
         y[0] = draw(st.floats(-1.0, 1.0))
     return y
+
+
+_FLOAT_MAX = 1.7976931348623157e308
 
 
 @settings(deadline=None, max_examples=300)
@@ -324,8 +333,10 @@ def test_lorentz_overflowing_sums_of_squares_match_hypot(y):
         proj = proj_lorentz(y)
     ref_proj, ref_dist = _hypot_reference(y)
     # Relative to the point's size: near a boundary ray both sides cancel.
-    scale = math.hypot(*y.tolist())
-    assert abs(dist - ref_dist) <= 1e-12 * scale
+    # A polar point near the largest float is inf away on both sides.
+    scale = max(map(abs, y.tolist()))
+    assert dist == ref_dist or abs(dist - ref_dist) <= 1e-12 * scale
+    assert np.all(np.isfinite(proj))
     assert np.all(np.abs(proj - np.array(ref_proj)) <= 1e-12 * scale)
 
 
@@ -337,5 +348,11 @@ def test_lorentz_overflow_examples():
         assert dist_lorentz(np.array([1.0, 1e200, 1e200])) == pytest.approx(1e200, rel=1e-15)
         assert dist_lorentz(np.array([-1e200, 1e200, 0.0])) == pytest.approx(math.sqrt(2.0) * 1e200,
                                                                              rel=1e-15)
+        # head + ||tail|| overflows, the distance does not.
+        expected = (1.5e308 - 1e308) / math.sqrt(2.0)
+        assert dist_lorentz(np.array([1e308, 1.5e308])) == pytest.approx(expected, rel=1e-15)
+        assert dist_lorentz(np.array([1e308, 1.5e308, 0.0])) == pytest.approx(expected, rel=1e-15)
+        assert proj_lorentz(np.array([1e308, 1.5e308, 0.0])) == pytest.approx([1.25e308, 1.25e308, 0.0],
+                                                                              rel=1e-15)
         # An infinite entry still makes the tail norm inf, as before.
         assert math.isnan(dist_lorentz(np.array([1.0, math.inf, 1.0])))

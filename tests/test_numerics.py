@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from epflab import numerics
-from epflab.cones import dist_psd_minus
+from epflab.cones import dist_psd_minus, dist_psd_minus2
 from epflab.errors import NoConvergence, NotPositiveDefinite
 from epflab.numerics import MAX_ORDER, PIVOT_RTOL, EigenDecomp, chol_solve, eig_sym, sym
 from paper_checks import reconstruct
@@ -303,3 +305,130 @@ def _symmetric_input(draw):
 def test_dist_psd_minus_matches_eigh_norm(a):
     ref = float(np.linalg.norm(np.maximum(np.linalg.eigh(sym(a))[0], 0)))
     assert _same_bits(np.float64(dist_psd_minus(a)), np.float64(ref))
+
+
+# Order 2 on floats: eigvals_sym2 and the PSD distance built on it must give
+# the bytes of LAPACK's dsyevd (compute_v=1, lower=1) on the symmetrized
+# matrix, and fall back to it wherever dsyevd or dsteqr would rescale.
+_RMIN, _RMAX = math.sqrt(2.0 ** -969), math.sqrt(2.0 ** 969)  # dsyevd
+_SSFMIN, _SSFMAX = 2.0 ** -405, 2.0 ** 511 / 3.0  # dsteqr
+_EPS, _EPS2, _SAFMIN = 2.0 ** -53, 2.0 ** -106, 2.0 ** -1022
+
+
+def _around(v):
+    return [np.nextafter(v, 0.0), v, np.nextafter(v, math.inf)]
+
+
+# Largest |entry| of a drawn matrix: both sides of each rescaling bound,
+# subnormals, 0 and moderate scales.
+_TOPS = [float(t) for b in (_RMIN, _RMAX, _SSFMIN, _SSFMAX) for t in _around(b)] + [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-120, 2.0 ** -60, 1.0, 3.0, 2.0 ** 60, 1e120,
+    1.7976931348623157e308]
+
+
+def _sym2(a):
+    with np.errstate(all="ignore"):
+        s = a + a.T
+        s *= 0.5
+    return s
+
+
+def _dsyevd_values(a):
+    values, _, info = dsyevd(_sym2(a), compute_v=1, lower=1)
+    assert info == 0
+    return values
+
+
+def _reference_dist(a):
+    """The PSD distance on dsyevd: the norm of the clipped eigenvalues."""
+    if not np.isfinite(_sym2(a)).all():
+        return math.nan
+    clipped = np.maximum(_dsyevd_values(a), 0.0)
+    return math.sqrt(clipped @ clipped)
+
+
+def _check_order2(a):
+    s = _sym2(a)
+    d1, e, d2 = float(s[0, 0]), float(s[1, 0]), float(s[1, 1])
+    values = numerics.eigvals_sym2(d1, e, d2)
+    top = np.abs(s).max()
+    assert (values is None) == (not (np.isfinite(s).all() and _SSFMIN <= top <= _RMAX)), a
+    if values is not None:
+        assert np.array(values).tobytes() == _dsyevd_values(a).tobytes(), a
+    with np.errstate(all="ignore"):
+        expected = np.float64(_reference_dist(a))
+        for dist in (dist_psd_minus(a), dist_psd_minus2(*a.ravel().tolist())):
+            assert np.array_equal(np.float64(dist), expected, equal_nan=True), a
+            assert np.signbit(dist) == np.signbit(expected), a
+
+
+@st.composite
+def _order2_matrices(draw):
+    """2x2 matrices whose largest |entry| is drawn from _TOPS, with e on
+    either side of dsteqr's two split tests, equal or opposite diagonals,
+    signed zeros, asymmetric off-diagonals and non-finite entries."""
+    top = draw(st.sampled_from(_TOPS))
+    unit = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25]), st.floats(-1.0, 1.0))
+    d1, e, d2 = (top * draw(unit) for _ in range(3))
+    layout = draw(st.sampled_from(["free", "equal", "opposite", "split", "small", "zero"]))
+    if layout == "equal":
+        d2 = d1
+    elif layout == "opposite":
+        d2 = -d1
+    elif layout == "split":  # |e| <= sqrt|d1| sqrt|d2| eps
+        e = float(draw(st.sampled_from(_around((math.sqrt(abs(d1)) * math.sqrt(abs(d2))) * _EPS))))
+    elif layout == "small":  # e * e <= (eps^2 |d_small|) |d_big| + safmin
+        small, big = sorted((abs(d1), abs(d2)))
+        e = float(draw(st.sampled_from(_around(math.sqrt((_EPS2 * small) * big + _SAFMIN)))))
+    elif layout == "zero":
+        e = draw(st.sampled_from([0.0, -0.0]))
+    e *= draw(st.sampled_from([1.0, -1.0]))
+    entries = [d1, e, e, d2]
+    entries[draw(st.integers(0, 3))] = top * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.integers(0, 3)) == 0:  # asymmetric
+        entries[draw(st.sampled_from([1, 2]))] = top * draw(unit)
+    if draw(st.integers(0, 9)) == 0:
+        entries[draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(entries).reshape(2, 2)
+
+
+@settings(deadline=None, max_examples=1500)
+@given(_order2_matrices())
+def test_order2_matches_dsyevd_bytes(a):
+    _check_order2(a)
+
+
+def test_order2_matches_dsyevd_on_random_matrices():
+    rng = np.random.default_rng(11)
+    n = 4000
+    batches = [rng.standard_normal((n, 2, 2)),
+               rng.standard_normal((n, 2, 2)) * 10.0 ** rng.uniform(-120.0, 120.0, (n, 1, 1)),
+               np.round(rng.uniform(-4.0, 4.0, (n, 2, 2)) * 4.0) / 4.0]
+    equal = rng.standard_normal((n, 2, 2))
+    equal[:, 1, 1] = equal[:, 0, 0]
+    opposite = rng.standard_normal((n, 2, 2))
+    opposite[:, 1, 1] = -opposite[:, 0, 0]
+    for a in [*batches, equal, opposite]:
+        for m in a:
+            _check_order2(m)
+
+
+# Each catches an arithmetic variant of laev2 that gives other bits:
+# (ab/adf)**2 on numpy scalars (the first), a fused multiply-add under the
+# square root (the first three), rt2 contracted into a fused multiply-add
+# either way (the first, third and fourth), and the generic rt2 where
+# sm = 0, for which laev2 sets rt2 = -rt/2 (the last).
+_WITNESSES = [
+    [[1.2497800909371581, -0.9564948255586341], [-0.9564948255586341, -0.998093985794608]],
+    [[0.5, 0.625], [0.625, -0.0]],
+    [[0.75, 0.75], [0.75, -0.5]],
+    [[-0.2571922406188707, -0.13373036239051345], [-0.13373036239051345, 1.2940638143982073]],
+    [[0.5, 0.5], [0.5, -0.5]],
+]
+
+
+@pytest.mark.parametrize("a", _WITNESSES, ids=str)
+def test_order2_witnesses(a):
+    a = np.array(a)
+    _check_order2(a)
+    assert numerics.eigvals_sym2(a[0, 0], a[1, 0], a[1, 1]) is not None

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
-from epflab import harness, smoothpen
+from epflab import harness, problems, smoothpen
 from epflab.errors import NegativeObjective, NonFiniteEvaluation, NotPositiveDefinite
 from epflab.harness import make_penalty
 from epflab.numerics import PIVOT_RTOL
 from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
-from epflab.problems import ConstrainedProblem, SocBlock, get_problem, registry
+from epflab.problems import (ConstrainedProblem, KnownSolution, SocBlock, affine_problem, get_problem,
+                             registry)
 from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
                               MultiplierEstimate, _sym_basis, c1_penalty_sdp, c1_penalty_soc)
 
@@ -357,6 +358,38 @@ def test_memo_matches_one_shot_bit_for_bit(problem, kind):
                 assert _outcome(lambda z, t: one_shot(problem, z, t), x, c) == expected
     if kind in problem.penalties and kind.startswith("c1"):
         assert "inf" in seen, "no point outside the barrier domain"
+
+
+def _disc_sdp():
+    """min (x1 - 2)^2 + x2^2 over the unit disc as [[x1 - 1, -x2], [-x2, -x1 - 1]] <= 0:
+    unlike toy-sdp-1's, this G(x) is not diagonal, so its 2x2 PSD
+    distances run the laev2 arithmetic."""
+    return affine_problem(
+        "disc-sdp", [-3.0, -3.0], [3.0, 3.0], penalties=("linear", "c1-sdp"), weight=1.0,
+        center=[2.0, 0.0], sdp=(-np.eye(2), [np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [-1.0, 0.0]])]),
+        certificate=KnownSolution(x_star=np.array([1.0, 0.0]), f_star=1.0,
+                                  lambda_sdp_star=np.diag([2.0, 0.0])))
+
+
+@pytest.mark.parametrize("kind", ("linear", "c1-sdp"))
+def test_memo_matches_lapack_reference_off_the_diagonal(kind, monkeypatch):
+    # The reference is the one-shot F with every PSD distance on dsyevd
+    # (the frozen dist_psd_minus above), linear's through feasibility_gap.
+    problem = _disc_sdp()
+    reference = _one_shot(problem, kind)
+    near = np.random.default_rng(3).uniform(-1.6, 1.6, size=(24, 2))  # c1-sdp's domain
+    sequence = _sequences(_points(problem) + list(near))
+    with np.errstate(all="ignore"):
+        with monkeypatch.context() as patched:
+            patched.setattr(problems, "dist_psd_minus", dist_psd_minus)
+            expected = [_outcome(reference, x, c) for x, c in sequence]
+        handle = make_penalty(problem, kind)
+        for (x, c), want in zip(sequence, expected):
+            assert _outcome(handle, x, c) == want, (x.tolist(), c)
+    finite = {want for want in expected if want.startswith(("0x", "-0x"))}
+    assert len(finite) > len(sequence) // 4
+    if kind == "c1-sdp":
+        assert "inf" in expected, "no point outside the barrier domain"
 
 
 @pytest.mark.parametrize("kind", ("c1-socp", "c1-sdp"))

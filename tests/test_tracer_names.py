@@ -29,25 +29,40 @@ def test_tracer_layers_name_existing_functions():
     assert set(tracer.OBSERVERS) <= set(tracer.LAYERS)
 
 
+def _sdp3():
+    """min ||x - (1, 1)||^2 s.t. G(x) <= 0 of order 3, with off-diagonal
+    entries, so every PSD distance takes LAPACK's eigensolver."""
+    from epflab.problems import affine_problem
+
+    g0 = np.array([[-0.5, 0.1, 0.0], [0.1, -0.5, 0.2], [0.0, 0.2, -1.0]])
+    g1 = np.array([[1.0, 0.0, 0.25], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+    g2 = np.diag([0.0, -1.0, 0.5])
+    return affine_problem("sdp3", [-3.0, -3.0], [3.0, 3.0], penalties=("linear", "c1-sdp"),
+                          weight=1.0, center=[1.0, 1.0], sdp=(g0, [g1, g2]), certificate=None)
+
+
 def test_tracer_counts_eigensolver_calls_per_sdp_evaluation():
     # The per-layer numerics.eig_sym metrics read these counts: one PSD
-    # distance per linear F on toy-sdp-1, two per in-domain c1-sdp F.
+    # distance per linear F, two per in-domain c1-sdp F, each a LAPACK
+    # eigensolver call from order 3 on.  A 2x2 distance (toy-sdp-1) runs
+    # on floats and makes none.
     tracer_module = _load_tracer()
     for name in {name.split(".")[0] for names in tracer_module.LAYERS.values() for name in names}:
         importlib.import_module(f"epflab.{name}")
     from epflab.harness import make_penalty
     from epflab.problems import get_problem
 
-    problem = get_problem("toy-sdp-1")
     x = np.array([0.4, 0.9])
-    for kind, expected in (("c1-sdp", 2), ("linear", 1)):
-        penalty = make_penalty(problem, kind)
-        tracer = tracer_module.Tracer()
-        tracer.install()
-        try:
-            assert math.isfinite(penalty(x, 2.0)), kind
-        finally:
-            tracer.uninstall()
-        tracer.end_task()
-        assert tracer.layer("numerics.eig_sym", "calls") == expected, kind
-        assert tracer.layer("harness.F", "calls") == 1, kind
+    for problem, per_kind in ((get_problem("toy-sdp-1"), (("c1-sdp", 0), ("linear", 0))),
+                              (_sdp3(), (("c1-sdp", 2), ("linear", 1)))):
+        for kind, expected in per_kind:
+            penalty = make_penalty(problem, kind)
+            tracer = tracer_module.Tracer()
+            tracer.install()
+            try:
+                assert math.isfinite(penalty(x, 2.0)), (problem.name, kind)
+            finally:
+                tracer.uninstall()
+            tracer.end_task()
+            assert tracer.layer("numerics.eig_sym", "calls") == expected, (problem.name, kind)
+            assert tracer.layer("harness.F", "calls") == 1, (problem.name, kind)

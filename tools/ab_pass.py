@@ -12,9 +12,10 @@ imported), with the task seeds of pass index = round index, so both
 sides of a round solve the same tasks.
 
 It prints the CPU seconds (``time.process_time``) of each side per
-round, each side's median and interquartile range, the median gap, the
-rounds NEW won, the failed tasks per side (the workload's gate) and the
-SHA-256 of each side's answers: the ``serialize_report`` text of every
+round, each side's median and interquartile range, each pair's median
+per side (so a change to one layer shows which pairs moved), the median
+gap, the rounds NEW won, the failed tasks per side (the workload's gate)
+and the SHA-256 of each side's answers: the ``serialize_report`` text of every
 ``localize`` task, and ``(c_star, history, confirm)`` of every
 ``estimate_c_star`` task.  Equal hashes mean the two trees gave the same
 answers bit for bit.  CPU time of one process is less noisy than wall
@@ -87,13 +88,16 @@ def recording(lib, digest):
 
 
 def run_pass(lib, workload, seed, pass_index):
-    """CPU seconds of one pass, and the number of tasks that failed the gate."""
+    """CPU seconds of each pair's task in one pass, and the number of tasks
+    that failed the gate."""
     failed = 0
-    start = time.process_time()
+    seconds = []
     for i, (problem, penalty) in enumerate(workload.pairs):
+        start = time.process_time()
         outcome = run_task(lib, workload, problem, penalty, task_seed(seed, pass_index, i))
+        seconds.append(time.process_time() - start)
         failed += bool(check(workload, problem, penalty, outcome)[0])
-    return time.process_time() - start, failed
+    return seconds, failed
 
 
 def quartiles(values):
@@ -119,12 +123,14 @@ def main(argv=None):
     digests = {side: hashlib.sha256() for side in sides}
     libs = {side: recording(lib, digests[side]) for side, lib in sides.items()}
     cpu = {side: [] for side in sides}
+    per_pair = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
     for r in range(args.rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
             seconds, bad = run_pass(libs[side], workload, args.seed, r)
-            cpu[side].append(seconds)
+            per_pair[side].append(seconds)
+            cpu[side].append(sum(seconds))
             failed[side] += bad
         print(f"round {r}: base {cpu['base'][-1]:.3f} s, new {cpu['new'][-1]:.3f} s "
               f"({order[0]} first)", flush=True)
@@ -134,6 +140,10 @@ def main(argv=None):
         print(f"{side}: median {statistics.median(cpu[side]):.3f} s, IQR {q3 - q1:.3f} s "
               f"({q1:.3f}-{q3:.3f}), failed tasks {failed[side]}, "
               f"answers sha256 {digests[side].hexdigest()}")
+    for i, (problem, penalty) in enumerate(workload.pairs):
+        base, new = (statistics.median(rounds[i] for rounds in per_pair[side]) for side in sides)
+        print(f"pair {problem}/{penalty}: base median {base:.3f} s, new median {new:.3f} s "
+              f"({(new - base) / base:+.1%})")
     gap = statistics.median(cpu["new"]) - statistics.median(cpu["base"])
     same = digests["base"].hexdigest() == digests["new"].hexdigest()
     print(f"median gap {gap:+.3f} s ({gap / statistics.median(cpu['base']):+.1%}), "
