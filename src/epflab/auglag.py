@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
-from .errors import NonFiniteEvaluation
+from .errors import DimensionMismatch, NonFiniteEvaluation
 from .problems import ConstrainedProblem
 
 
@@ -25,19 +25,26 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
     SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector;
     a missing one is zero.  On a flat block (-u(x), 0) with lam_i =
     (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
-    A NaN value raises NonFiniteEvaluation.
+    A NaN value raises NonFiniteEvaluation; a cone multiplier of the wrong
+    count or shape raises DimensionMismatch.
     """
     if not 0.0 < c < math.inf:
         raise ValueError("penalty parameter c must be positive and finite")
+    if lam is not None and len(lam) != len(problem.soc_blocks):
+        raise DimensionMismatch("one multiplier vector per SOC block required")
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
     for i, block in enumerate(problem.soc_blocks):
         lam_i = np.zeros(block.dim) if lam is None else lam[i]
+        if lam_i.shape != (block.dim,):
+            raise DimensionMismatch("SOC multiplier dimension mismatch")
         d = dist_lorentz(lam_i + c * np.asarray(block.g(x), dtype=float))
         value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
     if problem.sdp_block is not None:
         order = problem.sdp_block.order
         lam_m = np.zeros((order, order)) if lam_sdp is None else lam_sdp
+        if lam_m.shape != (order, order):
+            raise DimensionMismatch("SDP multiplier dimension mismatch")
         d = dist_psd_minus(lam_m + c * np.asarray(problem.sdp_block.G(x), dtype=float))
         value += (d * d - float(np.sum(lam_m * lam_m))) / (2.0 * c)
     if problem.n_eq > 0:

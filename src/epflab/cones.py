@@ -141,17 +141,16 @@ def dist_psd_minus2(a11: float, a12: float, a21: float, a22: float) -> float:
         return _dist_psd_minus_eig(np.array([[a11, a12], [a21, a22]]))
     lo, hi = values
     if lo > 0.0:
-        pair = np.array(values)
-        return math.sqrt(pair @ pair)
+        return _norm(np.array(values))
     return math.sqrt(hi * hi) if hi > 0.0 else 0.0
 
 
 def _dist_psd_minus_eig(a) -> float:
-    """``dist_psd_minus`` on ``eig_sym``'s eigenvalues."""
+    """``dist_psd_minus`` on ``eig_sym``'s eigenvalues, finite for a finite A (``_norm``)."""
     try:
         clipped = np.maximum(eig_sym(a).values, 0.0)
     except ValueError:
         if np.isfinite(sym(a)).all():
             raise
         return math.nan
-    return math.sqrt(clipped @ clipped)
+    return _norm(clipped)

@@ -194,28 +194,28 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     + <mu, h>, so SOC multipliers live in the polar cone -Q (dual
     feasibility is dist(-lam_i, Q)) and the SDP multiplier is PSD.
     """
+    # Primal feasibility: the cone and equality terms of the feasibility gap.
+    soc, eq, _ = _gap_terms(problem, x)
     x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dim,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.dim},)")
     lam = [np.asarray(v, dtype=float) for v in (lam or [])]
     if len(lam) != len(problem.soc_blocks):
         raise DimensionMismatch("one multiplier vector per SOC block required")
     grad = problem.grad_f(x)
     complementarity = 0.0
     dual = 0.0
-    primal = 0.0
     for block, lam_i in zip(problem.soc_blocks, lam):
         if lam_i.shape != (block.dim,):
             raise DimensionMismatch("SOC multiplier dimension mismatch")
-        g_val = np.asarray(block.g(x), dtype=float)
         grad = grad + block.jacobian(x).T @ lam_i
-        complementarity += abs(float(lam_i @ g_val))
+        complementarity += abs(float(lam_i @ np.asarray(block.g(x), dtype=float)))
         dual += dist_lorentz(-lam_i)
-        primal += dist_lorentz(g_val)
     if problem.sdp_block is not None:
         if lam_sdp is None:
             raise DimensionMismatch("SDP block requires a matrix multiplier")
-        lam_sdp = 0.5 * (np.asarray(lam_sdp, dtype=float) + np.asarray(lam_sdp, dtype=float).T)
+        lam_sdp = np.asarray(lam_sdp, dtype=float)
+        if lam_sdp.shape != (problem.sdp_block.order,) * 2:
+            raise DimensionMismatch("SDP multiplier dimension mismatch")
+        lam_sdp = 0.5 * (lam_sdp + lam_sdp.T)
         g_mat = np.asarray(problem.sdp_block.G(x), dtype=float)
         derivs = problem.sdp_block.derivative(x)
         grad = grad + np.array([float(np.sum(lam_sdp * d)) for d in derivs])
@@ -223,7 +223,6 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         # Finite input can overflow (1e308 + 1e308); the residual is then NaN,
         # a failing residual as on SOC blocks, not an eigensolver error.
         dual += dist_psd_minus(-lam_sdp)
-        primal += dist_psd_minus(g_mat)
     if problem.n_eq > 0:
         if mu is None:
             raise DimensionMismatch("equality constraints require mu")
@@ -231,8 +230,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         if mu.shape != (problem.n_eq,):
             raise DimensionMismatch("mu dimension mismatch")
         grad = grad + problem.jac_h(x).T @ mu
-        primal += float(np.linalg.norm(problem.h(x)))
-    return float(np.linalg.norm(grad)) + complementarity + dual + primal
+    return float(np.linalg.norm(grad)) + complementarity + dual + (soc + eq)
 
 
 def flat_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None) -> Array:

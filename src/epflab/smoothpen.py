@@ -281,23 +281,26 @@ def barrier_state_soc(alpha: float, kappa: float, est: MultiplierEstimate) -> Ba
     """Barrier terms p(x), q(x) built from constraint violations and the
     multiplier estimate ``est`` at x, whose constraint values and cone
     distances it reads; kappa >= 2 keeps dist^kappa differentiable."""
-    check_barrier(False, alpha, kappa)
-    dist_sum = sum(dist ** kappa for dist in est.block_dists)
-    return _barrier_state(alpha, alpha - dist_sum, est)
+    return _barrier_state(False, alpha, kappa, est)
 
 
 def barrier_state_sdp(alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
-    check_barrier(True, alpha, kappa)
-    dist_sq = est.block_dists[0] ** 2
-    return _barrier_state(alpha, alpha - dist_sq ** kappa, est)
+    return _barrier_state(True, alpha, kappa, est)
 
 
-def _barrier_state(alpha: float, a_val: float, est: MultiplierEstimate) -> BarrierState:
-    """b(x), p(x) and q(x) from a(x) and the multiplier estimate at the same x."""
-    b_val = alpha - math.sqrt(est.h_val @ est.h_val) ** 2
+def _barrier_state(sdp: bool, alpha: float, kappa: float, est: MultiplierEstimate) -> BarrierState:
+    """a(x), b(x), p(x) and q(x) from the multiplier estimate at x."""
+    check_barrier(sdp, alpha, kappa)
+    a_val, b_val = _barrier(sdp, alpha, kappa, est.block_dists, est.h_val @ est.h_val)
     p_val = a_val / (1.0 + est.lambda_norm_sq)
     q_val = b_val / (1.0 + float(est.mu @ est.mu))
     return BarrierState(a_val=a_val, b_val=b_val, p_val=p_val, q_val=q_val)
+
+
+def _barrier(sdp: bool, alpha: float, kappa: float, dists, h_sq: float) -> Tuple[float, float]:
+    """a(x) and b(x) from the cone distances at x and h(x)'h(x)."""
+    a_val = alpha - ((dists[0] ** 2) ** kappa if sdp else sum(dist ** kappa for dist in dists))
+    return a_val, alpha - math.sqrt(h_sq) ** 2
 
 
 def check_cone(problem: ConstrainedProblem, sdp: bool) -> None:
@@ -324,9 +327,7 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     must pass ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
     x = np.asarray(x, dtype=float)
     g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x)
-    sdp = problem.sdp_block is not None
-    a_val = alpha - ((dists[0] ** 2) ** kappa if sdp else sum(dist ** kappa for dist in dists))
-    b_val = alpha - math.sqrt(h_sq) ** 2
+    a_val, b_val = _barrier(problem.sdp_block is not None, alpha, kappa, dists, h_sq)
     if not (a_val > 0.0 and b_val > 0.0):
         return None
     lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, cfg, data, g_vals, rho)
@@ -382,11 +383,7 @@ def c1_penalty_soc(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
       + <mu, h> + (c / 2q) ||h||^2
     on the barrier domain, +inf outside it.
     """
-    if not 0.0 < c < math.inf:
-        raise ValueError("penalty parameter c must be positive and finite")
-    check_cone(problem, sdp=False)
-    check_barrier(False, alpha, kappa)
-    return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)
+    return _c1_penalty(False, problem, x, c, alpha, kappa, cfg)
 
 
 def c1_penalty_sdp(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
@@ -396,8 +393,13 @@ def c1_penalty_sdp(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
         + <mu, h> + (c / 2q) ||h||^2,
     with trace([A]_+^2) = dist^2(A, S-).
     """
+    return _c1_penalty(True, problem, x, c, alpha, kappa, cfg)
+
+
+def _c1_penalty(sdp: bool, problem, x, c: float, alpha: float, kappa: float, cfg) -> float:
+    """The one-shot C1 F of the cone ``sdp`` names, after checking its arguments."""
     if not 0.0 < c < math.inf:
         raise ValueError("penalty parameter c must be positive and finite")
-    check_cone(problem, sdp=True)
-    check_barrier(True, alpha, kappa)
+    check_cone(problem, sdp)
+    check_barrier(sdp, alpha, kappa)
     return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from math import isnan
-from operator import add
+from operator import add, index
 from typing import Callable, Tuple
 
 import numpy as np
@@ -47,8 +47,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+        try:  # an integer of any type (np.int64, say) is stored as int
+            object.__setattr__(self, "n_starts", index(self.n_starts))
+            object.__setattr__(self, "seed", index(self.seed))
+        except TypeError:
+            raise ValueError("n_starts and seed must be integers") from None
+        if self.n_starts < 1 or self.seed < 0:
+            raise ValueError("n_starts must be >= 1 and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,13 @@ def _box_steps(lows: list, highs: list):
     inside contraction of the worst vertex v through the centroid a, and the
     shrink of a vertex v toward the best one a.
 
-    Each map builds its point with scipy's expression and clips it in the
-    same pass, with np.clip's bits: a NaN fails every test and is kept, and
-    on a tie of signed zeros the bound wins.  scipy's bounds of one
-    coordinate have stride 0, and numpy's loop for scalar bounds keeps the
-    point instead (``keep``).
+    Reflection, expansion and the two contractions are scipy's
+    ca * a - cv * v for (ca, cv) = (2, 1), (3, 2), (1.5, 0.5) and
+    (0.5, -0.5), the last being 0.5 * a + 0.5 * v exactly.  Each map builds
+    its point and clips it in the same pass, with np.clip's bits: a NaN
+    fails every test and is kept, and on a tie of signed zeros the bound
+    wins.  scipy's bounds of one coordinate have stride 0, and numpy's loop
+    for scalar bounds keeps the point instead (``keep``).
     """
     keep = len(lows) == 1
 
@@ -127,32 +134,18 @@ def _box_steps(lows: list, highs: list):
         return [hi if (hi < m if keep else hi <= m) else m for t, lo, hi in zip(p, lows, highs)
                 for m in (lo if (lo > t if keep else lo >= t) else t,)]
 
-    def reflect(xbar, w):
-        return [hi if (hi < m if keep else hi <= m) else m
-                for a, v, lo, hi in zip(xbar, w, lows, highs)
-                for t in (2 * a - v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
-
-    def expand(xbar, w):
-        return [hi if (hi < m if keep else hi <= m) else m
-                for a, v, lo, hi in zip(xbar, w, lows, highs)
-                for t in (3 * a - 2 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
-
-    def contract_out(xbar, w):
-        return [hi if (hi < m if keep else hi <= m) else m
-                for a, v, lo, hi in zip(xbar, w, lows, highs)
-                for t in (1.5 * a - 0.5 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
-
-    def contract_in(xbar, w):
-        return [hi if (hi < m if keep else hi <= m) else m
-                for a, v, lo, hi in zip(xbar, w, lows, highs)
-                for t in (0.5 * a + 0.5 * v,) for m in (lo if (lo > t if keep else lo >= t) else t,)]
+    def step(ca, cv):
+        return lambda xbar, w: [hi if (hi < m if keep else hi <= m) else m
+                                for a, v, lo, hi in zip(xbar, w, lows, highs)
+                                for t in (ca * a - cv * v,)
+                                for m in (lo if (lo > t if keep else lo >= t) else t,)]
 
     def shrink(best, p):
         return [hi if (hi < m if keep else hi <= m) else m
                 for a, v, lo, hi in zip(best, p, lows, highs)
                 for t in (a + 0.5 * (v - a),) for m in (lo if (lo > t if keep else lo >= t) else t,)]
 
-    return clip, reflect, expand, contract_out, contract_in, shrink
+    return clip, step(2.0, 1.0), step(3.0, 2.0), step(1.5, 0.5), step(0.5, -0.5), shrink
 
 
 def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fatol: float):

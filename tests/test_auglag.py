@@ -3,6 +3,7 @@ import pytest
 
 from epflab.auglag import hpr_closed_form
 from epflab.cones import proj_lorentz, proj_psd
+from epflab.errors import DimensionMismatch
 from epflab.harness import c_sweep, estimate_c_star, make_penalty
 from epflab.problems import flat_multipliers, get_problem, registry
 from epflab.solvers import SolverConfig
@@ -71,6 +72,18 @@ def test_al_grid_dimension_cap():
     dual = lambda x, p: float(p @ p)
     with pytest.raises(ValueError):
         al_eval_grid(dual, half_norm_squared, np.zeros(1), np.zeros(4), 1.0, -np.ones(4), np.ones(4))
+
+
+def test_hpr_closed_form_rejects_malformed_multipliers():
+    # numpy would broadcast each of these into a wrong value.
+    sdp, soc = get_problem("toy-sdp-1"), get_problem("toy-socp-1")
+    x = np.array([0.5, 1.0])
+    for kwargs in ({"lam_sdp": np.ones((1, 2))}, {"lam_sdp": np.ones((1, 1))}):
+        with pytest.raises(DimensionMismatch):
+            hpr_closed_form(sdp, x, **kwargs)
+    for lam in ([np.ones(1)], [np.ones(3)], [], [np.zeros(2), np.zeros(2)]):
+        with pytest.raises(DimensionMismatch):
+            hpr_closed_form(soc, x, lam=lam)
 
 
 def test_hpr_closed_form_examples():

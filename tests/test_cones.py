@@ -163,6 +163,17 @@ def test_dist_psd_minus_nonfinite_is_nan():
         dist_psd_minus(np.eye(MAX_ORDER + 1))
 
 
+def test_psd_overflow_examples():
+    # Finite matrices whose clipped eigenvalues have a sum of squares above
+    # the largest float: the order-2 fallback to LAPACK, and order 3.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = np.array([[0.0, 1.7976931348623157e308], [0.0, 0.0]])
+        assert dist_psd_minus(a) == 8.988465674311578e307
+        a = np.diag([1e200, 1e200, -1.0])
+        assert dist_psd_minus(a) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+
 def test_in_psd_minus():
     assert in_psd_minus(-np.eye(2))
     assert not in_psd_minus(np.diag([1.0, -1.0]))

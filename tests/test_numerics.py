@@ -340,11 +340,16 @@ def _dsyevd_values(a):
 
 
 def _reference_dist(a):
-    """The PSD distance on dsyevd: the norm of the clipped eigenvalues."""
+    """The PSD distance on dsyevd: the norm of the clipped eigenvalues,
+    scaled by the largest of them where their sum of squares overflows."""
     if not np.isfinite(_sym2(a)).all():
         return math.nan
     clipped = np.maximum(_dsyevd_values(a), 0.0)
-    return math.sqrt(clipped @ clipped)
+    sq = clipped @ clipped
+    if sq == math.inf:
+        scale = clipped.max()
+        return scale * math.sqrt((clipped / scale) @ (clipped / scale))
+    return math.sqrt(sq)
 
 
 def _check_order2(a):

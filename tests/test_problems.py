@@ -155,6 +155,11 @@ def test_kkt_residual_dimension_checks():
     p = get_problem("toy-socp-1")
     with pytest.raises(DimensionMismatch):
         kkt_residual(p, np.array([1.0, 1.0]), lam=[np.zeros(3)])
+    # A malformed SDP multiplier would broadcast against its transpose.
+    s = get_problem("toy-sdp-1")
+    for lam_sdp in (np.ones((1, 2)), np.ones((1, 1)), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            kkt_residual(s, np.array([0.5, 1.0]), lam_sdp=lam_sdp)
 
 
 def _derivative_pairs(p):

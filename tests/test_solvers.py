@@ -14,8 +14,15 @@ from epflab.solvers import SolverConfig, minimize, polish
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(n_starts=0)
+    for bad in ({"n_starts": 0}, {"n_starts": 1.5}, {"n_starts": "2"}, {"seed": -1},
+                {"seed": 0.0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+    # Any integer type is stored as int, which the Sobol batch size needs.
+    cfg = SolverConfig(n_starts=np.int64(2), seed=np.uint32(3))
+    assert (type(cfg.n_starts), type(cfg.seed)) == (int, int)
+    assert cfg == SolverConfig(n_starts=2, seed=3)
+    minimize(lambda x: float(x @ x), [-1.0], [1.0], cfg)
 
 
 def test_minimize_convex_quadratic():
@@ -282,7 +289,9 @@ _STEP_EXPRESSIONS = {
 }
 _CLIP_BOXES = [(-1.0, 1.0), (0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 0.0),
                (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0)]
-_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5]
+# The float extremes check ca * a - cv * v where it overflows or lands on subnormals.
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, 1.7976931348623157e308,
+            -1.7976931348623157e308, 5e-324, -5e-324]
 
 
 def _step_maps(lows, highs):
@@ -305,7 +314,8 @@ def test_fused_steps_are_np_clip_of_the_expression_in_one_coordinate():
         lower, upper = np.broadcast_to(np.float64(lo), (1,)), np.broadcast_to(np.float64(hi), (1,))
         assert lower.strides == (0,)
         for name, step in _step_maps([lo], [hi]).items():
-            expected = np.clip(_STEP_EXPRESSIONS[name](np.array([a]), np.array([v])), lower, upper)
+            with np.errstate(over="ignore"):
+                expected = np.clip(_STEP_EXPRESSIONS[name](np.array([a]), np.array([v])), lower, upper)
             got = np.array(step([a], [v]))
             assert got.tobytes() == expected.tobytes(), (name, a, v, lo, hi)
 
@@ -317,8 +327,9 @@ def test_fused_steps_are_np_clip_of_the_expression_in_two_coordinates():
         second = cases[(7919 * i + 3) % len(cases)]
         a, v, lows, highs = (list(col) for col in zip(first, second))
         for name, step in _step_maps(lows, highs).items():
-            expected = np.clip(_STEP_EXPRESSIONS[name](np.array(a), np.array(v)),
-                               np.array(lows), np.array(highs))
+            with np.errstate(over="ignore"):
+                expected = np.clip(_STEP_EXPRESSIONS[name](np.array(a), np.array(v)),
+                                   np.array(lows), np.array(highs))
             got = np.array(step(a, v))
             assert got.tobytes() == expected.tobytes(), (name, first, second)
 
