@@ -25,20 +25,23 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
     SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector;
     a missing one is zero.  On a flat block (-u(x), 0) with lam_i =
     (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
-    A NaN value raises NonFiniteEvaluation; a cone multiplier of the wrong
-    count or shape raises DimensionMismatch.
+    A NaN value raises NonFiniteEvaluation; a multiplier of the wrong count
+    or shape raises DimensionMismatch.
     """
     if not 0.0 < c < math.inf:
         raise ValueError("penalty parameter c must be positive and finite")
     if lam is not None and len(lam) != len(problem.soc_blocks):
         raise DimensionMismatch("one multiplier vector per SOC block required")
+    # A grid's numpy scalar c as a Python float: same products, float lists.
+    c = float(c)
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
     for i, block in enumerate(problem.soc_blocks):
         lam_i = np.zeros(block.dim) if lam is None else lam[i]
         if lam_i.shape != (block.dim,):
             raise DimensionMismatch("SOC multiplier dimension mismatch")
-        d = dist_lorentz(lam_i + c * np.asarray(block.g(x), dtype=float))
+        # lam_i + c g_i entry by entry, as numpy adds them.
+        d = dist_lorentz([l + c * v for l, v in zip(lam_i.tolist(), block.values(x))])
         value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
     if problem.sdp_block is not None:
         order = problem.sdp_block.order
@@ -49,6 +52,8 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
         value += (d * d - float(np.sum(lam_m * lam_m))) / (2.0 * c)
     if problem.n_eq > 0:
         mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
+        if mu.shape != (problem.n_eq,):
+            raise DimensionMismatch("mu dimension mismatch")
         h_val = problem.h(x)
         value += float(mu @ h_val) + 0.5 * c * float(h_val @ h_val)
     value = float(value)

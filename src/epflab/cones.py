@@ -1,10 +1,11 @@
 """Geometry of the Lorentz cone and the PSD cone.
 
-A Lorentz point is a plain 1-D array ``y`` with head ``y[0]`` and tail
-``y[1:]``; membership in Q_{l+1} means ``y[0] >= ||y[1:]||``.  Symmetric
-matrices are 2-D arrays.  The PSD distance of a 2x2 matrix runs on Python
-floats (``dist_psd_minus2``, through ``numerics.eigvals_sym2``) with the
-bits of the LAPACK path every other order takes.
+A Lorentz point is a plain 1-D array ``y``, or a list of floats, with head
+``y[0]`` and tail ``y[1:]``; membership in Q_{l+1} means
+``y[0] >= ||y[1:]||``.  Symmetric matrices are 2-D arrays.  The PSD
+distance of a 2x2 matrix runs on Python floats (``dist_psd_minus2``,
+through ``numerics.eigvals_sym2``) with the bits of the LAPACK path every
+other order takes.
 """
 
 from __future__ import annotations
@@ -80,29 +81,34 @@ def dist_lorentz(y) -> float:
     """Distance from y to the second-order cone.
 
     ``||y - proj_lorentz(y)||`` by the projection's three cases, with the
-    same float operations on each entry, so the bits are the same.  The
-    head and a one-entry tail are read as floats: the numpy dot of one
-    entry is its square, and where that overflows the norm is |entry|.
-    Norms of two or more entries stay numpy dots (``_norm``).
+    same float operations on each entry, so the bits are the same.  A list
+    of two or more entries with a Python float head (a constraint value of
+    ``problems``) is read as it is; any other y, a list of numpy scalars
+    say, as a float array's ``tolist``.  The numpy dot of a one-entry tail
+    is its square, and where that overflows the norm is |t|; the generic
+    gap (head - coef, t - r t) is numpy's y - r y with its head replaced.
+    Norms of two or more entries stay numpy dots (``_norm``), which
+    OpenBLAS may contract into a fused multiply-add.
     """
-    y = _lorentz_point(y)
-    vals = y.tolist()
-    head = vals[0]
-    if len(vals) == 2:
-        sq = vals[1] * vals[1]
-        tail_norm = math.sqrt(sq) if sq != math.inf else abs(vals[1])
+    if not (type(y) is list and len(y) > 1 and type(y[0]) is float):
+        y = _lorentz_point(y).tolist()
+    head = y[0]
+    if len(y) == 2:
+        sq = y[1] * y[1]
+        tail_norm = math.sqrt(sq) if sq != math.inf else abs(y[1])
     else:
-        tail_norm = _norm(y[1:])
+        tail_norm = _norm(np.array(y[1:], dtype=float))
     if head >= tail_norm:
         # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
         return 0.0 if head < math.inf else math.nan
     if head <= -tail_norm:
-        gap = y
-    else:
-        coef = _midpoint(head, tail_norm)
-        gap = y - _tail_ratio(coef, tail_norm) * y
-        gap[0] = head - coef
-    return _norm(gap)
+        return _norm(np.array(y, dtype=float))
+    coef = _midpoint(head, tail_norm)
+    ratio = _tail_ratio(coef, tail_norm)
+    gap = [head - coef]
+    for t in y[1:]:
+        gap.append(t - ratio * t)
+    return _norm(np.array(gap))
 
 
 def proj_psd(a) -> np.ndarray:

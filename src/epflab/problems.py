@@ -46,15 +46,22 @@ def fd_gradient(func, x, step: float | None = None) -> Array:
 
 @dataclass(frozen=True)
 class SocBlock:
-    """One second-order cone constraint g(x) in Q_{dim}."""
+    """One second-order cone constraint g(x) in Q_{dim}; g returns a 1-D
+    array-like of dim entries (an array, or a list of floats)."""
 
     dim: int
-    g: Callable[[Array], Array]
+    g: Callable[[Array], Sequence[float]]
     # The Jacobian of g: a callable of x, or one array when it is constant.
     jac: Union[Callable[[Array], Array], Array]
 
     def jacobian(self, x: Array) -> Array:
         return np.asarray(self.jac(x) if callable(self.jac) else self.jac, dtype=float)
+
+    def values(self, x: Array) -> list:
+        """g(x) as a list: an affine map's list of floats as it is, any other
+        value (an ndarray, say) converted to Python floats once."""
+        val = self.g(x)
+        return val if type(val) is list else np.asarray(val, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -132,10 +139,16 @@ class ConstrainedProblem:
     def grad_f(self, x) -> Array:
         return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
 
-    def h(self, x) -> Array:
+    def eq_values(self, x: Array) -> list:
+        """h(x) as a list: an affine map's list of floats as it is, any other
+        value converted to n_eq Python floats once; [] without equalities."""
         if self.eq is None:
-            return np.zeros(0)
-        return np.asarray(self.eq(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_eq)
+            return []
+        val = self.eq(x)
+        return val if type(val) is list else np.asarray(val, dtype=float).reshape(self.n_eq).tolist()
+
+    def h(self, x) -> Array:
+        return np.array(self.eq_values(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_eq)
 
     def jac_h(self, x) -> Array:
         if self.eq is None:
@@ -159,19 +172,23 @@ def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.dim},)")
     soc = 0.0
     for block in problem.soc_blocks:
-        soc += dist_lorentz(block.g(x))
+        soc += dist_lorentz(block.values(x))
     if problem.sdp_block is not None:
         soc += dist_psd_minus(problem.sdp_block.G(x))
     eq = 0.0
     if problem.eq is not None:
-        # What np.linalg.norm computes on a 1-D vector, without its dispatch.
-        h = problem.h(x)
-        eq = math.sqrt(h @ h)
+        # What np.linalg.norm computes on a 1-D vector, without its dispatch:
+        # the numpy dot, which of one entry is its square.
+        h = problem.eq_values(x)
+        eq = math.sqrt(h[0] * h[0]) if len(h) == 1 else math.sqrt(np.vdot(h, h))
     box = 0.0
     # Inside the box x - clip(x) is all zeros; NaN fails the test and keeps
-    # the norm, so it still propagates.
-    if not all(l <= v <= u for v, l, u in zip(x.tolist(), *problem.box_floats)):
-        box = float(np.linalg.norm(x - np.clip(x, problem.lower, problem.upper)))
+    # the norm, so it still propagates.  A loop costs less than all() over
+    # a generator.
+    for v, l, u in zip(x.tolist(), *problem.box_floats):
+        if not l <= v <= u:
+            box = float(np.linalg.norm(x - np.clip(x, problem.lower, problem.upper)))
+            break
     return soc, eq, box
 
 
@@ -207,7 +224,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         if lam_i.shape != (block.dim,):
             raise DimensionMismatch("SOC multiplier dimension mismatch")
         grad = grad + block.jacobian(x).T @ lam_i
-        complementarity += abs(float(lam_i @ np.asarray(block.g(x), dtype=float)))
+        complementarity += abs(float(lam_i @ block.values(x)))
         dual += dist_lorentz(-lam_i)
     if problem.sdp_block is not None:
         if lam_sdp is None:
@@ -280,8 +297,8 @@ def _frozen(data) -> Array:
     return out
 
 
-def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], Array]:
-    """x -> const + coefs @ x (None is zero) on Python floats.  An entry
+def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], list]:
+    """x -> const + coefs @ x (None is zero) as a list of Python floats.  An entry
     sums its nonzero terms by coordinate from -0.0, which adds exactly; the
     constant is the term of a coordinate fixed at 1.0, last or first."""
     coefs = np.asarray(coefs, dtype=float)
@@ -295,7 +312,11 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], Ar
     picks = [terms[0][0] for _, terms in entries if len(terms) == 1 and terms[0][1] == 1.0]
     if len(picks) == len(entries) and max(picks, default=0) < coefs.shape[1]:
         # Each entry is one coordinate (x in Q, say): the same bits, by index.
-        return lambda x, index=np.array(picks): x[index]
+        def pick(x):
+            xs = x.tolist()
+            return [xs[k] for k in picks]
+
+        return pick
 
     def value(x):
         xs = x.tolist()
@@ -305,7 +326,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], Ar
             for k, a in terms:
                 total += a * xs[k]
             out.append(total)
-        return np.array(out)
+        return out
 
     return value
 
@@ -362,7 +383,7 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
         dG = _frozen(sdp[1])
         order = dG.shape[1]
         G = _affine_map(sdp[0], dG.reshape(dim, -1).T, const_first=True)
-        sdp_block = SdpBlock(order=order, G=lambda x: G(x).reshape(order, order), dG=dG)
+        sdp_block = SdpBlock(order=order, G=lambda x: np.array(G(x)).reshape(order, order), dG=dG)
     h = E = None
     if eq is not None:
         E = _frozen(eq[0])

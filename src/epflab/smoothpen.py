@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,12 +44,12 @@ DEFAULT_ESTIMATOR = EstimatorConfig()
 class MultiplierEstimate:
     """Multiplier estimate at a point x.
 
-    ``g_vals`` holds the constraint values at x, g_i(x) per SOC block or
-    (G(x),) for the SDP block, ``h_val`` holds h(x), and ``block_dists``
-    the distance of each constraint block to its cone at x, dist(g_i(x), Q)
-    or (dist(G(x), S-),), so the barrier and the penalty at the same x do
-    not evaluate them again.  ``lambda_norm_sq`` is ||lambda||^2 over every
-    cone block, computed once by the estimator.
+    ``g_vals`` holds the constraint values at x, g_i(x) per SOC block as a
+    list of floats or (G(x),) for the SDP block, ``h_val`` holds h(x), and
+    ``block_dists`` the distance of each constraint block to its cone at x,
+    dist(g_i(x), Q) or (dist(G(x), S-),), so the barrier and the penalty at
+    the same x do not evaluate them again.  ``lambda_norm_sq`` is
+    ||lambda||^2 over every cone block, computed once by the estimator.
     """
 
     lambdas: Tuple[Array, ...]
@@ -57,7 +57,7 @@ class MultiplierEstimate:
     lam_sdp: Optional[Array] = None
     degenerate: bool = False
     block_dists: Tuple[float, ...] = ()
-    g_vals: Tuple[Array, ...] = ()
+    g_vals: Tuple[Union[list, Array], ...] = ()
     h_val: Optional[Array] = None
     lambda_norm_sq: float = 0.0
 
@@ -131,10 +131,10 @@ def constant_normal_data(problem: ConstrainedProblem):
 
 
 def _cone_terms(problem: ConstrainedProblem, x: Array):
-    """The constraint values at x (g_i(x) per SOC block, or (G(x),)), each
-    block's cone distance, h(x) (None without equalities), h'h and
-    rho = ||h||^2 + the sum of the squared distances; NonFiniteEvaluation
-    unless rho is finite."""
+    """The constraint values at x (g_i(x) per SOC block as a list of floats,
+    or (G(x),)), each block's cone distance, h(x) (None without equalities),
+    h'h and rho = ||h||^2 + the sum of the squared distances;
+    NonFiniteEvaluation unless rho is finite."""
     block = problem.sdp_block
     g_vals = [] if block is None else [np.asarray(block.G(x), dtype=float)]
     h_val = problem.h(x) if problem.n_eq > 0 else None
@@ -145,7 +145,7 @@ def _cone_terms(problem: ConstrainedProblem, x: Array):
     else:
         dists, rho = [], 0.0
         for soc in problem.soc_blocks:
-            g_vals.append(np.asarray(soc.g(x), dtype=float))
+            g_vals.append(soc.values(x))
             dists.append(dist_lorentz(g_vals[-1]))
             rho += dists[-1] ** 2
         if problem.n_eq > 0:
@@ -158,16 +158,16 @@ def _cone_terms(problem: ConstrainedProblem, x: Array):
 def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
     """zeros + zeta1 (g g' + F'F, F = [gbar, g0 I], per block) + (J'J + (zeta2 / 2) rho I),
     summed in that order, on floats from the rows of J'J that ``_normal_data``
-    gives (-0.0 already 0.0, which is what zeros + J'J makes of it)."""
+    gives (-0.0 already 0.0, which is what zeros + J'J makes of it) and the
+    float lists g of ``_cone_terms``."""
     ridge = 0.5 * cfg.zeta2 * rho
     normal = [row[:] for row in gram]
     for i, row in enumerate(normal):
         row[i] += ridge
     col = 0
-    for g_val in g_vals:
+    for vals in g_vals:
         # g g' + F'F: 2 g0 g_j along the head row and column, g_i^2 + g0^2
         # on the tail diagonal.
-        vals = g_val.tolist()
         k = len(vals)
         curv = [[gi * gj for gj in vals] for gi in vals]
         for i in range(1, k):
@@ -175,7 +175,7 @@ def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
             curv[i][0] += curv[i][0]
             curv[i][i] += vals[0] * vals[0]
         # The numpy dot of a one-entry tail is its square.
-        curv[0][0] += vals[1] * vals[1] if k == 2 else float(g_val[1:] @ g_val[1:])
+        curv[0][0] += vals[1] * vals[1] if k == 2 else float(np.vdot(vals[1:], vals[1:]))
         for i, row in enumerate(curv):
             out = normal[col + i]
             for j, v in enumerate(row, col):
@@ -327,7 +327,8 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     must pass ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
     x = np.asarray(x, dtype=float)
     g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x)
-    a_val, b_val = _barrier(problem.sdp_block is not None, alpha, kappa, dists, h_sq)
+    sdp = problem.sdp_block is not None
+    a_val, b_val = _barrier(sdp, alpha, kappa, dists, h_sq)
     if not (a_val > 0.0 and b_val > 0.0):
         return None
     lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, cfg, data, g_vals, rho)
@@ -337,7 +338,7 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
         q_val, mu_h = b_val / (1.0 + float(mu @ mu)), float(mu @ h_val)
     state = [problem.f(x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq]
     for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
-        state += [lam_sq, *g_val.ravel().tolist(), *lam.ravel().tolist()]
+        state += [lam_sq, *(g_val.ravel().tolist() if sdp else g_val), *lam.ravel().tolist()]
     return np.array(state)
 
 

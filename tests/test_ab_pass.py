@@ -1,7 +1,10 @@
 """tools/ab_pass.py runs a workload with two trees and compares their answers."""
 
+import argparse
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +32,30 @@ def test_one_round_of_a_tree_against_itself(capsys):
     assert len(shas) == 2 and shas[0] == shas[1]
     assert "failed tasks 0" in out[1] and "failed tasks 0" in out[2]
     assert out[-1].endswith("answers same")
+
+
+def test_seed_lists_print_one_answers_hash_per_seed_and_side(capsys):
+    src = str(ROOT / "src")
+    ab_pass = _ab_pass()
+    assert ab_pass.main([src, src, "--workload", "classic-battery", "--rounds", "1",
+                         "--seed", "0,1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    shas = {}
+    for side in ("base", "new"):
+        summary = next(line for line in out if line.startswith(f"{side}: median "))
+        assert summary.endswith("failed tasks 0")
+        for seed in (0, 1):
+            line = next(line for line in out if line.startswith(f"{side} seed {seed}: "))
+            shas[side, seed] = line.split("answers sha256 ")[1]
+    assert shas["base", 0] == shas["new", 0] and shas["base", 1] == shas["new", 1]
+    assert shas["base", 0] != shas["base", 1]
+    assert out[-1].endswith("answers same")
+
+
+def test_seed_list_parsing():
+    ab_pass = _ab_pass()
+    assert ab_pass.seed_list("7") == [7]
+    assert ab_pass.seed_list("0,1,2,3") == [0, 1, 2, 3]
+    for text in ("", "0,,1", "a", "1.5"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab_pass.seed_list(text)

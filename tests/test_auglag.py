@@ -1,9 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epflab.auglag import hpr_closed_form
-from epflab.cones import proj_lorentz, proj_psd
-from epflab.errors import DimensionMismatch
+from epflab.cones import dist_lorentz, proj_lorentz, proj_psd
+from epflab.errors import DimensionMismatch, NonFiniteEvaluation
 from epflab.harness import c_sweep, estimate_c_star, make_penalty
 from epflab.problems import flat_multipliers, get_problem, registry
 from epflab.solvers import SolverConfig
@@ -84,6 +89,12 @@ def test_hpr_closed_form_rejects_malformed_multipliers():
     for lam in ([np.ones(1)], [np.ones(3)], [], [np.zeros(2), np.zeros(2)]):
         with pytest.raises(DimensionMismatch):
             hpr_closed_form(soc, x, lam=lam)
+    # numpy's matmul would raise ValueError on (2,) and float() TypeError on (1, 1).
+    eq = get_problem("toy-eq-1")
+    for mu in (np.ones(2), np.ones((1, 1))):
+        with pytest.raises(DimensionMismatch):
+            hpr_closed_form(eq, x, mu=mu)
+    assert hpr_closed_form(eq, x, mu=-2.0) == hpr_closed_form(eq, x, mu=np.array([-2.0]))
 
 
 def test_hpr_closed_form_examples():
@@ -93,6 +104,50 @@ def test_hpr_closed_form_examples():
     pl = get_problem("toy-lin-1")
     # f(1) = -1 plus (1/4)[0 + 2*1]_+^2 = 1.
     assert hpr_closed_form(pl, np.array([1.0]), lam=[np.zeros(2)], c=2.0) == pytest.approx(0.0)
+
+
+def _array_hpr(problem, x, lam, mu, c):
+    """hpr_closed_form without an SDP block, each SOC term on the array
+    lam_i + c * g_i(x); NonFiniteEvaluation on NaN."""
+    value = problem.f(x)
+    for block, lam_i in zip(problem.soc_blocks, lam):
+        d = dist_lorentz(lam_i + c * np.asarray(block.g(x), dtype=float))
+        value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
+    if problem.n_eq > 0:
+        h_val = problem.h(x)
+        value += float(mu @ h_val) + 0.5 * c * float(h_val @ h_val)
+    if math.isnan(value):
+        raise NonFiniteEvaluation("NaN")
+    return float(value)
+
+
+def _outcome(func, *args):
+    try:
+        return struct.pack("<d", func(*args))
+    except NonFiniteEvaluation:
+        return "NaN"
+
+
+_ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e6, 1e6),
+                     st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.7976931348623157e308]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_ENTRIES, min_size=6, max_size=6), st.floats(1e-3, 1e6))
+def test_hpr_soc_terms_on_floats_have_the_array_bits(entries, c):
+    # c as a Python float and as the numpy scalar a geometric grid holds.
+    for p in registry():
+        if p.sdp_block is not None:
+            continue
+        x = np.array(entries[:p.dim])
+        lam = [np.array(entries[2:2 + block.dim]) for block in p.soc_blocks]
+        mu = np.array(entries[4:4 + p.n_eq])
+        with np.errstate(all="ignore"):
+            want = _outcome(_array_hpr, p, x, lam, mu, c)
+        for c_val in (c, np.float64(c)):
+            with np.errstate(all="ignore"):
+                got = _outcome(hpr_closed_form, p, x, lam, None, mu, c_val)
+            assert got == want, (p.name, entries, c_val)
 
 
 def test_hpr_nondecreasing_in_c_and_weak_duality():

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -367,3 +368,81 @@ def test_lorentz_overflow_examples():
                                                                               rel=1e-15)
         # An infinite entry still makes the tail norm inf, as before.
         assert math.isnan(dist_lorentz(np.array([1.0, math.inf, 1.0])))
+
+
+# dist_lorentz on a float array as it was before float lists were read as
+# they are: every gap an array, every norm a numpy dot.
+def _array_norm(v) -> float:
+    sq = np.vdot(v, v)
+    if sq != math.inf:
+        return math.sqrt(sq)
+    scale = max(map(abs, v.tolist()))
+    if scale == math.inf:
+        return math.inf
+    v = v / scale
+    return scale * math.sqrt(np.vdot(v, v))
+
+
+def _array_dist_lorentz(y) -> float:
+    y = np.asarray(y, dtype=float)
+    vals = y.tolist()
+    head = vals[0]
+    if len(vals) == 2:
+        sq = vals[1] * vals[1]
+        tail_norm = math.sqrt(sq) if sq != math.inf else abs(vals[1])
+    else:
+        tail_norm = _array_norm(y[1:])
+    if head >= tail_norm:
+        return 0.0 if head < math.inf else math.nan
+    if head <= -tail_norm:
+        gap = y
+    else:
+        coef = 0.5 * (head + tail_norm)
+        if coef == math.inf:
+            coef = 0.5 * head + 0.5 * tail_norm
+        ratio = coef / tail_norm if 0.0 < tail_norm < math.inf else math.nan
+        gap = y - ratio * y
+        gap[0] = head - coef
+    return _array_norm(gap)
+
+
+@st.composite
+def _float_list_points(draw):
+    """Lists of 2 to 5 Python floats: signed zeros, infinities, NaN and
+    extreme magnitudes (1e200 squares to inf) in the tail, and a head on a
+    boundary ray, in the polar cone, inf, -inf, NaN or anything else."""
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                        st.sampled_from(_EXTREME), st.floats())
+    tail = draw(st.lists(entries, min_size=1, max_size=4))
+    norm = _array_norm(np.array(tail))
+    polar = draw(st.floats(1.0, 1e6)) * -norm
+    head = draw(st.one_of(st.sampled_from([norm, -norm, polar, 0.0, -0.0, math.inf, -math.inf,
+                                           math.nan]), entries))
+    return [head] + tail
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_float_list_points())
+def test_dist_lorentz_of_a_float_list_has_the_array_path_bytes(y):
+    with np.errstate(all="ignore"):
+        want = struct.pack("<d", _array_dist_lorentz(np.array(y)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert struct.pack("<d", dist_lorentz(y)) == want, y
+        assert struct.pack("<d", dist_lorentz(np.array(y))) == want, y
+
+
+def test_dist_lorentz_reads_other_lists_as_arrays():
+    # A list without a Python float head (ints, numpy scalars, a nested
+    # list) or of one entry takes the array path and gives its value or its
+    # error.
+    assert dist_lorentz([1, 0]) == 0.0
+    assert dist_lorentz([-3, 4]) == pytest.approx(math.sqrt(2.0) * 3.5)
+    # c1_value's shifted points at a numpy scalar c: no scalar overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = [np.float64(-1e200), np.float64(1e200)]
+        assert dist_lorentz(big) == _array_dist_lorentz(np.array(big))
+    for y in ([1.0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            dist_lorentz(y)

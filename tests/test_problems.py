@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epflab.cones import dist_psd_minus, proj_lorentz
+import epflab.problems as problems_module
+from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz
 from epflab.errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
 from epflab.harness import make_penalty
 from epflab.problems import (
@@ -18,12 +21,13 @@ from epflab.problems import (
     fd_gradient,
     feasibility_gap,
     get_problem,
+    infeasibility,
     kkt_residual,
     registry,
 )
 from epflab.report import localize, serialize_report
-from epflab.smoothpen import (MultiplierEstimate, constant_normal_data, estimate_multipliers_sdp,
-                              estimate_multipliers_soc)
+from epflab.smoothpen import (MultiplierEstimate, c1_state, constant_normal_data,
+                              estimate_multipliers_sdp, estimate_multipliers_soc)
 from epflab.solvers import SolverConfig
 from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE, reference_norm
 
@@ -577,3 +581,146 @@ def test_new_problems_are_a_few_lines_of_data():
         inside = feasibility_gap(disc_socp, x).soc_gap == 0.0
         assert inside == (feasibility_gap(disc_sdp, x).soc_gap <= 1e-12) == (x @ x <= 1.0), x
     assert disc_sdp.sdp_block.G(np.array([0.5, 0.25])).tolist() == [[-0.5, -0.25], [-0.25, -1.5]]
+
+
+def _array_affine_map(const, coefs, const_first: bool = False):
+    """problems._affine_map as it was when it returned arrays: the same sums
+    wrapped in np.array, and x[index] where each entry is one coordinate."""
+    coefs = np.asarray(coefs, dtype=float)
+    const = np.zeros(len(coefs)) if const is None else np.ravel(const)
+    entries = []
+    for c, row in zip(const.tolist(), coefs.tolist()):
+        pairs = list(enumerate(row))
+        pairs.insert(0 if const_first else len(row), (len(row), c))
+        terms = tuple((k, a) for k, a in pairs if a != 0.0)
+        entries.append((-0.0 if terms else 0.0, terms))
+    picks = [terms[0][0] for _, terms in entries if len(terms) == 1 and terms[0][1] == 1.0]
+    if len(picks) == len(entries) and max(picks, default=0) < coefs.shape[1]:
+        return lambda x, index=np.array(picks): x[index]
+
+    def value(x):
+        xs = x.tolist()
+        xs.append(1.0)
+        out = []
+        for total, terms in entries:
+            for k, a in terms:
+                total += a * xs[k]
+            out.append(total)
+        return np.array(out)
+
+    return value
+
+
+def _array_registry() -> list:
+    """The registry built with array-returning maps."""
+    with mock.patch.object(problems_module, "_affine_map", _array_affine_map):
+        return registry(validate=False)
+
+
+_PAIRS = list(zip(registry(), _array_registry()))
+
+
+def _array_infeasibility(problem, x) -> float:
+    """infeasibility on array constraint values, with ||h|| = sqrt(h @ h)."""
+    soc = 0.0
+    for block in problem.soc_blocks:
+        soc += dist_lorentz(block.g(x))
+    if problem.sdp_block is not None:
+        soc += dist_psd_minus(problem.sdp_block.G(x))
+    eq = 0.0
+    if problem.n_eq > 0:
+        h = problem.h(x)
+        eq = math.sqrt(h @ h)
+    return soc + eq + float(np.linalg.norm(x - np.clip(x, *problem.box())))
+
+
+# Inside the box [-3, 3]^2 (toy-lin-1's is [-2, 2]), outside it, on its
+# faces, signed zeros, and non-finite coordinates.
+_COORDS = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6),
+                    st.sampled_from([0.0, -0.0, 2.0, -2.0, 3.0, -3.0, 1e200, -1e200,
+                                     math.inf, -math.inf, math.nan]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_COORDS, min_size=2, max_size=2))
+def test_affine_values_are_float_lists_with_the_array_bits(coords):
+    for problem, arrays in _PAIRS:
+        x = np.array(coords[:problem.dim])
+        got, want = [b.g(x) for b in problem.soc_blocks], [b.g(x) for b in arrays.soc_blocks]
+        if problem.n_eq > 0:
+            got.append(problem.eq(x))
+            want.append(arrays.eq(x))
+            h = problem.h(x)
+            assert type(h) is np.ndarray and h.shape == (problem.n_eq,)
+            assert h.tobytes() == want[-1].tobytes()
+        for values, ref in zip(got, want):
+            assert type(values) is list and all(type(v) is float for v in values), problem.name
+            assert np.array(values).tobytes() == ref.tobytes(), (problem.name, coords)
+        if problem.sdp_block is not None:
+            G = problem.sdp_block.G(x)
+            assert G.shape == (2, 2) and G.tobytes() == arrays.sdp_block.G(x).tobytes()
+        # The box term of a point far outside the box overflows on both sides.
+        with np.errstate(all="ignore"):
+            want_phi = struct.pack("<d", _array_infeasibility(arrays, x))
+            got_phi = struct.pack("<d", infeasibility(problem, x))
+        assert got_phi == want_phi, (problem.name, coords)
+
+
+def _toy_deg_1s() -> ConstrainedProblem:
+    """min x + 2 s.t. (-x^2, 0) in Q_2 on [-2, 2] (ROADMAP items 3 and 15):
+    a closure problem whose g returns an ndarray."""
+    return ConstrainedProblem(
+        name="toy-deg-1s", dim=1, objective=lambda x: x[0] + 2.0,
+        gradient=lambda x: np.array([1.0]), lower=[-2.0], upper=[2.0],
+        soc_blocks=(SocBlock(dim=2, g=lambda x: np.array([-x[0] ** 2, 0.0]),
+                             jac=lambda x: np.array([[-2.0 * x[0]], [0.0]])),),
+        penalties=("linear", "c1-socp"))
+
+
+@pytest.mark.parametrize("x0", [-1.5, -0.5, -0.0, 0.0, 0.3, 0.9, 2.0])
+def test_closure_problem_with_array_values(x0):
+    p = _toy_deg_1s()
+    x = np.array([x0])
+    # (-x^2, 0) is in the polar cone, x^2 away from Q_2, or at the vertex.
+    assert infeasibility(p, x) == x0 ** 2
+    linear = make_penalty(p, "linear")
+    for c in (0.5, 3.0, 40.0):
+        assert linear(x, c) == pytest.approx(x0 + 2.0 + c * x0 ** 2, rel=1e-15, abs=1e-15)
+    if x0 ** 4 >= 1.0 or x0 == 0.0:
+        return
+    # Inside the barrier domain a = 1 - x^4 > 0.  With J = (-2x, 0) the
+    # estimate's quadratic (1 - 2x l0)^2 + x^4 (l0^2 + l1^2) + (1/2) x^4 (l0^2 + l1^2)
+    # is least at l = (4 / (x (8 + 3x^2)), 0); p = a / (1 + |l|^2), q = 1, and
+    # F = f + (c / 2p) (dist^2(g + (p/c) l, Q) - (p/c)^2 |l|^2).
+    c1 = make_penalty(p, "c1-socp")
+    lam = 4.0 / (x0 * (8.0 + 3.0 * x0 ** 2))
+    pv = (1.0 - x0 ** 4) / (1.0 + lam ** 2)
+    for c in (0.5, 3.0, 40.0):
+        shifted = -x0 ** 2 + pv / c * lam
+        expected = x0 + 2.0 + c / (2.0 * pv) * (min(shifted, 0.0) ** 2 - (pv / c) ** 2 * lam ** 2)
+        assert math.isfinite(c1(x, c))
+        assert c1(x, c) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("head", [3.0, 1e200])
+def test_c1_state_reads_array_int_and_float_values_alike(head):
+    # An ndarray g is read as floats, as a float list is: the same state
+    # bytes, and where a product in the normal matrix overflows (1e200^2)
+    # the same error, with no numpy scalar warning on the way.
+    def closure(g):
+        return ConstrainedProblem(
+            name="closure", dim=1, objective=lambda x: x[0] + 2.0,
+            gradient=lambda x: np.array([1.0]), lower=[-2.0], upper=[2.0],
+            soc_blocks=(SocBlock(dim=2, g=g, jac=np.array([[0.0], [1.0]])),),
+            penalties=("c1-socp",))
+
+    forms = [lambda x: [head, float(x[0])], lambda x: np.array([head, x[0]])]
+    if head == 3.0:
+        forms.append(lambda x: [3, 1])  # ints: the state at x = 1.0
+    outcomes = set()
+    for g in forms:
+        try:
+            outcomes.add(c1_state(closure(g), np.array([1.0]), 1.0, 2.0).tobytes())
+        except ValueError as exc:
+            outcomes.add(str(exc))
+    assert len(outcomes) == 1, outcomes

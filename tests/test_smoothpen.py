@@ -496,8 +496,9 @@ def test_soc_normal_on_floats_matches_numpy_assembly_by_bytes(inputs):
     gram, g_vals, cfg, rho = inputs
     with np.errstate(all="ignore"):
         ref = _numpy_soc_normal(gram, g_vals, cfg, rho)
-        # J'J as _normal_data hands it on: rows of floats, -0.0 turned into 0.0.
-        new = smoothpen._soc_normal((0.0 + gram).tolist(), g_vals, cfg, rho)
+        # J'J as _normal_data hands it on: rows of floats, -0.0 turned into 0.0;
+        # g as _cone_terms hands it on: lists of floats.
+        new = smoothpen._soc_normal((0.0 + gram).tolist(), [g.tolist() for g in g_vals], cfg, rho)
     assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 

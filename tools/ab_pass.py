@@ -1,6 +1,7 @@
 """Compare two epflab source trees on one perfbench workload, in one process.
 
     python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload classic-battery --rounds 10
+    python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload c1-battery --rounds 1 --seed 0,1,2,3
 
 BASE_SRC and NEW_SRC are ``src`` directories (each holding ``epflab/``),
 for instance a clean checkout of the parent commit and this tree.  Both
@@ -9,17 +10,19 @@ runs one pass of the workload with each of them, alternating which goes
 first.  A pass is every (problem, penalty) pair of the workload once,
 called as ``perfbench/workloads.py`` calls it (that module is only
 imported), with the task seeds of pass index = round index, so both
-sides of a round solve the same tasks.
+sides of a round solve the same tasks.  ``--seed`` takes one seed or a
+comma-separated list; a round then runs one pass per seed on each side.
 
 It prints the CPU seconds (``time.process_time``) of each side per
 round, each side's median and interquartile range, each pair's median
 per side (so a change to one layer shows which pairs moved), the median
 gap, the rounds NEW won, the failed tasks per side (the workload's gate)
-and the SHA-256 of each side's answers: the ``serialize_report`` text of every
-``localize`` task, and ``(c_star, history, confirm)`` of every
-``estimate_c_star`` task.  Equal hashes mean the two trees gave the same
-answers bit for bit.  CPU time of one process is less noisy than wall
-time on a shared host, but it is not the benchmark's ``wall_s``.
+and the SHA-256 of each side's answers, one per seed: the
+``serialize_report`` text of every ``localize`` task, and
+``(c_star, history, confirm)`` of every ``estimate_c_star`` task.  Equal
+hashes mean the two trees gave the same answers bit for bit.  CPU time
+of one process is less noisy than wall time on a shared host, but it is
+not the benchmark's ``wall_s``.
 """
 
 from __future__ import annotations
@@ -100,6 +103,14 @@ def run_pass(lib, workload, seed, pass_index):
     return seconds, failed
 
 
+def seed_list(text):
+    """The seeds of ``--seed``: one integer or a comma-separated list."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers separated by commas, got {text!r}")
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -113,39 +124,50 @@ def main(argv=None):
     parser.add_argument("new", type=Path, help="src directory of the tree under test")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="classic-battery")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=seed_list, default=[0],
+                        help="one seed or a comma-separated list, e.g. 0,1,2,3")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     workload = WORKLOADS[args.workload]
     sides = {"base": load_tree(args.base, "epflab_ab_base"),
              "new": load_tree(args.new, "epflab_ab_new")}
-    digests = {side: hashlib.sha256() for side in sides}
-    libs = {side: recording(lib, digests[side]) for side, lib in sides.items()}
+    seeds = args.seed
+    digests = {side: {seed: hashlib.sha256() for seed in seeds} for side in sides}
+    libs = {side: {seed: recording(lib, digests[side][seed]) for seed in seeds}
+            for side, lib in sides.items()}
     cpu = {side: [] for side in sides}
     per_pair = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
     for r in range(args.rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
-            seconds, bad = run_pass(libs[side], workload, args.seed, r)
+            passes = [run_pass(libs[side][seed], workload, seed, r) for seed in seeds]
+            seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, _ in passes))]
             per_pair[side].append(seconds)
             cpu[side].append(sum(seconds))
-            failed[side] += bad
+            failed[side] += sum(bad for _, bad in passes)
         print(f"round {r}: base {cpu['base'][-1]:.3f} s, new {cpu['new'][-1]:.3f} s "
               f"({order[0]} first)", flush=True)
     wins = sum(n < b for b, n in zip(cpu["base"], cpu["new"]))
+    shas = {side: {seed: digest.hexdigest() for seed, digest in digests[side].items()}
+            for side in sides}
     for side in sides:
         q1, q3 = quartiles(cpu[side])
-        print(f"{side}: median {statistics.median(cpu[side]):.3f} s, IQR {q3 - q1:.3f} s "
-              f"({q1:.3f}-{q3:.3f}), failed tasks {failed[side]}, "
-              f"answers sha256 {digests[side].hexdigest()}")
+        summary = (f"{side}: median {statistics.median(cpu[side]):.3f} s, IQR {q3 - q1:.3f} s "
+                   f"({q1:.3f}-{q3:.3f}), failed tasks {failed[side]}")
+        if len(seeds) == 1:
+            print(f"{summary}, answers sha256 {shas[side][seeds[0]]}")
+            continue
+        print(summary)
+        for seed in seeds:
+            print(f"{side} seed {seed}: answers sha256 {shas[side][seed]}")
     for i, (problem, penalty) in enumerate(workload.pairs):
         base, new = (statistics.median(rounds[i] for rounds in per_pair[side]) for side in sides)
         print(f"pair {problem}/{penalty}: base median {base:.3f} s, new median {new:.3f} s "
               f"({(new - base) / base:+.1%})")
     gap = statistics.median(cpu["new"]) - statistics.median(cpu["base"])
-    same = digests["base"].hexdigest() == digests["new"].hexdigest()
+    same = shas["base"] == shas["new"]
     print(f"median gap {gap:+.3f} s ({gap / statistics.median(cpu['base']):+.1%}), "
           f"new faster in {wins} of {args.rounds} rounds, answers {'same' if same else 'DIFFER'}")
     return 0 if same and not any(failed.values()) else 1
