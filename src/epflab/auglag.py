@@ -9,7 +9,7 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import DimensionMismatch, NonFiniteEvaluation
-from .problems import ConstrainedProblem
+from .problems import ConstrainedProblem, check_penalty_parameter
 
 
 def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=None,
@@ -21,23 +21,20 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
         + (dist_{-S+}(Lam + c G)^2 - ||Lam||_F^2) / 2c          (SDP block)
         + <mu, h> + (c/2)||h||^2                                (equalities)
 
-    The multipliers follow ``kkt_residual``: ``lam`` holds one array per
-    SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector;
-    a missing one is zero.  On a flat block (-u(x), 0) with lam_i =
-    (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
+    The multipliers follow ``kkt_residual``: ``lam`` holds one vector per
+    SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector,
+    arrays or lists; a missing one is zero.  On a flat block (-u(x), 0)
+    with lam_i = (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
     A NaN value raises NonFiniteEvaluation; a multiplier of the wrong count
     or shape raises DimensionMismatch.
     """
-    if not 0.0 < c < math.inf:
-        raise ValueError("penalty parameter c must be positive and finite")
+    check_penalty_parameter(c)
     if lam is not None and len(lam) != len(problem.soc_blocks):
         raise DimensionMismatch("one multiplier vector per SOC block required")
-    # A grid's numpy scalar c as a Python float: same products, float lists.
-    c = float(c)
     x = np.asarray(x, dtype=float)
     value = problem.f(x)
     for i, block in enumerate(problem.soc_blocks):
-        lam_i = np.zeros(block.dim) if lam is None else lam[i]
+        lam_i = np.zeros(block.dim) if lam is None else np.asarray(lam[i], dtype=float)
         if lam_i.shape != (block.dim,):
             raise DimensionMismatch("SOC multiplier dimension mismatch")
         # lam_i + c g_i entry by entry, as numpy adds them.
@@ -45,7 +42,7 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
         value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
     if problem.sdp_block is not None:
         order = problem.sdp_block.order
-        lam_m = np.zeros((order, order)) if lam_sdp is None else lam_sdp
+        lam_m = np.zeros((order, order)) if lam_sdp is None else np.asarray(lam_sdp, dtype=float)
         if lam_m.shape != (order, order):
             raise DimensionMismatch("SDP multiplier dimension mismatch")
         d = dist_psd_minus(lam_m + c * np.asarray(problem.sdp_block.G(x), dtype=float))

@@ -18,6 +18,7 @@ from . import __version__
 from .errors import EpflabError, NegativeObjective, UnknownProblem
 from .harness import (PENALTY_KINDS, PENALTY_PARAMS, c_sweep, estimate_c_star, geometric_grid,
                       make_penalty)
+from .numerics import norm
 from .problems import (fd_gradient, flat_multipliers, get_problem, kkt_residual, registry,
                        split_multipliers)
 from .report import localize, serialize_report, sweep_to_csv
@@ -233,8 +234,8 @@ def gradcheck(ctx, **_):
             g1 = fd_gradient(lambda z: handle(z, c), x + 1e-3 / math.sqrt(prob.dim), step=1e-6)
         except EpflabError:
             continue
-        norm0 = float(np.linalg.norm(g0)) + 1e-12
-        jump = float(np.linalg.norm(g1 - g0)) / norm0
+        norm0 = norm(g0) + 1e-12
+        jump = norm(g1 - g0) / norm0
         worst_jump = max(worst_jump, jump)
         checked += 1
     if checked < points:

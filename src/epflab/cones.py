@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .numerics import eig_sym, eigvals_sym2, sym
+from .numerics import eig_sym, eigvals_sym2, norm, sym
 
 
 def _lorentz_point(y) -> np.ndarray:
@@ -23,21 +23,6 @@ def _lorentz_point(y) -> np.ndarray:
     if y.ndim != 1 or y.shape[0] < 2:
         raise ValueError(f"Lorentz point needs 1-D total dimension >= 2, got shape {y.shape}")
     return y
-
-
-def _norm(v: np.ndarray) -> float:
-    """sqrt(v @ v).  ``np.vdot`` is the same numpy dot, bit for bit, without
-    the overflow warning of ``@``.  Where the sum of squares overflows
-    although every entry is finite, the norm is recomputed scaled by the
-    largest |entry|; an infinite entry keeps the norm inf."""
-    sq = np.vdot(v, v)
-    if sq != math.inf:
-        return math.sqrt(sq)
-    scale = max(map(abs, v.tolist()))
-    if scale == math.inf:
-        return math.inf
-    v = v / scale
-    return scale * math.sqrt(np.vdot(v, v))
 
 
 def _tail_ratio(coef: float, tail_norm: float) -> float:
@@ -65,7 +50,7 @@ def proj_lorentz(y) -> np.ndarray:
     """
     y = _lorentz_point(y)
     head, tail = float(y[0]), y[1:]
-    tail_norm = _norm(tail)
+    tail_norm = norm(tail)
     if head >= tail_norm:
         return y.astype(float, copy=True)
     if head <= -tail_norm:
@@ -84,31 +69,24 @@ def dist_lorentz(y) -> float:
     same float operations on each entry, so the bits are the same.  A list
     of two or more entries with a Python float head (a constraint value of
     ``problems``) is read as it is; any other y, a list of numpy scalars
-    say, as a float array's ``tolist``.  The numpy dot of a one-entry tail
-    is its square, and where that overflows the norm is |t|; the generic
-    gap (head - coef, t - r t) is numpy's y - r y with its head replaced.
-    Norms of two or more entries stay numpy dots (``_norm``), which
-    OpenBLAS may contract into a fused multiply-add.
+    say, as a float array's ``tolist``.  The generic gap (head - coef,
+    t - r t) is numpy's y - r y with its head replaced.
     """
     if not (type(y) is list and len(y) > 1 and type(y[0]) is float):
         y = _lorentz_point(y).tolist()
     head = y[0]
-    if len(y) == 2:
-        sq = y[1] * y[1]
-        tail_norm = math.sqrt(sq) if sq != math.inf else abs(y[1])
-    else:
-        tail_norm = _norm(np.array(y[1:], dtype=float))
+    tail_norm = norm(y[1:])
     if head >= tail_norm:
         # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
         return 0.0 if head < math.inf else math.nan
     if head <= -tail_norm:
-        return _norm(np.array(y, dtype=float))
+        return norm(y)
     coef = _midpoint(head, tail_norm)
     ratio = _tail_ratio(coef, tail_norm)
     gap = [head - coef]
     for t in y[1:]:
         gap.append(t - ratio * t)
-    return _norm(np.array(gap))
+    return norm(gap)
 
 
 def proj_psd(a) -> np.ndarray:
@@ -137,26 +115,24 @@ def dist_psd_minus2(a11: float, a12: float, a21: float, a22: float) -> float:
     """``dist_psd_minus`` of [[a11, a12], [a21, a22]] on floats, bit for bit.
 
     Symmetrizes as ``sym`` does and clips as ``np.maximum(v, 0.0)`` does
-    (-0.0 is kept).  Two positive values keep numpy's dot, which OpenBLAS
-    may contract into a fused multiply-add; with at most one, the sum of
-    squares is v * v.  Where ``eigvals_sym2`` returns None the LAPACK path
-    runs.
+    (-0.0 is kept), then takes the norm of the positive values.  Where
+    ``eigvals_sym2`` returns None the LAPACK path runs.
     """
     values = eigvals_sym2((a11 + a11) * 0.5, (a21 + a12) * 0.5, (a22 + a22) * 0.5)
     if values is None:
         return _dist_psd_minus_eig(np.array([[a11, a12], [a21, a22]]))
     lo, hi = values
     if lo > 0.0:
-        return _norm(np.array(values))
-    return math.sqrt(hi * hi) if hi > 0.0 else 0.0
+        return norm(values)
+    return norm([hi]) if hi > 0.0 else 0.0
 
 
 def _dist_psd_minus_eig(a) -> float:
-    """``dist_psd_minus`` on ``eig_sym``'s eigenvalues, finite for a finite A (``_norm``)."""
+    """``dist_psd_minus`` on ``eig_sym``'s eigenvalues, finite for a finite A (``norm``)."""
     try:
         clipped = np.maximum(eig_sym(a).values, 0.0)
     except ValueError:
         if np.isfinite(sym(a)).all():
             raise
         return math.nan
-    return _norm(clipped)
+    return norm(clipped)

@@ -20,8 +20,9 @@ import numpy as np
 from .auglag import hpr_closed_form
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import default_phi, linear_state, linear_value, q_order, qpen_state, qpen_value
-from .problems import (ConstrainedProblem, KnownSolution, feasibility_gap, flat_multipliers,
-                       split_multipliers)
+from .numerics import norm
+from .problems import (ConstrainedProblem, KnownSolution, check_penalty_parameter, feasibility_gap,
+                       flat_multipliers, split_multipliers)
 from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_barrier,
                         check_cone, constant_normal_data)
 from .solvers import SolverConfig, minimize, polish
@@ -60,8 +61,7 @@ def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> 
 
     def func(x, c):
         nonlocal current, previous, current_c
-        if not 0.0 < c < math.inf:
-            raise ValueError("penalty parameter c must be positive and finite")
+        check_penalty_parameter(c)
         if c != current_c:
             current, previous, current_c = {}, current, c
         if type(x) is not np.ndarray or x.dtype is not _FLOAT64:  # the solver's x passes as is
@@ -226,7 +226,7 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
         best_x=tuple(float(v) for v in x),
         best_F=float(value),
         feasibility_gap_total=float(feasibility_gap(problem, x).total),
-        dist_to_xstar=float(np.linalg.norm(x - cert.x_star)) if cert is not None else math.nan,
+        dist_to_xstar=norm(x - cert.x_star) if cert is not None else math.nan,
         n_starts_agreeing=result.n_starts_agreeing,
     )
 
@@ -234,7 +234,7 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
 def geometric_grid(c_min: float, c_max: float, n_steps: int) -> List[float]:
     if not (0 < c_min < c_max < math.inf) or n_steps < 2:
         raise ValueError("need 0 < c_min < c_max < inf and at least two steps")
-    return list(np.geomspace(c_min, c_max, n_steps))
+    return np.geomspace(c_min, c_max, n_steps).tolist()
 
 
 def c_sweep(
@@ -275,7 +275,7 @@ def nondegeneracy_probe(records: Sequence[SweepRecord], radius: float) -> bool:
     for r in records:
         if r.failed or not math.isfinite(r.best_F):
             return False
-        if float(np.linalg.norm(r.best_x)) > radius:
+        if norm(r.best_x) > radius:
             return False
     return True
 
@@ -298,11 +298,11 @@ def local_exactness_probe(
     samples = []
     for _ in range(LOCAL_SAMPLES):
         direction = rng.normal(size=dim)
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
+        length = norm(direction)
+        if length == 0.0:
             continue
         r = radius * rng.uniform() ** (1.0 / dim)
-        samples.append(np.clip(x_star + direction / norm * r, lower, upper))
+        samples.append(np.clip(x_star + direction / length * r, lower, upper))
     base = penalty(x_star, c)
     return all(penalty(x, c) >= base - PROBE_SLACK for x in samples)
 

@@ -1,12 +1,12 @@
-"""Dense symmetric linear algebra on LAPACK: Cholesky solves with a
-relative pivot test, and symmetric eigendecomposition.
+"""Dense symmetric linear algebra on LAPACK (Cholesky solves with a
+relative pivot test, symmetric eigendecomposition) and the vector norm.
 
-Everything here works on plain numpy arrays.  Matrices are symmetrized on
-entry; order is capped at 64 (desk scale, no sparse paths).  The one
-exception is ``eigvals_sym2``: the eigenvalues of a symmetric 2x2 matrix
-on Python floats, with the float operations ``syevd`` performs at that
-order (``sytd2``, ``steqr``'s split tests, ``laev2`` and the sort), so
-they have its bits wherever neither routine rescales the matrix.
+Matrices are plain numpy arrays, symmetrized on entry; order is capped
+at 64 (desk scale, no sparse paths).  The one exception is
+``eigvals_sym2``: the eigenvalues of a symmetric 2x2 matrix on Python
+floats, with the float operations ``syevd`` performs at that order
+(``sytd2``, ``steqr``'s split tests, ``laev2`` and the sort), so they
+have its bits wherever neither routine rescales the matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +33,28 @@ _EPS2 = _EPS * _EPS
 _SMLNUM = _SAFMIN / _EPS
 _UNSCALED_LOW = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)  # 2**-405
 _UNSCALED_HIGH = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)  # about 2**484.5
+
+
+def norm(v) -> float:
+    """Euclidean norm of a float list or 1-D float array, with the bits of
+    ``np.linalg.norm`` wherever the sum of squares is finite: sqrt(t * t)
+    of one entry t, else the same numpy dot (``np.vdot``, without the
+    overflow warning of ``@``).  Where the sum overflows with every entry
+    finite, the norm is |t|, or recomputed scaled by the largest |entry|
+    (Blue, ACM TOMS 4, 1978)."""
+    if len(v) == 1:
+        t = float(v[0])
+        sq = t * t
+        return math.sqrt(sq) if sq != math.inf else abs(t)
+    sq = np.vdot(v, v)
+    if sq != math.inf:
+        return math.sqrt(sq)
+    v = np.asarray(v, dtype=float)
+    scale = max(map(abs, v.tolist()))
+    if scale == math.inf:
+        return math.inf
+    v = v / scale
+    return scale * math.sqrt(np.vdot(v, v))
 
 
 def sym(a) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NegativeObjective, NonFiniteEvaluation
-from .problems import ConstrainedProblem, infeasibility
+from .problems import ConstrainedProblem, check_penalty_parameter, infeasibility
 
 
 def default_phi(problem: ConstrainedProblem) -> Callable:
@@ -40,15 +40,16 @@ def linear_value(state: Tuple[float, float], c: float) -> float:
 
 def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
     """F(x, c) = f(x) + c * phi(x)."""
-    if not 0.0 < c < math.inf:
-        raise ValueError("penalty parameter c must be positive and finite")
+    check_penalty_parameter(c)
     return linear_value(linear_state(problem, phi, x), c)
 
 
 def q_order(q: float) -> Callable[[float, float], float]:
     """The q-th order aggregator Q(t, s) = (t^q + s^q)^(1/q) on [0, inf]^2,
     strictly monotone on finite points and +inf where t or s is; q must be
-    positive and finite, and a negative argument raises ValueError."""
+    positive and finite, and a negative argument raises ValueError.  Python
+    floats and numpy scalars give the same value, a Python float; +inf
+    only where that value is above the float range."""
     if not 0.0 < q < math.inf:
         raise ValueError("q must be positive and finite")
 
@@ -57,9 +58,26 @@ def q_order(q: float) -> Callable[[float, float], float]:
             raise ValueError("Q is defined on nonnegative arguments")
         if math.isinf(t) or math.isinf(s):
             return math.inf
-        return float((t ** q + s ** q) ** (1.0 / q))
+        t, s = float(t), float(s)
+        try:
+            value = (t ** q + s ** q) ** (1.0 / q)
+        except OverflowError:
+            value = math.inf
+        # Finite t and s give +inf here only where the plain form overflowed.
+        return value if value != math.inf else _scaled_q(t, s, q)
 
     return evaluate
+
+
+def _scaled_q(t: float, s: float, q: float) -> float:
+    """Q(t, s) where the plain form overflows: m ((t/m)^q + (s/m)^q)^(1/q)
+    with m = max(t, s), whose sum is in [1, 2].  For q < 1 the plain form
+    overflows only where Q is above the float range, and so may this one."""
+    m = max(t, s)
+    try:
+        return m * ((t / m) ** q + (s / m) ** q) ** (1.0 / q)
+    except OverflowError:
+        return math.inf
 
 
 def qpen_state(problem: ConstrainedProblem, phi, x) -> Tuple[float, float]:
@@ -86,6 +104,5 @@ def qpen_eval(qf: Callable, problem: ConstrainedProblem, phi, x, c: float) -> fl
     """F(x, c) = Q(f(x), c * phi(x)); requires the nonnegative-objective
     standing assumption of the nonlinear penalty theory.  A NaN phi raises
     NonFiniteEvaluation."""
-    if not 0.0 < c < math.inf:
-        raise ValueError("penalty parameter c must be positive and finite")
+    check_penalty_parameter(c)
     return qpen_value(qf, qpen_state(problem, phi, x), c)

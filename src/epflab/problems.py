@@ -17,15 +17,22 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
+from .numerics import norm
 
 Array = np.ndarray
+
+
+def check_penalty_parameter(c: float) -> None:
+    """ValueError unless the penalty parameter c is positive and finite."""
+    if not 0.0 < c < math.inf:
+        raise ValueError("penalty parameter c must be positive and finite")
 
 
 def fd_gradient(func, x, step: float | None = None) -> Array:
     """Central-difference gradient (or Jacobian for vector-valued func)."""
     x = np.asarray(x, dtype=float)
     if step is None:
-        step = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        step = 1e-6 * (1.0 + norm(x))
     if step <= 0:
         raise ValueError("step must be positive")
     probe = np.asarray(func(x), dtype=float)
@@ -177,17 +184,14 @@ def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
         soc += dist_psd_minus(problem.sdp_block.G(x))
     eq = 0.0
     if problem.eq is not None:
-        # What np.linalg.norm computes on a 1-D vector, without its dispatch:
-        # the numpy dot, which of one entry is its square.
-        h = problem.eq_values(x)
-        eq = math.sqrt(h[0] * h[0]) if len(h) == 1 else math.sqrt(np.vdot(h, h))
+        eq = norm(problem.eq_values(x))
     box = 0.0
     # Inside the box x - clip(x) is all zeros; NaN fails the test and keeps
     # the norm, so it still propagates.  A loop costs less than all() over
     # a generator.
     for v, l, u in zip(x.tolist(), *problem.box_floats):
         if not l <= v <= u:
-            box = float(np.linalg.norm(x - np.clip(x, problem.lower, problem.upper)))
+            box = norm(x - np.clip(x, problem.lower, problem.upper))
             break
     return soc, eq, box
 
@@ -247,7 +251,7 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         if mu.shape != (problem.n_eq,):
             raise DimensionMismatch("mu dimension mismatch")
         grad = grad + problem.jac_h(x).T @ mu
-    return float(np.linalg.norm(grad)) + complementarity + dual + (soc + eq)
+    return norm(grad) + complementarity + dual + (soc + eq)
 
 
 def flat_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None) -> Array:

@@ -14,7 +14,7 @@ import numpy as np
 from .cones import dist_lorentz, dist_psd_minus, dist_psd_minus2
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
 from .numerics import chol_solve
-from .problems import ConstrainedProblem
+from .problems import ConstrainedProblem, check_penalty_parameter
 
 Array = np.ndarray
 
@@ -399,8 +399,7 @@ def c1_penalty_sdp(problem: ConstrainedProblem, x, c: float, alpha: float = 1.0,
 
 def _c1_penalty(sdp: bool, problem, x, c: float, alpha: float, kappa: float, cfg) -> float:
     """The one-shot C1 F of the cone ``sdp`` names, after checking its arguments."""
-    if not 0.0 < c < math.inf:
-        raise ValueError("penalty parameter c must be positive and finite")
+    check_penalty_parameter(c)
     check_cone(problem, sdp)
     check_barrier(sdp, alpha, kappa)
     return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)

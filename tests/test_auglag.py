@@ -97,6 +97,20 @@ def test_hpr_closed_form_rejects_malformed_multipliers():
     assert hpr_closed_form(eq, x, mu=-2.0) == hpr_closed_form(eq, x, mu=np.array([-2.0]))
 
 
+def test_hpr_closed_form_takes_list_multipliers():
+    # Lists are read as kkt_residual reads them, one float array each.
+    lin, x_lin = get_problem("toy-lin-1"), np.array([0.5])
+    assert (hpr_closed_form(lin, x_lin, lam=[[-1.0, 0.0]], c=2.0)
+            == hpr_closed_form(lin, x_lin, lam=[np.array([-1.0, 0.0])], c=2.0))
+    sdp, x_sdp = get_problem("toy-sdp-1"), np.array([0.75, 1.5])
+    assert (hpr_closed_form(sdp, x_sdp, lam_sdp=[[1.0, 0.0], [0.0, 0.0]], c=3.0)
+            == hpr_closed_form(sdp, x_sdp, lam_sdp=np.diag([1.0, 0.0]), c=3.0))
+    with pytest.raises(DimensionMismatch):
+        hpr_closed_form(lin, x_lin, lam=[[-1.0]])
+    with pytest.raises(DimensionMismatch):
+        hpr_closed_form(sdp, x_sdp, lam_sdp=[[1.0, 0.0]])
+
+
 def test_hpr_closed_form_examples():
     p = get_problem("toy-eq-1")
     assert hpr_closed_form(p, np.array([1.0, 1.0]), mu=np.array([-2.0]), c=7.0) == pytest.approx(2.0)

@@ -80,6 +80,15 @@ def test_estimate_cstar_not_found_exit_2():
     assert "not found" in out.stderr
 
 
+def test_estimate_cstar_qorder_with_a_large_q_has_no_traceback():
+    # Q of order 200 overflowed its plain form at c * phi near 50 and raised
+    # OverflowError out of the command.
+    out = run_cli("estimate-cstar", "--problem", "toy-socp-1", "--penalty", "qorder",
+                  "--q", "200", "--starts", "2")
+    assert out.returncode in (0, 2)
+    assert "Traceback" not in out.stderr
+
+
 def test_gradcheck_smooth_penalty():
     out = run_cli("gradcheck", "--problem", "toy-eq-1", "--penalty", "al-hpr",
                   "--c", "4", "--points", "10")

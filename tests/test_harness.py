@@ -38,6 +38,11 @@ def _walled(x, c):
 def test_geometric_grid():
     grid = geometric_grid(1.0, 8.0, 4)
     assert np.allclose(grid, [1.0, 2.0, 4.0, 8.0])
+    # Python floats with the bits of np.geomspace, so every F of a sweep
+    # sees a float c, as every bisection c does.
+    grid = geometric_grid(0.5, 512.0, 6)
+    assert all(type(c) is float for c in grid)
+    assert np.array(grid).tobytes() == np.geomspace(0.5, 512.0, 6).tobytes()
     for c_min, c_max in ((2.0, 1.0), (1.0, math.inf), (math.nan, 8.0), (1.0, math.nan)):
         with pytest.raises(ValueError):
             geometric_grid(c_min, c_max, 4)

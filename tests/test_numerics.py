@@ -437,3 +437,39 @@ def test_order2_witnesses(a):
     a = np.array(a)
     _check_order2(a)
     assert numerics.eigvals_sym2(a[0, 0], a[1, 0], a[1, 1]) is not None
+
+
+# Signed zeros, subnormals, magnitudes whose squares overflow or underflow,
+# and the non-finite values, beside any float.
+_NORM_ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-162, 1e-200,
+                     1.3e154, -1.4e154, 1e200, 1.7976931348623157e308, math.inf, -math.inf,
+                     math.nan]))
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.lists(_NORM_ENTRIES, min_size=1, max_size=8), st.booleans())
+def test_norm_has_the_bytes_of_np_linalg_norm(entries, as_list):
+    v = np.array(entries)
+    got = numerics.norm(entries if as_list else v)
+    assert type(got) is float
+    with np.errstate(over="ignore"):
+        sq = v @ v
+        want = np.linalg.norm(v)
+    if sq < math.inf or not np.isfinite(v).all():
+        assert np.float64(got).tobytes() == want.tobytes(), entries
+    else:
+        # The finite squares overflow: numpy's inf, the scaled norm here,
+        # inf only where the norm itself is above the float range.
+        scale = float(np.abs(v).max())
+        assert got == scale * math.sqrt((v / scale) @ (v / scale)), entries
+
+
+def test_norm_of_overflowing_squares_is_finite():
+    assert numerics.norm([1e200]) == numerics.norm(np.array([-1e200])) == 1e200
+    assert numerics.norm([0.0, 1e200]) == 1e200
+    assert numerics.norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert numerics.norm((1.7976931348623157e308, 1.7976931348623157e308)) == math.inf
+    assert numerics.norm([math.inf, 1.0]) == math.inf
+    assert math.isnan(numerics.norm([math.nan, 1e200, 1e200]))

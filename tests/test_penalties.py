@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,27 @@ def test_q_is_infinite_where_an_argument_is():
         qf = q_order(q)
         assert qf(float("inf"), 0.0) == qf(1.0, float("inf")) == float("inf")
         assert type(qf(1.0, 2.0)) is float
+
+
+def test_q_order_scales_where_the_plain_form_overflows():
+    # 50.0 ** 200 overflows: a float raised OverflowError, a numpy scalar
+    # gave inf with a RuntimeWarning, although Q is about 50.
+    for kind in (float, np.float64):
+        value = q_order(200.0)(kind(1.0), kind(50.0))
+        assert type(value) is float and value == 50.0
+        value = q_order(2.0)(kind(1e200), kind(1e200))
+        assert type(value) is float and value == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        # (t^2 + s^2) overflows in the sum although each square is finite.
+        assert q_order(2.0)(kind(1.3e154), kind(1.3e154)) == pytest.approx(
+            math.sqrt(2.0) * 1.3e154, rel=1e-15)
+        # +inf only where Q is above the float range.
+        assert q_order(0.5)(kind(1e308), kind(1e308)) == math.inf
+        assert q_order(1.0)(kind(1e308), kind(1e308)) == math.inf
+    # Where nothing overflows the value keeps the plain form's bits.
+    for q in (0.5, 1.0, 2.0, 200.0):
+        for t, s in ((1.0, 2.0), (0.0, 3.5), (1e-3, 7.0)):
+            assert q_order(q)(t, s) == (t ** q + s ** q) ** (1.0 / q)
+            assert q_order(q)(np.float64(t), np.float64(s)) == (t ** q + s ** q) ** (1.0 / q)
 
 
 def test_qpen_examples():

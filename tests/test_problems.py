@@ -93,9 +93,9 @@ def _reference_feasibility_gap(problem, x):
         soc += reference_norm(g - proj_lorentz(g))
     if problem.sdp_block is not None:
         soc += dist_psd_minus(problem.sdp_block.G(x))
-    eq = float(np.linalg.norm(problem.h(x)))
+    eq = reference_norm(problem.h(x))
     lo, hi = problem.box()
-    box = float(np.linalg.norm(x - np.clip(x, lo, hi)))
+    box = reference_norm(x - np.clip(x, lo, hi))
     return soc, eq, box
 
 
@@ -132,6 +132,27 @@ def test_feasibility_gap_matches_norm_reference(problem):
             ref = _reference_feasibility_gap(problem, x)
             gap = feasibility_gap(problem, x)
             assert all(map(_same_float, (gap.soc_gap, gap.eq_gap, gap.box_gap), ref)), x
+
+
+def test_gap_terms_are_finite_where_their_squares_overflow():
+    # Each norm was inf here, with numpy's overflow warning for the box.
+    gap = feasibility_gap(get_problem("toy-socp-1"), np.array([0.0, 1e200]))
+    assert gap.box_gap == 1e200
+    assert gap.soc_gap == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-15)
+    closure = ConstrainedProblem(
+        name="eq-closure", dim=1, objective=lambda x: 0.0, gradient=lambda x: np.zeros(1),
+        lower=[-1.0], upper=[1.0], eq=lambda x: np.array([1e200]),
+        eq_jac=lambda x: np.zeros((1, 1)), n_eq=1)
+    gap = feasibility_gap(closure, np.array([0.5]))
+    assert (gap.eq_gap, gap.box_gap) == (1e200, 0.0)
+
+
+def test_kkt_residual_is_finite_where_the_gradient_squares_overflow():
+    p = get_problem("toy-socp-1")
+    x = np.array([1e200, 1e200])
+    # grad f = 2 (x - (0, 2)), so the stationarity term is about 2 sqrt(2) 1e200.
+    res = kkt_residual(p, x, lam=[np.array([-2.0, 2.0])])
+    assert res == pytest.approx(2.0 * math.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 def test_kkt_residual_certified():
@@ -621,7 +642,8 @@ _PAIRS = list(zip(registry(), _array_registry()))
 
 
 def _array_infeasibility(problem, x) -> float:
-    """infeasibility on array constraint values, with ||h|| = sqrt(h @ h)."""
+    """infeasibility on array constraint values, with ||h|| = sqrt(h @ h)
+    rescaled where h @ h overflows, and the box term likewise."""
     soc = 0.0
     for block in problem.soc_blocks:
         soc += dist_lorentz(block.g(x))
@@ -629,9 +651,8 @@ def _array_infeasibility(problem, x) -> float:
         soc += dist_psd_minus(problem.sdp_block.G(x))
     eq = 0.0
     if problem.n_eq > 0:
-        h = problem.h(x)
-        eq = math.sqrt(h @ h)
-    return soc + eq + float(np.linalg.norm(x - np.clip(x, *problem.box())))
+        eq = reference_norm(problem.h(x))
+    return soc + eq + reference_norm(x - np.clip(x, *problem.box()))
 
 
 # Inside the box [-3, 3]^2 (toy-lin-1's is [-2, 2]), outside it, on its
@@ -659,10 +680,8 @@ def test_affine_values_are_float_lists_with_the_array_bits(coords):
         if problem.sdp_block is not None:
             G = problem.sdp_block.G(x)
             assert G.shape == (2, 2) and G.tobytes() == arrays.sdp_block.G(x).tobytes()
-        # The box term of a point far outside the box overflows on both sides.
-        with np.errstate(all="ignore"):
-            want_phi = struct.pack("<d", _array_infeasibility(arrays, x))
-            got_phi = struct.pack("<d", infeasibility(problem, x))
+        want_phi = struct.pack("<d", _array_infeasibility(arrays, x))
+        got_phi = struct.pack("<d", infeasibility(problem, x))
         assert got_phi == want_phi, (problem.name, coords)
 
 
