@@ -196,17 +196,41 @@ class SweepRecord:
         """The argmin lies within ``PASS_TOL`` of x* (and, when strict, the
         minimum value matches f* within ``PASS_TOL``); a failed solve fails."""
         ok = not self.failed and self.dist_to_xstar <= PASS_TOL
-        return ok and (not strict or abs(self.best_F - cert.f_star) <= PASS_TOL)
+        return ok and (not strict or _matches_f_star(self.best_F, cert.f_star))
 
 
-def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecord:
+def _matches_f_star(value: float, f_star: float) -> bool:
+    """The value rule of a strict pass."""
+    return abs(value - f_star) <= PASS_TOL
+
+
+def strict_fail_bound(f_star: float) -> float:
+    """The largest float below f* that the strict value rule rejects: a
+    minimum at or below it fails ``SweepRecord.passes(cert, strict=True)``,
+    since a lower value lies no nearer f*.  -inf for a non-finite f*."""
+    if not math.isfinite(f_star):
+        return -math.inf
+    # f* - PASS_TOL is rounded, and so may lie on either side of the bound.
+    w = f_star - PASS_TOL
+    while _matches_f_star(w, f_star):
+        w = math.nextafter(w, -math.inf)
+    while not _matches_f_star(up := math.nextafter(w, math.inf), f_star):
+        w = up
+    return w
+
+
+def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig,
+              stop_below: float = -math.inf) -> SweepRecord:
     """Multistart-minimize F(., c), polish the winner, keep the better of
-    the two points and record it; a failed solve becomes a failed record."""
+    the two points and record it; a failed solve becomes a failed record.
+
+    ``stop_below`` goes to ``minimize``; a result at or below it is
+    recorded unpolished, as polish could only lower its value."""
     problem = penalty.problem
     lower, upper = problem.box()
     func = lambda z: penalty(z, c)
     try:
-        result = minimize(func, lower, upper, cfg)
+        result = minimize(func, lower, upper, cfg, stop_below)
     except AllStartsFailed:
         return SweepRecord(
             c=float(c),
@@ -217,9 +241,11 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig) -> SweepRecor
             n_starts_agreeing=0,
             failed=True,
         )
-    x, value = polish(func, result.x, lower, upper)
-    if not value <= result.value:
-        x, value = result.x, result.value
+    x, value = result.x, result.value
+    if value > stop_below:
+        polished, polished_value = polish(func, x, lower, upper)
+        if polished_value <= value:
+            x, value = polished, polished_value
     cert = problem.certificate
     return SweepRecord(
         c=float(c),
@@ -353,7 +379,11 @@ def estimate_c_star(
     multistart argmin of F(., c).  ``sweep`` holds records this penalty
     already solved at this ``cfg`` (``c_sweep``); a c found there is
     judged from its record instead of solved again, which gives the same
-    answer because a solve is deterministic for a fixed ``cfg``.
+    answer because a solve is deterministic for a fixed ``cfg``.  A
+    strict solve stops at its first witness, a start whose minimum is at
+    or below ``strict_fail_bound(f*)``: the full solve could only find a
+    lower value and would fail as well, so the history is the same.  The
+    confirmation solve and every non-strict solve run all their starts.
     Bisection presumes passes form an up-set in c; the confirmation probe
     at ``CONFIRM_FACTOR * c_star`` raises NonMonotonePredicate if that
     structure is violated.
@@ -369,10 +399,13 @@ def estimate_c_star(
         raise ValueError(f"{penalty.problem.name} carries no certificate")
     history: List[Tuple[float, bool]] = []
     solved = {rec.c: rec for rec in sweep}
+    stop_below = strict_fail_bound(cert.f_star) if strict else -math.inf
 
     def predicate(c: float) -> bool:
         rec = solved.get(c)
-        ok = (rec if rec is not None else _solve_at(penalty, c, cfg)).passes(cert, strict)
+        if rec is None:
+            rec = _solve_at(penalty, c, cfg, stop_below)
+        ok = rec.passes(cert, strict)
         history.append((float(c), ok))
         return ok
 

@@ -46,10 +46,10 @@ def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
 
 def q_order(q: float) -> Callable[[float, float], float]:
     """The q-th order aggregator Q(t, s) = (t^q + s^q)^(1/q) on [0, inf]^2,
-    strictly monotone on finite points and +inf where t or s is; q must be
-    positive and finite, and a negative argument raises ValueError.  Python
-    floats and numpy scalars give the same value, a Python float; +inf
-    only where that value is above the float range."""
+    strictly monotone on finite points, 0 only at (0, 0) and +inf where t
+    or s is; q must be positive and finite, and a negative argument raises
+    ValueError.  Python floats and numpy scalars give the same value, a
+    Python float; +inf only where that value is above the float range."""
     if not 0.0 < q < math.inf:
         raise ValueError("q must be positive and finite")
 
@@ -60,19 +60,24 @@ def q_order(q: float) -> Callable[[float, float], float]:
             return math.inf
         t, s = float(t), float(s)
         try:
-            value = (t ** q + s ** q) ** (1.0 / q)
+            total = t ** q + s ** q
+            value = total ** (1.0 / q)
         except OverflowError:
-            value = math.inf
-        # Finite t and s give +inf here only where the plain form overflowed.
-        return value if value != math.inf else _scaled_q(t, s, q)
+            return _scaled_q(t, s, q)
+        # Finite t and s give +inf here only where the plain sum overflowed,
+        # and a sum below the normal range has lost bits or underflowed to 0.
+        if value == math.inf or (total < 2.0 ** -1022 and (t > 0.0 or s > 0.0)):
+            return _scaled_q(t, s, q)
+        return value
 
     return evaluate
 
 
 def _scaled_q(t: float, s: float, q: float) -> float:
-    """Q(t, s) where the plain form overflows: m ((t/m)^q + (s/m)^q)^(1/q)
-    with m = max(t, s), whose sum is in [1, 2].  For q < 1 the plain form
-    overflows only where Q is above the float range, and so may this one."""
+    """Q(t, s) where the plain sum overflows or is not a normal float:
+    m ((t/m)^q + (s/m)^q)^(1/q) with m = max(t, s) > 0, whose sum is in
+    [1, 2].  For q < 1 the plain form overflows only where Q is above the
+    float range, and so may this one."""
     m = max(t, s)
     try:
         return m * ((t / m) ** q + (s / m) ** q) ** (1.0 / q)

@@ -58,6 +58,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """The best point of a multistart run.  ``n_starts_used`` counts the
+    starts whose local solve ran (fewer than the finite Sobol starts only
+    where ``stop_below`` ended the run), and ``n_starts_agreeing`` is
+    counted among them."""
+
     x: np.ndarray
     value: float
     n_starts_used: int
@@ -227,9 +232,13 @@ def minimize(
     lower,
     upper,
     cfg: SolverConfig = SolverConfig(),
+    stop_below: float = -math.inf,
 ) -> MinimizeResult:
     """Multistart local minimization over a finite box with lower <= upper
-    (ValueError before any start is drawn otherwise); returns the best result."""
+    (ValueError before any start is drawn otherwise); returns the best result.
+    With the default ``stop_below`` of -inf every start runs; a larger one
+    ends the run after the first start whose local minimum is at or below it."""
+    stop = stop_below > -math.inf
     lower, upper = _box(lower, upper)
     starts = _finite_starts(func, lower, upper, cfg)
     if not starts:
@@ -247,10 +256,12 @@ def minimize(
         if f_val < best_f:
             best_f = f_val
             best_x = x
+        if stop and f_val <= stop_below:
+            break
     if best_x is None or not math.isfinite(best_f):
         raise AllStartsFailed("no start produced a finite minimum")
     agreeing = sum(1 for v in values if v <= best_f + AGREE_RTOL * (1.0 + abs(best_f)))
-    return MinimizeResult(x=best_x, value=best_f, n_starts_used=len(starts),
+    return MinimizeResult(x=best_x, value=best_f, n_starts_used=len(values),
                           n_starts_agreeing=agreeing, nfev=nfev, n_local_failures=failures)
 
 

@@ -59,3 +59,19 @@ def test_seed_list_parsing():
     for text in ("", "0,,1", "a", "1.5"):
         with pytest.raises(argparse.ArgumentTypeError):
             ab_pass.seed_list(text)
+
+
+def test_a_tree_against_itself_prints_equal_f_evaluation_counts(capsys):
+    src = str(ROOT / "src")
+    ab_pass = _ab_pass()
+    assert ab_pass.main([src, src, "--workload", "classic-battery", "--rounds", "1",
+                         "--seed", "0,1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    counts = {}
+    for seed in (0, 1):
+        line = next(line for line in out if line.startswith(f"F evaluations seed {seed}: "))
+        base, new = line.split(": ", 1)[1].split(" (")[0].split(", ")
+        counts[seed] = int(base.removeprefix("base ")), int(new.removeprefix("new "))
+        assert line.endswith("(+0.0%)")
+    assert counts[0][0] == counts[0][1] > 0 and counts[1][0] == counts[1][1] > 0
+    assert counts[0] != counts[1]

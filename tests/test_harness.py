@@ -521,3 +521,126 @@ def test_infinite_constraint_value_raises_without_a_numpy_warning():
             for kind in kinds:
                 with pytest.raises(NonFiniteEvaluation):
                     make_penalty(problem, kind)(np.array([0.7, 0.3]), 2.0)
+
+
+@pytest.mark.parametrize("f_star", [0.0, 0.25, 2.0, 3.7])
+def test_strict_fail_bound_is_the_largest_rejected_float(f_star):
+    bound = harness.strict_fail_bound(f_star)
+    assert bound < f_star
+    assert not abs(bound - f_star) <= harness.PASS_TOL
+    assert abs(math.nextafter(bound, math.inf) - f_star) <= harness.PASS_TOL
+    # At 3.7 the rounded f* - PASS_TOL is itself rejected, and is the bound.
+    assert (bound == f_star - harness.PASS_TOL) == (f_star == 3.7)
+    # Every lower value fails the strict rule, however the subtraction rounds.
+    cert = get_problem("toy-lin-1").certificate
+    for value in (bound, math.nextafter(bound, -math.inf), bound - 1.0, -math.inf):
+        rec = SweepRecord(c=1.0, best_x=(0.0,), best_F=value, feasibility_gap_total=0.0,
+                          dist_to_xstar=0.0, n_starts_agreeing=1)
+        assert not rec.passes(dataclasses.replace(cert, f_star=f_star))
+        assert rec.passes(dataclasses.replace(cert, f_star=f_star), strict=False)
+
+
+def test_strict_fail_bound_of_a_non_finite_f_star_stops_nothing():
+    for f_star in (math.inf, -math.inf, math.nan):
+        assert harness.strict_fail_bound(f_star) == -math.inf
+
+
+def _solve_log(monkeypatch, honor_bound):
+    """Replace ``harness._solve_at`` by a spy that records (c, stop_below,
+    F calls, best_F) of each solve; without ``honor_bound`` every solve
+    runs in full."""
+    log = []
+    solve = harness._solve_at
+
+    def spy(penalty, c, cfg, stop_below=-math.inf):
+        calls = [0]
+
+        def counted(x, c_):
+            calls[0] += 1
+            return penalty(x, c_)
+
+        handle = PenaltyHandle(problem=penalty.problem, func=counted, params=penalty.params)
+        rec = solve(handle, c, cfg, stop_below) if honor_bound else solve(handle, c, cfg)
+        log.append((c, stop_below, calls[0], rec.best_F))
+        return rec
+
+    monkeypatch.setattr(harness, "_solve_at", spy)
+    return log
+
+
+def _outcome(run):
+    """The result of ``run()``, or the NonMonotonePredicate it raised."""
+    try:
+        return run()
+    except NonMonotonePredicate as exc:
+        return exc
+
+
+REGISTRY_PAIRS = [(p.name, kind) for p in registry() for kind in p.penalties]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("name, kind", REGISTRY_PAIRS)
+def test_witness_stop_keeps_every_c_star_result(name, kind, strict, monkeypatch):
+    p = get_problem(name)
+    cfg = SolverConfig(n_starts=3, seed=0)
+    outcomes, logs = {}, {}
+    for honor in (True, False):
+        with monkeypatch.context() as patch:
+            logs[honor] = _solve_log(patch, honor)
+            outcomes[honor] = _outcome(lambda: estimate_c_star(
+                make_penalty(p, kind), 0.5, 1024.0, tol_rel=0.1, cfg=cfg, strict=strict))
+    assert repr(outcomes[True]) == repr(outcomes[False])
+    assert type(outcomes[True]) is type(outcomes[False])
+    new, ref = logs[True], logs[False]
+    assert [entry[0] for entry in new] == [entry[0] for entry in ref]
+    # Every bisection solve gets the bound; the confirm solve, if any, runs every start.
+    bound = harness.strict_fail_bound(p.certificate.f_star) if strict else -math.inf
+    confirmed = isinstance(outcomes[True], NonMonotonePredicate) or outcomes[True].c_star is not None
+    bisection = len(new) - confirmed
+    assert [entry[1] for entry in new] == [bound] * bisection + [-math.inf] * confirmed
+    for (_, b, calls, _), (_, _, full, _) in zip(new, ref):
+        assert calls == full if b == -math.inf else calls <= full
+
+
+def test_witness_stop_saves_f_calls_on_failing_strict_steps(monkeypatch):
+    p = get_problem("toy-socp-1")
+    cfg = SolverConfig(n_starts=6, seed=0)
+    polished = _count_calls(monkeypatch, harness, "polish")
+    new = _solve_log(monkeypatch, True)
+    res = estimate_c_star(make_penalty(p, "linear"), 0.5, 1024.0, cfg=cfg)
+    assert res.c_star is not None
+    monkeypatch.undo()
+    ref = _solve_log(monkeypatch, False)
+    assert estimate_c_star(make_penalty(p, "linear"), 0.5, 1024.0, cfg=cfg) == res
+    bound = harness.strict_fail_bound(p.certificate.f_star)
+    witnessed = [i for i, entry in enumerate(new) if entry[3] <= bound]
+    assert witnessed and all(not res.history[i][1] for i in witnessed)
+    # A step that ended at a witness made fewer F calls and no polish; the
+    # others, a step failing on its distance to x* among them, ran in full.
+    for i, (entry, full) in enumerate(zip(new, ref)):
+        assert entry[2] < full[2] if i in witnessed else entry[2] == full[2]
+    assert any(not ok for i, (_, ok) in enumerate(res.history) if i not in witnessed)
+    assert len(polished) == len(new) - len(witnessed)
+
+
+def test_sweep_and_localize_run_every_start(monkeypatch):
+    p = get_problem("toy-socp-1")
+    cfg = SolverConfig(n_starts=3, seed=0)
+    bounds = []
+    minimize = harness.minimize
+
+    def spy(func, lower, upper, cfg, stop_below=-math.inf):
+        bounds.append(stop_below)
+        return minimize(func, lower, upper, cfg, stop_below)
+
+    monkeypatch.setattr(harness, "minimize", spy)
+    c_sweep(make_penalty(p, "linear"), geometric_grid(0.5, 512.0, 6), cfg)
+    assert bounds == [-math.inf] * 6
+    bounds.clear()
+    # localize's bisection is strict: it alone gets a bound.
+    rep = localize(p, "linear", cfg=cfg, c_min=0.5, c_max=512.0, c_steps=6)
+    assert bounds[:6] == [-math.inf] * 6 and bounds[-1] == -math.inf
+    assert set(bounds[6:-1]) == {harness.strict_fail_bound(p.certificate.f_star)}
+    monkeypatch.undo()
+    assert localize(p, "linear", cfg=cfg, c_min=0.5, c_max=512.0, c_steps=6) == rep

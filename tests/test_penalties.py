@@ -169,3 +169,36 @@ def test_q_local_condition():
     assert not check_q_local_condition(q_order(2.0), 1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         check_q_local_condition(q_order(1.0), 1.0, 1.0, 1.5)
+
+
+def test_q_order_scales_where_the_plain_sum_underflows():
+    # t**q underflowed to 0 (or to a subnormal that lost bits) before the 1/q power.
+    for kind in (float, np.float64):
+        assert q_order(2.0)(kind(0.0), kind(1e-170)) == 1e-170
+        assert q_order(2.0)(kind(1e-200), kind(0.0)) == 1e-200
+        assert q_order(200.0)(kind(1e-10), kind(0.0)) == 1e-10
+        assert q_order(200.0)(kind(0.023), kind(0.0)) == 0.023
+        assert q_order(200.0)(kind(0.025), kind(0.0)) == 0.025
+        assert q_order(1.0)(kind(5e-324), kind(5e-324)) == 1e-323
+    assert q_order(200.0)(1e-10, 1e-10) == pytest.approx(2.0 ** (1 / 200) * 1e-10, rel=1e-15)
+    for q in (0.5, 1.0, 2.0, 200.0):
+        assert q_order(q)(0.0, 0.0) == 0.0
+    # Where the plain sum is a normal float the value keeps its bits.
+    for q in (2.0, 200.0):
+        t = math.nextafter(2.0 ** (-1022 / q), math.inf)
+        while t ** q < 2.0 ** -1022:
+            t = math.nextafter(t, math.inf)
+        assert q_order(q)(t, 0.0) == (t ** q) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5, 200.0])
+def test_q_order_strictly_monotone_across_the_underflow(q):
+    # Points spaced 1e-6 apart (relative) on both sides of where t**q
+    # leaves the normal range.
+    edge = 2.0 ** (-1022 / q)
+    ts = (edge * math.exp(k * 1e-6) for k in range(-2000, 2001))
+    ts = [float(t) for t in ts]
+    qf = q_order(q)
+    for values in ([qf(t, 0.0) for t in ts], [qf(t, t / 3.0) for t in ts],
+                   [qf(edge, t) for t in ts], [qf(t, edge) for t in ts]):
+        assert all(a < b for a, b in zip(values, values[1:]))

@@ -372,3 +372,130 @@ def test_nelder_mead_matches_scipy_on_quantized_objectives_with_inf_regions(dim,
         return float(np.floor(np.sum(np.abs(x - center)) / step))
 
     _assert_same_as_scipy(func, rng.uniform(lower, upper), lower, upper, 400, 1e-6, 1e-8)
+
+
+def _full_multistart(func, lower, upper, cfg):
+    """``minimize`` as it was before ``stop_below``: every start runs."""
+    lower, upper = solvers._box(lower, upper)
+    starts = solvers._finite_starts(func, lower, upper, cfg)
+    best_x, best_f, values, nfev, failures = None, math.inf, [], 0, 0
+    for start in starts:
+        x, f_val, calls, hit_cap = solvers._nelder_mead(
+            func, start, lower, upper, solvers.ITERS_PER_DIM, solvers.START_XATOL,
+            solvers.START_FATOL)
+        values.append(f_val)
+        nfev += calls
+        failures += hit_cap
+        if f_val < best_f:
+            best_f, best_x = f_val, x
+    agreeing = sum(1 for v in values if v <= best_f + solvers.AGREE_RTOL * (1.0 + abs(best_f)))
+    return solvers.MinimizeResult(x=best_x, value=best_f, n_starts_used=len(starts),
+                                  n_starts_agreeing=agreeing, nfev=nfev,
+                                  n_local_failures=failures)
+
+
+def _wells(x):
+    """Several local minima of distinct depth on [-3, 3]^2."""
+    return float(np.sin(3.0 * x[0]) * np.cos(2.0 * x[1]) + 0.1 * x[0] + 0.05 * x @ x)
+
+
+def _counting(func):
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return func(x)
+
+    return counted, calls
+
+
+def _same_result(a, b):
+    assert np.array_equal(a.x, b.x) and a.x.dtype == b.x.dtype
+    assert float(a.value).hex() == float(b.value).hex()
+    assert ((a.n_starts_used, a.n_starts_agreeing, a.nfev, a.n_local_failures)
+            == (b.n_starts_used, b.n_starts_agreeing, b.nfev, b.n_local_failures))
+
+
+@pytest.mark.parametrize("n_starts, seed", [(1, 0), (6, 0), (9, 4)])
+def test_default_bound_runs_every_start_field_by_field(n_starts, seed):
+    box = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+    cfg = SolverConfig(n_starts=n_starts, seed=seed)
+    new, new_calls = _counting(_wells)
+    ref, ref_calls = _counting(_wells)
+    result = minimize(new, *box, cfg)
+    _same_result(result, _full_multistart(ref, *box, cfg))
+    assert result.n_starts_used == n_starts
+    assert len(new_calls) == len(ref_calls)
+    assert all(np.array_equal(a, b) for a, b in zip(new_calls, ref_calls))
+
+
+def test_default_bound_runs_every_start_past_a_minimum_of_minus_inf():
+    def pit(x):  # -inf on a strip that some starts fall into
+        return -math.inf if x[0] > 1.0 else _wells(x)
+
+    box = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+    cfg = SolverConfig(n_starts=8, seed=0)
+    values, ends = _start_values(pit, *box, cfg)
+    assert values[0] > -math.inf and -math.inf in values[:-1]
+    counted, calls = _counting(pit)
+    with pytest.raises(AllStartsFailed):
+        minimize(counted, *box, cfg)
+    assert len(calls) == ends[-1]
+
+
+def _start_values(func, lower, upper, cfg):
+    """Each start's local minimum, and the F calls made once that start has ended."""
+    values, ends = [], []
+    loop = solvers._nelder_mead
+    counted, calls = _counting(func)
+
+    def recording(*args):
+        out = loop(*args)
+        values.append(out[1])
+        ends.append(len(calls))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_nelder_mead", recording)
+        try:
+            minimize(counted, lower, upper, cfg)
+        except AllStartsFailed:  # raised after the last start where a minimum is -inf
+            pass
+    return values, ends
+
+
+def test_finite_bound_stops_at_the_first_start_at_or_below_it():
+    box = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+    cfg = SolverConfig(n_starts=8, seed=0)
+    values, ends = _start_values(_wells, *box, cfg)
+    assert len(set(values)) > 2 and min(values) < values[0]
+    for k in range(1, len(values)):
+        bound = values[k]
+        first = next(i for i, v in enumerate(values) if v <= bound)
+        counted, calls = _counting(_wells)
+        result = minimize(counted, *box, cfg, stop_below=bound)
+        # No F call after the first start at or below the bound ended.
+        assert len(calls) == ends[first]
+        ran = values[:first + 1]
+        assert result.n_starts_used == first + 1
+        assert result.value == min(ran) <= bound
+        assert result.n_starts_agreeing == sum(
+            1 for v in ran if v <= result.value + solvers.AGREE_RTOL * (1.0 + abs(result.value)))
+    # A bound below every start's minimum stops nothing.
+    _same_result(minimize(_wells, *box, cfg, stop_below=min(values) - 1.0),
+                 _full_multistart(_wells, *box, cfg))
+
+
+def test_n_starts_used_counts_the_starts_that_ran():
+    box = np.array([-3.0, -3.0]), np.array([3.0, 3.0])
+    cfg = SolverConfig(n_starts=8, seed=0)
+    values, _ = _start_values(_wells, *box, cfg)
+    full = minimize(_wells, *box, cfg)
+    assert full.n_starts_used == len(values) == 8
+    # Stopped at the first start: one start ran, and it agrees with itself.
+    first = minimize(_wells, *box, cfg, stop_below=values[0])
+    assert (first.n_starts_used, first.n_starts_agreeing) == (1, 1)
+    assert first.value == values[0]
+    for bound in values:
+        res = minimize(_wells, *box, cfg, stop_below=bound)
+        assert 1 <= res.n_starts_agreeing <= res.n_starts_used <= full.n_starts_used

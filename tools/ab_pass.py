@@ -20,9 +20,11 @@ gap, the rounds NEW won, the failed tasks per side (the workload's gate)
 and the SHA-256 of each side's answers, one per seed: the
 ``serialize_report`` text of every ``localize`` task, and
 ``(c_star, history, confirm)`` of every ``estimate_c_star`` task.  Equal
-hashes mean the two trees gave the same answers bit for bit.  CPU time
-of one process is less noisy than wall time on a shared host, but it is
-not the benchmark's ``wall_s``.
+hashes mean the two trees gave the same answers bit for bit.  Per seed
+it also prints each side's F evaluations over all rounds (calls of
+``PenaltyHandle``), a count that does not depend on the host's speed.
+CPU time of one process is less noisy than wall time on a shared host,
+but it is not the benchmark's ``wall_s``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,25 @@ def load_tree(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return SimpleNamespace(**{part: importlib.import_module(f"{name}.{part}")
-                              for part in ("harness", "problems", "report", "solvers")})
+    lib = SimpleNamespace(**{part: importlib.import_module(f"{name}.{part}")
+                             for part in ("harness", "problems", "report", "solvers")})
+    lib.f_evals = counting_f(lib.harness.PenaltyHandle)
+    return lib
+
+
+def counting_f(handle_class):
+    """Make every F(x, c) of ``handle_class`` count itself; returns a
+    function that gives the count so far."""
+    call = handle_class.__call__
+    count = 0
+
+    def counted(self, x, c):
+        nonlocal count
+        count += 1
+        return call(self, x, c)
+
+    handle_class.__call__ = counted
+    return lambda: count
 
 
 class _Recorder:
@@ -87,20 +106,22 @@ def recording(lib, digest):
         harness=_Recorder(lib.harness, "estimate_c_star", digest, cstar),
         problems=lib.problems,
         report=_Recorder(lib.report, "serialize_report", digest, lambda text: text),
-        solvers=lib.solvers)
+        solvers=lib.solvers,
+        f_evals=lib.f_evals)
 
 
 def run_pass(lib, workload, seed, pass_index):
-    """CPU seconds of each pair's task in one pass, and the number of tasks
-    that failed the gate."""
+    """CPU seconds of each pair's task in one pass, the number of tasks
+    that failed the gate, and the F evaluations of the pass."""
     failed = 0
     seconds = []
+    evals = lib.f_evals()
     for i, (problem, penalty) in enumerate(workload.pairs):
         start = time.process_time()
         outcome = run_task(lib, workload, problem, penalty, task_seed(seed, pass_index, i))
         seconds.append(time.process_time() - start)
         failed += bool(check(workload, problem, penalty, outcome)[0])
-    return seconds, failed
+    return seconds, failed, lib.f_evals() - evals
 
 
 def seed_list(text):
@@ -139,14 +160,17 @@ def main(argv=None):
     cpu = {side: [] for side in sides}
     per_pair = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
+    f_evals = {side: {seed: 0 for seed in seeds} for side in sides}
     for r in range(args.rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
             passes = [run_pass(libs[side][seed], workload, seed, r) for seed in seeds]
-            seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, _ in passes))]
+            seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, _, _ in passes))]
             per_pair[side].append(seconds)
             cpu[side].append(sum(seconds))
-            failed[side] += sum(bad for _, bad in passes)
+            failed[side] += sum(bad for _, bad, _ in passes)
+            for seed, (_, _, evals) in zip(seeds, passes):
+                f_evals[side][seed] += evals
         print(f"round {r}: base {cpu['base'][-1]:.3f} s, new {cpu['new'][-1]:.3f} s "
               f"({order[0]} first)", flush=True)
     wins = sum(n < b for b, n in zip(cpu["base"], cpu["new"]))
@@ -162,6 +186,9 @@ def main(argv=None):
         print(summary)
         for seed in seeds:
             print(f"{side} seed {seed}: answers sha256 {shas[side][seed]}")
+    for seed in seeds:
+        base, new = f_evals["base"][seed], f_evals["new"][seed]
+        print(f"F evaluations seed {seed}: base {base}, new {new} ({(new - base) / base:+.1%})")
     for i, (problem, penalty) in enumerate(workload.pairs):
         base, new = (statistics.median(rounds[i] for rounds in per_pair[side]) for side in sides)
         print(f"pair {problem}/{penalty}: base median {base:.3f} s, new median {new:.3f} s "
