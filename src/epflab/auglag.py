@@ -1,5 +1,7 @@
 """Closed form of the conic augmented Lagrangian (the Rockafellar-Wets
-augmented Lagrangian with sigma = (1/2)||p||^2)."""
+augmented Lagrangian with sigma = (1/2)||p||^2), in two stages as every
+penalty: ``hpr_state(x)`` reads neither c nor the multipliers, which
+``hpr_value`` applies; ``hpr_closed_form`` is the value of the state."""
 
 from __future__ import annotations
 
@@ -9,7 +11,61 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import DimensionMismatch, NonFiniteEvaluation
-from .problems import ConstrainedProblem, check_penalty_parameter
+from .problems import ConstrainedProblem, as_point, check_penalty_parameter
+
+
+def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None) -> tuple:
+    """As ``hpr_value`` reads them: (lam_i as a float list, ||lam_i||^2) per SOC
+    block, (Lam, ||Lam||_F^2) or None, and mu as an array.  A missing one is
+    zero; one of the wrong count or shape raises DimensionMismatch."""
+    if lam is not None and len(lam) != len(problem.soc_blocks):
+        raise DimensionMismatch("one multiplier vector per SOC block required")
+    soc = []
+    for i, block in enumerate(problem.soc_blocks):
+        lam_i = np.zeros(block.dim) if lam is None else np.asarray(lam[i], dtype=float)
+        if lam_i.shape != (block.dim,):
+            raise DimensionMismatch("SOC multiplier dimension mismatch")
+        soc.append((lam_i.tolist(), float(lam_i @ lam_i)))
+    sdp = None
+    if problem.sdp_block is not None:
+        order = problem.sdp_block.order
+        lam_m = np.zeros((order, order)) if lam_sdp is None else np.array(lam_sdp, dtype=float)
+        if lam_m.shape != (order, order):
+            raise DimensionMismatch("SDP multiplier dimension mismatch")
+        sdp = (lam_m, float(np.sum(lam_m * lam_m)))
+    if problem.n_eq > 0:
+        mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
+        if mu.shape != (problem.n_eq,):
+            raise DimensionMismatch("mu dimension mismatch")
+    return soc, sdp, mu
+
+
+def hpr_state(problem: ConstrainedProblem, x) -> tuple:
+    """(f, [g_i as float lists], G, h, h.h) at x; G and h are None where absent."""
+    f_val = problem.f(x)
+    g_vals = [block.values(x) for block in problem.soc_blocks]
+    g_mat = None if problem.sdp_block is None else np.asarray(problem.sdp_block.G(x), dtype=float)
+    h_val = problem.h(x) if problem.n_eq > 0 else None
+    return f_val, g_vals, g_mat, h_val, 0.0 if h_val is None else float(h_val @ h_val)
+
+
+def hpr_value(multipliers: tuple, state: tuple, c: float) -> float:
+    """F at c from ``hpr_multipliers`` and ``hpr_state``: the SOC terms, the
+    SDP term, then the equality term; a NaN value raises NonFiniteEvaluation."""
+    soc, sdp, mu = multipliers
+    value, g_vals, g_mat, h_val, h_sq = state
+    for (lam_i, lam_sq), g_i in zip(soc, g_vals):
+        # lam_i + c g_i entry by entry, as numpy adds them.
+        d = dist_lorentz([l + c * v for l, v in zip(lam_i, g_i)])
+        value += (d * d - lam_sq) / (2.0 * c)
+    if sdp is not None:
+        d = dist_psd_minus(sdp[0] + c * g_mat)
+        value += (d * d - sdp[1]) / (2.0 * c)
+    if h_val is not None:
+        value += float(mu @ h_val) + 0.5 * c * h_sq
+    if math.isnan(value):
+        raise NonFiniteEvaluation("NaN in augmented Lagrangian evaluation")
+    return float(value)
 
 
 def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=None,
@@ -26,34 +82,9 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
     arrays or lists; a missing one is zero.  On a flat block (-u(x), 0)
     with lam_i = (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
     A NaN value raises NonFiniteEvaluation; a multiplier of the wrong count
-    or shape raises DimensionMismatch.
+    or shape, or an x of another shape than (dim,), raises DimensionMismatch
+    before anything is evaluated.
     """
     check_penalty_parameter(c)
-    if lam is not None and len(lam) != len(problem.soc_blocks):
-        raise DimensionMismatch("one multiplier vector per SOC block required")
-    x = np.asarray(x, dtype=float)
-    value = problem.f(x)
-    for i, block in enumerate(problem.soc_blocks):
-        lam_i = np.zeros(block.dim) if lam is None else np.asarray(lam[i], dtype=float)
-        if lam_i.shape != (block.dim,):
-            raise DimensionMismatch("SOC multiplier dimension mismatch")
-        # lam_i + c g_i entry by entry, as numpy adds them.
-        d = dist_lorentz([l + c * v for l, v in zip(lam_i.tolist(), block.values(x))])
-        value += (d * d - float(lam_i @ lam_i)) / (2.0 * c)
-    if problem.sdp_block is not None:
-        order = problem.sdp_block.order
-        lam_m = np.zeros((order, order)) if lam_sdp is None else np.asarray(lam_sdp, dtype=float)
-        if lam_m.shape != (order, order):
-            raise DimensionMismatch("SDP multiplier dimension mismatch")
-        d = dist_psd_minus(lam_m + c * np.asarray(problem.sdp_block.G(x), dtype=float))
-        value += (d * d - float(np.sum(lam_m * lam_m))) / (2.0 * c)
-    if problem.n_eq > 0:
-        mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
-        if mu.shape != (problem.n_eq,):
-            raise DimensionMismatch("mu dimension mismatch")
-        h_val = problem.h(x)
-        value += float(mu @ h_val) + 0.5 * c * float(h_val @ h_val)
-    value = float(value)
-    if math.isnan(value):
-        raise NonFiniteEvaluation("NaN in augmented Lagrangian evaluation")
-    return value
+    multipliers = hpr_multipliers(problem, lam, lam_sdp, mu)
+    return hpr_value(multipliers, hpr_state(problem, as_point(problem, x)), c)

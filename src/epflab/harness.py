@@ -17,79 +17,60 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .auglag import hpr_closed_form
+from .auglag import hpr_multipliers, hpr_state, hpr_value
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import default_phi, linear_state, linear_value, q_order, qpen_state, qpen_value
 from .numerics import norm
-from .problems import (ConstrainedProblem, KnownSolution, check_penalty_parameter, feasibility_gap,
-                       flat_multipliers, split_multipliers)
+from .problems import (ConstrainedProblem, KnownSolution, as_point, check_penalty_parameter,
+                       feasibility_gap, flat_multipliers, split_multipliers)
 from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_barrier,
                         check_cone, constant_normal_data)
 from .solvers import SolverConfig, minimize, polish
-
-
-@dataclass(frozen=True)
-class PenaltyHandle:
-    """A separating function F(x, c) bound to one problem."""
-
-    problem: ConstrainedProblem
-    func: Callable[[np.ndarray, float], float]
-    params: Dict[str, float]
-
-    def __call__(self, x, c: float) -> float:
-        return self.func(x, c)
 
 
 _MISSING = object()
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _memoized(problem: ConstrainedProblem, state: Callable, value: Callable) -> Callable:
-    """F(x, c) = value(state(x), c), with state(x), everything of F that
-    does not read c, kept by the bytes of x.
+class PenaltyHandle:
+    """F(x, c) = value(state(x), c) bound to one problem; state(x) is all of
+    F that does not read c.  A call keeps the states by the bytes of x, those
+    met at the current c and at the c before it: a new c drops the older set,
+    and a state found there is copied into the current one.  A bad c
+    (ValueError) or an x of another shape than (dim,) (DimensionMismatch)
+    raises before anything is evaluated; a state that raises is not stored."""
 
-    The memo holds the states met at the current c and at the c before
-    it: a new c drops the older set, and a state found there is copied
-    into the current one.  An x of another shape than (dim,) is never
-    looked up or stored, and a state that raises is not stored.  A c that
-    is not positive and finite raises ValueError before anything is evaluated.
-    """
-    shape = (problem.dim,)
-    current: dict = {}
-    previous: dict = {}
-    current_c = None
+    __slots__ = ("problem", "state", "value", "params", "_shape", "_c", "_current", "_previous")
 
-    def func(x, c):
-        nonlocal current, previous, current_c
-        check_penalty_parameter(c)
-        if c != current_c:
-            current, previous, current_c = {}, current, c
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:  # the solver's x passes as is
-            x = np.asarray(x, dtype=float)
-        if x.shape != shape:
-            return value(state(x), c)
+    def __init__(self, problem: ConstrainedProblem, state: Callable, value: Callable, params: Dict):
+        self.problem, self.state, self.value, self.params = problem, state, value, params
+        self._shape, self._c, self._current, self._previous = (problem.dim,), None, {}, {}
+
+    def __call__(self, x, c: float) -> float:
+        if c != self._c:  # a bad c is never kept, so it is checked at every call
+            check_penalty_parameter(c)
+            self._c, self._current, self._previous = c, {}, self._current
+        # The solver's x, a float64 array of shape (dim,), passes as it is.
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.shape != self._shape:
+            x = as_point(self.problem, x)
         key = x.tobytes()
-        found = current.get(key, _MISSING)
+        found = self._current.get(key, _MISSING)
         if found is _MISSING:
-            found = previous.get(key, _MISSING)
+            found = self._previous.get(key, _MISSING)
             if found is _MISSING:
-                found = state(x)
-            current[key] = found
-        return value(found, c)
-
-    return func
+                found = self.state(x)
+            self._current[key] = found
+        return self.value(found, c)
 
 
 def _linear(problem):
     phi = default_phi(problem)
-    return _memoized(problem, lambda x: linear_state(problem, phi, x),
-                     lambda s, c: linear_value(s, c)), {}
+    return lambda x: linear_state(problem, phi, x), lambda s, c: linear_value(s, c), {}
 
 
 def _qorder(problem, q=1.0):
     qf, phi = q_order(q), default_phi(problem)
-    return _memoized(problem, lambda x: qpen_state(problem, phi, x),
-                     lambda s, c: qpen_value(qf, s, c)), {"q": q}
+    return lambda x: qpen_state(problem, phi, x), lambda s, c: qpen_value(qf, s, c), {"q": q}
 
 
 def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
@@ -98,8 +79,8 @@ def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
     check_barrier(sdp, alpha, kappa)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
     data = constant_normal_data(problem)
-    return _memoized(problem, lambda x: c1_state(problem, x, alpha, kappa, cfg, data),
-                     lambda s, c: c1_value(problem, s, c)), params
+    return (lambda x: c1_state(problem, x, alpha, kappa, cfg, data),
+            lambda s, c: c1_value(problem, s, c), params)
 
 
 def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
@@ -111,7 +92,7 @@ def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
 
 
 def _al_hpr(problem, lam=None, mu=None):
-    # lam is the flat cone layout of flat_multipliers; decoded here, once.
+    # lam is the flat cone layout of flat_multipliers; decoded and checked here, once.
     cert = problem.certificate
     if lam is None:
         lam = flat_multipliers(problem, getattr(cert, "lambda_star", None),
@@ -124,18 +105,15 @@ def _al_hpr(problem, lam=None, mu=None):
         raise ValueError("al-hpr multipliers must be finite")
     if mu.shape != (problem.n_eq,):
         raise ValueError(f"al-hpr needs {problem.n_eq} equality multiplier(s), got {mu.size}")
-    lam_soc, lam_sdp = split_multipliers(problem, lam)
+    multipliers = hpr_multipliers(problem, *split_multipliers(problem, lam), mu)
     params = {f"lambda_{i}": float(v) for i, v in enumerate(lam)}
     params.update({f"mu_{i}": float(v) for i, v in enumerate(mu)})
-    # Every term reads c (dist(lam + c g)), so F is evaluated in one piece.
-    return (lambda x, c: hpr_closed_form(problem, x, lam=lam_soc, lam_sdp=lam_sdp, mu=mu, c=c),
-            params)
+    return lambda x: hpr_state(problem, x), lambda s, c: hpr_value(multipliers, s, c), params
 
 
-# Penalty kind -> builder of F and of the parameters a report records.  A
-# builder's keyword parameters, with their defaults, are all the kind reads.
-# F calls its evaluator, or its two stages, through this module's globals,
-# which a tracer may wrap.  Each handle of a staged kind owns its memo.
+# Penalty kind -> builder of F's state and value and of the parameters a report
+# records; its keyword parameters, with their defaults, are all the kind reads.
+# F calls the stages through this module's globals, which a tracer may wrap.
 _BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1_socp, "c1-sdp": _c1_sdp,
              "al-hpr": _al_hpr}
 PENALTY_KINDS = tuple(_BUILDERS)
@@ -160,8 +138,7 @@ def make_penalty(problem: ConstrainedProblem, kind: str, **params) -> PenaltyHan
     if unread:
         reads = ", ".join(PENALTY_PARAMS[kind]) or "none"
         raise ValueError(f"penalty {kind!r} does not read {', '.join(unread)} (it reads {reads})")
-    func, recorded = _BUILDERS[kind](problem, **params)
-    return PenaltyHandle(problem=problem, func=func, params=recorded)
+    return PenaltyHandle(problem, *_BUILDERS[kind](problem, **params))
 
 
 # The verdict policy: every threshold behind a reported c* or verdict.

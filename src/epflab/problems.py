@@ -172,11 +172,17 @@ class ConstrainedProblem:
         return self.lower.tolist(), self.upper.tolist()
 
 
-def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
-    """The cone, equality and box terms of the feasibility gap at x."""
+def as_point(problem: ConstrainedProblem, x) -> Array:
+    """x as a float64 array; DimensionMismatch unless its shape is (dim,)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.dim},)")
+    return x
+
+
+def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
+    """The cone, equality and box terms of the feasibility gap at x."""
+    x = as_point(problem, x)
     soc = 0.0
     for block in problem.soc_blocks:
         soc += dist_lorentz(block.values(x))

@@ -22,6 +22,8 @@ ALLOWED = {
     # make_penalty calls the two stages of these; each is value(state(x), c).
     "linear_eval": "the one-shot linear F; perfbench times it as layer penalties.f",
     "qpen_eval": "the one-shot q-order F; perfbench times it as layer penalties.f",
+    "hpr_closed_form": "the one-shot al-hpr F; perfbench times it as layer auglag.hpr; tests use it "
+                       "as the reference",
     "c1_penalty_soc": "the one-shot C1 F for SOC problems; perfbench times it as layer smoothpen.f",
     "c1_penalty_sdp": "the one-shot C1 F for SDP problems; perfbench times it as layer smoothpen.f",
     # c1_state computes the estimate and the barrier in one pass, with their bits.

@@ -30,6 +30,11 @@ from epflab.solvers import SolverConfig
 CFG = SolverConfig(n_starts=8, seed=0)
 
 
+def _fake(problem, F):
+    """A handle whose F(x, c) is ``F`` itself: its state is a copy of x."""
+    return PenaltyHandle(problem, np.copy, F, {})
+
+
 def _walled(x, c):
     """|x| on toy-lin-1 (minimized at x* = 0, f* = 0) up to c = 7; +inf everywhere above."""
     return math.inf if c > 7.0 else abs(float(x[0]))
@@ -139,7 +144,7 @@ def test_sweep_requires_increasing_grid():
 
 def test_sweep_records_failures():
     p = get_problem("toy-lin-1")
-    broken = PenaltyHandle(problem=p, func=lambda x, c: math.inf, params={})
+    broken = _fake(p, lambda x, c: math.inf)
     records = c_sweep(broken, [1.0, 2.0], CFG)
     assert all(r.failed for r in records)
 
@@ -153,13 +158,11 @@ def test_penalty_type_probe_pass_and_fixtures():
     from epflab.penalties import default_phi
 
     phi = default_phi(p)
-    anti = PenaltyHandle(problem=p,
-                         func=lambda x, c: p.f(x) - c * phi(x), params={})
+    anti = _fake(p, lambda x, c: p.f(x) - c * phi(x))
     assert not penalty_type_probe(c_sweep(anti, [0.5, 1.0, 2.0, 4.0], CFG))
 
     # Constant positive infeasibility can never reach a zero gap.
-    stuck = PenaltyHandle(problem=p,
-                          func=lambda x, c: p.f(x) + c * 1.0 + float(x[0] ** 2), params={})
+    stuck = _fake(p, lambda x, c: p.f(x) + c * 1.0 + float(x[0] ** 2))
     records = c_sweep(stuck, [0.5, 1.0, 2.0, 4.0], CFG)
     # All minimizers sit at x = 0 (feasible), so force the fixture's point
     # of failure: gap stagnation shows up through an infeasible argmin.
@@ -215,13 +218,12 @@ def test_sublevel_bounded_probe():
     pen = make_penalty(p, "c1-socp")
     assert sublevel_bounded_probe(pen, 10.0, p.certificate.f_star)
     # Non-coercive fixture: big negative values on the shell.
-    loose = PenaltyHandle(problem=p,
-                          func=lambda x, c: -float(np.linalg.norm(x)), params={})
+    loose = _fake(p, lambda x, c: -float(np.linalg.norm(x)))
     assert not sublevel_bounded_probe(loose, 10.0, p.certificate.f_star)
     # F = f everywhere with f coercive enough that every shell value
     # beats the optimum: toy-eq-1 has f = ||x||^2 >= 9 on the shell.
     q = get_problem("toy-eq-1")
-    coercive = PenaltyHandle(problem=q, func=lambda x, c: q.f(x), params={})
+    coercive = _fake(q, lambda x, c: q.f(x))
     assert sublevel_bounded_probe(coercive, 10.0, q.certificate.f_star)
 
 
@@ -258,7 +260,7 @@ def test_sublevel_probe_matches_per_sample_reference(pair):
             def func(x, c):
                 seen[key].append(np.array(x))
                 return pen(x, c)
-            return PenaltyHandle(problem=pen.problem, func=func, params={})
+            return _fake(pen.problem, func)
 
         verdict = sublevel_bounded_probe(recorder("new"), 0.5, f_star, seed=seed)
         assert verdict == _reference_sublevel_bounded_probe(recorder("ref"), 0.5, f_star, seed=seed)
@@ -316,18 +318,18 @@ def test_estimate_c_star_nonmonotone_detection():
         if c > 7.0:
             return float((x[0] - 1.0) ** 2)  # argmin far from x* = 0
         return float(-x[0] + 2.0 * max(0.0, x[0]))
-    handle = PenaltyHandle(problem=p, func=tricky, params={})
+    handle = _fake(p, tricky)
     with pytest.raises(NonMonotonePredicate):
         estimate_c_star(handle, 4.0, 6.0, cfg=CFG)
     # A confirm solve with no finite start (at c = 8) is a failing c too.
-    walled = PenaltyHandle(problem=p, func=_walled, params={})
+    walled = _fake(p, _walled)
     with pytest.raises(NonMonotonePredicate):
         estimate_c_star(walled, 4.0, 6.0, cfg=CFG)
 
 
 def test_strict_exactness_probe_records_failed_solve():
     p = get_problem("toy-lin-1")
-    walled = PenaltyHandle(problem=p, func=_walled, params={})
+    walled = _fake(p, _walled)
     records = c_sweep(walled, [4.0, 8.0], CFG)
     assert [(r.c, r.passes(p.certificate)) for r in records] == [(4.0, True), (8.0, False)]
     # No c passes from some tested c on: the last one fails.
@@ -559,7 +561,7 @@ def _solve_log(monkeypatch, honor_bound):
             calls[0] += 1
             return penalty(x, c_)
 
-        handle = PenaltyHandle(problem=penalty.problem, func=counted, params=penalty.params)
+        handle = _fake(penalty.problem, counted)
         rec = solve(handle, c, cfg, stop_below) if honor_bound else solve(handle, c, cfg)
         log.append((c, stop_below, calls[0], rec.best_F))
         return rec

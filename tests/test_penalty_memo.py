@@ -1,5 +1,6 @@
-"""A staged penalty handle is value(state(x), c) with a per-handle memo of
-state(x); it must give the one-shot F bit for bit and never keep an error."""
+"""A penalty handle of every kind is value(state(x), c) with a per-handle
+memo of state(x); it must give the one-shot F bit for bit and never keep an
+error."""
 
 import dataclasses
 import math
@@ -8,17 +9,16 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
-from epflab import harness, problems, smoothpen
-from epflab.errors import NegativeObjective, NonFiniteEvaluation, NotPositiveDefinite
-from epflab.harness import make_penalty
+from epflab import auglag, harness, problems, smoothpen
+from epflab.auglag import hpr_closed_form
+from epflab.errors import DimensionMismatch, NegativeObjective, NonFiniteEvaluation, NotPositiveDefinite
+from epflab.harness import PENALTY_KINDS, make_penalty
 from epflab.numerics import PIVOT_RTOL
 from epflab.penalties import default_phi, linear_eval, q_order, qpen_eval
 from epflab.problems import (ConstrainedProblem, KnownSolution, SocBlock, affine_problem, get_problem,
                              registry)
 from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
                               MultiplierEstimate, _sym_basis, c1_penalty_sdp, c1_penalty_soc)
-
-STAGED = ("linear", "qorder", "c1-socp", "c1-sdp")
 
 
 # The Cholesky solve (LAPACK's potrf, then potrs) and the two cone
@@ -287,8 +287,13 @@ def _reference_value_sdp(problem, state, c):
 
 def _one_shot(problem, kind):
     """The one-shot F of a kind at the defaults of its builder; for the c1
-    kinds, the frozen reference stages."""
+    kinds, the frozen reference stages, and for al-hpr ``hpr_closed_form`` at
+    the certificate's multipliers."""
     phi = default_phi(problem)
+    if kind == "al-hpr":
+        cert = problem.certificate
+        return lambda x, c: hpr_closed_form(problem, x, lam=cert.lambda_star,
+                                            lam_sdp=cert.lambda_sdp_star, mu=cert.mu_star, c=c)
     if kind == "linear":
         return lambda x, c: linear_eval(problem, phi, x, c)
     if kind == "qorder":
@@ -334,7 +339,7 @@ def _sequences(points):
     return by_c + by_x
 
 
-@pytest.mark.parametrize("kind", STAGED)
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
 @pytest.mark.parametrize("problem", registry(), ids=lambda p: p.name)
 def test_memo_matches_one_shot_bit_for_bit(problem, kind):
     reference = _one_shot(problem, kind)
@@ -480,7 +485,7 @@ def _nan_past_half():
                               lower=np.array([-1.0]), upper=np.array([1.0]))
 
 
-@pytest.mark.parametrize("kind", ("linear", "qorder", "c1-socp"))
+@pytest.mark.parametrize("kind", ("linear", "qorder", "c1-socp", "al-hpr"))
 def test_errors_are_never_cached(kind):
     handle = make_penalty(_nan_past_half(), kind)
     bad = np.array([0.7])
@@ -498,31 +503,39 @@ def test_negative_objective_raises_on_every_call():
             handle(np.array([1.0]), c)
 
 
-@pytest.mark.parametrize("kind", STAGED)
+_STATES = {"linear": "linear_state", "qorder": "qpen_state", "c1-socp": "c1_state",
+           "c1-sdp": "c1_state", "al-hpr": "hpr_state"}
+
+
+def _forbid_states(monkeypatch, when):
+    """Make every state function of ``harness`` fail the test when called."""
+    def evaluated(*args, **kwargs):
+        pytest.fail(f"F evaluated something {when}")
+
+    for name in set(_STATES.values()):
+        monkeypatch.setattr(harness, name, evaluated)
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
 def test_nonpositive_c_raises_before_any_evaluation(kind, monkeypatch):
     problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-socp-1")
     handle = make_penalty(problem, kind)
-
-    def evaluated(*args, **kwargs):
-        pytest.fail("F evaluated something at a c that is not positive and finite")
-
-    for name in ("linear_state", "qpen_state", "c1_state"):
-        monkeypatch.setattr(harness, name, evaluated)
+    _forbid_states(monkeypatch, "at a c that is not positive and finite")
     for c in (0.0, -1.0, -0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="must be positive and finite"):
             handle(problem.certificate.x_star, c)
 
 
-@pytest.mark.parametrize("kind", STAGED)
-def test_wrong_shape_raises_after_the_same_bytes_were_cached(kind):
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_wrong_shape_raises_after_the_same_bytes_were_cached(kind, monkeypatch):
     problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-eq-1")
-    handle, reference = make_penalty(problem, kind), _one_shot(problem, kind)
+    handle = make_penalty(problem, kind)
     x = np.array([0.9, 0.8])
     assert math.isfinite(handle(x, 2.0))
-    for wrong in (x.reshape(1, 2), x.reshape(2, 1)):
-        expected = _outcome(reference, wrong, 2.0)
-        assert not expected.startswith("0x"), expected
-        assert _outcome(handle, wrong, 2.0) == expected
+    _forbid_states(monkeypatch, "at an x of the wrong shape")
+    for wrong in (x.reshape(1, 2), x.reshape(2, 1), np.append(x, 1.0), x[:1], [0.9, 0.8, 1.0]):
+        with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+            handle(wrong, 2.0)
 
 
 def _count_estimates(monkeypatch):
@@ -581,11 +594,7 @@ def test_signed_zero_is_its_own_key(monkeypatch):
     assert len(seen) == 2
 
 
-_STATES = {"linear": "linear_state", "qorder": "qpen_state", "c1-socp": "c1_state",
-           "c1-sdp": "c1_state"}
-
-
-@pytest.mark.parametrize("kind", STAGED)
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
 def test_every_form_of_x_gives_the_bits_of_its_float64_array(kind, monkeypatch):
     # The solver passes fresh float64 arrays, which the memo keys as they
     # are; every other form is converted first and must meet the same entry.
@@ -613,11 +622,84 @@ def test_every_form_of_x_gives_the_bits_of_its_float64_array(kind, monkeypatch):
     assert _outcome(handle, y32, 2.0) == _outcome(reference, y32.astype(float), 2.0)
     assert _outcome(handle, y32.astype(float), 2.0) == _outcome(reference, y32.astype(float), 2.0)
     assert len(seen) == 2
-    # An x of the wrong shape is evaluated every time and never stored.
+    # An x of the wrong shape raises every time, and nothing is evaluated or stored.
     seen.clear()
     wrong = x.reshape(1, 2)
     for _ in range(2):
-        assert _outcome(handle, wrong, 2.0) == _outcome(reference, wrong, 2.0)
-    assert len(seen) == 2
+        with pytest.raises(DimensionMismatch):
+            handle(wrong, 2.0)
+    assert len(seen) == 0
     handle(x, 2.0)
-    assert len(seen) == 2
+    assert len(seen) == 0
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_one_state_serves_every_c(kind, monkeypatch):
+    problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-eq-1")
+    seen = []
+    state = getattr(harness, _STATES[kind])
+
+    def counting(*args):
+        seen.append(args)
+        return state(*args)
+
+    monkeypatch.setattr(harness, _STATES[kind], counting)
+    handle, reference = make_penalty(problem, kind), _one_shot(problem, kind)
+    x = np.array([0.9, 0.8])
+    for c in (0.5, 2.0, 37.0, 2.0):
+        assert _outcome(handle, x, c) == _outcome(reference, x, c), c
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_handle_is_the_value_of_its_state(kind):
+    for problem in registry():
+        if not _fits(problem, kind):
+            continue
+        handle = make_penalty(problem, kind)
+        with np.errstate(all="ignore"):
+            for x, c in _sequences(_points(problem)):
+                want = _outcome(lambda z, t: handle.value(handle.state(z), t), x, c)
+                assert _outcome(handle, x, c) == want, (problem.name, x.tolist(), c)
+
+
+def _hpr_cases():
+    """(problem, make_penalty's al-hpr parameters, the same multipliers as
+    hpr_closed_form takes them): every certificate's multipliers, two
+    multipliers of toy-lin-1 off its multiplier set, and mu = 0 on toy-eq-1."""
+    cases = [(p, {}, dict(lam=p.certificate.lambda_star, lam_sdp=p.certificate.lambda_sdp_star,
+                          mu=p.certificate.mu_star)) for p in registry()]
+    lin = get_problem("toy-lin-1")
+    cases += [(lin, {"lam": lam}, {"lam": [np.array(lam)]}) for lam in ([-0.9, 0.0], [-1.0, 1.1])]
+    return cases + [(get_problem("toy-eq-1"), {"mu": [0.0]}, {"mu": [0.0]})]
+
+
+@pytest.mark.parametrize("problem,params,multipliers", _hpr_cases(),
+                         ids=lambda v: v.name if isinstance(v, ConstrainedProblem) else str(v))
+def test_al_hpr_handle_is_hpr_closed_form_bit_for_bit(problem, params, multipliers):
+    # float.hex tells -0.0 from 0.0, so the sign of a zero F counts too.
+    handle = make_penalty(problem, "al-hpr", **params)
+    reference = lambda x, c: hpr_closed_form(problem, x, c=c, **multipliers)
+    rng = np.random.default_rng(11)
+    lo, hi = problem.box()
+    points = [rng.uniform(lo, hi) for _ in range(30)] + [np.zeros(problem.dim),
+                                                         np.full(problem.dim, -0.0)]
+    cs = (0.5, 2.0, 37.0)
+    for x, c in [(x, c) for c in cs for x in points] + [(x, c) for x in points for c in cs]:
+        assert _outcome(handle, x, c) == _outcome(reference, x, c), (x.tolist(), c)
+
+
+def test_hpr_closed_form_rejects_a_wrong_shape_before_any_evaluation(monkeypatch):
+    # An affine map reads x[dim] where it adds its constant, so an x with
+    # one entry too many would give a wrong F and no error.
+    def evaluated(*args, **kwargs):
+        pytest.fail("hpr_closed_form evaluated something at an x of the wrong shape")
+
+    monkeypatch.setattr(auglag, "hpr_state", evaluated)
+    monkeypatch.setattr(harness, "hpr_state", evaluated)
+    eq = get_problem("toy-eq-1")
+    for wrong in (np.zeros(3), [1.0, 1.0, 5.0], np.zeros((2, 1)), np.zeros(1)):
+        with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+            hpr_closed_form(eq, wrong, mu=[-2.0])
+        with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+            make_penalty(eq, "al-hpr")(wrong, 1.0)
