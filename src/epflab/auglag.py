@@ -11,12 +11,13 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import DimensionMismatch, NonFiniteEvaluation
+from .numerics import dot
 from .problems import ConstrainedProblem, as_point, check_penalty_parameter
 
 
 def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None) -> tuple:
     """As ``hpr_value`` reads them: (lam_i as a float list, ||lam_i||^2) per SOC
-    block, (Lam, ||Lam||_F^2) or None, and mu as an array.  A missing one is
+    block, (Lam, ||Lam||_F^2) or None, and mu as a float list.  A missing one is
     zero; one of the wrong count or shape raises DimensionMismatch."""
     if lam is not None and len(lam) != len(problem.soc_blocks):
         raise DimensionMismatch("one multiplier vector per SOC block required")
@@ -37,16 +38,18 @@ def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None
         mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
         if mu.shape != (problem.n_eq,):
             raise DimensionMismatch("mu dimension mismatch")
+        mu = mu.tolist()
     return soc, sdp, mu
 
 
 def hpr_state(problem: ConstrainedProblem, x) -> tuple:
-    """(f, [g_i as float lists], G, h, h.h) at x; G and h are None where absent."""
+    """(f, [g_i as float lists], G, h as a float list, h.h) at x; G and h are
+    None where absent."""
     f_val = problem.f(x)
     g_vals = [block.values(x) for block in problem.soc_blocks]
     g_mat = None if problem.sdp_block is None else np.asarray(problem.sdp_block.G(x), dtype=float)
-    h_val = problem.h(x) if problem.n_eq > 0 else None
-    return f_val, g_vals, g_mat, h_val, 0.0 if h_val is None else float(h_val @ h_val)
+    h_val = problem.eq_values(x) if problem.n_eq > 0 else None
+    return f_val, g_vals, g_mat, h_val, 0.0 if h_val is None else dot(h_val, h_val)
 
 
 def hpr_value(multipliers: tuple, state: tuple, c: float) -> float:
@@ -62,7 +65,7 @@ def hpr_value(multipliers: tuple, state: tuple, c: float) -> float:
         d = dist_psd_minus(sdp[0] + c * g_mat)
         value += (d * d - sdp[1]) / (2.0 * c)
     if h_val is not None:
-        value += float(mu @ h_val) + 0.5 * c * h_sq
+        value += dot(mu, h_val) + 0.5 * c * h_sq
     if math.isnan(value):
         raise NonFiniteEvaluation("NaN in augmented Lagrangian evaluation")
     return float(value)

@@ -1,12 +1,15 @@
 """Dense symmetric linear algebra on LAPACK (Cholesky solves with a
-relative pivot test, symmetric eigendecomposition) and the vector norm.
+relative pivot test, symmetric eigendecomposition), the vector norm and
+the dot product.
 
-Matrices are plain numpy arrays, symmetrized on entry; order is capped
-at 64 (desk scale, no sparse paths).  The one exception is
-``eigvals_sym2``: the eigenvalues of a symmetric 2x2 matrix on Python
-floats, with the float operations ``syevd`` performs at that order
-(``sytd2``, ``steqr``'s split tests, ``laev2`` and the sort), so they
-have its bits wherever neither routine rescales the matrix.
+Matrices are plain numpy arrays; ``eig_sym`` symmetrizes on entry and caps
+the order at 64 (desk scale, no sparse paths), ``chol_solve`` reads the
+lower triangle as LAPACK's ``posv`` does.  ``norm`` and ``dot`` take a
+one-entry vector on Python floats with numpy's bits.  ``eigvals_sym2``
+gives the eigenvalues of a symmetric 2x2 matrix on Python floats, with
+the float operations ``syevd`` performs at that order (``sytd2``,
+``steqr``'s split tests, ``laev2`` and the sort), so they have its bits
+wherever neither routine rescales the matrix.
 """
 
 from __future__ import annotations
@@ -57,6 +60,16 @@ def norm(v) -> float:
     return scale * math.sqrt(np.vdot(v, v))
 
 
+def dot(u, v) -> float:
+    """u . v of two float lists or 1-D float arrays of one length, with the
+    bits of numpy's dot, which adds BLAS's ``ddot`` to a sum started at 0.0:
+    for one entry that is 0.0 + u0 * v0 (a product -0.0 becomes 0.0), and
+    longer vectors take ``np.vdot``."""
+    if len(u) == 1:
+        return 0.0 + float(u[0]) * float(v[0])
+    return float(np.vdot(u, v))
+
+
 def sym(a) -> np.ndarray:
     """Return a symmetrized float copy of a square matrix."""
     a = np.asarray(a, dtype=float)
@@ -80,56 +93,42 @@ class EigenDecomp:
 
 
 def chol_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A.
+    """Solve A x = b for symmetric positive definite A, of which only the
+    lower triangle is read.
 
     Calls LAPACK's ``posv`` directly, which factors A by ``potrf`` and
     solves by ``potrs`` in one call and returns the factor.  Raises
     NotPositiveDefinite when ``posv`` cannot factor A or a Cholesky
     pivot diag(L)^2 is below PIVOT_RTOL times the largest diagonal entry;
     this is the operational nondegeneracy test used by the
-    multiplier-estimate subproblems.  Non-finite input raises ValueError.
-
-    The finiteness scan runs only where non-finite input can have ended
-    up: before any NotPositiveDefinite, and when the largest diagonal
-    entry or the solution is not finite.  A non-finite off-diagonal entry
-    makes the factorization fail or leaves a NaN or inf in the factor, which
-    reaches the solution; a non-finite rhs reaches it too.
+    multiplier-estimate subproblems.  A non-finite entry of A (either
+    triangle) or b raises ValueError first.  A is not symmetrized: a finite
+    A that is not symmetric is solved as the symmetric matrix of its lower
+    triangle, and a finite A whose A + A' overflows is solved as it is.
     """
-    a = sym(a)
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
         return np.zeros(0)
-    max_diag = _diagonal_extreme(a, max)
+    entries = a.ravel().tolist()
+    if not all(map(math.isfinite, entries + b.tolist())):
+        raise ValueError("system has non-finite entries")
+    max_diag = max(entries[:: n + 1])
     if max_diag <= 0.0:
-        _require_finite(a, b)
         raise NotPositiveDefinite("no positive diagonal entry")
     factor, x, info = dposv(a, b, lower=1)
     if info != 0:
-        _require_finite(a, b)
         raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
-    min_pivot = _diagonal_extreme(factor, min) ** 2
+    min_pivot = min(factor.diagonal().tolist()) ** 2
     threshold = PIVOT_RTOL * max_diag
     if min_pivot < threshold:
-        _require_finite(a, b)
         raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
-    if not (math.isfinite(max_diag) and all(map(math.isfinite, x.tolist()))):
-        _require_finite(a, b)
     return x
-
-
-def _diagonal_extreme(a: np.ndarray, pick) -> float:
-    """``pick`` (max or min) of the diagonal of ``a`` on floats; NaN when it
-    holds a NaN, as numpy's reduction gives."""
-    diag = a.diagonal().tolist()
-    return math.nan if any(map(math.isnan, diag)) else pick(diag)
-
-
-def _require_finite(a, b) -> None:
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("system has non-finite entries")
 
 
 def eig_sym(a) -> EigenDecomp:

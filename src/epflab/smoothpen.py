@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus, dist_psd_minus2
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
-from .numerics import chol_solve
+from .numerics import chol_solve, dot
 from .problems import ConstrainedProblem, check_penalty_parameter
 
 Array = np.ndarray
@@ -105,20 +105,20 @@ def _normal_data(problem: ConstrainedProblem, x=None):
     only the constraint derivatives at x: the stack J' (dim, m) of one
     column per multiplier entry (the SDP basis coefficients or the SOC
     blocks' entries, then mu), its Gram matrix J'J and, for an SDP block,
-    the ridge weights (the basis sums, then ones).  Without an SDP block
-    J'J comes as rows of floats, -0.0 turned into 0.0, for ``_soc_normal``.
-    With x None every derivative must be an array."""
+    the ridge weights (the basis sums, then ones) as a float list.  J'J comes
+    as rows of floats, -0.0 turned into 0.0, for ``_soc_normal`` and
+    ``_sdp_normal``.  With x None every derivative must be an array."""
     cols = [np.zeros((problem.dim, 0))] + [soc.jacobian(x).T for soc in problem.soc_blocks]
     weights = None
     if problem.sdp_block is not None:
         _, flat, basis_sums = _sym_basis(problem.sdp_block.order)
         cols.append(problem.sdp_block.derivative(x).reshape(problem.dim, -1) @ flat.T)
-        weights = np.concatenate((basis_sums, np.ones(problem.n_eq)))
+        weights = basis_sums.tolist() + [1.0] * problem.n_eq
     if problem.n_eq > 0:
         cols.append(problem.jac_h(x).T)
     stack = np.hstack(cols)
     gram = stack.T @ stack
-    return stack, gram if weights is not None else (0.0 + gram).tolist(), weights
+    return stack, (0.0 + gram).tolist(), weights
 
 
 def constant_normal_data(problem: ConstrainedProblem):
@@ -132,13 +132,13 @@ def constant_normal_data(problem: ConstrainedProblem):
 
 def _cone_terms(problem: ConstrainedProblem, x: Array):
     """The constraint values at x (g_i(x) per SOC block as a list of floats,
-    or (G(x),)), each block's cone distance, h(x) (None without equalities),
+    or (G(x),)), each block's cone distance, h(x) as a list of floats,
     h'h and rho = ||h||^2 + the sum of the squared distances;
     NonFiniteEvaluation unless rho is finite."""
     block = problem.sdp_block
     g_vals = [] if block is None else [np.asarray(block.G(x), dtype=float)]
-    h_val = problem.h(x) if problem.n_eq > 0 else None
-    h_sq = float(h_val @ h_val) if problem.n_eq > 0 else 0.0
+    h_val = problem.eq_values(x)
+    h_sq = dot(h_val, h_val) if problem.n_eq > 0 else 0.0
     if block is not None:
         dists = [dist_psd_minus(g_vals[0])]
         rho = math.sqrt(h_sq) ** 2 + dists[0] ** 2
@@ -184,58 +184,59 @@ def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
     return np.array(normal)
 
 
-def _sdp_normal(normal: Array, curv: Array, gram: Array, cfg: EstimatorConfig, rho: float) -> Array:
-    """normal + zeta1 (curv + curv') / 2 + (zeta2 / 2) rho diag(gram), added
-    into ``normal`` in that order, with the bits of the sum written out."""
-    sym_curv = curv + curv.T
-    sym_curv *= cfg.zeta1 * 0.5
-    normal += sym_curv
-    ridge = 0.5 * cfg.zeta2 * rho
-    diag = normal.diagonal() + ridge * gram
-    # diag(gram) adds ridge * 0.0 off the diagonal, which turns -0.0 into 0.0.
-    normal += ridge * 0.0
-    normal.flat[:: len(gram) + 1] = diag
-    return normal
+def _sdp_normal(gram: list, curv: list, weights: list, cfg: EstimatorConfig, rho: float) -> Array:
+    """J'J + zeta1 (curv + curv') / 2 + (zeta2 / 2) rho diag(weights), summed
+    in that order on floats from the rows of J'J that ``_normal_data`` gives
+    (-0.0 already 0.0, which is what adding 0.0 off the diagonal, as the
+    sum on arrays does, makes of it) and the rows of curv, which may be
+    fewer: the sum on arrays pads them with zeros."""
+    half, ridge = cfg.zeta1 * 0.5, 0.5 * cfg.zeta2 * rho
+    normal = [row[:] for row in gram]
+    for i, row in enumerate(curv):
+        out = normal[i]
+        for j, v in enumerate(row):
+            out[j] += (v + curv[j][i]) * half
+    for i, w in enumerate(weights):
+        normal[i][i] += ridge * w
+    return np.array(normal)
 
 
 def _multipliers(problem: ConstrainedProblem, x: Array, cfg, data, g_vals, rho: float):
     """The estimate at x from one normal-equation solve: lambda_i per SOC
     block (or (Lambda,) for the SDP block), their squared norms (by a dot
-    product, or ||Lambda||_F^2 by a sum), mu, and whether the system was
-    singular.  ``data`` is ``_normal_data``, built here at x when None."""
+    product, or ||Lambda||_F^2 by a sum), mu as a list of floats, and
+    whether the system was singular.  ``data`` is ``_normal_data``, built
+    here at x when None."""
     stack, gram, weights = _normal_data(problem, x) if data is None else data
-    if not len(gram):
-        return [], [], np.zeros(0), False
+    if not gram:
+        return [], [], [], False
     if weights is None:
         normal = _soc_normal(gram, g_vals, cfg, rho)
     else:
         basis, flat, _ = _sym_basis(problem.sdp_block.order)
-        n_lam, m = len(flat), len(weights)
-        curv = np.zeros((m, m))
-        curv[:n_lam, :n_lam] = flat @ (g_vals[0] @ g_vals[0] @ basis).reshape(n_lam, -1).T
-        # _sdp_normal adds into its first argument, which data must not see.
-        normal = _sdp_normal(gram.copy(), curv, weights, cfg, rho)
+        n_lam = len(flat)
+        curv = flat @ (g_vals[0] @ g_vals[0] @ basis).reshape(n_lam, -1).T
+        normal = _sdp_normal(gram, curv.tolist(), weights, cfg, rho)
     z, degenerate = _solve_normal_equations(normal, stack.T @ problem.grad_f(x))
     if weights is not None:
         lam = (z[:n_lam] @ flat).reshape(basis.shape[1:])
-        return [lam], [float(np.sum(lam * lam))], z[n_lam:], degenerate
+        return [lam], [float(np.sum(lam * lam))], z[n_lam:].tolist(), degenerate
     lambdas, col = [], 0
     for g_val in g_vals:
         lambdas.append(z[col : col + len(g_val)])
         col += len(g_val)
-    return lambdas, [float(lam @ lam) for lam in lambdas], z[col:], degenerate
+    return lambdas, [dot(lam, lam) for lam in lambdas], z[col:].tolist(), degenerate
 
 
 def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
     x = np.asarray(x, dtype=float)
     g_vals, dists, h_val, _, rho = _cone_terms(problem, x)
-    if h_val is None:
-        h_val = problem.h(x)
     lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, cfg, None, g_vals, rho)
     sdp = problem.sdp_block is not None
-    return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=mu,
+    return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=np.array(mu, dtype=float),
                               lam_sdp=lambdas[0] if sdp else None, degenerate=degenerate,
-                              block_dists=tuple(dists), g_vals=tuple(g_vals), h_val=h_val,
+                              block_dists=tuple(dists), g_vals=tuple(g_vals),
+                              h_val=np.array(h_val, dtype=float),
                               lambda_norm_sq=sum(lambda_sqs, 0.0))
 
 
@@ -318,9 +319,9 @@ _HEAD = 5
 
 
 def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
-             cfg: EstimatorConfig = DEFAULT_ESTIMATOR, data=None) -> Optional[Array]:
-    """The part of the C1 penalty at x that does not read c, in one float64
-    array: the head (f, p, q, <mu, h>, ||h||^2), then per cone block
+             cfg: EstimatorConfig = DEFAULT_ESTIMATOR, data=None) -> Optional[tuple]:
+    """The part of the C1 penalty at x that does not read c, in one tuple of
+    floats: the head (f, p, q, <mu, h>, ||h||^2), then per cone block
     ||lambda_i||^2, g_i(x) and lambda_i (Lambda and G(x) row-major), with the
     bits of the estimate and barrier of the problem's cone.  None outside the
     barrier domain, before any normal equation is formed.  alpha and kappa
@@ -335,40 +336,39 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     # Without equalities mu is empty: q = b / (1 + 0.0) = b and <mu, h> = 0.0.
     q_val, mu_h = b_val, 0.0
     if problem.n_eq > 0:
-        q_val, mu_h = b_val / (1.0 + float(mu @ mu)), float(mu @ h_val)
-    state = [problem.f(x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq]
+        q_val, mu_h = b_val / (1.0 + dot(mu, mu)), dot(mu, h_val)
+    state = (problem.f(x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq)
     for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
-        state += [lam_sq, *(g_val.ravel().tolist() if sdp else g_val), *lam.ravel().tolist()]
-    return np.array(state)
+        state += (lam_sq, *(g_val.ravel().tolist() if sdp else g_val), *lam.ravel().tolist())
+    return state
 
 
-def c1_value(problem: ConstrainedProblem, state: Optional[Array], c: float) -> float:
+def c1_value(problem: ConstrainedProblem, state: Optional[tuple], c: float) -> float:
     """The C1 penalty at c from its ``c1_state``; +inf for None."""
     if state is None:
         return math.inf
-    vals = state.tolist()
-    f_val, p, q, mu_h, h_sq = vals[:_HEAD]
+    f_val, p, q, mu_h, h_sq = state[:_HEAD]
     total = 0.0
     start = _HEAD
     ratio = p / c
     for block in problem.soc_blocks:
         k = block.dim
         # g_i + (p/c) lambda_i entry by entry, as numpy adds them.
-        shifted = [g + ratio * lam for g, lam in zip(vals[start + 1 : start + 1 + k],
-                                                     vals[start + 1 + k : start + 1 + 2 * k])]
-        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - ratio ** 2 * vals[start])
+        shifted = [g + ratio * lam for g, lam in zip(state[start + 1 : start + 1 + k],
+                                                     state[start + 1 + k : start + 1 + 2 * k])]
+        total += (c / (2.0 * p)) * (dist_lorentz(shifted) ** 2 - ratio ** 2 * state[start])
         start += 1 + 2 * k
     if problem.sdp_block is not None:
         order = problem.sdp_block.order
         size = order * order
         # c G + p Lambda entry by entry, as numpy forms it, from G(x) and Lambda row-major.
-        shifted = [c * g + p * lam for g, lam in zip(vals[start + 1 : start + 1 + size],
-                                                     vals[start + 1 + size :])]
+        shifted = [c * g + p * lam for g, lam in zip(state[start + 1 : start + 1 + size],
+                                                     state[start + 1 + size :])]
         dist = (dist_psd_minus2(*shifted) if order == 2
                 else dist_psd_minus(np.reshape(shifted, (order, order))))
         shifted_sq = dist ** 2
         # The only cone term of an SDP problem: set, not added to 0.0, so a -0.0 keeps its sign.
-        total = (shifted_sq - p * p * vals[start]) / (2.0 * c * p)
+        total = (shifted_sq - p * p * state[start]) / (2.0 * c * p)
     value = f_val + total
     if problem.n_eq > 0:
         value += mu_h + (c / (2.0 * q)) * h_sq

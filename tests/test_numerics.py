@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs, dsyevd
 
 from epflab import numerics
 from epflab.cones import dist_psd_minus, dist_psd_minus2
@@ -201,6 +202,62 @@ def test_chol_solve_matches_potrf_potrs_by_bytes(system):
 
 def test_chol_solve_empty():
     assert chol_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+
+
+def test_chol_solve_solves_a_finite_system_whose_symmetrization_overflows():
+    # A + A' overflows on these finite SPD systems; the solve reads A as it
+    # is, with posv's bytes and no warning (the suite turns one into an error).
+    b = np.ones(2)
+    for a in (np.diag([1.5e308, 1e297]), np.array([[1.5e308, 1e308], [1e308, 1.5e308]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = chol_solve(a, b)
+        assert x.tobytes() == dposv(a, b, lower=1)[1].tobytes()
+    # posv factors diag(1.5e308, 1), but its pivot ratio fails PIVOT_RTOL.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match="below threshold"):
+            chol_solve(np.diag([1.5e308, 1.0]), b)
+
+
+def test_chol_solve_reads_the_lower_triangle():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5):
+        m = rng.normal(size=(n, n))
+        spd = m @ m.T + np.eye(n)
+        skewed = spd + np.triu(rng.normal(size=(n, n)), 1)
+        b = rng.normal(size=n)
+        assert chol_solve(skewed, b).tobytes() == chol_solve(spd, b).tobytes()
+        # A non-finite entry is rejected in either triangle.
+        for bad in (np.nan, np.inf):
+            upper = spd.copy()
+            upper[0, n - 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                chol_solve(upper, b)
+
+
+_DOT_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-162,
+                1e200, -1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def test_dot_of_one_entry_is_numpy_dot():
+    # 0.0 + a * b: -0.0 * 1.0 is -0.0, but numpy's dot of one entry is 0.0.
+    assert math.copysign(1.0, numerics.dot([-0.0], [1.0])) == 1.0
+    for a in _DOT_ENTRIES:
+        for b in _DOT_ENTRIES:
+            with np.errstate(all="ignore"):
+                want = float.hex(float(np.array([a]) @ np.array([b])))
+            assert float.hex(numerics.dot([a], [b])) == want, (a, b)
+            assert float.hex(numerics.dot(np.array([a]), np.array([b]))) == want, (a, b)
+
+
+def test_dot_of_longer_vectors_is_numpy_dot():
+    rng = np.random.default_rng(9)
+    for n in (0, 2, 3, 7, 40):
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        want = float.hex(float(u @ v))
+        assert float.hex(numerics.dot(u, v)) == want
+        assert float.hex(numerics.dot(u.tolist(), v.tolist())) == want
 
 
 def test_eig_diagonal():

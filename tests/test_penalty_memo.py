@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dpotrf, dpotrs, dsyevd
 
 from epflab import auglag, harness, problems, smoothpen
@@ -19,6 +20,7 @@ from epflab.problems import (ConstrainedProblem, KnownSolution, SocBlock, affine
                              registry)
 from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
                               MultiplierEstimate, _sym_basis, c1_penalty_sdp, c1_penalty_soc)
+from test_tracer_names import _sdp3
 
 
 # The Cholesky solve (LAPACK's potrf, then potrs) and the two cone
@@ -374,6 +376,51 @@ def _disc_sdp():
         center=[2.0, 0.0], sdp=(-np.eye(2), [np.diag([1.0, -1.0]), np.array([[0.0, -1.0], [-1.0, 0.0]])]),
         certificate=KnownSolution(x_star=np.array([1.0, 0.0]), f_star=1.0,
                                   lambda_sdp_star=np.diag([2.0, 0.0])))
+
+
+def _two_eq():
+    """min ||x - (1, -0.5, 0.5)||^2 s.t. x1 + x2 = 1 and x2 = x3: mu has two
+    entries, so mu.mu, <mu, h> and h.h are numpy's dot of two entries."""
+    return affine_problem(
+        "two-eq", [-1.0, -1.0, -1.0], [1.5, 1.5, 1.5], penalties=("c1-socp",), weight=1.0,
+        center=[1.0, -0.5, 0.5], eq=([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.0]),
+        certificate=None)
+
+
+_C1_CASES = {"toy-eq-1": "c1-socp", "toy-socp-1": "c1-socp", "toy-socp-2": "c1-socp",
+             "toy-sdp-1": "c1-sdp", "two-eq": "c1-socp", "sdp3": "c1-sdp"}
+_C1_PROBLEMS = {"two-eq": _two_eq(), "sdp3": _sdp3()}
+
+
+def _state_outcome(state, x):
+    """The bytes of a C1 state as a float64 array, None, or what it raised."""
+    try:
+        found = state(x)
+    except Exception as exc:  # compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+    return None if found is None else np.array(found).tobytes()
+
+
+@pytest.mark.parametrize("name", _C1_CASES)
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_c1_penalty_is_the_frozen_numpy_reference_bit_for_bit(name, data):
+    # One entry of h or mu takes numpy's one-entry dot, 0.0 + a * b, on floats;
+    # two take np.vdot; sdp3's PSD distances take LAPACK's eigensolver.  Round
+    # coordinates make h(x) = 0, where <mu, h> of one entry is a signed zero.
+    problem = _C1_PROBLEMS.get(name) or get_problem(name)
+    kind = _C1_CASES[name]
+    x = np.array([data.draw(st.floats(lo, hi) | st.sampled_from([lo, hi, 0.5 * (lo + hi)])
+                            | st.sampled_from([v for v in (-0.0, 0.5, 1.0) if lo <= v <= hi]),
+                            label=f"x{k}")
+                  for k, (lo, hi) in enumerate(zip(*problem.box_floats))])
+    c = data.draw(st.sampled_from([0.5, 2.0, 37.0]) | st.floats(0.5, 512.0), label="c")
+    handle = make_penalty(problem, kind)
+    reference = _reference_state_sdp if kind == "c1-sdp" else _reference_state_soc
+    with np.errstate(all="ignore"):
+        assert _outcome(handle, x, c) == _outcome(_one_shot(problem, kind), x, c)
+        # The state too, the sign of a zero <mu, h> included.
+        assert _state_outcome(handle.state, x) == _state_outcome(lambda z: reference(problem, z), x)
 
 
 @pytest.mark.parametrize("kind", ("linear", "c1-sdp"))

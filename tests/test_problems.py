@@ -739,7 +739,7 @@ def test_c1_state_reads_array_int_and_float_values_alike(head):
     outcomes = set()
     for g in forms:
         try:
-            outcomes.add(c1_state(closure(g), np.array([1.0]), 1.0, 2.0).tobytes())
+            outcomes.add(np.array(c1_state(closure(g), np.array([1.0]), 1.0, 2.0)).tobytes())
         except ValueError as exc:
             outcomes.add(str(exc))
     assert len(outcomes) == 1, outcomes

@@ -438,7 +438,10 @@ def test_sdp_normal_in_place_matches_reference_bit_for_bit():
                 curv[zeros] = np.where(rng.random((m, m)) < 0.5, 0.0, -0.0)[zeros]
                 for gram_product in (stack.T @ stack, base):
                     ref = _six_temporary_sdp_normal(gram_product.copy(), curv, gram, cfg, rho)
-                    new = smoothpen._sdp_normal(gram_product.copy(), curv, gram, cfg, rho)
+                    # J'J as _normal_data hands it on (rows of floats, -0.0 turned
+                    # into 0.0), curv and the ridge weights as float lists.
+                    new = smoothpen._sdp_normal((0.0 + gram_product).tolist(), curv.tolist(),
+                                                gram.tolist(), cfg, rho)
                     assert np.array_equal(new, ref)
                     assert np.array_equal(np.signbit(new), np.signbit(ref))
 

@@ -66,3 +66,30 @@ def test_tracer_counts_eigensolver_calls_per_sdp_evaluation():
             tracer.end_task()
             assert tracer.layer("numerics.eig_sym", "calls") == expected, (problem.name, kind)
             assert tracer.layer("harness.F", "calls") == 1, (problem.name, kind)
+
+
+def test_tracer_counts_one_cholesky_solve_per_c1_state():
+    # The per-layer numerics.chol_solve metrics read these counts: the
+    # multiplier estimate of an in-domain C1 F is one solve, and an F
+    # outside the barrier domain makes none.
+    tracer_module = _load_tracer()
+    for name in {name.split(".")[0] for names in tracer_module.LAYERS.values() for name in names}:
+        importlib.import_module(f"epflab.{name}")
+    from epflab.harness import make_penalty
+    from epflab.problems import get_problem
+
+    for name, kind, point, expected in (("toy-socp-1", "c1-socp", [0.9, 1.1], 1),
+                                        ("toy-sdp-1", "c1-sdp", [0.4, 0.9], 1),
+                                        ("toy-socp-1", "c1-socp", [-3.0, -3.0], 0),
+                                        ("toy-sdp-1", "c1-sdp", [-3.0, -3.0], 0)):
+        penalty = make_penalty(get_problem(name), kind)
+        tracer = tracer_module.Tracer()
+        tracer.install()
+        try:
+            value = penalty(np.array(point), 2.0)
+        finally:
+            tracer.uninstall()
+        tracer.end_task()
+        assert math.isfinite(value) == (expected == 1), (name, point)
+        assert tracer.layer("numerics.chol_solve", "calls") == expected, (name, point)
+        assert tracer.layer("harness.F", "calls") == 1, (name, point)
