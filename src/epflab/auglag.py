@@ -10,36 +10,18 @@ import math
 import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus
-from .errors import DimensionMismatch, NonFiniteEvaluation
+from .errors import NonFiniteEvaluation
 from .numerics import dot
-from .problems import ConstrainedProblem, as_point, check_penalty_parameter
+from .problems import ConstrainedProblem, as_point, check_penalty_parameter, read_multipliers
 
 
 def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None) -> tuple:
     """As ``hpr_value`` reads them: (lam_i as a float list, ||lam_i||^2) per SOC
-    block, (Lam, ||Lam||_F^2) or None, and mu as a float list.  A missing one is
-    zero; one of the wrong count or shape raises DimensionMismatch."""
-    if lam is not None and len(lam) != len(problem.soc_blocks):
-        raise DimensionMismatch("one multiplier vector per SOC block required")
-    soc = []
-    for i, block in enumerate(problem.soc_blocks):
-        lam_i = np.zeros(block.dim) if lam is None else np.asarray(lam[i], dtype=float)
-        if lam_i.shape != (block.dim,):
-            raise DimensionMismatch("SOC multiplier dimension mismatch")
-        soc.append((lam_i.tolist(), float(lam_i @ lam_i)))
-    sdp = None
-    if problem.sdp_block is not None:
-        order = problem.sdp_block.order
-        lam_m = np.zeros((order, order)) if lam_sdp is None else np.array(lam_sdp, dtype=float)
-        if lam_m.shape != (order, order):
-            raise DimensionMismatch("SDP multiplier dimension mismatch")
-        sdp = (lam_m, float(np.sum(lam_m * lam_m)))
-    if problem.n_eq > 0:
-        mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.asarray(mu, float))
-        if mu.shape != (problem.n_eq,):
-            raise DimensionMismatch("mu dimension mismatch")
-        mu = mu.tolist()
-    return soc, sdp, mu
+    block, (Lam, ||Lam||_F^2) or None, and mu as a float list, from the parts
+    that ``problems.read_multipliers`` reads and checks."""
+    lam, lam_sdp, mu = read_multipliers(problem, lam, lam_sdp, mu)
+    sdp = None if lam_sdp is None else (lam_sdp, float(np.sum(lam_sdp * lam_sdp)))
+    return [(lam_i.tolist(), float(lam_i @ lam_i)) for lam_i in lam], sdp, mu.tolist()
 
 
 def hpr_state(problem: ConstrainedProblem, x) -> tuple:
@@ -80,12 +62,13 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
         + (dist_{-S+}(Lam + c G)^2 - ||Lam||_F^2) / 2c          (SDP block)
         + <mu, h> + (c/2)||h||^2                                (equalities)
 
-    The multipliers follow ``kkt_residual``: ``lam`` holds one vector per
-    SOC block, ``lam_sdp`` the matrix and ``mu`` the equalities' vector,
-    arrays or lists; a missing one is zero.  On a flat block (-u(x), 0)
-    with lam_i = (-l, 0) an SOC term is the classic ([l + c u]_+^2 - l^2) / 2c.
-    A NaN value raises NonFiniteEvaluation; a multiplier of the wrong count
-    or shape, or an x of another shape than (dim,), raises DimensionMismatch
+    The multipliers are read by ``problems.read_multipliers``: ``lam`` holds
+    one vector per SOC block, ``lam_sdp`` the symmetric matrix and ``mu`` the
+    equalities' vector, arrays or lists; a missing one is zero.  On a flat
+    block (-u(x), 0) with lam_i = (-l, 0) an SOC term is the classic
+    ([l + c u]_+^2 - l^2) / 2c.  A NaN value raises NonFiniteEvaluation; a
+    multiplier of the wrong count or shape, or an x of another shape than
+    (dim,), raises DimensionMismatch, and a non-symmetric Lam ValueError,
     before anything is evaluated.
     """
     check_penalty_parameter(c)

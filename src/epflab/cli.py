@@ -19,8 +19,8 @@ from .errors import EpflabError, NegativeObjective, UnknownProblem
 from .harness import (PENALTY_KINDS, PENALTY_PARAMS, c_sweep, estimate_c_star, geometric_grid,
                       make_penalty)
 from .numerics import norm
-from .problems import (fd_gradient, flat_multipliers, get_problem, kkt_residual, registry,
-                       split_multipliers)
+from .problems import (fd_gradient, flat_multipliers, get_problem, kkt_residual, read_multipliers,
+                       registry, split_multipliers)
 from .report import localize, serialize_report, sweep_to_csv
 from .solvers import DRAWS_PER_START, SolverConfig
 
@@ -198,9 +198,9 @@ def check_kkt(problem, x_csv, lam_csv, mu_csv):
     mu = _parse_csv(mu_csv)
     if mu is not None and mu.shape[0] != prob.n_eq:
         raise click.UsageError(f"--mu needs {prob.n_eq} entries")
-    lam, lam_sdp = split_multipliers(prob, flat_multipliers(prob) if lam_flat is None else lam_flat)
-    if mu is None and prob.n_eq > 0:
-        mu = np.zeros(prob.n_eq)
+    # A multiplier not given is zeros.
+    cone = (None, None) if lam_flat is None else split_multipliers(prob, lam_flat)
+    lam, lam_sdp, mu = read_multipliers(prob, *cone, mu)
     # Finite input can overflow to a NaN residual, which fails below; numpy stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         res = kkt_residual(prob, x, lam=lam, mu=mu, lam_sdp=lam_sdp)

@@ -92,7 +92,7 @@ def _c1_sdp(problem, alpha=1.0, kappa=KAPPA_SDP, zeta1=1.0, zeta2=1.0):
 
 
 def _al_hpr(problem, lam=None, mu=None):
-    # lam is the flat cone layout of flat_multipliers; decoded and checked here, once.
+    # lam is the flat cone layout of flat_multipliers; problems.read_multipliers checks its parts.
     cert = problem.certificate
     if lam is None:
         lam = flat_multipliers(problem, getattr(cert, "lambda_star", None),

@@ -213,6 +213,35 @@ def infeasibility(problem: ConstrainedProblem, x) -> float:
     return soc + eq + box
 
 
+def read_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None) -> tuple:
+    """``(lam, lam_sdp, mu)`` as float arrays of ``problem``'s shapes: one
+    vector per SOC block, the SDP matrix (None without an SDP block) and one
+    entry per equality; a part given as None is zeros.  The one reader of
+    the multiplier layout: a wrong count or shape, or a part the problem
+    does not have, raises DimensionMismatch, and a non-symmetric SDP
+    multiplier raises ValueError."""
+    if lam is None:
+        lam = [np.zeros(block.dim) for block in problem.soc_blocks]
+    elif len(lam) != len(problem.soc_blocks):
+        raise DimensionMismatch(f"one multiplier vector per SOC block required, got {len(lam)}")
+    lam = [np.array(v, dtype=float) for v in lam]
+    if any(v.shape != (block.dim,) for v, block in zip(lam, problem.soc_blocks)):
+        raise DimensionMismatch("SOC multiplier dimension mismatch")
+    order = 0 if problem.sdp_block is None else problem.sdp_block.order
+    if lam_sdp is None:
+        lam_sdp = np.zeros((order, order)) if order else None
+    else:
+        lam_sdp = np.array(lam_sdp, dtype=float)
+        if not order or lam_sdp.shape != (order, order):
+            raise DimensionMismatch("SDP multiplier dimension mismatch")
+        if not np.array_equal(lam_sdp, lam_sdp.T, equal_nan=True):
+            raise ValueError(f"{problem.name}: the SDP multiplier must be symmetric")
+    mu = np.zeros(problem.n_eq) if mu is None else np.atleast_1d(np.array(mu, dtype=float))
+    if mu.shape != (problem.n_eq,):
+        raise DimensionMismatch(f"mu takes one entry per equality ({problem.n_eq}), got {mu.shape}")
+    return lam, lam_sdp, mu
+
+
 def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None) -> float:
     """Aggregate KKT residual: stationarity + complementarity + dual and
     primal feasibility.
@@ -224,25 +253,18 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     # Primal feasibility: the cone and equality terms of the feasibility gap.
     soc, eq, _ = _gap_terms(problem, x)
     x = np.asarray(x, dtype=float)
-    lam = [np.asarray(v, dtype=float) for v in (lam or [])]
-    if len(lam) != len(problem.soc_blocks):
-        raise DimensionMismatch("one multiplier vector per SOC block required")
+    if ((lam is None and problem.soc_blocks) or (mu is None and problem.n_eq > 0)
+            or (lam_sdp is None and problem.sdp_block is not None)):
+        raise DimensionMismatch("kkt_residual needs a multiplier for every block and equality")
+    lam, lam_sdp, mu = read_multipliers(problem, lam, lam_sdp, mu)
     grad = problem.grad_f(x)
     complementarity = 0.0
     dual = 0.0
     for block, lam_i in zip(problem.soc_blocks, lam):
-        if lam_i.shape != (block.dim,):
-            raise DimensionMismatch("SOC multiplier dimension mismatch")
         grad = grad + block.jacobian(x).T @ lam_i
         complementarity += abs(float(lam_i @ block.values(x)))
         dual += dist_lorentz(-lam_i)
-    if problem.sdp_block is not None:
-        if lam_sdp is None:
-            raise DimensionMismatch("SDP block requires a matrix multiplier")
-        lam_sdp = np.asarray(lam_sdp, dtype=float)
-        if lam_sdp.shape != (problem.sdp_block.order,) * 2:
-            raise DimensionMismatch("SDP multiplier dimension mismatch")
-        lam_sdp = 0.5 * (lam_sdp + lam_sdp.T)
+    if lam_sdp is not None:
         g_mat = np.asarray(problem.sdp_block.G(x), dtype=float)
         derivs = problem.sdp_block.derivative(x)
         grad = grad + np.array([float(np.sum(lam_sdp * d)) for d in derivs])
@@ -251,49 +273,30 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
         # a failing residual as on SOC blocks, not an eigensolver error.
         dual += dist_psd_minus(-lam_sdp)
     if problem.n_eq > 0:
-        if mu is None:
-            raise DimensionMismatch("equality constraints require mu")
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if mu.shape != (problem.n_eq,):
-            raise DimensionMismatch("mu dimension mismatch")
         grad = grad + problem.jac_h(x).T @ mu
     return norm(grad) + complementarity + dual + (soc + eq)
 
 
 def flat_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None) -> Array:
     """Cone multipliers in their flat layout, which ``--lambda`` uses: each
-    SOC block's entries in block order, then the SDP multiplier row-major.
-    A part given as None is zeros; ``split_multipliers`` reads it back."""
-    if lam is None:
-        lam = [np.zeros(block.dim) for block in problem.soc_blocks]
-    parts = [np.zeros(0)] + [np.asarray(v, dtype=float).ravel() for v in lam]
-    if problem.sdp_block is not None:
-        order = problem.sdp_block.order
-        parts.append(np.zeros(order * order) if lam_sdp is None
-                     else np.asarray(lam_sdp, dtype=float).ravel())
-    return np.concatenate(parts)
+    SOC block's entries in block order, then the SDP multiplier row-major,
+    as ``read_multipliers`` reads them; ``split_multipliers`` reads it back."""
+    lam, lam_sdp, _ = read_multipliers(problem, lam, lam_sdp)
+    return np.concatenate([np.zeros(0)] + lam + ([] if lam_sdp is None else [lam_sdp.ravel()]))
 
 
 def split_multipliers(problem: ConstrainedProblem, flat) -> Tuple[list, Optional[Array]]:
-    """``(lam, lam_sdp)``, as ``kkt_residual`` takes them, from the layout
-    of ``flat_multipliers``.  Raises ValueError on a wrong count or a
-    non-symmetric SDP multiplier."""
+    """``(lam, lam_sdp)`` of ``read_multipliers`` from the layout of
+    ``flat_multipliers``.  A wrong count raises ValueError, an input error
+    to the CLI, as does a non-symmetric SDP multiplier."""
     flat = np.atleast_1d(np.asarray(flat, dtype=float))
-    order = problem.sdp_block.order if problem.sdp_block is not None else 0
-    size = sum(block.dim for block in problem.soc_blocks) + order * order
+    size = flat_multipliers(problem).size
     if flat.shape != (size,):
         raise ValueError(f"{problem.name} takes {size} cone multiplier entries (the SOC blocks "
                          f"in order, then the SDP matrix row-major), got {flat.size}")
-    lam, start = [], 0
-    for block in problem.soc_blocks:
-        lam.append(flat[start:start + block.dim])
-        start += block.dim
-    if problem.sdp_block is None:
-        return lam, None
-    lam_sdp = flat[start:].reshape(order, order)
-    if not np.array_equal(lam_sdp, lam_sdp.T):
-        raise ValueError(f"{problem.name}: the SDP multiplier must be symmetric")
-    return lam, lam_sdp
+    *lam, rest = np.split(flat, np.cumsum([block.dim for block in problem.soc_blocks], dtype=int))
+    lam_sdp = None if problem.sdp_block is None else rest.reshape(problem.sdp_block.order, -1)
+    return read_multipliers(problem, lam, lam_sdp)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,9 @@ def test_hpr_closed_form_rejects_malformed_multipliers():
     for mu in (np.ones(2), np.ones((1, 1))):
         with pytest.raises(DimensionMismatch):
             hpr_closed_form(eq, x, mu=mu)
+    # toy-lin-1 has no equality, so it has no mu to read.
+    with pytest.raises(DimensionMismatch):
+        hpr_closed_form(get_problem("toy-lin-1"), np.array([0.5]), mu=[5.0])
     assert hpr_closed_form(eq, x, mu=-2.0) == hpr_closed_form(eq, x, mu=np.array([-2.0]))
 
 

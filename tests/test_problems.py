@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epflab.problems as problems_module
+from epflab.auglag import hpr_closed_form
 from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz
 from epflab.errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
 from epflab.harness import make_penalty
@@ -20,16 +21,19 @@ from epflab.problems import (
     affine_problem,
     fd_gradient,
     feasibility_gap,
+    flat_multipliers,
     get_problem,
     infeasibility,
     kkt_residual,
     registry,
+    split_multipliers,
 )
 from epflab.report import localize, serialize_report
 from epflab.smoothpen import (MultiplierEstimate, c1_state, constant_normal_data,
                               estimate_multipliers_sdp, estimate_multipliers_soc)
 from epflab.solvers import SolverConfig
 from paper_checks import PROJECT_FEASIBLE, SAMPLE_FEASIBLE, reference_norm
+from test_tracer_names import _sdp3
 
 
 def test_fd_gradient_quadratic():
@@ -185,6 +189,52 @@ def test_kkt_residual_dimension_checks():
     for lam_sdp in (np.ones((1, 2)), np.ones((1, 1)), np.ones(4)):
         with pytest.raises(DimensionMismatch):
             kkt_residual(s, np.array([0.5, 1.0]), lam_sdp=lam_sdp)
+    # A part the problem does not have, or too many equality multipliers.
+    for kwargs in ({"mu": [5.0, 1.0]}, {"lam_sdp": np.eye(3)}):
+        with pytest.raises(DimensionMismatch):
+            kkt_residual(p, np.array([1.0, 1.0]), lam=[np.array([-2.0, 2.0])], **kwargs)
+    # flat_multipliers reads its parts as kkt_residual does: 5 entries do not fit a 2-entry block.
+    with pytest.raises(DimensionMismatch):
+        flat_multipliers(p, [np.zeros(5)])
+
+
+def test_every_entry_point_rejects_a_non_symmetric_sdp_multiplier():
+    # hpr_closed_form used to return 0.06929 for this Lam, and its symmetric
+    # part gives 0.19429; kkt_residual used to symmetrize it.  The CLI's
+    # check-kkt and al-hpr --lambda are covered in test_cli.
+    s = get_problem("toy-sdp-1")
+    x, lam_sdp = np.array([0.4, 0.9]), np.array([[1.0, 1.0], [0.0, 0.0]])
+    for call in (lambda: hpr_closed_form(s, x, lam_sdp=lam_sdp, c=2.0),
+                 lambda: kkt_residual(s, x, lam_sdp=lam_sdp),
+                 lambda: make_penalty(s, "al-hpr", lam=lam_sdp.ravel()),
+                 lambda: flat_multipliers(s, lam_sdp=lam_sdp),
+                 lambda: split_multipliers(s, lam_sdp.ravel())):
+        with pytest.raises(ValueError, match="symmetric"):
+            call()
+    symmetric = 0.5 * (lam_sdp + lam_sdp.T)
+    assert math.isclose(hpr_closed_form(s, x, lam_sdp=symmetric, c=2.0), 0.19429, rel_tol=1e-4)
+
+
+ROUND_TRIP_PROBLEMS = registry() + [_sdp3()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ROUND_TRIP_PROBLEMS), st.data())
+def test_split_multipliers_reads_back_flat_multipliers_bit_for_bit(problem, data):
+    # Any float64, NaN, infinities and signed zeros included; Lam symmetric.
+    entries = lambda n: np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float)
+    lam = [entries(block.dim) for block in problem.soc_blocks]
+    lam_sdp = None
+    if problem.sdp_block is not None:
+        order = problem.sdp_block.order
+        upper, upper_values = np.triu_indices(order), entries(order * (order + 1) // 2)
+        lam_sdp = np.zeros((order, order))
+        lam_sdp[upper] = lam_sdp[upper[::-1]] = upper_values
+    back, back_sdp = split_multipliers(problem, flat_multipliers(problem, lam, lam_sdp))
+    assert [v.tobytes() for v in back] == [v.tobytes() for v in lam]
+    assert (back_sdp is None) == (lam_sdp is None)
+    if lam_sdp is not None:
+        assert back_sdp.shape == lam_sdp.shape and back_sdp.tobytes() == lam_sdp.tobytes()
 
 
 def _derivative_pairs(p):

@@ -1,14 +1,19 @@
-"""Two rules that every penalty reads are each written once in the package.
+"""Three rules that every penalty reads are each written once in the package.
 
 The check parses each module of ``src/epflab`` with ``ast``.  No module
 uses ``np.linalg.norm``: every Euclidean norm is ``numerics.norm``, which
 keeps numpy's bits and stays finite where a finite vector's sum of squares
-overflows.  And one function raises the ValueError for a penalty parameter
+overflows.  One function raises the ValueError for a penalty parameter
 c outside (0, inf): ``problems.check_penalty_parameter``, which every F
-calls.
+calls.  And one function shape-checks a multiplier:
+``problems.read_multipliers``, through which ``kkt_residual``, al-hpr,
+the flat ``--lambda`` layout and the CLI read theirs; it alone raises a
+DimensionMismatch that names a multiplier under an ``if`` that reads a
+shape (``.shape``, ``.size``, ``.ndim`` or ``len``).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import epflab
@@ -17,6 +22,8 @@ PACKAGE = Path(epflab.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 # Every message of the penalty-parameter ValueError starts with this.
 C_MESSAGE = "penalty parameter c"
+# A DimensionMismatch whose message matches this is about a multiplier.
+MULTIPLIER_MESSAGE = re.compile(r"multiplier|\bmu\b")
 
 
 def linalg_norm_uses(source: str) -> list:
@@ -40,22 +47,47 @@ def _is_c_error(exc) -> bool:
                     for n in ast.walk(exc)))
 
 
-def c_check_owners(source: str, module: str) -> list:
+def _raise_owners(source: str, module: str, counts) -> list:
     """``module.function`` (nested functions dotted) of each innermost
-    function that raises the penalty-parameter ValueError, once per raise."""
+    function with a raise for which ``counts(exc, tests)`` holds, once per
+    raise; ``tests`` are the conditions of the ``if`` statements around the
+    raise inside that function."""
     owners = []
 
-    def visit(node, scope):
+    def visit(node, scope, tests):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
+                visit(child, scope + [child.name], [])
             else:
-                if isinstance(child, ast.Raise) and _is_c_error(child.exc):
+                if isinstance(child, ast.Raise) and counts(child.exc, tests):
                     owners.append(".".join([module] + scope))
-                visit(child, scope)
+                visit(child, scope, tests + [child.test] if isinstance(child, ast.If) else tests)
 
-    visit(ast.parse(source), [])
+    visit(ast.parse(source), [], [])
     return owners
+
+
+def c_check_owners(source: str, module: str) -> list:
+    """Owners of each raise of the penalty-parameter ValueError."""
+    return _raise_owners(source, module, lambda exc, tests: _is_c_error(exc))
+
+
+def _reads_a_shape(test) -> bool:
+    return any((isinstance(n, ast.Attribute) and n.attr in ("shape", "size", "ndim"))
+               or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "len")
+               for n in ast.walk(test))
+
+
+def _is_multiplier_shape_error(exc, tests) -> bool:
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "DimensionMismatch" and any(map(_reads_a_shape, tests))
+            and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and MULTIPLIER_MESSAGE.search(n.value) for n in ast.walk(exc)))
+
+
+def multiplier_check_owners(source: str, module: str) -> list:
+    """Owners of each raise of a multiplier's shape DimensionMismatch."""
+    return _raise_owners(source, module, _is_multiplier_shape_error)
 
 
 def test_guard_sees_violations():
@@ -81,6 +113,32 @@ def penalty(x, c):
     assert c_check_owners(source, "m") == ["m.penalty", "m.penalty.inner"]
 
 
+def test_multiplier_guard_sees_violations():
+    source = '''
+def reader(lam, mu, n):
+    if len(lam) != n:
+        raise DimensionMismatch("one multiplier vector per SOC block required")
+    if lam is None:
+        pass
+    elif any(v.shape != (2,) for v in lam):
+        raise DimensionMismatch(f"SOC multiplier dimension mismatch, got {len(lam)}")
+
+
+def residual(x, lam, mu):
+    if x.shape != (2,):
+        raise DimensionMismatch(f"x has shape {x.shape}")
+    if mu is None:
+        raise DimensionMismatch("residual needs a multiplier for every block")
+
+    def inner(mu):
+        if mu.size != 1:
+            raise DimensionMismatch("mu dimension mismatch")
+        if mu.size > 2:
+            raise ValueError("al-hpr needs one equality multiplier")
+'''
+    assert multiplier_check_owners(source, "m") == ["m.reader", "m.reader", "m.residual.inner"]
+
+
 def test_no_module_uses_np_linalg_norm():
     uses = {p.name: linalg_norm_uses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
@@ -89,3 +147,9 @@ def test_no_module_uses_np_linalg_norm():
 def test_one_function_owns_the_penalty_parameter_check():
     owners = [owner for p in MODULES for owner in c_check_owners(p.read_text(encoding="utf-8"), p.stem)]
     assert owners == ["problems.check_penalty_parameter"]
+
+
+def test_one_function_shape_checks_a_multiplier():
+    owners = [owner for p in MODULES
+              for owner in multiplier_check_owners(p.read_text(encoding="utf-8"), p.stem)]
+    assert set(owners) == {"problems.read_multipliers"}
