@@ -51,6 +51,14 @@ def fd_gradient(func, x, step: float | None = None) -> Array:
     return out
 
 
+def _float_list(val, size: int = -1) -> list:
+    """val as it is when it is a list of Python floats, otherwise (an
+    ndarray, a list holding ints) as ``size`` floats, -1 for any number."""
+    if type(val) is list and all(type(v) is float for v in val):
+        return val
+    return np.asarray(val, dtype=float).reshape(size).tolist()
+
+
 @dataclass(frozen=True)
 class SocBlock:
     """One second-order cone constraint g(x) in Q_{dim}; g returns a 1-D
@@ -64,11 +72,12 @@ class SocBlock:
     def jacobian(self, x: Array) -> Array:
         return np.asarray(self.jac(x) if callable(self.jac) else self.jac, dtype=float)
 
-    def values(self, x: Array) -> list:
-        """g(x) as a list: an affine map's list of floats as it is, any other
-        value (an ndarray, say) converted to Python floats once."""
-        val = self.g(x)
-        return val if type(val) is list else np.asarray(val, dtype=float).tolist()
+    @cached_property
+    def values(self) -> Callable[[Array], list]:
+        """x -> g(x) as a list of Python floats: an ``affine_problem`` map as
+        it is, any other g's value converted once unless it is one already."""
+        g = self.g
+        return g if getattr(g, "float_list", False) else lambda x: _float_list(g(x))
 
 
 @dataclass(frozen=True)
@@ -146,13 +155,15 @@ class ConstrainedProblem:
     def grad_f(self, x) -> Array:
         return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
 
-    def eq_values(self, x: Array) -> list:
-        """h(x) as a list: an affine map's list of floats as it is, any other
-        value converted to n_eq Python floats once; [] without equalities."""
-        if self.eq is None:
-            return []
-        val = self.eq(x)
-        return val if type(val) is list else np.asarray(val, dtype=float).reshape(self.n_eq).tolist()
+    @cached_property
+    def eq_values(self) -> Callable[[Array], list]:
+        """x -> h(x) as a list of Python floats, [] without equalities: an
+        ``affine_problem`` map as it is, any other h's value converted to
+        n_eq floats once unless it is a list of floats already."""
+        eq, n_eq = self.eq, self.n_eq
+        if eq is None:
+            return lambda x: []
+        return eq if getattr(eq, "float_list", False) else lambda x: _float_list(eq(x), n_eq)
 
     def h(self, x) -> Array:
         return np.array(self.eq_values(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_eq)
@@ -329,6 +340,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
             xs = x.tolist()
             return [xs[k] for k in picks]
 
+        pick.float_list = True  # read once by SocBlock.values and eq_values
         return pick
 
     def value(x):
@@ -341,6 +353,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
             out.append(total)
         return out
 
+    value.float_list = True
     return value
 
 

@@ -2,17 +2,19 @@
 
 One local method, Nelder-Mead, which handles the kinks and +inf
 sentinels of penalty functions.  Starts come from a scrambled Sobol
-sequence, so results are bit-reproducible for a fixed seed on one
-machine.  The simplex is ordered by numpy's default argsort, as in
-scipy, which is not stable on 4 or more values: on a problem of 3 or
-more coordinates, tied F values may order differently on another CPU.
+sequence, drawn once per (dim, seed), so results are bit-reproducible
+for a fixed seed on one machine.  The simplex is kept in the order of
+numpy's default argsort, as in scipy, which is not stable on 4 or more
+values: on a problem of 3 or more coordinates, tied F values may order
+differently on another CPU.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import isnan
 from operator import add, index
 from typing import Callable, Tuple
@@ -83,6 +85,15 @@ def _box(lower, upper):
     return lower, upper
 
 
+@lru_cache(maxsize=16)
+def _sobol_draws(dim: int, seed: int, size: int) -> tuple:
+    """``qmc.Sobol(d=dim, scramble=True, seed=seed)`` and the read-only
+    batches of ``size`` points it has drawn so far.  Every minimize of a task
+    draws the same starts, so a key's sampler is built once and extended
+    when a run needs one more batch."""
+    return qmc.Sobol(d=dim, scramble=True, seed=seed), []
+
+
 def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     """Draw Sobol starts, keeping only points where func is finite.
 
@@ -90,22 +101,20 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     keep drawing (up to DRAWS_PER_START times the requested count) until
     enough usable starts are found.
     """
-    dim = lower.shape[0]
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=cfg.seed)
     starts = []
-    budget = DRAWS_PER_START * cfg.n_starts
-    drawn = 0
     # Sobol balance wants power-of-two draws.
     batch_size = 1 << (cfg.n_starts - 1).bit_length()
-    while len(starts) < cfg.n_starts and drawn < budget:
-        batch = sampler.random(batch_size)
-        drawn += batch_size
-        for row in batch:
+    sampler, batches = _sobol_draws(lower.shape[0], cfg.seed, batch_size)
+    for k in range(-(-DRAWS_PER_START * cfg.n_starts // batch_size)):  # batches in the budget
+        if k == len(batches):
+            batches.append(sampler.random(batch_size))
+            batches[k].flags.writeable = False
+        for row in batches[k]:
             pt = lower + row * (upper - lower)
             if math.isfinite(func(pt)):
                 starts.append(pt)
                 if len(starts) == cfg.n_starts:
-                    break
+                    return starts
     return starts
 
 
@@ -117,6 +126,12 @@ def _argsort(fs: list) -> list:
     if len(fs) <= 3 and not any(map(isnan, fs)):
         return sorted(range(len(fs)), key=fs.__getitem__)
     return np.array(fs).argsort().tolist()
+
+
+def _ordered(sim: list, fs: list):
+    """The simplex and its values in ``_argsort`` order."""
+    idx = _argsort(fs)
+    return [sim[i] for i in idx], [fs[i] for i in idx]
 
 
 def _box_steps(lows: list, highs: list):
@@ -153,6 +168,11 @@ def _box_steps(lows: list, highs: list):
     return clip, step(2.0, 1.0), step(3.0, 2.0), step(1.5, 0.5), step(0.5, -0.5), shrink
 
 
+def _as_float(fx) -> float:
+    """F's value as a float; a size-1 result is accepted."""
+    return fx if type(fx) is float else float(fx if isinstance(fx, float) else np.asarray(fx).item())
+
+
 def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fatol: float):
     """One bounded Nelder-Mead run from ``start``: (x, value, F calls, whether
     the budget of iters_per_dim iterations per coordinate ran out).
@@ -166,18 +186,6 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     lows, highs = lower.tolist(), upper.tolist()
     n = len(lows)
     clip, reflect, expand, contract_out, contract_in, shrink_toward = _box_steps(lows, highs)
-    nfev = 0
-
-    def value(p):  # F of a fresh array, as a float (a size-1 result is accepted)
-        nonlocal nfev
-        nfev += 1
-        fx = func(np.array(p))
-        return float(fx if isinstance(fx, float) else np.asarray(fx).item())
-
-    def ordered():
-        idx = _argsort(fs)
-        return [sim[i] for i in idx], [fs[i] for i in idx]
-
     x0 = clip(start.tolist())
     sim = [x0]
     for k in range(n):
@@ -186,44 +194,56 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         sim.append(y)
     # A step past an upper bound is reflected into the box.
     sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, highs)]) for p in sim]
-    fs = [value(p) for p in sim]
-    sim, fs = ordered()
-    sim, fs = ordered()  # scipy sorts twice here; argsort is not stable on 4 or more values
+    fs = [_as_float(func(np.array(p))) for p in sim]
+    nfev = n + 1
+    # scipy sorts twice here; argsort is not stable on 4 or more values.
+    sim, fs = _ordered(*_ordered(sim, fs))
+    # On at most 3 vertices the order is stable: the new vertex of a step
+    # goes after the best ones it ties (bisect_right), and a NaN last, unless
+    # a NaN is among them.
+    insert = n <= 2
     maxiter = iters_per_dim * n
     it = 1
     while it < maxiter:
         f0, s0, w = fs[0], sim[0], sim[-1]
-        # Both tests are pure; the cheaper one goes first.
-        if (all([abs(f0 - f) <= fatol for f in fs[1:]])
-                and all([abs(v - u) <= xatol for p in sim[1:] for v, u in zip(p, s0)])):
+        # fs is sorted with any NaN last, so fs[-1] is within fatol of f0
+        # exactly when every value is; the cheaper test goes first.
+        if abs(f0 - fs[-1]) <= fatol and all(abs(v - u) <= xatol
+                                             for p in sim[1:] for v, u in zip(p, s0)):
             break
+        it += 1
         # Left to right from +0.0, as np.add.reduce sums the vertices.
         xbar = [reduce(add, col, 0.0) / n for col in zip(*sim[:-1])]
         xr = reflect(xbar, w)
-        fxr = value(xr)
+        fxr = _as_float(func(np.array(xr)))
+        nfev += 1
         if fxr < f0:
             xe = expand(xbar, w)
-            fxe = value(xe)
-            sim[-1], fs[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            fxe = _as_float(func(np.array(xe)))
+            nfev += 1
+            xn, fn = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fs[-2]:
-            sim[-1], fs[-1] = xr, fxr
+            xn, fn = xr, fxr
         else:
-            if fxr < fs[-1]:
-                xc = contract_out(xbar, w)
-                fxc = value(xc)
-                shrink = not fxc <= fxr
-            else:
-                xc = contract_in(xbar, w)
-                fxc = value(xc)
-                shrink = not fxc < fs[-1]
-            if shrink:
+            inside = not fxr < fs[-1]
+            xn = (contract_in if inside else contract_out)(xbar, w)
+            fn = _as_float(func(np.array(xn)))
+            nfev += 1
+            if (not fn < fs[-1]) if inside else (not fn <= fxr):
                 for j in range(1, n + 1):
                     sim[j] = shrink_toward(s0, sim[j])
-                    fs[j] = value(sim[j])
-            else:
-                sim[-1], fs[-1] = xc, fxc
-        it += 1
-        sim, fs = ordered()
+                    fs[j] = _as_float(func(np.array(sim[j])))
+                nfev += n
+                sim, fs = _ordered(sim, fs)
+                continue
+        if insert and fs[-2] == fs[-2]:
+            k = bisect_right(fs, fn, 0, n)
+            del sim[-1], fs[-1]
+            sim.insert(k, xn)
+            fs.insert(k, fn)
+        else:
+            sim[-1], fs[-1] = xn, fn
+            sim, fs = _ordered(sim, fs)
     return np.array(sim[0]), float(np.array(fs).min()), nfev, it >= maxiter
 
 

@@ -75,3 +75,33 @@ def test_a_tree_against_itself_prints_equal_f_evaluation_counts(capsys):
         assert line.endswith("(+0.0%)")
     assert counts[0][0] == counts[0][1] > 0 and counts[1][0] == counts[1][1] > 0
     assert counts[0] != counts[1]
+
+
+def test_workload_list_parsing():
+    ab_pass = _ab_pass()
+    assert ab_pass.workload_list("classic-battery") == ["classic-battery"]
+    assert ab_pass.workload_list("cstar-direct,classic-battery") == ["cstar-direct", "classic-battery"]
+    assert ab_pass.workload_list("all") == sorted(ab_pass.WORKLOADS) == [
+        "c1-battery", "classic-battery", "cstar-direct"]
+    for text in ("", "classic", "classic-battery,", "all,classic-battery"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab_pass.workload_list(text)
+
+
+def test_a_workload_list_prints_one_block_per_workload(capsys):
+    src = str(ROOT / "src")
+    ab_pass = _ab_pass()
+    names = ["classic-battery", "c1-battery"]
+    assert ab_pass.main([src, src, "--workload", ",".join(names), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    starts = [i for i, line in enumerate(out) if line.startswith("== workload ")]
+    assert [out[i] for i in starts] == [f"== workload {name} ==" for name in names]
+    assert starts[0] == 0
+    for name, start, end in zip(names, starts, starts[1:] + [len(out)]):
+        block = out[start + 1:end]
+        assert block[0].startswith("round 0: base ")
+        pairs = [line for line in block if line.startswith("pair ")]
+        assert len(pairs) == len(ab_pass.WORKLOADS[name].pairs)
+        shas = [line.rsplit(" ", 1)[1] for line in block if "answers sha256" in line]
+        assert len(shas) == 2 and shas[0] == shas[1]
+        assert block[-1].endswith("answers same")

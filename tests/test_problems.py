@@ -771,25 +771,54 @@ def test_closure_problem_with_array_values(x0):
         assert c1(x, c) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def _closure(g, eq=None):
+    """min x + 2 on [-2, 2] with the cone constraint g(x) in Q_2 and, if
+    given, one equality eq(x) = 0: closures that need not return floats."""
+    return ConstrainedProblem(
+        name="closure", dim=1, objective=lambda x: x[0] + 2.0,
+        gradient=lambda x: np.array([1.0]), lower=[-2.0], upper=[2.0],
+        soc_blocks=(SocBlock(dim=2, g=g, jac=np.array([[0.0], [1.0]])),),
+        eq=eq, eq_jac=None if eq is None else np.array([[1.0]]), n_eq=0 if eq is None else 1,
+        penalties=("c1-socp",))
+
+
 @pytest.mark.parametrize("head", [3.0, 1e200])
 def test_c1_state_reads_array_int_and_float_values_alike(head):
     # An ndarray g is read as floats, as a float list is: the same state
     # bytes, and where a product in the normal matrix overflows (1e200^2)
     # the same error, with no numpy scalar warning on the way.
-    def closure(g):
-        return ConstrainedProblem(
-            name="closure", dim=1, objective=lambda x: x[0] + 2.0,
-            gradient=lambda x: np.array([1.0]), lower=[-2.0], upper=[2.0],
-            soc_blocks=(SocBlock(dim=2, g=g, jac=np.array([[0.0], [1.0]])),),
-            penalties=("c1-socp",))
-
     forms = [lambda x: [head, float(x[0])], lambda x: np.array([head, x[0]])]
     if head == 3.0:
         forms.append(lambda x: [3, 1])  # ints: the state at x = 1.0
     outcomes = set()
     for g in forms:
         try:
-            outcomes.add(np.array(c1_state(closure(g), np.array([1.0]), 1.0, 2.0)).tobytes())
+            outcomes.add(np.array(c1_state(_closure(g), np.array([1.0]), 1.0, 2.0)).tobytes())
         except ValueError as exc:
             outcomes.add(str(exc))
     assert len(outcomes) == 1, outcomes
+
+
+@pytest.mark.parametrize("values", [[2**53 + 1, 3], [3, 2**53 + 1]])
+def test_a_list_of_ints_is_read_as_floats_once(values):
+    # 2**53 + 1 is no float.  Kept as an int, the normal matrix was formed
+    # exactly, so lambda differed in its last bit from the same values as a
+    # float array, and the state held ints.
+    states = [c1_state(_closure(g), np.array([1.0]), 1e300, 2.0)
+              for g in (lambda x: list(values), lambda x: np.array(values, dtype=float))]
+    assert np.array(states[0]).tobytes() == np.array(states[1]).tobytes()
+    assert all(type(v) is float for state in states for v in state)
+    floats = [float(v) for v in values]
+    problem = _closure(lambda x: list(values), eq=lambda x: [values[0]])
+    for read in (problem.soc_blocks[0].values(np.array([1.0])), problem.eq_values(np.array([1.0]))):
+        assert read == floats[:len(read)] and all(type(v) is float for v in read)
+    # A list of floats, as the affine maps return, is passed on as it is.
+    same = [0.5, -0.0]
+    assert _closure(lambda x: same).soc_blocks[0].values(np.array([1.0])) is same
+
+
+def test_affine_maps_are_read_without_conversion():
+    for problem in registry(validate=False):
+        for block in problem.soc_blocks:
+            assert block.values is block.g
+        assert problem.eq is None or problem.eq_values is problem.eq

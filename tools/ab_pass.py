@@ -1,7 +1,7 @@
-"""Compare two epflab source trees on one perfbench workload, in one process.
+"""Compare two epflab source trees on perfbench workloads, in one process.
 
     python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload classic-battery --rounds 10
-    python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload c1-battery --rounds 1 --seed 0,1,2,3
+    python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload all --rounds 1 --seed 0,1,2,3
 
 BASE_SRC and NEW_SRC are ``src`` directories (each holding ``epflab/``),
 for instance a clean checkout of the parent commit and this tree.  Both
@@ -12,6 +12,10 @@ called as ``perfbench/workloads.py`` calls it (that module is only
 imported), with the task seeds of pass index = round index, so both
 sides of a round solve the same tasks.  ``--seed`` takes one seed or a
 comma-separated list; a round then runs one pass per seed on each side.
+``--workload`` takes one workload, a comma-separated list, or ``all``
+(every workload, in name order); each workload then runs its own rounds
+and prints its own block, after a ``== workload NAME ==`` line when
+there are several.
 
 It prints the CPU seconds (``time.process_time``) of each side per
 round, each side's median and interquartile range, each pair's median
@@ -139,21 +143,20 @@ def quartiles(values):
     return q1, q3
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", type=Path, help="src directory of the base tree")
-    parser.add_argument("new", type=Path, help="src directory of the tree under test")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), default="classic-battery")
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seed", type=seed_list, default=[0],
-                        help="one seed or a comma-separated list, e.g. 0,1,2,3")
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    workload = WORKLOADS[args.workload]
-    sides = {"base": load_tree(args.base, "epflab_ab_base"),
-             "new": load_tree(args.new, "epflab_ab_new")}
-    seeds = args.seed
+def workload_list(text):
+    """The workloads of ``--workload``: one name, a comma-separated list, or ``all``."""
+    names = sorted(WORKLOADS) if text == "all" else text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(sorted(WORKLOADS))}, a comma-separated list, or all")
+    return names
+
+
+def compare(sides, workload, rounds, seeds):
+    """Run ``rounds`` rounds of one workload on both sides and print its
+    block; returns whether the answers are the same and no task failed."""
     digests = {side: {seed: hashlib.sha256() for seed in seeds} for side in sides}
     libs = {side: {seed: recording(lib, digests[side][seed]) for seed in seeds}
             for side, lib in sides.items()}
@@ -161,7 +164,7 @@ def main(argv=None):
     per_pair = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
     f_evals = {side: {seed: 0 for seed in seeds} for side in sides}
-    for r in range(args.rounds):
+    for r in range(rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
             passes = [run_pass(libs[side][seed], workload, seed, r) for seed in seeds]
@@ -196,8 +199,30 @@ def main(argv=None):
     gap = statistics.median(cpu["new"]) - statistics.median(cpu["base"])
     same = shas["base"] == shas["new"]
     print(f"median gap {gap:+.3f} s ({gap / statistics.median(cpu['base']):+.1%}), "
-          f"new faster in {wins} of {args.rounds} rounds, answers {'same' if same else 'DIFFER'}")
-    return 0 if same and not any(failed.values()) else 1
+          f"new faster in {wins} of {rounds} rounds, answers {'same' if same else 'DIFFER'}")
+    return same and not any(failed.values())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", type=Path, help="src directory of the base tree")
+    parser.add_argument("new", type=Path, help="src directory of the tree under test")
+    parser.add_argument("--workload", type=workload_list, default=["classic-battery"],
+                        help="one workload, a comma-separated list, or all")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--seed", type=seed_list, default=[0],
+                        help="one seed or a comma-separated list, e.g. 0,1,2,3")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    sides = {"base": load_tree(args.base, "epflab_ab_base"),
+             "new": load_tree(args.new, "epflab_ab_new")}
+    ok = True
+    for name in args.workload:
+        if len(args.workload) > 1:
+            print(f"== workload {name} ==", flush=True)
+        ok &= compare(sides, WORKLOADS[name], args.rounds, args.seed)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
