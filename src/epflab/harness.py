@@ -148,15 +148,20 @@ PASS_TOL = 1e-4
 CONFIRM_FACTOR = 2.0
 # How far below F(x*, c) (local probe) or f* (sublevel probe) a sample may lie.
 PROBE_SLACK = 1e-9
-# Local probe: neighborhood samples.
+# Local probe: this many samples of the ball of this radius around x*.
 LOCAL_SAMPLES = 200
+LOCAL_RADIUS = 0.5
 # Sublevel probe: samples of the box scaled by this factor about its center.
 SUBLEVEL_EXPANSION = 2.0
 SUBLEVEL_SAMPLES = 2000
-# Norm ball the sweep's minimizers must stay in (localize's nondegeneracy probe).
+# Norm ball the sweep's minimizers must stay in (the nondegeneracy probe).
 NONDEGENERACY_RADIUS = 10.0
 # Fewest sweep records the penalty-type probe judges a trend from.
 MIN_SWEEP_RECORDS = 4
+# Penalty-type probe: feasibility gaps at or below this count as zero, solver
+# noise rather than a trend, and a gap may grow by this factor from one c to the next.
+GAP_FLOOR = 1e-6
+GAP_GROWTH = 1.1
 
 
 @dataclass(frozen=True)
@@ -253,32 +258,30 @@ def c_sweep(
 
 
 def penalty_type_probe(records: Sequence[SweepRecord]) -> bool:
-    """Feasibility gaps along the sweep must shrink to ~0 without growing
-    (10% noise allowance), mirroring cluster points of minimizers being
-    feasible as c grows."""
+    """Feasibility gaps along the sweep must end at or below ``GAP_FLOOR``
+    and, above it, grow by no more than ``GAP_GROWTH`` from one c to the
+    next, mirroring cluster points of minimizers being feasible as c grows."""
     if len(records) < MIN_SWEEP_RECORDS:
         raise ValueError(f"need at least {MIN_SWEEP_RECORDS} sweep records")
     if any(r.failed for r in records):
         return False
     gaps = [r.feasibility_gap_total for r in records]
-    if gaps[-1] > 1e-6:
+    if gaps[-1] > GAP_FLOOR:
         return False
-    # Gaps below 1e-6 are treated as zero: at that scale the sequence is
-    # solver noise, not a trend.
     for prev, cur in zip(gaps, gaps[1:]):
-        if cur > 1e-6 and cur > 1.1 * prev:
+        if cur > GAP_FLOOR and cur > GAP_GROWTH * prev:
             return False
     return True
 
 
-def nondegeneracy_probe(records: Sequence[SweepRecord], radius: float) -> bool:
-    """Minimizers must exist and stay inside a fixed norm ball."""
+def nondegeneracy_probe(records: Sequence[SweepRecord]) -> bool:
+    """Minimizers must exist and stay inside the ``NONDEGENERACY_RADIUS`` norm ball."""
     if not records:
         raise ValueError("need at least one record")
     for r in records:
         if r.failed or not math.isfinite(r.best_F):
             return False
-        if norm(r.best_x) > radius:
+        if norm(r.best_x) > NONDEGENERACY_RADIUS:
             return False
     return True
 
@@ -287,12 +290,12 @@ def local_exactness_probe(
     penalty: PenaltyHandle,
     x_star,
     c: float,
-    radius: float = 0.5,
     seed: int = 0,
 ) -> bool:
-    """True iff x_star minimizes F(., c) over a sampled neighborhood
-    intersected with the box.  On an increasing c list, "from some tested
-    c on" holds exactly when it holds at the largest c, so callers pass that."""
+    """True iff x_star minimizes F(., c) over ``LOCAL_SAMPLES`` samples of
+    the ``LOCAL_RADIUS`` ball around it, clipped to the box.  On an
+    increasing c list, "from some tested c on" holds exactly when it holds
+    at the largest c, so callers pass that."""
     x_star = np.asarray(x_star, dtype=float)
     problem = penalty.problem
     lower, upper = problem.box()
@@ -304,7 +307,7 @@ def local_exactness_probe(
         length = norm(direction)
         if length == 0.0:
             continue
-        r = radius * rng.uniform() ** (1.0 / dim)
+        r = LOCAL_RADIUS * rng.uniform() ** (1.0 / dim)
         samples.append(np.clip(x_star + direction / length * r, lower, upper))
     base = penalty(x_star, c)
     return all(penalty(x, c) >= base - PROBE_SLACK for x in samples)

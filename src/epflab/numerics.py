@@ -15,6 +15,7 @@ wherever neither routine rescales the matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ def norm(v) -> float:
     of one entry t, else the same numpy dot (``np.vdot``, without the
     overflow warning of ``@``).  Where the sum overflows with every entry
     finite, the norm is |t|, or recomputed scaled by the largest |entry|
-    (Blue, ACM TOMS 4, 1978)."""
+    (Blue, ACM TOMS 4, 1978); a scaled norm that reaches the largest float
+    may be rounded across the overflow threshold, so ``math.hypot`` decides it."""
     if len(v) == 1:
         t = float(v[0])
         sq = t * t
@@ -56,8 +58,9 @@ def norm(v) -> float:
     scale = max(map(abs, v.tolist()))
     if scale == math.inf:
         return math.inf
-    v = v / scale
-    return scale * math.sqrt(np.vdot(v, v))
+    w = v / scale
+    scaled = scale * math.sqrt(np.vdot(w, w))
+    return scaled if scaled < sys.float_info.max else math.hypot(*v.tolist())
 
 
 def dot(u, v) -> float:

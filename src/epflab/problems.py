@@ -324,7 +324,9 @@ def _frozen(data) -> Array:
 def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], list]:
     """x -> const + coefs @ x (None is zero) as a list of Python floats.  An entry
     sums its nonzero terms by coordinate from -0.0, which adds exactly; the
-    constant is the term of a coordinate fixed at 1.0, last or first."""
+    constant is the term of a coordinate fixed at 1.0, last or first.  An
+    entry that is one coordinate (x in Q, say) is -0.0 + 1.0 * x_k, which
+    is x_k bit for bit, ±0, ±inf and NaN included."""
     coefs = np.asarray(coefs, dtype=float)
     const = np.zeros(len(coefs)) if const is None else np.ravel(const)
     entries = []
@@ -333,15 +335,6 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
         pairs.insert(0 if const_first else len(row), (len(row), c))
         terms = tuple((k, a) for k, a in pairs if a != 0.0)
         entries.append((-0.0 if terms else 0.0, terms))
-    picks = [terms[0][0] for _, terms in entries if len(terms) == 1 and terms[0][1] == 1.0]
-    if len(picks) == len(entries) and max(picks, default=0) < coefs.shape[1]:
-        # Each entry is one coordinate (x in Q, say): the same bits, by index.
-        def pick(x):
-            xs = x.tolist()
-            return [xs[k] for k in picks]
-
-        pick.float_list = True  # read once by SocBlock.values and eq_values
-        return pick
 
     def value(x):
         xs = x.tolist()
@@ -353,7 +346,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
             out.append(total)
         return out
 
-    value.float_list = True
+    value.float_list = True  # read once by SocBlock.values and eq_values
     return value
 
 

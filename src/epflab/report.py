@@ -10,7 +10,6 @@ from typing import Optional, Sequence, Tuple
 from .errors import NonMonotonePredicate
 from .harness import (
     MIN_SWEEP_RECORDS,
-    NONDEGENERACY_RADIUS,
     SweepRecord,
     c_sweep,
     estimate_c_star,
@@ -69,7 +68,7 @@ def localize(
     grid = geometric_grid(c_min, c_max, c_steps)
     records = c_sweep(penalty, grid, cfg)
     ptype = penalty_type_probe(records)
-    nondeg = nondegeneracy_probe(records, NONDEGENERACY_RADIUS)
+    nondeg = nondegeneracy_probe(records)
     local = local_exactness_probe(penalty, cert.x_star, grid[-1], seed=cfg.seed)
     sublevel = sublevel_bounded_probe(penalty, grid[-1], cert.f_star, seed=cfg.seed)
     # Bisect between the last failing grid c and the next one; with no

@@ -250,19 +250,18 @@ def estimate_multipliers_soc(problem: ConstrainedProblem, x,
       + (zeta2/2) * (||h||^2 + sum_i dist^2(g_i, Q)) * (||lambda||^2 + ||mu||^2)
     via its normal equations; a singular system gives the minimum-norm
     estimate with ``degenerate`` set.  A non-finite constraint value (g_i,
-    h, or G in the SDP analogue) raises NonFiniteEvaluation.
+    h, or G in the SDP analogue) raises NonFiniteEvaluation, and a problem
+    with an SDP block ValueError (``check_cone``).
     """
-    if problem.sdp_block is not None:
-        raise ValueError("use estimate_multipliers_sdp for matrix-constrained problems")
+    check_cone(problem, sdp=False)
     return _estimate(problem, x, cfg)
 
 
 def estimate_multipliers_sdp(problem: ConstrainedProblem, x,
                              cfg: EstimatorConfig = DEFAULT_ESTIMATOR) -> MultiplierEstimate:
     """SDP analogue of the multiplier estimate, with lambda a symmetric
-    matrix parameterized by its upper-triangular entries."""
-    if problem.sdp_block is None:
-        raise ValueError("problem has no SDP block")
+    matrix parameterized by its upper-triangular entries.  ValueError
+    (``check_cone``) unless the problem has an SDP block and no SOC block."""
     check_cone(problem, sdp=True)
     return _estimate(problem, x, cfg)
 

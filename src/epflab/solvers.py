@@ -15,7 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import isnan
 from operator import add, index
 from typing import Callable, Tuple
 
@@ -119,12 +118,9 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
 
 
 def _argsort(fs: list) -> list:
-    """``np.array(fs).argsort().tolist()``, the order scipy gives the simplex:
-    NaN last, and ties in scipy's order.  On at most 3 values without NaN
-    that is the stable order, which ``sorted`` gives on floats; on 4 or more
-    numpy's sort need not be stable, so numpy is asked."""
-    if len(fs) <= 3 and not any(map(isnan, fs)):
-        return sorted(range(len(fs)), key=fs.__getitem__)
+    """The order scipy gives the simplex: numpy's argsort of its values, NaN
+    last.  On at most 3 values that is the stable order, which the loop's
+    insertion keeps; on 4 or more numpy's sort need not be stable."""
     return np.array(fs).argsort().tolist()
 
 

@@ -133,7 +133,7 @@ def test_criterion_06_localization_battery():
             pen = make_penalty(p, kind)
             records = c_sweep(pen, grid, CFG)
             assert penalty_type_probe(records), (p.name, kind)
-            assert nondegeneracy_probe(records, radius=10.0), (p.name, kind)
+            assert nondegeneracy_probe(records), (p.name, kind)
             assert local_exactness_probe(pen, p.certificate.x_star, grid[-1], seed=0), (p.name, kind)
             res = estimate_c_star(pen, grid[0], grid[-1], cfg=CFG, strict=False)
             assert res.c_star is not None and res.c_star <= 1000.0, (p.name, kind)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from epflab.cones import dist_lorentz, dist_psd_minus, proj_lorentz, proj_psd
@@ -338,6 +338,9 @@ _FLOAT_MAX = 1.7976931348623157e308
 
 @settings(deadline=None, max_examples=300)
 @given(_huge_points())
+# A polar point whose norm lies just past the overflow threshold: scaled by
+# its largest |entry|, the sum of squares rounds to 1 and the norm to that entry.
+@example(np.array([-_FLOAT_MAX, 2e300]))
 def test_lorentz_overflowing_sums_of_squares_match_hypot(y):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -186,31 +186,36 @@ def test_penalty_type_probe_pass_and_fixtures():
         penalty_type_probe(records[:2])
 
 
-def test_nondegeneracy_probe():
+def test_nondegeneracy_probe(monkeypatch):
     p = get_problem("toy-lin-1")
     records = c_sweep(make_penalty(p, "linear"), [0.5, 1.5, 2.0, 8.0], CFG)
-    assert nondegeneracy_probe(records, radius=10.0)
-    assert not nondegeneracy_probe(records, radius=1.0)  # escape point x = 2 at c = 0.5
+    assert harness.NONDEGENERACY_RADIUS == 10.0
+    assert nondegeneracy_probe(records)
     failed = [SweepRecord(c=1.0, best_x=(math.nan,), best_F=math.inf,
                           feasibility_gap_total=math.inf, dist_to_xstar=math.inf,
                           n_starts_agreeing=0, failed=True)]
-    assert not nondegeneracy_probe(failed, radius=10.0)
+    assert not nondegeneracy_probe(failed)
+    # The radius is read at call time.
+    monkeypatch.setattr(harness, "NONDEGENERACY_RADIUS", 1.0)
+    assert not nondegeneracy_probe(records)  # escape point x = 2 at c = 0.5
     with pytest.raises(ValueError):
-        nondegeneracy_probe([], radius=1.0)
+        nondegeneracy_probe([])
 
 
 def test_local_exactness_probe():
     p = get_problem("toy-lin-1")
     pen = make_penalty(p, "linear")
     x_star = p.certificate.x_star
-    assert local_exactness_probe(pen, x_star, 8.0, radius=0.5)
-    assert not local_exactness_probe(pen, x_star, 0.5, radius=0.5)
+    assert harness.LOCAL_RADIUS == 0.5
+    assert local_exactness_probe(pen, x_star, 8.0)
+    assert not local_exactness_probe(pen, x_star, 0.5)
 
 
-def test_local_exactness_c1_socp():
+def test_local_exactness_c1_socp(monkeypatch):
     p = get_problem("toy-socp-1")
     pen = make_penalty(p, "c1-socp")
-    assert local_exactness_probe(pen, p.certificate.x_star, 1000.0, radius=0.3)
+    monkeypatch.setattr(harness, "LOCAL_RADIUS", 0.3)
+    assert local_exactness_probe(pen, p.certificate.x_star, 1000.0)
 
 
 def test_sublevel_bounded_probe():

@@ -518,9 +518,11 @@ def test_norm_has_the_bytes_of_np_linalg_norm(entries, as_list):
         assert np.float64(got).tobytes() == want.tobytes(), entries
     else:
         # The finite squares overflow: numpy's inf, the scaled norm here,
-        # inf only where the norm itself is above the float range.
+        # inf only where the norm itself is above the float range, which
+        # math.hypot decides where the scaled norm reaches the largest float.
         scale = float(np.abs(v).max())
-        assert got == scale * math.sqrt((v / scale) @ (v / scale)), entries
+        scaled = scale * math.sqrt((v / scale) @ (v / scale))
+        assert got == (scaled if scaled < 1.7976931348623157e308 else math.hypot(*entries)), entries
 
 
 def test_norm_of_overflowing_squares_is_finite():
@@ -528,5 +530,7 @@ def test_norm_of_overflowing_squares_is_finite():
     assert numerics.norm([0.0, 1e200]) == 1e200
     assert numerics.norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
     assert numerics.norm((1.7976931348623157e308, 1.7976931348623157e308)) == math.inf
+    # Scaled, the sum of squares rounds to 1; the norm itself overflows, as hypot says.
+    assert numerics.norm([-1.7976931348623157e308, 2e300]) == math.inf
     assert numerics.norm([math.inf, 1.0]) == math.inf
     assert math.isnan(numerics.norm([math.nan, 1e200, 1e200]))

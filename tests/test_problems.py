@@ -516,7 +516,7 @@ def _affine_data(rng, dim, n_soc, order, n_eq):
     center, linear = maybe(sparse(dim)), maybe(sparse(dim))
     soc = []
     for m in rng.integers(2, 4, size=n_soc):
-        # Some blocks only pick coordinates, which affine_problem reads by index.
+        # Some blocks only pick coordinates: each entry is -0.0 + 1.0 * x_k, which is x_k.
         A = sparse(m, dim) if rng.uniform() < 0.7 else np.eye(dim)[rng.integers(0, dim, size=m)]
         soc.append((A, maybe(sparse(m))))
     G0, Gk = maybe(_symmetric(rng, order)), [_symmetric(rng, order) for _ in range(dim)]
@@ -733,6 +733,28 @@ def test_affine_values_are_float_lists_with_the_array_bits(coords):
         want_phi = struct.pack("<d", _array_infeasibility(arrays, x))
         got_phi = struct.pack("<d", infeasibility(problem, x))
         assert got_phi == want_phi, (problem.name, coords)
+
+
+# Signed zeros, the infinities, NaN, subnormals and the largest floats.
+_SELECTED = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+     -2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.integers(0, dim - 1), min_size=1, max_size=5),
+    st.lists(_SELECTED, min_size=dim, max_size=dim))), st.booleans())
+def test_selection_maps_give_x_by_index(data, zero_const):
+    # Rows of the identity, repeated or permuted: each entry is -0.0 + 1.0 * x_k,
+    # which is x_k, as the array maps' x[index] reads it.
+    picks, coords = data
+    coefs, x = np.eye(len(coords))[picks], np.array(coords)
+    const = np.zeros(len(picks)) if zero_const else None
+    got = problems_module._affine_map(const, coefs)(x)
+    want = _array_affine_map(const, coefs)(x).tolist()
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert len(got) == len(want) and all(map(_same_float, got, want)), (picks, coords)
 
 
 def _toy_deg_1s() -> ConstrainedProblem:

@@ -1,4 +1,4 @@
-"""Three rules that every penalty reads are each written once in the package.
+"""Four rules that every penalty reads are each written once in the package.
 
 The check parses each module of ``src/epflab`` with ``ast``.  No module
 uses ``np.linalg.norm``: every Euclidean norm is ``numerics.norm``, which
@@ -9,7 +9,10 @@ calls.  And one function shape-checks a multiplier:
 ``problems.read_multipliers``, through which ``kkt_residual``, al-hpr,
 the flat ``--lambda`` layout and the CLI read theirs; it alone raises a
 DimensionMismatch that names a multiplier under an ``if`` that reads a
-shape (``.shape``, ``.size``, ``.ndim`` or ``len``).
+shape (``.shape``, ``.size``, ``.ndim`` or ``len``).  And one function
+checks that a problem's cones fit a C1 penalty or multiplier estimate:
+``smoothpen.check_cone`` alone raises a ValueError under an ``if`` that
+reads a problem's ``sdp_block`` or ``soc_blocks``.
 """
 
 import ast
@@ -24,6 +27,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 C_MESSAGE = "penalty parameter c"
 # A DimensionMismatch whose message matches this is about a multiplier.
 MULTIPLIER_MESSAGE = re.compile(r"multiplier|\bmu\b")
+# A ValueError raised under an ``if`` that reads one of these is about the cone fit.
+CONE_FIELDS = ("sdp_block", "soc_blocks")
 
 
 def linalg_norm_uses(source: str) -> list:
@@ -90,6 +95,20 @@ def multiplier_check_owners(source: str, module: str) -> list:
     return _raise_owners(source, module, _is_multiplier_shape_error)
 
 
+def _reads_the_cones(test) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr in CONE_FIELDS for n in ast.walk(test))
+
+
+def _is_cone_fit_error(exc, tests) -> bool:
+    return (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id == "ValueError" and any(map(_reads_the_cones, tests)))
+
+
+def cone_check_owners(source: str, module: str) -> list:
+    """Owners of each raise of the cone-fit ValueError."""
+    return _raise_owners(source, module, _is_cone_fit_error)
+
+
 def test_guard_sees_violations():
     source = '''
 import numpy as np
@@ -139,6 +158,30 @@ def residual(x, lam, mu):
     assert multiplier_check_owners(source, "m") == ["m.reader", "m.reader", "m.residual.inner"]
 
 
+def test_cone_guard_sees_violations():
+    source = '''
+def check(problem, sdp):
+    if (problem.sdp_block is not None) != sdp:
+        raise ValueError("c1 does not fit")
+    if sdp and problem.soc_blocks:
+        raise ValueError("mixed blocks")
+
+
+def estimate(problem, x):
+    if x.size == 0:
+        raise ValueError("empty x")
+    if problem.sdp_block is None:
+        if problem.n_eq:
+            raise ValueError("problem has no SDP block")
+        raise DimensionMismatch("no cone")
+
+    def inner(problem):
+        if not problem.soc_blocks:
+            raise ValueError("no SOC block")
+'''
+    assert cone_check_owners(source, "m") == ["m.check", "m.check", "m.estimate", "m.estimate.inner"]
+
+
 def test_no_module_uses_np_linalg_norm():
     uses = {p.name: linalg_norm_uses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
@@ -153,3 +196,9 @@ def test_one_function_shape_checks_a_multiplier():
     owners = [owner for p in MODULES
               for owner in multiplier_check_owners(p.read_text(encoding="utf-8"), p.stem)]
     assert set(owners) == {"problems.read_multipliers"}
+
+
+def test_one_function_checks_the_cone_fit():
+    owners = [owner for p in MODULES
+              for owner in cone_check_owners(p.read_text(encoding="utf-8"), p.stem)]
+    assert set(owners) == {"smoothpen.check_cone"}
