@@ -253,7 +253,7 @@ def estimate_multipliers_soc(problem: ConstrainedProblem, x,
     h, or G in the SDP analogue) raises NonFiniteEvaluation, and a problem
     with an SDP block ValueError (``check_cone``).
     """
-    check_cone(problem, sdp=False)
+    check_cone(problem, False, "estimate_multipliers_soc")
     return _estimate(problem, x, cfg)
 
 
@@ -262,7 +262,7 @@ def estimate_multipliers_sdp(problem: ConstrainedProblem, x,
     """SDP analogue of the multiplier estimate, with lambda a symmetric
     matrix parameterized by its upper-triangular entries.  ValueError
     (``check_cone``) unless the problem has an SDP block and no SOC block."""
-    check_cone(problem, sdp=True)
+    check_cone(problem, True, "estimate_multipliers_sdp")
     return _estimate(problem, x, cfg)
 
 
@@ -303,11 +303,13 @@ def _barrier(sdp: bool, alpha: float, kappa: float, dists, h_sq: float) -> Tuple
     return a_val, alpha - math.sqrt(h_sq) ** 2
 
 
-def check_cone(problem: ConstrainedProblem, sdp: bool) -> None:
+def check_cone(problem: ConstrainedProblem, sdp: bool, caller: Optional[str] = None) -> None:
     """ValueError unless ``problem`` has an SDP block exactly when ``sdp``,
-    and no SOC block beside it."""
+    and no SOC block beside it.  The message says "CALLER does not fit",
+    the C1 penalty kind of that cone unless ``caller`` is given."""
     if (problem.sdp_block is not None) != sdp:
-        raise ValueError(f"c1-{'sdp' if sdp else 'socp'} does not fit {problem.name}, which has "
+        caller = caller or f"c1-{'sdp' if sdp else 'socp'}"
+        raise ValueError(f"{caller} does not fit {problem.name}, which has "
                          f"{'no' if sdp else 'an'} SDP block")
     if sdp and problem.soc_blocks:
         raise ValueError("mixed SOC and SDP blocks are not supported")

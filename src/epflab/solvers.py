@@ -177,7 +177,8 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     bounds=...)`` (scipy 1.17.1, non-adaptive), done on plain floats, so each
     iterate and each F call is the same bit for bit.  Its coefficients are
     fixed: reflection 1, expansion 2, contraction 0.5, shrink 0.5, and an
-    initial step of 5 % of each coordinate (0.00025 where it is 0).
+    initial step of 5 % of each coordinate (0.00025 where it is 0).  On two
+    coordinates the loop after the start simplex is ``_nelder_mead_2d``.
     """
     lows, highs = lower.tolist(), upper.tolist()
     n = len(lows)
@@ -194,11 +195,13 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     nfev = n + 1
     # scipy sorts twice here; argsort is not stable on 4 or more values.
     sim, fs = _ordered(*_ordered(sim, fs))
+    maxiter = iters_per_dim * n
+    if n == 2:
+        return _nelder_mead_2d(func, sim, fs, lows, highs, maxiter, xatol, fatol)
     # On at most 3 vertices the order is stable: the new vertex of a step
     # goes after the best ones it ties (bisect_right), and a NaN last, unless
     # a NaN is among them.
     insert = n <= 2
-    maxiter = iters_per_dim * n
     it = 1
     while it < maxiter:
         f0, s0, w = fs[0], sim[0], sim[-1]
@@ -241,6 +244,90 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
             sim[-1], fs[-1] = xn, fn
             sim, fs = _ordered(sim, fs)
     return np.array(sim[0]), float(np.array(fs).min()), nfev, it >= maxiter
+
+
+def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fatol: float):
+    """The loop of ``_nelder_mead`` on two coordinates, unrolled on floats.
+
+    It takes the ordered start simplex and its values (3 F calls) and does
+    the general loop's float operations in the same order: the centroid
+    (0.0 + a + b) / 2, the point maps ca * a - cv * v and the shrink
+    s + 0.5 * (v - s), each clipped by the rule of two or more coordinates,
+    and the new vertex placed by bisect_right's two comparisons.  So every
+    F call, iterate and result is the same bit for bit.
+    """
+    (lo0, lo1), (hi0, hi1) = lows, highs
+    (a0, a1), (b0, b1), (w0, w1) = sim
+    f0, f1, f2 = fs
+    nfev = 3
+    it = 1
+    while it < maxiter:
+        if abs(f0 - f2) <= fatol and (abs(b0 - a0) <= xatol and abs(b1 - a1) <= xatol
+                                      and abs(w0 - a0) <= xatol and abs(w1 - a1) <= xatol):
+            break
+        it += 1
+        c0 = (0.0 + a0 + b0) / 2
+        c1 = (0.0 + a1 + b1) / 2
+        t = 2.0 * c0 - 1.0 * w0
+        m = lo0 if lo0 >= t else t
+        r0 = hi0 if hi0 <= m else m
+        t = 2.0 * c1 - 1.0 * w1
+        m = lo1 if lo1 >= t else t
+        r1 = hi1 if hi1 <= m else m
+        fr = _as_float(func(np.array([r0, r1])))
+        nfev += 1
+        if fr < f0:
+            t = 3.0 * c0 - 2.0 * w0
+            m = lo0 if lo0 >= t else t
+            e0 = hi0 if hi0 <= m else m
+            t = 3.0 * c1 - 2.0 * w1
+            m = lo1 if lo1 >= t else t
+            e1 = hi1 if hi1 <= m else m
+            fe = _as_float(func(np.array([e0, e1])))
+            nfev += 1
+            n0, n1, fn = (e0, e1, fe) if fe < fr else (r0, r1, fr)
+        elif fr < f1:
+            n0, n1, fn = r0, r1, fr
+        else:
+            inside = not fr < f2
+            ca, cv = (0.5, -0.5) if inside else (1.5, 0.5)
+            t = ca * c0 - cv * w0
+            m = lo0 if lo0 >= t else t
+            n0 = hi0 if hi0 <= m else m
+            t = ca * c1 - cv * w1
+            m = lo1 if lo1 >= t else t
+            n1 = hi1 if hi1 <= m else m
+            fn = _as_float(func(np.array([n0, n1])))
+            nfev += 1
+            if (not fn < f2) if inside else (not fn <= fr):
+                t = a0 + 0.5 * (b0 - a0)
+                m = lo0 if lo0 >= t else t
+                b0 = hi0 if hi0 <= m else m
+                t = a1 + 0.5 * (b1 - a1)
+                m = lo1 if lo1 >= t else t
+                b1 = hi1 if hi1 <= m else m
+                f1 = _as_float(func(np.array([b0, b1])))
+                t = a0 + 0.5 * (w0 - a0)
+                m = lo0 if lo0 >= t else t
+                w0 = hi0 if hi0 <= m else m
+                t = a1 + 0.5 * (w1 - a1)
+                m = lo1 if lo1 >= t else t
+                w1 = hi1 if hi1 <= m else m
+                f2 = _as_float(func(np.array([w0, w1])))
+                nfev += 2
+                ((a0, a1), (b0, b1), (w0, w1)), (f0, f1, f2) = _ordered(
+                    [(a0, a1), (b0, b1), (w0, w1)], [f0, f1, f2])
+                continue
+        if f1 != f1:  # a NaN among the best vertices
+            ((a0, a1), (b0, b1), (w0, w1)), (f0, f1, f2) = _ordered(
+                [(a0, a1), (b0, b1), (n0, n1)], [f0, f1, fn])
+        elif not fn < f1:
+            w0, w1, f2 = n0, n1, fn
+        elif fn < f0:
+            w0, w1, f2, b0, b1, f1, a0, a1, f0 = b0, b1, f1, a0, a1, f0, n0, n1, fn
+        else:
+            w0, w1, f2, b0, b1, f1 = b0, b1, f1, n0, n1, fn
+    return np.array([a0, a1]), float(np.array([f0, f1, f2]).min()), nfev, it >= maxiter
 
 
 def minimize(

@@ -105,3 +105,49 @@ def test_a_workload_list_prints_one_block_per_workload(capsys):
         shas = [line.rsplit(" ", 1)[1] for line in block if "answers sha256" in line]
         assert len(shas) == 2 and shas[0] == shas[1]
         assert block[-1].endswith("answers same")
+
+
+def test_pair_list_parsing():
+    ab_pass = _ab_pass()
+    assert ab_pass.pair_list("toy-socp-1/c1-socp") == [("toy-socp-1", "c1-socp")]
+    assert ab_pass.pair_list("toy-eq-1/linear,toy-sdp-1/c1-sdp") == [("toy-eq-1", "linear"),
+                                                                     ("toy-sdp-1", "c1-sdp")]
+    for text in ("", "toy-socp-1", "toy-socp-1/", "toy-socp-1/c1-sdp", "toy-eq-1/linear/x",
+                 "toy-eq-1/linear,", "no-such/linear"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            ab_pass.pair_list(text)
+
+
+def test_named_pairs_run_alone_with_their_task_seeds(capsys, monkeypatch):
+    src = str(ROOT / "src")
+    ab_pass = _ab_pass()
+    seen = []
+    run_task = ab_pass.run_task
+
+    def recording(lib, workload, problem, penalty, seed):
+        seen.append((problem, penalty, seed))
+        return run_task(lib, workload, problem, penalty, seed)
+
+    monkeypatch.setattr(ab_pass, "run_task", recording)
+    pairs = [("toy-socp-2", "qorder"), ("toy-lin-1", "linear")]
+    assert ab_pass.main([src, src, "--workload", "classic-battery", "--rounds", "1",
+                         "--pair", ",".join(map("/".join, pairs))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    # In the workload's order, each with the seed of its index in a full pass.
+    workload = ab_pass.WORKLOADS["classic-battery"]
+    index = {pair: i for i, pair in enumerate(workload.pairs)}
+    expected = [(*pair, ab_pass.task_seed(0, 0, index[pair])) for pair in sorted(pairs, key=index.get)]
+    assert seen == expected * 2
+    assert [line.split(":")[0] for line in out if line.startswith("pair ")] == [
+        f"pair {problem}/{penalty}" for problem, penalty, _ in expected]
+    assert out[-1].endswith("answers same")
+
+
+@pytest.mark.parametrize("argv", [["--pair", "toy-socp-1/c1-sdp"],
+                                  ["--workload", "classic-battery", "--pair", "toy-sdp-1/c1-sdp"]])
+def test_a_pair_that_cannot_run_is_an_argument_error(argv, capsys):
+    src = str(ROOT / "src")
+    with pytest.raises(SystemExit) as info:
+        _ab_pass().main([src, src, *argv])
+    assert info.value.code == 2
+    assert "pair" in capsys.readouterr().err

@@ -105,6 +105,20 @@ def test_barrier_state_feasible_no_multipliers():
     assert st.a_val == st.p_val == st.b_val == st.q_val == 1.0
 
 
+def test_soc_estimator_names_itself_on_a_problem_with_an_sdp_block():
+    p = get_problem("toy-sdp-1")
+    with pytest.raises(ValueError) as info:
+        estimate_multipliers_soc(p, p.certificate.x_star)
+    assert str(info.value) == "estimate_multipliers_soc does not fit toy-sdp-1, which has an SDP block"
+
+
+def test_sdp_estimator_names_itself_on_a_problem_without_an_sdp_block():
+    p = get_problem("toy-socp-1")
+    with pytest.raises(ValueError) as info:
+        estimate_multipliers_sdp(p, p.certificate.x_star)
+    assert str(info.value) == "estimate_multipliers_sdp does not fit toy-socp-1, which has no SDP block"
+
+
 def test_barrier_parameter_validation():
     p = get_problem("toy-socp-1")
     est = estimate_multipliers_soc(p, p.certificate.x_star)

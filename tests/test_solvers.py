@@ -573,6 +573,22 @@ def _frozen_nelder_mead(func, start, lower, upper, iters_per_dim, xatol, fatol):
     return np.array(sim[0]), float(np.array(fs).min()), nfev, it >= maxiter
 
 
+def _assert_same_as_frozen(func, start, lower, upper, budget):
+    """``_nelder_mead`` and its frozen copy make the same F calls and return
+    the same bits."""
+    new_calls, ref_calls = [], []
+
+    def logged(calls):
+        return lambda x: calls.append(x.tobytes()) or func(x)
+
+    new = solvers._nelder_mead(logged(new_calls), start.copy(), lower, upper, *budget)
+    ref = _frozen_nelder_mead(logged(ref_calls), start.copy(), lower, upper, *budget)
+    assert new_calls == ref_calls
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert np.float64(new[1]).tobytes() == np.float64(ref[1]).tobytes()
+    assert new[2:] == ref[2:] == (len(ref_calls), ref[3])
+
+
 def _objective(rng, dim, step, region, as_array):
     """A quantized distance (ties and plateaus, coarser with a larger step)
     that is +inf, -inf or NaN past a wall on one coordinate; as_array
@@ -617,17 +633,123 @@ def test_nelder_mead_matches_its_frozen_copy(dim, seed, step, region, as_array, 
         lower[k] = upper[k] = rng.uniform(-1.0, 1.0)
     func = _objective(rng, dim, step, region, as_array)
     start = rng.uniform(lower, upper)
-    new_calls, ref_calls = [], []
+    _assert_same_as_frozen(func, start, lower, upper, budget)
 
-    def logged(calls):
-        return lambda x: calls.append(x.tobytes()) or func(x)
 
-    new = solvers._nelder_mead(logged(new_calls), start.copy(), lower, upper, *budget)
-    ref = _frozen_nelder_mead(logged(ref_calls), start.copy(), lower, upper, *budget)
-    assert new_calls == ref_calls
-    assert new[0].tobytes() == ref[0].tobytes()
-    assert np.float64(new[1]).tobytes() == np.float64(ref[1]).tobytes()
-    assert new[2:] == ref[2:] == (len(ref_calls), ref[3])
+# How the two-coordinate property changes one drawn coordinate of the box and start.
+_COORDINATE_KINDS = ["drawn", "zero", "minus zero", "upper", "signed-zero upper", "zero box",
+                     "minus-zero lower", "half-step upper", "huge", "subnormal"]
+
+
+def _apply_kind(kind, k, lower, upper, start):
+    if kind == "zero":  # the 0.00025 step
+        start[k] = 0.0
+    elif kind == "minus zero":
+        start[k] = -0.0
+    elif kind == "upper":  # the 5 % step leaves the box and is reflected into it
+        start[k] = upper[k]
+    elif kind == "signed-zero upper":  # +0.0 clipped to the bound -0.0
+        upper[k], start[k] = -0.0, 0.0
+    elif kind == "zero box":  # zero width, with bounds +0.0 and -0.0
+        lower[k], upper[k], start[k] = 0.0, -0.0, -0.0
+    elif kind == "minus-zero lower":  # a negative draw and every exact zero clip to -0.0
+        lower[k] = -0.0
+    elif kind == "half-step upper":  # the 0.00025 step is reflected to +0.0 beside two -0.0
+        upper[k], start[k] = 0.00025 / 2, -0.0
+    elif kind == "huge":  # sums of two coordinates overflow
+        lower[k], upper[k], start[k] = 0.0, 1.7e308, 1e308
+    elif kind == "subnormal":  # halving rounds
+        lower[k], upper[k], start[k] = -4e-323, 4e-323, 5e-324
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.tuples(*[st.sampled_from(_COORDINATE_KINDS)] * 2),
+       step=st.sampled_from([0.0, 0.25, 1.0, 4.0]), region=st.sampled_from(["none", "+inf", "-inf", "nan"]),
+       as_array=st.booleans(), flat=st.booleans(), fatol_units=st.booleans(),
+       budget=st.sampled_from([(400, 1e-6, 1e-8), (1600, 1e-9, 1e-11), (1, 1e-6, 1e-8), (3, 1e-9, 1e-11)]))
+# The first example draws what the dim=2, seed=1014 example above draws (two
+# NaN values in one simplex); each other one, found by search, tells one
+# mutant of the kernel from it, named in its comment.
+@example(seed=1014, kinds=("drawn", "drawn"), step=0.0, region="nan", as_array=False,
+         flat=False, fatol_units=False, budget=(400, 1e-6, 1e-8))
+# A signed-zero tie on the lower bound (the clip's >=):
+@example(seed=152, kinds=("minus-zero lower", "zero"), step=1.0, region="+inf", as_array=False,
+         flat=False, fatol_units=False, budget=(1600, 1e-9, 1e-11))
+# A signed-zero tie on the upper bound (the clip's <=):
+@example(seed=541, kinds=("zero box", "minus zero"), step=4.0, region="-inf", as_array=False,
+         flat=False, fatol_units=False, budget=(1, 1e-6, 1e-8))
+# The reflection 2 * c - 1 * w, not c + (c - w):
+@example(seed=516, kinds=("signed-zero upper", "zero"), step=0.0, region="none", as_array=True,
+         flat=False, fatol_units=False, budget=(400, 1e-6, 1e-8))
+# The +0.0 that starts the centroid sum:
+@example(seed=842, kinds=("half-step upper", "minus-zero lower"), step=0.0, region="nan", as_array=True,
+         flat=True, fatol_units=True, budget=(3, 1e-9, 1e-11))
+# 0.5 * a + 0.5 * v against 0.5 * (a + v) on subnormals:
+@example(seed=613, kinds=("subnormal", "half-step upper"), step=0.0, region="nan", as_array=True,
+         flat=True, fatol_units=True, budget=(400, 1e-6, 1e-8))
+# The shrink's a + 0.5 * (v - a) where a + v overflows:
+@example(seed=391, kinds=("huge", "upper"), step=1.0, region="-inf", as_array=False,
+         flat=False, fatol_units=False, budget=(1, 1e-6, 1e-8))
+# The worst value, not the middle one, in the stop test:
+@example(seed=714, kinds=("signed-zero upper", "drawn"), step=0.0, region="nan", as_array=True,
+         flat=False, fatol_units=False, budget=(400, 1e-6, 1e-8))
+# The order after a shrink:
+@example(seed=72, kinds=("upper", "drawn"), step=0.25, region="+inf", as_array=True,
+         flat=False, fatol_units=False, budget=(400, 1e-6, 1e-8))
+# An expansion that ties the reflection:
+@example(seed=563, kinds=("half-step upper", "upper"), step=0.0, region="-inf", as_array=True,
+         flat=False, fatol_units=True, budget=(400, 1e-6, 1e-8))
+# A NaN left in the simplex when the budget runs out:
+@example(seed=590, kinds=("minus-zero lower", "zero"), step=4.0, region="nan", as_array=False,
+         flat=True, fatol_units=True, budget=(1, 1e-6, 1e-8))
+def test_two_coordinate_kernel_matches_the_frozen_loop(seed, kinds, step, region, as_array, flat,
+                                                       fatol_units, budget):
+    # Drawn as test_nelder_mead_matches_its_frozen_copy draws dim=2, then
+    # each coordinate changed as its kind says.  In units of fatol, two
+    # plateaus of the objective are exactly fatol apart.
+    rng = np.random.default_rng(seed)
+    lower = -rng.uniform(0.1, 2.0, 2)
+    upper = rng.uniform(0.1, 2.0, 2)
+    if flat:
+        k = int(rng.integers(2))
+        lower[k] = upper[k] = rng.uniform(-1.0, 1.0)
+    objective = _objective(rng, 2, step, region, as_array)
+    func = (lambda x: objective(x) * budget[2]) if fatol_units else objective
+    start = rng.uniform(lower, upper)
+    for k, kind in enumerate(kinds):
+        _apply_kind(kind, k, lower, upper, start)
+    _assert_same_as_frozen(func, start, lower, upper, budget)
+
+
+def test_the_two_coordinate_kernel_runs_on_two_coordinates_only(monkeypatch):
+    runs = []
+    kernel = solvers._nelder_mead_2d
+
+    def counted(*args):
+        runs.append([len(vertex) for vertex in args[1]])
+        return kernel(*args)
+
+    monkeypatch.setattr(solvers, "_nelder_mead_2d", counted)
+    func = lambda x: float(np.sum((x - 0.3) ** 2))
+    for dim in (1, 2, 3):
+        runs.clear()
+        box = np.full(dim, -1.0), np.full(dim, 1.0)
+        minimize(func, *box, SolverConfig(n_starts=3, seed=0))
+        polish(func, np.zeros(dim), *box)
+        # One run per start and one for the polish, each on a 3-vertex simplex of pairs.
+        assert runs == ([[2, 2, 2]] * 4 if dim == 2 else []), dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_stop_test_includes_both_tolerances(dim):
+    # From the origin every step is 0.00025 and the values are 0 and 1, so
+    # with xatol = 0.00025 and fatol = 1 the run stops at its start simplex.
+    func = lambda x: float(x[0] > 0.0)
+    box = np.full(dim, -1.0), np.full(dim, 1.0)
+    x, value, nfev, hit_cap = solvers._nelder_mead(func, np.zeros(dim), *box, 400, 0.00025, 1.0)
+    assert (x.tobytes(), value, nfev, hit_cap) == (np.zeros(dim).tobytes(), 0.0, dim + 1, False)
 
 
 def _fresh_starts(func, lower, upper, n_starts, seed):

@@ -2,6 +2,7 @@
 
     python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload classic-battery --rounds 10
     python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload all --rounds 1 --seed 0,1,2,3
+    python3 tools/ab_pass.py BASE_SRC NEW_SRC --workload c1-battery --pair toy-socp-1/c1-socp
 
 BASE_SRC and NEW_SRC are ``src`` directories (each holding ``epflab/``),
 for instance a clean checkout of the parent commit and this tree.  Both
@@ -15,7 +16,10 @@ comma-separated list; a round then runs one pass per seed on each side.
 ``--workload`` takes one workload, a comma-separated list, or ``all``
 (every workload, in name order); each workload then runs its own rounds
 and prints its own block, after a ``== workload NAME ==`` line when
-there are several.
+there are several.  ``--pair PROBLEM/KIND`` (or a comma-separated list)
+runs only the named pairs of each workload, each with the task seed it
+has in a full pass; a pair that no workload runs, or a workload that
+runs none of the named pairs, is an error.
 
 It prints the CPU seconds (``time.process_time``) of each side per
 round, each side's median and interquartile range, each pair's median
@@ -114,13 +118,15 @@ def recording(lib, digest):
         f_evals=lib.f_evals)
 
 
-def run_pass(lib, workload, seed, pass_index):
-    """CPU seconds of each pair's task in one pass, the number of tasks
-    that failed the gate, and the F evaluations of the pass."""
+def run_pass(lib, workload, tasks, seed, pass_index):
+    """CPU seconds of each task in one pass (``tasks`` holds the index of
+    each pair to run in the workload), the number of tasks that failed the
+    gate, and the F evaluations of the pass."""
     failed = 0
     seconds = []
     evals = lib.f_evals()
-    for i, (problem, penalty) in enumerate(workload.pairs):
+    for i in tasks:
+        problem, penalty = workload.pairs[i]
         start = time.process_time()
         outcome = run_task(lib, workload, problem, penalty, task_seed(seed, pass_index, i))
         seconds.append(time.process_time() - start)
@@ -154,9 +160,23 @@ def workload_list(text):
     return names
 
 
-def compare(sides, workload, rounds, seeds):
-    """Run ``rounds`` rounds of one workload on both sides and print its
-    block; returns whether the answers are the same and no task failed."""
+def pair_list(text):
+    """The pairs of ``--pair``: PROBLEM/KIND or a comma-separated list, each
+    run by some workload."""
+    known = {pair for workload in WORKLOADS.values() for pair in workload.pairs}
+    pairs = [tuple(part.split("/")) for part in text.split(",")]
+    unknown = ["/".join(pair) for pair in pairs if pair not in known]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown pair {', '.join(map(repr, unknown))}; choose PROBLEM/KIND from "
+            f"{', '.join(sorted('/'.join(pair) for pair in known))}, or a comma-separated list")
+    return pairs
+
+
+def compare(sides, workload, tasks, rounds, seeds):
+    """Run ``rounds`` rounds of the tasks (pair indices) of one workload on
+    both sides and print its block; returns whether the answers are the
+    same and no task failed."""
     digests = {side: {seed: hashlib.sha256() for seed in seeds} for side in sides}
     libs = {side: {seed: recording(lib, digests[side][seed]) for seed in seeds}
             for side, lib in sides.items()}
@@ -167,7 +187,7 @@ def compare(sides, workload, rounds, seeds):
     for r in range(rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
-            passes = [run_pass(libs[side][seed], workload, seed, r) for seed in seeds]
+            passes = [run_pass(libs[side][seed], workload, tasks, seed, r) for seed in seeds]
             seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, _, _ in passes))]
             per_pair[side].append(seconds)
             cpu[side].append(sum(seconds))
@@ -192,8 +212,9 @@ def compare(sides, workload, rounds, seeds):
     for seed in seeds:
         base, new = f_evals["base"][seed], f_evals["new"][seed]
         print(f"F evaluations seed {seed}: base {base}, new {new} ({(new - base) / base:+.1%})")
-    for i, (problem, penalty) in enumerate(workload.pairs):
-        base, new = (statistics.median(rounds[i] for rounds in per_pair[side]) for side in sides)
+    for k, i in enumerate(tasks):
+        problem, penalty = workload.pairs[i]
+        base, new = (statistics.median(rounds[k] for rounds in per_pair[side]) for side in sides)
         print(f"pair {problem}/{penalty}: base median {base:.3f} s, new median {new:.3f} s "
               f"({(new - base) / base:+.1%})")
     gap = statistics.median(cpu["new"]) - statistics.median(cpu["base"])
@@ -212,16 +233,23 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=seed_list, default=[0],
                         help="one seed or a comma-separated list, e.g. 0,1,2,3")
+    parser.add_argument("--pair", type=pair_list, default=None,
+                        help="run only these PROBLEM/KIND pairs, e.g. toy-socp-1/c1-socp")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    tasks = {name: [i for i, pair in enumerate(WORKLOADS[name].pairs)
+                    if args.pair is None or pair in args.pair] for name in args.workload}
+    for name, indices in tasks.items():
+        if not indices:
+            parser.error(f"workload {name} runs none of the pairs of --pair")
     sides = {"base": load_tree(args.base, "epflab_ab_base"),
              "new": load_tree(args.new, "epflab_ab_new")}
     ok = True
     for name in args.workload:
         if len(args.workload) > 1:
             print(f"== workload {name} ==", flush=True)
-        ok &= compare(sides, WORKLOADS[name], args.rounds, args.seed)
+        ok &= compare(sides, WORKLOADS[name], tasks[name], args.rounds, args.seed)
     return 0 if ok else 1
 
 
