@@ -34,16 +34,20 @@ _FLOAT64 = np.dtype(np.float64)
 
 class PenaltyHandle:
     """F(x, c) = value(state(x), c) bound to one problem; state(x) is all of
-    F that does not read c.  A call keeps the states by the bytes of x, those
-    met at the current c and at the c before it: a new c drops the older set,
-    and a state found there is copied into the current one.  A bad c
+    F that does not read c, and floor(c) a beta(c) >= 0 with F(x, c) >= f(x)
+    - beta(c) everywhere, or None.  A call keeps the states by the bytes of x,
+    those met at the current c and at the c before it: a new c drops the older
+    set, and a state found there is copied into the current one.  A bad c
     (ValueError) or an x of another shape than (dim,) (DimensionMismatch)
     raises before anything is evaluated; a state that raises is not stored."""
 
-    __slots__ = ("problem", "state", "value", "params", "_shape", "_c", "_current", "_previous")
+    __slots__ = ("problem", "state", "value", "params", "floor", "_shape", "_c", "_current",
+                 "_previous")
 
-    def __init__(self, problem: ConstrainedProblem, state: Callable, value: Callable, params: Dict):
+    def __init__(self, problem: ConstrainedProblem, state: Callable, value: Callable, params: Dict,
+                 floor: Optional[Callable[[float], float]] = None):
         self.problem, self.state, self.value, self.params = problem, state, value, params
+        self.floor = floor
         self._shape, self._c, self._current, self._previous = (problem.dim,), None, {}, {}
 
     def __call__(self, x, c: float) -> float:
@@ -64,13 +68,15 @@ class PenaltyHandle:
 
 
 def _linear(problem):
-    phi = default_phi(problem)
-    return lambda x: linear_state(problem, phi, x), lambda s, c: linear_value(s, c), {}
+    phi = default_phi(problem)  # F >= f, as c * phi >= 0
+    return (lambda x: linear_state(problem, phi, x), lambda s, c: linear_value(s, c), {},
+            lambda c: 0.0)
 
 
 def _qorder(problem, q=1.0):
-    qf, phi = q_order(q), default_phi(problem)
-    return lambda x: qpen_state(problem, phi, x), lambda s, c: qpen_value(qf, s, c), {"q": q}
+    qf, phi = q_order(q), default_phi(problem)  # F >= f, as Q(t, s) >= t
+    return (lambda x: qpen_state(problem, phi, x), lambda s, c: qpen_value(qf, s, c), {"q": q},
+            lambda c: 0.0)
 
 
 def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
@@ -79,8 +85,9 @@ def _c1(problem, sdp, alpha, kappa, zeta1, zeta2):
     check_barrier(sdp, alpha, kappa)
     params = dict(alpha=alpha, kappa=kappa, zeta1=zeta1, zeta2=zeta2)
     data = constant_normal_data(problem)
+    # F >= f - alpha / c, as p ||lambda||^2 < a <= alpha and q ||mu||^2 < b <= alpha.
     return (lambda x: c1_state(problem, x, alpha, kappa, cfg, data),
-            lambda s, c: c1_value(problem, s, c), params)
+            lambda s, c: c1_value(problem, s, c), params, lambda c: alpha / c)
 
 
 def _c1_socp(problem, alpha=1.0, kappa=KAPPA_SOC, zeta1=1.0, zeta2=1.0):
@@ -108,11 +115,14 @@ def _al_hpr(problem, lam=None, mu=None):
     multipliers = hpr_multipliers(problem, *split_multipliers(problem, lam), mu)
     params = {f"lambda_{i}": float(v) for i, v in enumerate(lam)}
     params.update({f"mu_{i}": float(v) for i, v in enumerate(mu)})
-    return lambda x: hpr_state(problem, x), lambda s, c: hpr_value(multipliers, s, c), params
+    # A cone term is at least -||lambda_i||^2 / 2c and <mu, h> + (c/2) h.h at least -||mu||^2 / 2c.
+    norms_sq = float(lam @ lam + mu @ mu)
+    return (lambda x: hpr_state(problem, x), lambda s, c: hpr_value(multipliers, s, c), params,
+            lambda c: norms_sq / (2.0 * c))
 
 
-# Penalty kind -> builder of F's state and value and of the parameters a report
-# records; its keyword parameters, with their defaults, are all the kind reads.
+# Penalty kind -> builder of F's state, value, reported parameters and floor
+# (``PenaltyHandle``); its keyword parameters, with their defaults, are all the kind reads.
 # F calls the stages through this module's globals, which a tracer may wrap.
 _BUILDERS = {"linear": _linear, "qorder": _qorder, "c1-socp": _c1_socp, "c1-sdp": _c1_sdp,
              "al-hpr": _al_hpr}
@@ -148,6 +158,9 @@ PASS_TOL = 1e-4
 CONFIRM_FACTOR = 2.0
 # How far below F(x*, c) (local probe) or f* (sublevel probe) a sample may lie.
 PROBE_SLACK = 1e-9
+# A probe sample x is settled, and F not called there, when f(x) - beta(c)
+# clears the reference by this share of |f(x)| + beta(c), above F's rounding.
+SETTLE_RTOL = 1e-12
 # Local probe: this many samples of the ball of this radius around x*.
 LOCAL_SAMPLES = 200
 LOCAL_RADIUS = 0.5
@@ -286,6 +299,20 @@ def nondegeneracy_probe(records: Sequence[SweepRecord]) -> bool:
     return True
 
 
+def _unsettled(penalty: PenaltyHandle, points, c: float, reference: float):
+    """The points, in order, where f(x) - beta(c) does not clear ``reference``
+    by ``SETTLE_RTOL * (|f(x)| + beta(c))``, as a NaN f(x) does not; every
+    point for a handle without a floor.  c must be a valid penalty parameter."""
+    if penalty.floor is None:
+        yield from points
+        return
+    objective, beta = penalty.problem.objective, penalty.floor(c)
+    for x in points:
+        f_val = float(objective(x))
+        if not f_val - beta - reference >= SETTLE_RTOL * (abs(f_val) + beta):
+            yield x
+
+
 def local_exactness_probe(
     penalty: PenaltyHandle,
     x_star,
@@ -295,7 +322,8 @@ def local_exactness_probe(
     """True iff x_star minimizes F(., c) over ``LOCAL_SAMPLES`` samples of
     the ``LOCAL_RADIUS`` ball around it, clipped to the box.  On an
     increasing c list, "from some tested c on" holds exactly when it holds
-    at the largest c, so callers pass that."""
+    at the largest c, so callers pass that.  F is called at x_star, then at
+    the samples f cannot settle (``_unsettled``)."""
     x_star = np.asarray(x_star, dtype=float)
     problem = penalty.problem
     lower, upper = problem.box()
@@ -310,7 +338,7 @@ def local_exactness_probe(
         r = LOCAL_RADIUS * rng.uniform() ** (1.0 / dim)
         samples.append(np.clip(x_star + direction / length * r, lower, upper))
     base = penalty(x_star, c)
-    return all(penalty(x, c) >= base - PROBE_SLACK for x in samples)
+    return all(penalty(x, c) >= base - PROBE_SLACK for x in _unsettled(penalty, samples, c, base))
 
 
 def sublevel_bounded_probe(
@@ -320,7 +348,9 @@ def sublevel_bounded_probe(
     seed: int = 0,
 ) -> bool:
     """Boundedness evidence for {x : F(x, c0) < f*}: no point on the
-    expanded shell around the box may beat f*.  Sampling evidence only."""
+    expanded shell around the box may beat f*.  Sampling evidence only.  F
+    is called only at the shell points f cannot settle (``_unsettled``)."""
+    check_penalty_parameter(c0)
     problem = penalty.problem
     lower, upper = problem.box()
     center = 0.5 * (lower + upper)
@@ -330,7 +360,7 @@ def sublevel_bounded_probe(
     draws = rng.uniform(-SUBLEVEL_EXPANSION, SUBLEVEL_EXPANSION, size=(SUBLEVEL_SAMPLES, problem.dim))
     points = center + draws * half
     shell = points[~(np.all(points >= lower, axis=1) & np.all(points <= upper, axis=1))]
-    for point in shell:
+    for point in _unsettled(penalty, shell, c0, f_star):
         if penalty(point, c0) < f_star - PROBE_SLACK:
             return False
     return len(shell) > 0
@@ -362,8 +392,11 @@ def estimate_c_star(
     answer because a solve is deterministic for a fixed ``cfg``.  A
     strict solve stops at its first witness, a start whose minimum is at
     or below ``strict_fail_bound(f*)``: the full solve could only find a
-    lower value and would fail as well, so the history is the same.  The
-    confirmation solve and every non-strict solve run all their starts.
+    lower value and would fail as well, so the history is the same.  A
+    strict step keeps the argmin of every failing c as a witness; a c
+    with no record, at which F at a kept witness is at or below that
+    bound, fails unsolved, and one polish from that witness is kept too.
+    The confirmation solve and every non-strict solve run all their starts.
     Bisection presumes passes form an up-set in c; the confirmation probe
     at ``CONFIRM_FACTOR * c_star`` raises NonMonotonePredicate if that
     structure is violated.
@@ -380,12 +413,23 @@ def estimate_c_star(
     history: List[Tuple[float, bool]] = []
     solved = {rec.c: rec for rec in sweep}
     stop_below = strict_fail_bound(cert.f_star) if strict else -math.inf
+    witnesses: List[np.ndarray] = []  # argmins of the failing strict steps
+    def refuted(c: float) -> bool:
+        for w in witnesses:
+            if penalty(w, c) <= stop_below:
+                witnesses.append(polish(lambda z: penalty(z, c), w, *penalty.problem.box())[0])
+                return True
+        return False
 
     def predicate(c: float) -> bool:
         rec = solved.get(c)
-        if rec is None:
-            rec = _solve_at(penalty, c, cfg, stop_below)
-        ok = rec.passes(cert, strict)
+        if rec is None and refuted(c):
+            ok = False
+        else:
+            rec = rec or _solve_at(penalty, c, cfg, stop_below)
+            ok = rec.passes(cert, strict)
+            if strict and not ok and not rec.failed:
+                witnesses.append(np.array(rec.best_x))
         history.append((float(c), ok))
         return ok
 

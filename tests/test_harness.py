@@ -621,14 +621,51 @@ def test_witness_stop_saves_f_calls_on_failing_strict_steps(monkeypatch):
     ref = _solve_log(monkeypatch, False)
     assert estimate_c_star(make_penalty(p, "linear"), 0.5, 1024.0, cfg=cfg) == res
     bound = harness.strict_fail_bound(p.certificate.f_star)
+    verdict = dict(res.history)
     witnessed = [i for i, entry in enumerate(new) if entry[3] <= bound]
-    assert witnessed and all(not res.history[i][1] for i in witnessed)
+    assert witnessed and all(not verdict[new[i][0]] for i in witnessed)
     # A step that ended at a witness made fewer F calls and no polish; the
     # others, a step failing on its distance to x* among them, ran in full.
+    assert [entry[0] for entry in new] == [entry[0] for entry in ref]
     for i, (entry, full) in enumerate(zip(new, ref)):
         assert entry[2] < full[2] if i in witnessed else entry[2] == full[2]
-    assert any(not ok for i, (_, ok) in enumerate(res.history) if i not in witnessed)
-    assert len(polished) == len(new) - len(witnessed)
+    assert any(not verdict[entry[0]] for i, entry in enumerate(new) if i not in witnessed)
+    # A step that a kept witness refuted was not solved; it ran one polish,
+    # from that witness, counted apart from the solves' polishes.
+    refuted = [c for c, _ in res.history if c not in {entry[0] for entry in new}]
+    assert refuted and not any(verdict[c] for c in refuted)
+    assert len(polished) == len(new) - len(witnessed) + len(refuted)
+
+
+def _hidden_basin(x, c):
+    """|x| on toy-lin-1 (x* = 0, f* = 0) beside a basin of depth -1 at x = 1.5
+    below c = 8: wide up to c = 1, 0.02 wide above, where the starts miss it."""
+    if c >= 8.0:
+        return abs(float(x[0]))
+    return min(abs(float(x[0])), -1.0 + (1.0 if c <= 1.0 else 100.0) * abs(float(x[0]) - 1.5))
+
+
+def test_a_kept_witness_refutes_a_c_whose_solve_misses_the_basin(monkeypatch):
+    p = get_problem("toy-lin-1")
+    pen = _fake(p, _hidden_basin)
+    cfg = SolverConfig(n_starts=4, seed=0)
+    # Solved alone, a c in (1, 8) passes falsely: every start misses the narrow basin.
+    assert harness._solve_at(pen, 2.0, cfg).passes(p.certificate)
+    assert estimate_c_star(pen, 2.0, 16.0, cfg=cfg).c_star < 7.0
+    solved = _count_calls(monkeypatch, harness, "_solve_at")
+    polished = _count_calls(monkeypatch, harness, "polish")
+    res = estimate_c_star(pen, 0.5, 16.0, cfg=cfg)
+    # c = 0.5 fails at the wide basin, and its argmin refutes every c below 8
+    # without a solve, each after one polish from a kept witness.
+    refuted = [c for c, _ in res.history if c not in solved]
+    assert refuted and all(1.0 < c < 8.0 for c in refuted)
+    assert not any(ok for c, ok in res.history if c in refuted)
+    assert 8.0 / 1.02 <= res.c_star <= 8.0 * 1.02
+    assert len(polished) == len(refuted) + sum(1 for c in solved if c >= 8.0)
+    # A non-strict bisection keeps no witness.
+    solved.clear()
+    loose = estimate_c_star(pen, 0.5, 16.0, cfg=cfg, strict=False)
+    assert [c for c, _ in loose.history] == solved
 
 
 def test_sweep_and_localize_run_every_start(monkeypatch):

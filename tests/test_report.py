@@ -69,12 +69,14 @@ def test_serialized_report_keys():
 # c-dependent value; the two toy-socp pairs were recorded before the SOC
 # and SDP c1 stages were folded into one.  toy-socp-2 is the pair whose
 # c1 value has both an SOC block and an equality term.  A speed change or
-# a refactor must leave these bytes alone.
+# a refactor must leave these bytes alone.  toy-socp-1/c1-socp was
+# re-recorded when a strict bisection began to refute a c by a kept witness:
+# c* went from 1.5506, a false pass below the 16-start value 1.6829, to 1.6727.
 _REPORT_SHA256 = {
     ("toy-lin-1", "linear"): "b0eacf0c20ecad74d62a3df2b1b91368a9928c14cf10e004a3a839a5f23b1bef",
     ("toy-eq-1", "qorder"): "c29b0237956b3b8c78bdc9aa0c57e8d216419890eb693edf6d10eca2e96a0ce5",
     ("toy-eq-1", "c1-socp"): "810b5dbb6e3d34aefc4df5fe804bde5c07efc08a25390babd7c8eec68d3c4edf",
-    ("toy-socp-1", "c1-socp"): "15813501099c6bc0c0f2336e85fa1c5aaee5169cca244021c4da8d6ce017a83e",
+    ("toy-socp-1", "c1-socp"): "e1a614d26dd0fd9491de7b19b56750be4dc9bacde39ecd49c2e576ba45b085db",
     ("toy-socp-2", "c1-socp"): "a5a761972537ac2f1e64d469b2ec0bb4b0be24d020c42a63346f20931999cecc",
     ("toy-sdp-1", "c1-sdp"): "0e9b40d55c023a7281b2e83281a3124b74f4c4fbba6870e42f8247021faa4d91",
 }
@@ -93,9 +95,11 @@ def test_report_bytes_are_pinned(pair):
 # confirmation record, floats by float.hex) at seed 0, 4 starts, strict, on
 # [0.5, 1024] for the four C1 pairs, recorded before the C1 hot path moved
 # from numpy arrays onto floats.  A speed change must leave these alone.
+# toy-socp-1/c1-socp was re-recorded with witness chaining: c* went from
+# 1.5391, a false pass, to 1.6829.
 _CSTAR_SHA256 = {
     ("toy-eq-1", "c1-socp"): "3804d840d6d3ce48d162c163daf80ee4801511ac11d1a9b3a3d86d08a313e14d",
-    ("toy-socp-1", "c1-socp"): "1234a6212b82cd6457557d1d825bfdd1870199c079b6115ef3c21bf7cc64e134",
+    ("toy-socp-1", "c1-socp"): "62d9d3f956ed32d7a3ac33a3db74e7a558bc18ba6805eefdd8beb2ce495f42a7",
     ("toy-socp-2", "c1-socp"): "aa83405cd6231ab813feaf380c4594144a9cfabf035b4dece7c816a37da7dec3",
     ("toy-sdp-1", "c1-sdp"): "0a02b7f9e1fcc1535a1c1c39c3c21b779583e18f548d6fa5c4fe39d4fe100517",
 }
