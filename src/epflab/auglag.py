@@ -12,7 +12,8 @@ import numpy as np
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import NonFiniteEvaluation
 from .numerics import dot
-from .problems import ConstrainedProblem, as_point, check_penalty_parameter, read_multipliers
+from .problems import (ConstrainedProblem, as_point, check_penalty_parameter, checked_objective,
+                       read_multipliers)
 
 
 def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None) -> tuple:
@@ -25,12 +26,16 @@ def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None
 
 
 def hpr_state(problem: ConstrainedProblem, x) -> tuple:
-    """(f, [g_i as float lists], G, h as a float list, h.h) at x; G and h are
-    None where absent."""
-    f_val = problem.f(x)
-    g_vals = [block.values(x) for block in problem.soc_blocks]
-    g_mat = None if problem.sdp_block is None else np.asarray(problem.sdp_block.G(x), dtype=float)
-    h_val = problem.eq_values(x) if problem.n_eq > 0 else None
+    """(f, [g_i as float lists], G, h as a float list, h.h) at a point x (as
+    ``as_point`` returns it), from one ``read_point``; G and h are None where
+    absent.  A NaN f raises NonFiniteEvaluation."""
+    f_val, g_vals, entries, h_val, _ = problem.read_point(x)
+    f_val = checked_objective(f_val, x)
+    g_mat = None
+    if entries is not None:
+        g_mat = np.array(entries).reshape(problem.sdp_block.order, -1)
+    if problem.n_eq == 0:
+        h_val = None
     return f_val, g_vals, g_mat, h_val, 0.0 if h_val is None else dot(h_val, h_val)
 
 

@@ -74,8 +74,8 @@ def dist_lorentz(y) -> float:
     """
     if not (type(y) is list and len(y) > 1 and type(y[0]) is float):
         y = _lorentz_point(y).tolist()
-    head = y[0]
-    tail_norm = norm(y[1:])
+    head, tail = y[0], y[1:]
+    tail_norm = norm(tail)
     if head >= tail_norm:
         # An infinite head gives inf - inf in y - proj_lorentz(y): NaN.
         return 0.0 if head < math.inf else math.nan
@@ -84,7 +84,7 @@ def dist_lorentz(y) -> float:
     coef = _midpoint(head, tail_norm)
     ratio = _tail_ratio(coef, tail_norm)
     gap = [head - coef]
-    for t in y[1:]:
+    for t in tail:
         gap.append(t - ratio * t)
     return norm(gap)
 
@@ -109,6 +109,15 @@ def dist_psd_minus(a) -> float:
     if a.shape == (2, 2):
         return dist_psd_minus2(*a.ravel().tolist())
     return _dist_psd_minus_eig(a)
+
+
+def dist_psd_minus_entries(entries: list, order: int) -> float:
+    """``dist_psd_minus`` of the matrix of an order with these row-major
+    entries (Python floats): ``dist_psd_minus2`` at order 2, without an
+    array, else the matrix on the LAPACK path; same bits."""
+    if order == 2:
+        return dist_psd_minus2(*entries)
+    return dist_psd_minus(np.reshape(entries, (order, order)))
 
 
 def dist_psd_minus2(a11: float, a12: float, a21: float, a22: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .auglag import hpr_multipliers, hpr_state, hpr_value
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
-from .penalties import default_phi, linear_state, linear_value, q_order, qpen_state, qpen_value
+from .penalties import linear_state, linear_value, q_order, qpen_state, qpen_value
 from .numerics import norm
 from .problems import (ConstrainedProblem, KnownSolution, as_point, check_penalty_parameter,
                        feasibility_gap, flat_multipliers, split_multipliers)
@@ -68,14 +68,13 @@ class PenaltyHandle:
 
 
 def _linear(problem):
-    phi = default_phi(problem)  # F >= f, as c * phi >= 0
-    return (lambda x: linear_state(problem, phi, x), lambda s, c: linear_value(s, c), {},
-            lambda c: 0.0)
+    # F >= f, as c * phi >= 0
+    return (lambda x: linear_state(problem, x), lambda s, c: linear_value(s, c), {}, lambda c: 0.0)
 
 
 def _qorder(problem, q=1.0):
-    qf, phi = q_order(q), default_phi(problem)  # F >= f, as Q(t, s) >= t
-    return (lambda x: qpen_state(problem, phi, x), lambda s, c: qpen_value(qf, s, c), {"q": q},
+    qf = q_order(q)  # F >= f, as Q(t, s) >= t
+    return (lambda x: qpen_state(problem, x), lambda s, c: qpen_value(qf, s, c), {"q": q},
             lambda c: 0.0)
 
 

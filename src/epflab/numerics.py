@@ -5,7 +5,9 @@ the dot product.
 Matrices are plain numpy arrays; ``eig_sym`` symmetrizes on entry and caps
 the order at 64 (desk scale, no sparse paths), ``chol_solve`` reads the
 lower triangle as LAPACK's ``posv`` does.  ``norm`` and ``dot`` take a
-one-entry vector on Python floats with numpy's bits.  ``eigvals_sym2``
+one-entry vector, and a two-entry list or tuple, on Python floats with
+numpy's bits; a two-entry dot is correctly rounded from Dekker's exact
+product (``_dot2``) where that product is exact.  ``eigvals_sym2``
 gives the eigenvalues of a symmetric 2x2 matrix on Python floats, with
 the float operations ``syevd`` performs at that order (``sytd2``,
 ``steqr``'s split tests, ``laev2`` and the sort), so they have its bits
@@ -39,18 +41,63 @@ _UNSCALED_LOW = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)  # 2**-405
 _UNSCALED_HIGH = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)  # about 2**484.5
 
 
+def _dot2(a0: float, a1: float, b0: float, b1: float):
+    """fma(a1, b1, a0 * b0), correctly rounded and added to 0.0, or None
+    where a nonzero ``a1`` or ``b1`` lies outside the range where Dekker's
+    product is exact, a zero one meets inf or NaN, or ``a0 * b0`` is above
+    2**1000, inf or NaN beside a nonzero product.
+
+    This is numpy's dot of two entries on OpenBLAS: ``ddot`` accumulates
+    one fused multiply-add per entry from 0.0, and numpy adds the result to
+    0.0.  Dekker's product gives a1 * b1 exactly as the pair (prod, err);
+    ``math.fsum`` rounds a0 * b0 + prod + err once, as the fma does.  In
+    that range the sum is never zero with a negative sign, so the two
+    additions to 0.0 change nothing."""
+    head = a0 * b0
+    if a1 == 0.0 or b1 == 0.0:
+        # An exact zero product, unless the other factor is inf or NaN: the
+        # fma gives head, a zero signed as the additions to 0.0 leave it.
+        return 0.0 + head if math.isfinite(a1 + b1) else None
+    # Veltkamp's split at 2**27 + 1 and the error term are exact where each
+    # factor's magnitude lies in [2**-480, 2**480]: no split overflows and no
+    # partial product underflows.  A head up to 2**1000 keeps the sum finite.
+    # (The bounds are literals, which the compiler folds.)
+    if not (2.0 ** -480 <= abs(a1) <= 2.0 ** 480 and 2.0 ** -480 <= abs(b1) <= 2.0 ** 480
+            and abs(head) <= 2.0 ** 1000):
+        return None
+    prod = a1 * b1
+    t = 134217729.0 * a1
+    a_hi = t - (t - a1)
+    a_lo = a1 - a_hi
+    if b1 is a1:  # a square, as norm asks for: one split
+        b_hi, b_lo = a_hi, a_lo
+    else:
+        t = 134217729.0 * b1
+        b_hi = t - (t - b1)
+        b_lo = b1 - b_hi
+    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((head, prod, err))
+
+
 def norm(v) -> float:
-    """Euclidean norm of a float list or 1-D float array, with the bits of
-    ``np.linalg.norm`` wherever the sum of squares is finite: sqrt(t * t)
-    of one entry t, else the same numpy dot (``np.vdot``, without the
+    """Euclidean norm of a float list, tuple or 1-D float array, with the
+    bits of ``np.linalg.norm`` wherever the sum of squares is finite:
+    sqrt(t * t) of one entry t, sqrt of ``_dot2`` for a list or tuple of
+    two within its range, else the same numpy dot (``np.vdot``, without the
     overflow warning of ``@``).  Where the sum overflows with every entry
     finite, the norm is |t|, or recomputed scaled by the largest |entry|
     (Blue, ACM TOMS 4, 1978); a scaled norm that reaches the largest float
     may be rounded across the overflow threshold, so ``math.hypot`` decides it."""
-    if len(v) == 1:
+    n = len(v)
+    if n == 1:
         t = float(v[0])
         sq = t * t
         return math.sqrt(sq) if sq != math.inf else abs(t)
+    if n == 2 and type(v) is not np.ndarray:
+        a, b = v
+        sq = _dot2(a, b, a, b)
+        if sq is not None and sq != math.inf:
+            return math.sqrt(sq)
     sq = np.vdot(v, v)
     if sq != math.inf:
         return math.sqrt(sq)
@@ -66,10 +113,16 @@ def norm(v) -> float:
 def dot(u, v) -> float:
     """u . v of two float lists or 1-D float arrays of one length, with the
     bits of numpy's dot, which adds BLAS's ``ddot`` to a sum started at 0.0:
-    for one entry that is 0.0 + u0 * v0 (a product -0.0 becomes 0.0), and
-    longer vectors take ``np.vdot``."""
+    for one entry that is 0.0 + u0 * v0 (a product -0.0 becomes 0.0), for
+    two lists or tuples of two ``_dot2`` within its range, and otherwise
+    ``np.vdot``."""
     if len(u) == 1:
         return 0.0 + float(u[0]) * float(v[0])
+    if len(u) == 2 and type(u) is not np.ndarray and type(v) is not np.ndarray:
+        (a0, a1), (b0, b1) = u, v
+        found = _dot2(a0, a1, b0, b1)
+        if found is not None:
+            return found
     return float(np.vdot(u, v))
 
 

@@ -2,8 +2,9 @@
 nonlinear Q-penalty.
 
 Each is split in two stages: ``*_state(x)`` returns what does not read c
-(f and phi) as a pair of floats, and ``*_value(state, c)`` finishes F
-from it; the one-shot ``*_eval`` is the value of the state."""
+(f and phi, the feasibility gap) as a pair of floats, and
+``*_value(state, c)`` finishes F from it; the one-shot ``*_eval`` takes
+any phi and finishes F from f(x) and phi(x) as the state does."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NegativeObjective, NonFiniteEvaluation
-from .problems import ConstrainedProblem, check_penalty_parameter, infeasibility
+from .problems import (ConstrainedProblem, check_penalty_parameter, checked_objective, gap_terms,
+                       infeasibility)
 
 
 def default_phi(problem: ConstrainedProblem) -> Callable:
@@ -22,14 +24,21 @@ def default_phi(problem: ConstrainedProblem) -> Callable:
     return partial(infeasibility, problem)
 
 
-def linear_state(problem: ConstrainedProblem, phi, x) -> Tuple[float, float]:
-    """(f(x), phi(x)); a NaN phi raises NonFiniteEvaluation here, a NaN f
-    inside ``ConstrainedProblem.f``."""
-    f_val = problem.f(x)
-    phi_val = float(phi(x))
+def _checked_phi(phi_val: float, kind: str) -> float:
+    """phi; NonFiniteEvaluation if it is NaN."""
     if math.isnan(phi_val):
-        raise NonFiniteEvaluation("NaN in linear penalty evaluation")
-    return f_val, phi_val
+        raise NonFiniteEvaluation(f"NaN in {kind} penalty evaluation")
+    return phi_val
+
+
+def linear_state(problem: ConstrainedProblem, x) -> Tuple[float, float]:
+    """(f(x), phi(x)) for phi the feasibility gap (``default_phi``), both
+    from one ``read_point`` of x, a point as ``problems.as_point`` returns it.
+    A NaN f raises NonFiniteEvaluation before phi is formed, a NaN phi after."""
+    point = problem.read_point(x)
+    f_val = checked_objective(point[0], x)
+    soc, eq, box = gap_terms(problem, x, point)
+    return f_val, _checked_phi(soc + eq + box, "linear")
 
 
 def linear_value(state: Tuple[float, float], c: float) -> float:
@@ -39,9 +48,11 @@ def linear_value(state: Tuple[float, float], c: float) -> float:
 
 
 def linear_eval(problem: ConstrainedProblem, phi, x, c: float) -> float:
-    """F(x, c) = f(x) + c * phi(x)."""
+    """F(x, c) = f(x) + c * phi(x) for any infeasibility measure phi of x;
+    with ``default_phi`` it has the bits of ``linear_state``'s F."""
     check_penalty_parameter(c)
-    return linear_value(linear_state(problem, phi, x), c)
+    f_val = problem.f(x)
+    return linear_value((f_val, _checked_phi(float(phi(x)), "linear")), c)
 
 
 def q_order(q: float) -> Callable[[float, float], float]:
@@ -85,18 +96,23 @@ def _scaled_q(t: float, s: float, q: float) -> float:
         return math.inf
 
 
-def qpen_state(problem: ConstrainedProblem, phi, x) -> Tuple[float, float]:
-    """(max(f(x), 0), phi(x)); f(x) < -1e-12 raises NegativeObjective and a
-    NaN phi NonFiniteEvaluation."""
-    f_val = problem.f(x)
+def _positive_part(f_val: float, x) -> float:
+    """max(f, 0); f < -1e-12 raises NegativeObjective."""
     if f_val < -1e-12:
         raise NegativeObjective(
             f"f({np.asarray(x)}) = {f_val} < 0; qorder needs f >= 0 on the whole box"
         )
-    phi_val = float(phi(x))
-    if math.isnan(phi_val):
-        raise NonFiniteEvaluation("NaN in q-order penalty evaluation")
-    return max(f_val, 0.0), phi_val
+    return max(f_val, 0.0)
+
+
+def qpen_state(problem: ConstrainedProblem, x) -> Tuple[float, float]:
+    """(max(f(x), 0), phi(x)) for phi the feasibility gap, from one
+    ``read_point`` of x as ``linear_state``; f(x) < -1e-12 raises
+    NegativeObjective and a NaN phi NonFiniteEvaluation."""
+    point = problem.read_point(x)
+    f_pos = _positive_part(checked_objective(point[0], x), x)
+    soc, eq, box = gap_terms(problem, x, point)
+    return f_pos, _checked_phi(soc + eq + box, "q-order")
 
 
 def qpen_value(qf: Callable, state: Tuple[float, float], c: float) -> float:
@@ -106,8 +122,10 @@ def qpen_value(qf: Callable, state: Tuple[float, float], c: float) -> float:
 
 
 def qpen_eval(qf: Callable, problem: ConstrainedProblem, phi, x, c: float) -> float:
-    """F(x, c) = Q(f(x), c * phi(x)); requires the nonnegative-objective
-    standing assumption of the nonlinear penalty theory.  A NaN phi raises
-    NonFiniteEvaluation."""
+    """F(x, c) = Q(f(x), c * phi(x)) for any infeasibility measure phi of x;
+    requires the nonnegative-objective standing assumption of the nonlinear
+    penalty theory.  A NaN phi raises NonFiniteEvaluation.  With
+    ``default_phi`` it has the bits of ``qpen_state``'s F."""
     check_penalty_parameter(c)
-    return qpen_value(qf, qpen_state(problem, phi, x), c)
+    f_pos = _positive_part(problem.f(x), x)
+    return qpen_value(qf, (f_pos, _checked_phi(float(phi(x)), "q-order")), c)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus
+from .cones import dist_lorentz, dist_psd_minus, dist_psd_minus_entries
 from .errors import DimensionMismatch, NonFiniteEvaluation, UnknownProblem
 from .numerics import norm
 
@@ -77,7 +77,7 @@ class SocBlock:
         """x -> g(x) as a list of Python floats: an ``affine_problem`` map as
         it is, any other g's value converted once unless it is one already."""
         g = self.g
-        return g if getattr(g, "float_list", False) else lambda x: _float_list(g(x))
+        return g if hasattr(g, "on_floats") else lambda x: _float_list(g(x))
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,7 @@ class ConstrainedProblem:
         object.__setattr__(self, "upper", upper)
 
     def f(self, x) -> float:
-        val = float(self.objective(np.asarray(x, dtype=float)))
-        if math.isnan(val):
-            raise NonFiniteEvaluation(f"objective is NaN at {x}")
-        return val
+        return checked_objective(float(self.objective(np.asarray(x, dtype=float))), x)
 
     def grad_f(self, x) -> Array:
         return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
@@ -163,7 +160,7 @@ class ConstrainedProblem:
         eq, n_eq = self.eq, self.n_eq
         if eq is None:
             return lambda x: []
-        return eq if getattr(eq, "float_list", False) else lambda x: _float_list(eq(x), n_eq)
+        return eq if hasattr(eq, "on_floats") else lambda x: _float_list(eq(x), n_eq)
 
     def h(self, x) -> Array:
         return np.array(self.eq_values(np.asarray(x, dtype=float)), dtype=float).reshape(self.n_eq)
@@ -182,6 +179,57 @@ class ConstrainedProblem:
         """``box()`` as lists of Python floats, for per-point box tests."""
         return self.lower.tolist(), self.upper.tolist()
 
+    @cached_property
+    def read_point(self) -> Callable[[Array], tuple]:
+        """x -> (f, gs, G, h, xs) at a point x, a float64 array of shape
+        (dim,) as ``as_point`` returns it: the objective's value as a float
+        (NaN as it is, see ``checked_objective``), each g_i(x) as a list of
+        Python floats, G(x)'s entries row-major as one (None without an SDP
+        block), h(x) as one ([] without equalities) and x's floats with 1.0
+        after them (the coordinate of an affine map's constant), taken once.
+        The callables run in that order, each once: ``affine_problem``'s read
+        xs through their ``on_floats``, any other gets x and has its value
+        converted as ``problem.f``, ``SocBlock.values`` and ``eq_values``
+        convert it.  A G(x) of another shape than (order, order) raises
+        ValueError.  ``gap_terms`` reads the box term from xs."""
+        objective, on_floats = self.objective, getattr(self.objective, "on_floats", None)
+        blocks = [(block.g, getattr(block.g, "on_floats", None)) for block in self.soc_blocks]
+        sdp = self.sdp_block
+        G = None if sdp is None else sdp.G
+        G_floats, eq_floats = getattr(G, "on_floats", None), getattr(self.eq, "on_floats", None)
+        eq, n_eq = self.eq, self.n_eq
+
+        def read(x):
+            xs = x.tolist()
+            xs.append(1.0)
+            f = on_floats(xs) if on_floats is not None else float(objective(x))
+            gs = []  # a loop: a comprehension costs a function call
+            for g, m in blocks:
+                gs.append(m(xs) if m is not None else _float_list(g(x)))
+            entries = None
+            if G is not None:
+                entries = G_floats(xs) if G_floats is not None else _matrix_entries(G(x), sdp.order)
+            h = [] if eq is None else eq_floats(xs) if eq_floats is not None else _float_list(eq(x), n_eq)
+            return f, gs, entries, h, xs
+
+        return read
+
+
+def checked_objective(value: float, x) -> float:
+    """``value``, the objective's value at x; NonFiniteEvaluation if it is NaN."""
+    if math.isnan(value):
+        raise NonFiniteEvaluation(f"objective is NaN at {x}")
+    return value
+
+
+def _matrix_entries(value, order: int) -> list:
+    """A matrix value row-major as Python floats; ValueError unless its
+    shape is (order, order)."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (order, order):
+        raise ValueError(f"G(x) has shape {value.shape}, expected ({order}, {order})")
+    return value.ravel().tolist()
+
 
 def as_point(problem: ConstrainedProblem, x) -> Array:
     """x as a float64 array; DimensionMismatch unless its shape is (dim,)."""
@@ -191,36 +239,37 @@ def as_point(problem: ConstrainedProblem, x) -> Array:
     return x
 
 
-def _gap_terms(problem: ConstrainedProblem, x) -> Tuple[float, float, float]:
-    """The cone, equality and box terms of the feasibility gap at x."""
-    x = as_point(problem, x)
+def gap_terms(problem: ConstrainedProblem, x: Array, point: tuple) -> Tuple[float, float, float]:
+    """The cone, equality and box terms of the feasibility gap at a point x
+    from its ``read_point`` tuple."""
+    _, gs, entries, h, xs = point
     soc = 0.0
-    for block in problem.soc_blocks:
-        soc += dist_lorentz(block.values(x))
-    if problem.sdp_block is not None:
-        soc += dist_psd_minus(problem.sdp_block.G(x))
-    eq = 0.0
-    if problem.eq is not None:
-        eq = norm(problem.eq_values(x))
+    for g in gs:
+        soc += dist_lorentz(g)
+    if entries is not None:
+        soc += dist_psd_minus_entries(entries, problem.sdp_block.order)
     box = 0.0
+    lower, upper = problem.box_floats
     # Inside the box x - clip(x) is all zeros; NaN fails the test and keeps
     # the norm, so it still propagates.  A loop costs less than all() over
     # a generator.
-    for v, l, u in zip(x.tolist(), *problem.box_floats):
+    for v, l, u in zip(xs, lower, upper):
         if not l <= v <= u:
             box = norm(x - np.clip(x, problem.lower, problem.upper))
             break
-    return soc, eq, box
+    return soc, 0.0 if problem.eq is None else norm(h), box
 
 
 def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
     """Componentwise infeasibility measure; total is zero iff x is feasible."""
-    return FeasibilityGap(*_gap_terms(problem, x))
+    x = as_point(problem, x)
+    return FeasibilityGap(*gap_terms(problem, x, problem.read_point(x)))
 
 
 def infeasibility(problem: ConstrainedProblem, x) -> float:
     """``feasibility_gap(problem, x).total`` without building the record."""
-    soc, eq, box = _gap_terms(problem, x)
+    x = as_point(problem, x)
+    soc, eq, box = gap_terms(problem, x, problem.read_point(x))
     return soc + eq + box
 
 
@@ -261,9 +310,10 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     + <mu, h>, so SOC multipliers live in the polar cone -Q (dual
     feasibility is dist(-lam_i, Q)) and the SDP multiplier is PSD.
     """
+    x = as_point(problem, x)
+    point = problem.read_point(x)
     # Primal feasibility: the cone and equality terms of the feasibility gap.
-    soc, eq, _ = _gap_terms(problem, x)
-    x = np.asarray(x, dtype=float)
+    soc, eq, _ = gap_terms(problem, x, point)
     if ((lam is None and problem.soc_blocks) or (mu is None and problem.n_eq > 0)
             or (lam_sdp is None and problem.sdp_block is not None)):
         raise DimensionMismatch("kkt_residual needs a multiplier for every block and equality")
@@ -271,12 +321,12 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     grad = problem.grad_f(x)
     complementarity = 0.0
     dual = 0.0
-    for block, lam_i in zip(problem.soc_blocks, lam):
+    for block, lam_i, g in zip(problem.soc_blocks, lam, point[1]):
         grad = grad + block.jacobian(x).T @ lam_i
-        complementarity += abs(float(lam_i @ block.values(x)))
+        complementarity += abs(float(lam_i @ g))
         dual += dist_lorentz(-lam_i)
     if lam_sdp is not None:
-        g_mat = np.asarray(problem.sdp_block.G(x), dtype=float)
+        g_mat = np.reshape(point[2], lam_sdp.shape)
         derivs = problem.sdp_block.derivative(x)
         grad = grad + np.array([float(np.sum(lam_sdp * d)) for d in derivs])
         complementarity += abs(float(np.sum(lam_sdp * g_mat)))
@@ -321,12 +371,29 @@ def _frozen(data) -> Array:
     return out
 
 
+def _on_floats(on_floats: Callable[[list], object]) -> Callable[[Array], object]:
+    """The function of x that calls ``on_floats`` with x's floats and 1.0
+    after them (the coordinate of an affine constant), carrying it as its
+    ``on_floats``: ``ConstrainedProblem.read_point`` calls that with the
+    floats it took once, ``SocBlock.values`` and ``eq_values`` take such a
+    map's float list as it is, and an SDP block's G carries its entries'
+    ``on_floats``, row-major."""
+    def value(x):
+        xs = x.tolist()
+        xs.append(1.0)
+        return on_floats(xs)
+
+    value.on_floats = on_floats
+    return value
+
+
 def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], list]:
     """x -> const + coefs @ x (None is zero) as a list of Python floats.  An entry
     sums its nonzero terms by coordinate from -0.0, which adds exactly; the
     constant is the term of a coordinate fixed at 1.0, last or first.  An
     entry that is one coordinate (x in Q, say) is -0.0 + 1.0 * x_k, which
-    is x_k bit for bit, ±0, ±inf and NaN included."""
+    is x_k bit for bit, ±0, ±inf and NaN included.  It reads x's floats
+    through ``on_floats`` (see ``_on_floats``)."""
     coefs = np.asarray(coefs, dtype=float)
     const = np.zeros(len(coefs)) if const is None else np.ravel(const)
     entries = []
@@ -336,9 +403,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
         terms = tuple((k, a) for k, a in pairs if a != 0.0)
         entries.append((-0.0 if terms else 0.0, terms))
 
-    def value(x):
-        xs = x.tolist()
-        xs.append(1.0)
+    def value(xs):
         out = []
         for total, terms in entries:
             for k, a in terms:
@@ -346,8 +411,7 @@ def _affine_map(const, coefs, const_first: bool = False) -> Callable[[Array], li
             out.append(total)
         return out
 
-    value.float_list = True  # read once by SocBlock.values and eq_values
-    return value
+    return _on_floats(value)
 
 
 def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSolution],
@@ -368,13 +432,13 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
     lin_terms = tuple((k, a) for k, a in enumerate(q.tolist()) if a != 0.0)
     start = -0.0 if weight or lin_terms else 0.0
 
-    def objective(x):
+    def objective(xs):
         # w * sum (x_k - a_k) ** 2 + (sum q_k x_k), each sum by coordinate.
-        xs = x.tolist()
         value = start
         for k, a in lin_terms:
             value += a * xs[k]
         if weight:
+            xs = xs[:dim]  # the coordinates, as a copy: the caller's list is shared
             for k, a in shifts:
                 xs[k] -= a
             # float ** is C pow, as numpy's scalar **, but raises on overflow.
@@ -401,13 +465,19 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
     if sdp is not None:
         dG = _frozen(sdp[1])
         order = dG.shape[1]
-        G = _affine_map(sdp[0], dG.reshape(dim, -1).T, const_first=True)
-        sdp_block = SdpBlock(order=order, G=lambda x: np.array(G(x)).reshape(order, order), dG=dG)
+        entries = _affine_map(sdp[0], dG.reshape(dim, -1).T, const_first=True)
+
+        def G(x):
+            return np.array(entries(x)).reshape(order, order)
+
+        if hasattr(entries, "on_floats"):
+            G.on_floats = entries.on_floats  # the entries row-major
+        sdp_block = SdpBlock(order=order, G=G, dG=dG)
     h = E = None
     if eq is not None:
         E = _frozen(eq[0])
         h = _affine_map(None if eq[1] is None else np.negative(eq[1]), E)
-    return ConstrainedProblem(name=name, dim=dim, objective=objective, gradient=gradient,
+    return ConstrainedProblem(name=name, dim=dim, objective=_on_floats(objective), gradient=gradient,
                               lower=lower, upper=upper, soc_blocks=tuple(blocks), sdp_block=sdp_block,
                               eq=h, eq_jac=E,
                               n_eq=0 if E is None else len(E), certificate=certificate,

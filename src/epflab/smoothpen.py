@@ -11,10 +11,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .cones import dist_lorentz, dist_psd_minus, dist_psd_minus2
+from .cones import dist_lorentz, dist_psd_minus_entries
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
 from .numerics import chol_solve, dot
-from .problems import ConstrainedProblem, check_penalty_parameter
+from .problems import ConstrainedProblem, check_penalty_parameter, checked_objective
 
 Array = np.ndarray
 
@@ -130,23 +130,22 @@ def constant_normal_data(problem: ConstrainedProblem):
     return None if any(map(callable, derivs)) else _normal_data(problem)
 
 
-def _cone_terms(problem: ConstrainedProblem, x: Array):
-    """The constraint values at x (g_i(x) per SOC block as a list of floats,
-    or (G(x),)), each block's cone distance, h(x) as a list of floats,
-    h'h and rho = ||h||^2 + the sum of the squared distances;
-    NonFiniteEvaluation unless rho is finite."""
-    block = problem.sdp_block
-    g_vals = [] if block is None else [np.asarray(block.G(x), dtype=float)]
-    h_val = problem.eq_values(x)
+def _cone_terms(problem: ConstrainedProblem, x: Array, point: tuple):
+    """The constraint values at x from its ``read_point`` tuple (g_i(x) per
+    SOC block as a list of floats, or (G(x),) as an array), each block's
+    cone distance, h(x) as a list of floats, h'h and rho = ||h||^2 + the
+    sum of the squared distances; NonFiniteEvaluation unless rho is finite."""
+    _, g_vals, entries, h_val, _ = point
     h_sq = dot(h_val, h_val) if problem.n_eq > 0 else 0.0
-    if block is not None:
-        dists = [dist_psd_minus(g_vals[0])]
+    if entries is not None:
+        order = problem.sdp_block.order
+        g_vals = [np.array(entries).reshape(order, order)]
+        dists = [dist_psd_minus_entries(entries, order)]
         rho = math.sqrt(h_sq) ** 2 + dists[0] ** 2
     else:
         dists, rho = [], 0.0
-        for soc in problem.soc_blocks:
-            g_vals.append(soc.values(x))
-            dists.append(dist_lorentz(g_vals[-1]))
+        for g_val in g_vals:
+            dists.append(dist_lorentz(g_val))
             rho += dists[-1] ** 2
         if problem.n_eq > 0:
             rho += math.sqrt(h_sq) ** 2
@@ -175,7 +174,7 @@ def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
             curv[i][0] += curv[i][0]
             curv[i][i] += vals[0] * vals[0]
         # The numpy dot of a one-entry tail is its square.
-        curv[0][0] += vals[1] * vals[1] if k == 2 else float(np.vdot(vals[1:], vals[1:]))
+        curv[0][0] += vals[1] * vals[1] if k == 2 else dot(vals[1:], vals[1:])
         for i, row in enumerate(curv):
             out = normal[col + i]
             for j, v in enumerate(row, col):
@@ -230,7 +229,7 @@ def _multipliers(problem: ConstrainedProblem, x: Array, cfg, data, g_vals, rho: 
 
 def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
     x = np.asarray(x, dtype=float)
-    g_vals, dists, h_val, _, rho = _cone_terms(problem, x)
+    g_vals, dists, h_val, _, rho = _cone_terms(problem, x, problem.read_point(x))
     lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, cfg, None, g_vals, rho)
     sdp = problem.sdp_block is not None
     return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=np.array(mu, dtype=float),
@@ -328,7 +327,8 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     barrier domain, before any normal equation is formed.  alpha and kappa
     must pass ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
     x = np.asarray(x, dtype=float)
-    g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x)
+    point = problem.read_point(x)
+    g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x, point)
     sdp = problem.sdp_block is not None
     a_val, b_val = _barrier(sdp, alpha, kappa, dists, h_sq)
     if not (a_val > 0.0 and b_val > 0.0):
@@ -338,9 +338,9 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     q_val, mu_h = b_val, 0.0
     if problem.n_eq > 0:
         q_val, mu_h = b_val / (1.0 + dot(mu, mu)), dot(mu, h_val)
-    state = (problem.f(x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq)
+    state = (checked_objective(point[0], x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq)
     for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
-        state += (lam_sq, *(g_val.ravel().tolist() if sdp else g_val), *lam.ravel().tolist())
+        state += (lam_sq, *(point[2] if sdp else g_val), *lam.ravel().tolist())
     return state
 
 
@@ -365,9 +365,7 @@ def c1_value(problem: ConstrainedProblem, state: Optional[tuple], c: float) -> f
         # c G + p Lambda entry by entry, as numpy forms it, from G(x) and Lambda row-major.
         shifted = [c * g + p * lam for g, lam in zip(state[start + 1 : start + 1 + size],
                                                      state[start + 1 + size :])]
-        dist = (dist_psd_minus2(*shifted) if order == 2
-                else dist_psd_minus(np.reshape(shifted, (order, order))))
-        shifted_sq = dist ** 2
+        shifted_sq = dist_psd_minus_entries(shifted, order) ** 2
         # The only cone term of an SDP problem: set, not added to 0.0, so a -0.0 keeps its sign.
         total = (shifted_sq - p * p * state[start]) / (2.0 * c * p)
     value = f_val + total

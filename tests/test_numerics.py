@@ -260,6 +260,64 @@ def test_dot_of_longer_vectors_is_numpy_dot():
         assert float.hex(numerics.dot(u.tolist(), v.tolist())) == want
 
 
+# Inside the exact-split range [2**-480, 2**480] and at and beyond its
+# ends: signed zeros, subnormals, magnitudes whose products overflow or
+# underflow, and the non-finite values, beside any float.
+_TWO_ENTRY = st.one_of(
+    st.floats(), st.floats(-4.0, 4.0), st.floats(2.0 ** -490, 2.0 ** -470),
+    st.floats(2.0 ** 470, 2.0 ** 490),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-162,
+                     2.0 ** -480, -(2.0 ** -481), 2.0 ** 480, -(2.0 ** 481), 1e200,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]))
+
+
+def _numpy_dot(u, v) -> str:
+    with np.errstate(all="ignore"):
+        return float.hex(float(np.vdot(np.array(u), np.array(v))))
+
+
+@settings(deadline=None, max_examples=3000)
+@given(st.lists(_TWO_ENTRY, min_size=4, max_size=4))
+def test_dot_and_norm_of_two_entries_have_numpys_bytes(entries):
+    u, v = entries[:2], entries[2:]
+    want = _numpy_dot(u, v)
+    for a, b in ((u, v), (tuple(u), tuple(v)), (np.array(u), np.array(v)), (u, np.array(v))):
+        with np.errstate(all="ignore"):
+            assert float.hex(numerics.dot(a, b)) == want, (a, b)
+    with np.errstate(all="ignore"):
+        want = np.linalg.norm(np.array(u))
+    if math.isfinite(want) or not all(map(math.isfinite, u)):
+        assert np.float64(numerics.norm(u)).tobytes() == want.tobytes(), u
+        assert np.float64(numerics.norm(tuple(u))).tobytes() == want.tobytes(), u
+
+
+def test_dot_of_two_entries_is_the_fused_rule_on_random_pairs():
+    # The rule holds on OpenBLAS's ddot, where numpy's dot of two entries is
+    # 0.0 + fma(u1, v1, fma(u0, v0, 0.0)); a * b + c * d differs from it.
+    rng = np.random.default_rng(37)
+    draws = [rng.uniform(-4.0, 4.0, size=(50_000, 4)),
+             rng.standard_normal((50_000, 4)) * 10.0 ** rng.integers(-130, 130, size=(50_000, 4))]
+    for rows in draws:
+        for a0, a1, b0, b1 in rows.tolist():
+            got = numerics._dot2(a0, a1, b0, b1)
+            assert got is not None
+            want = float(np.vdot([a0, a1], [b0, b1]))
+            assert float.hex(got) == float.hex(want), (a0, a1, b0, b1)
+    assert sum(float.hex(a * b + c * d) != float.hex(numerics._dot2(a, c, b, d))
+               for a, c, b, d in draws[0][:2000].tolist()) > 100
+
+
+@pytest.mark.parametrize("entries", [
+    (1.0, 2.0 ** 481, 1.0, 1.0), (1.0, 1.0, 1.0, -(2.0 ** -481)), (1.0, 0.0, 1.0, math.inf),
+    (1.0, 1.0, 1.0, 5e-324), (1e301, 1.0, 1e300, 1.0), (math.inf, 1.0, 1.0, 1.0),
+    (math.nan, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0), (1.0, 1.0, 1.0, -math.inf)])
+def test_two_entry_rule_leaves_inputs_beyond_its_range_to_numpy(entries):
+    # Beyond [2**-480, 2**480] Dekker's product may round, and 0 * inf is NaN.
+    a0, a1, b0, b1 = entries
+    assert numerics._dot2(a0, a1, b0, b1) is None
+    assert float.hex(numerics.dot([a0, a1], [b0, b1])) == _numpy_dot([a0, a1], [b0, b1])
+
+
 def test_eig_diagonal():
     d = eig_sym(np.diag([1.0, 2.0, 3.0]))
     assert np.allclose(d.values, [1.0, 2.0, 3.0])

@@ -433,7 +433,8 @@ def test_memo_matches_lapack_reference_off_the_diagonal(kind, monkeypatch):
     sequence = _sequences(_points(problem) + list(near))
     with np.errstate(all="ignore"):
         with monkeypatch.context() as patched:
-            patched.setattr(problems, "dist_psd_minus", dist_psd_minus)
+            patched.setattr(problems, "dist_psd_minus_entries",
+                            lambda entries, order: dist_psd_minus(np.reshape(entries, (order, order))))
             expected = [_outcome(reference, x, c) for x, c in sequence]
         handle = make_penalty(problem, kind)
         for (x, c), want in zip(sequence, expected):

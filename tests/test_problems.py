@@ -627,12 +627,16 @@ def test_array_and_callable_derivatives_give_the_same_bits(dim, n_soc, order, n_
                     make_penalty(p, kind)(points[0], 1.0)
 
 
-def test_new_problems_are_a_few_lines_of_data():
-    box = ([-3.0, -3.0], [3.0, 3.0])
-    # min -x^2 s.t. x = 0 on [-2, 2] (ROADMAP item 3): a nonconvex objective.
-    toy_nc_1 = affine_problem(
+def _toy_nc_1() -> ConstrainedProblem:
+    """min -x^2 s.t. x = 0 on [-2, 2] (ROADMAP item 3): a nonconvex objective."""
+    return affine_problem(
         "toy-nc-1", [-2.0], [2.0], penalties=("linear", "al-hpr"), weight=-1.0, eq=([[1.0]], None),
         certificate=KnownSolution(x_star=np.array([0.0]), f_star=0.0, mu_star=np.array([0.0])))
+
+
+def test_new_problems_are_a_few_lines_of_data():
+    box = ([-3.0, -3.0], [3.0, 3.0])
+    toy_nc_1 = _toy_nc_1()
     # min (x1 - 2)^2 + x2^2 over the unit disc, in two cone encodings (item 5).
     disc = dict(weight=1.0, center=[2.0, 0.0])
     disc_socp = affine_problem(
@@ -844,3 +848,123 @@ def test_affine_maps_are_read_without_conversion():
         for block in problem.soc_blocks:
             assert block.values is block.g
         assert problem.eq is None or problem.eq_values is problem.eq
+
+
+def _nan_closure(sdp: bool) -> ConstrainedProblem:
+    """A closure problem on [-1, 1]^2 whose objective is NaN for x0 > 0.5
+    and raises ArithmeticError for x0 > 2, whose cone value has a NaN entry
+    for x1 < -0.5 and raises ValueError for x1 > 2, and whose equality is
+    NaN for x0 < -0.5 and comes as a list of ints at x0 = 0."""
+    def objective(x):
+        if x[0] > 2.0:
+            raise ArithmeticError("objective undefined")
+        return np.float64(math.nan) if x[0] > 0.5 else x[0] - x[1]
+
+    def cone(x):
+        if x[1] > 2.0:
+            raise ValueError("constraint undefined")
+        return np.array([math.nan if x[1] < -0.5 else 1.0, x[0]])
+
+    def eq(x):
+        return [3] if x[0] == 0.0 else np.array([math.nan if x[0] < -0.5 else x[1]])
+
+    def G(x):
+        return cone(x)[0] * np.array([[x[0], 0.5], [0.5, -1.0]])
+
+    blocks = {"sdp_block": SdpBlock(order=2, G=G, dG=np.zeros((2, 2, 2)))} if sdp else {
+        "soc_blocks": (SocBlock(dim=2, g=cone, jac=np.zeros((2, 2))),)}
+    return ConstrainedProblem(
+        name=f"nan-closure-{'sdp' if sdp else 'soc'}", dim=2, objective=objective,
+        gradient=lambda x: np.zeros(2), lower=[-1.0, -1.0], upper=[1.0, 1.0], eq=eq,
+        eq_jac=np.array([[0.0, 1.0]]), n_eq=1, **blocks)
+
+
+_READER_PROBLEMS = (registry() + _array_registry() + [_toy_nc_1(), _sdp3(), _toy_deg_1s()]
+                    + [f() for f in (_reference_toy_lin_1, _reference_toy_eq_1, _reference_toy_socp_1,
+                                     _reference_toy_socp_2, _reference_toy_sdp_1)]
+                    + [_closure(lambda x: [x[0], 3]), _closure(lambda x: np.array([1.0, x[0]]),
+                                                                eq=lambda x: [x[0] - 1.0])]
+                    + [_nan_closure(False), _nan_closure(True)])
+
+
+def _outcome_bytes(read):
+    """The bytes of every float ``read()`` returns, nested lists flattened,
+    or the type and message of what it raised."""
+    try:
+        out = read()
+    except Exception as exc:  # compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+    flat = []
+
+    def walk(v):
+        if isinstance(v, (list, tuple)):
+            flat.append(f"[{len(v)}")
+            for item in v:
+                walk(item)
+        else:
+            flat.append(v if v is None else struct.pack("<d", v))
+
+    walk(out)
+    return flat
+
+
+def _layered_point(problem, x):
+    """The ``read_point`` tuple from the layered readers, called in its order:
+    the objective, ``SocBlock.values``, G, ``eq_values``, then x's floats and 1.0."""
+    f = float(problem.objective(x))
+    gs = [block.values(x) for block in problem.soc_blocks]
+    entries = None
+    if problem.sdp_block is not None:
+        entries = np.asarray(problem.sdp_block.G(x), dtype=float).ravel().tolist()
+    h = problem.eq_values(x)
+    return f, gs, entries, h, x.tolist() + [1.0]
+
+
+@pytest.mark.parametrize("problem", _READER_PROBLEMS, ids=lambda p: p.name)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_read_point_is_the_layered_readers_bit_for_bit(problem, data):
+    # Inside and outside the box, its faces, signed zeros and non-finite
+    # coordinates; the NaN closures also reach their NaN and raising values.
+    coords = st.one_of(st.floats(-1.5, 1.5), st.floats(-4.0, 4.0), st.floats(),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e200, math.nan, math.inf]))
+    x = np.array(data.draw(st.lists(coords, min_size=problem.dim, max_size=problem.dim)))
+    with np.errstate(all="ignore"):
+        got = _outcome_bytes(lambda: problem.read_point(x))
+        assert got == _outcome_bytes(lambda: _layered_point(problem, x)), x.tolist()
+        if isinstance(got, str):
+            return
+        # problem.f is the objective's value, NaN raising as it does from the point.
+        assert _outcome_bytes(lambda: problem.f(x)) == _outcome_bytes(
+            lambda: problems_module.checked_objective(problem.read_point(x)[0], x))
+        # The gap terms from the point are the reference gap's, and feasibility_gap's.
+        ref = _reference_feasibility_gap(problem, x)
+        terms = problems_module.gap_terms(problem, x, problem.read_point(x))
+        assert all(map(_same_float, terms, ref)), x.tolist()
+        gap = feasibility_gap(problem, x)
+        assert all(map(_same_float, (gap.soc_gap, gap.eq_gap, gap.box_gap), terms))
+        assert _same_float(infeasibility(problem, x), terms[0] + terms[1] + terms[2])
+
+
+def test_read_point_calls_each_callable_once_in_order():
+    calls = []
+
+    def log(name, value):
+        def fn(x):
+            calls.append(name)
+            return value
+        return fn
+
+    problem = ConstrainedProblem(
+        name="logged", dim=1, objective=log("f", 1.0), gradient=lambda x: np.zeros(1),
+        lower=[-1.0], upper=[1.0], eq=log("h", [0.0]), eq_jac=np.zeros((1, 1)), n_eq=1,
+        soc_blocks=(SocBlock(dim=2, g=log("g0", [1.0, 0.0]), jac=np.zeros((2, 1))),
+                    SocBlock(dim=2, g=log("g1", [1.0, 0.0]), jac=np.zeros((2, 1)))),
+        sdp_block=SdpBlock(order=1, G=log("G", [[-1.0]]), dG=np.zeros((1, 1, 1))))
+    assert problem.read_point(np.array([0.5])) == (1.0, [[1.0, 0.0], [1.0, 0.0]], [-1.0], [0.0],
+                                                  [0.5, 1.0])
+    assert calls == ["f", "g0", "g1", "G", "h"]
+    wrong = dataclasses.replace(problem, sdp_block=SdpBlock(order=2, G=log("G", [[-1.0]]),
+                                                            dG=np.zeros((1, 2, 2))))
+    with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(2, 2\)"):
+        wrong.read_point(np.array([0.5]))

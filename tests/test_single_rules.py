@@ -1,9 +1,11 @@
-"""Four rules that every penalty reads are each written once in the package.
+"""Five rules that every penalty reads are each written once in the package.
 
 The check parses each module of ``src/epflab`` with ``ast``.  No module
 uses ``np.linalg.norm``: every Euclidean norm is ``numerics.norm``, which
 keeps numpy's bits and stays finite where a finite vector's sum of squares
-overflows.  One function raises the ValueError for a penalty parameter
+overflows.  No module but ``numerics`` calls ``np.vdot``: every dot product
+of floats is ``numerics.dot`` or ``numerics.norm``, which have its bits and
+compute one or two entries on floats.  One function raises the ValueError for a penalty parameter
 c outside (0, inf): ``problems.check_penalty_parameter``, which every F
 calls.  And one function shape-checks a multiplier:
 ``problems.read_multipliers``, through which ``kkt_residual``, al-hpr,
@@ -41,6 +43,17 @@ def linalg_norm_uses(source: str) -> list:
             lines.append(node.lineno)
         elif (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
               and any(alias.name == "norm" for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def vdot_uses(source: str) -> list:
+    """Line numbers of each ``<name>.vdot`` and of each import of ``vdot``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "vdot":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "vdot" for alias in node.names):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -132,6 +145,19 @@ def penalty(x, c):
     assert c_check_owners(source, "m") == ["m.penalty", "m.penalty.inner"]
 
 
+def test_vdot_guard_sees_violations():
+    source = '''
+import numpy
+import numpy as np
+from numpy import vdot as inner
+
+
+def square(v):
+    return float(np.vdot(v, v)) + numpy.vdot(v, v) + inner(v, v) + np.dot(v, v)
+'''
+    assert vdot_uses(source) == [4, 8, 8]
+
+
 def test_multiplier_guard_sees_violations():
     source = '''
 def reader(lam, mu, n):
@@ -185,6 +211,12 @@ def estimate(problem, x):
 def test_no_module_uses_np_linalg_norm():
     uses = {p.name: linalg_norm_uses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_no_module_but_numerics_calls_np_vdot():
+    uses = {p.name: vdot_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines and name != "numerics.py"} == {}
+    assert uses["numerics.py"], "numerics no longer calls np.vdot: update this guard"
 
 
 def test_one_function_owns_the_penalty_parameter_check():
