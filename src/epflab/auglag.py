@@ -45,8 +45,12 @@ def hpr_value(multipliers: tuple, state: tuple, c: float) -> float:
     soc, sdp, mu = multipliers
     value, g_vals, g_mat, h_val, h_sq = state
     for (lam_i, lam_sq), g_i in zip(soc, g_vals):
-        # lam_i + c g_i entry by entry, as numpy adds them.
-        d = dist_lorentz([l + c * v for l, v in zip(lam_i, g_i)])
+        # lam_i + c g_i entry by entry, as numpy adds them (a loop: a
+        # comprehension costs a function call).
+        shifted = []
+        for l, v in zip(lam_i, g_i):
+            shifted.append(l + c * v)
+        d = dist_lorentz(shifted)
         value += (d * d - lam_sq) / (2.0 * c)
     if sdp is not None:
         d = dist_psd_minus(sdp[0] + c * g_mat)

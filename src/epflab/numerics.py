@@ -2,12 +2,15 @@
 relative pivot test, symmetric eigendecomposition), the vector norm and
 the dot product.
 
-Matrices are plain numpy arrays; ``eig_sym`` symmetrizes on entry and caps
-the order at 64 (desk scale, no sparse paths), ``chol_solve`` reads the
-lower triangle as LAPACK's ``posv`` does.  ``norm`` and ``dot`` take a
+A matrix is a numpy array, or for ``chol_solve`` a list of rows of
+Python floats; ``eig_sym`` symmetrizes on entry and caps the order at 64
+(desk scale, no sparse paths), ``chol_solve`` reads the lower triangle as
+LAPACK's ``posv`` does and solves a list system of order 1 or 2 on Python
+floats with ``posv``'s own operations.  ``norm`` and ``dot`` take a
 one-entry vector, and a two-entry list or tuple, on Python floats with
-numpy's bits; a two-entry dot is correctly rounded from Dekker's exact
-product (``_dot2``) where that product is exact.  ``eigvals_sym2``
+numpy's bits; a two-entry dot, like each fused multiply-add of the
+order-2 solve, is correctly rounded from Dekker's exact product
+(``_fma``) where that product is exact.  ``eigvals_sym2``
 gives the eigenvalues of a symmetric 2x2 matrix on Python floats, with
 the float operations ``syevd`` performs at that order (``sytd2``,
 ``steqr``'s split tests, ``laev2`` and the sort), so they have its bits
@@ -41,42 +44,48 @@ _UNSCALED_LOW = max(math.sqrt(_SMLNUM), math.sqrt(_SAFMIN) / _EPS2)  # 2**-405
 _UNSCALED_HIGH = min(math.sqrt(1.0 / _SMLNUM), math.sqrt(1.0 / _SAFMIN) / 3.0)  # about 2**484.5
 
 
+def _fma(a: float, b: float, c: float):
+    """a * b + c rounded once, as a fused multiply-add gives it, or None
+    where a nonzero ``a`` or ``b`` lies outside the range where Dekker's
+    product is exact, a zero one meets inf or NaN, or ``c`` is above 2**1000,
+    inf or NaN beside a nonzero product.
+
+    Dekker's product gives a * b exactly as the pair (prod, err);
+    ``math.fsum`` rounds c + prod + err once, as the fma does.  In that range
+    an exact zero sum is 0.0, as the fma rounds it."""
+    if a == 0.0 or b == 0.0:
+        # An exact zero product, unless the other factor is inf or NaN: the
+        # fma adds it to c, the sign of a zero sum as IEEE addition gives it.
+        return a * b + c if math.isfinite(a + b) else None
+    # Veltkamp's split at 2**27 + 1 and the error term are exact where each
+    # factor's magnitude lies in [2**-480, 2**480]: no split overflows and no
+    # partial product underflows.  A c up to 2**1000 keeps the sum finite.
+    # (The bounds are literals, which the compiler folds.)
+    if not (2.0 ** -480 <= abs(a) <= 2.0 ** 480 and 2.0 ** -480 <= abs(b) <= 2.0 ** 480
+            and abs(c) <= 2.0 ** 1000):
+        return None
+    prod = a * b
+    t = 134217729.0 * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    if b is a:  # a square, as norm asks for: one split
+        b_hi, b_lo = a_hi, a_lo
+    else:
+        t = 134217729.0 * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((c, prod, err))
+
+
 def _dot2(a0: float, a1: float, b0: float, b1: float):
-    """fma(a1, b1, a0 * b0), correctly rounded and added to 0.0, or None
-    where a nonzero ``a1`` or ``b1`` lies outside the range where Dekker's
-    product is exact, a zero one meets inf or NaN, or ``a0 * b0`` is above
-    2**1000, inf or NaN beside a nonzero product.
+    """0.0 + fma(a1, b1, a0 * b0) by ``_fma``, or None where that gives None.
 
     This is numpy's dot of two entries on OpenBLAS: ``ddot`` accumulates
     one fused multiply-add per entry from 0.0, and numpy adds the result to
-    0.0.  Dekker's product gives a1 * b1 exactly as the pair (prod, err);
-    ``math.fsum`` rounds a0 * b0 + prod + err once, as the fma does.  In
-    that range the sum is never zero with a negative sign, so the two
-    additions to 0.0 change nothing."""
-    head = a0 * b0
-    if a1 == 0.0 or b1 == 0.0:
-        # An exact zero product, unless the other factor is inf or NaN: the
-        # fma gives head, a zero signed as the additions to 0.0 leave it.
-        return 0.0 + head if math.isfinite(a1 + b1) else None
-    # Veltkamp's split at 2**27 + 1 and the error term are exact where each
-    # factor's magnitude lies in [2**-480, 2**480]: no split overflows and no
-    # partial product underflows.  A head up to 2**1000 keeps the sum finite.
-    # (The bounds are literals, which the compiler folds.)
-    if not (2.0 ** -480 <= abs(a1) <= 2.0 ** 480 and 2.0 ** -480 <= abs(b1) <= 2.0 ** 480
-            and abs(head) <= 2.0 ** 1000):
-        return None
-    prod = a1 * b1
-    t = 134217729.0 * a1
-    a_hi = t - (t - a1)
-    a_lo = a1 - a_hi
-    if b1 is a1:  # a square, as norm asks for: one split
-        b_hi, b_lo = a_hi, a_lo
-    else:
-        t = 134217729.0 * b1
-        b_hi = t - (t - b1)
-        b_lo = b1 - b_hi
-    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return math.fsum((head, prod, err))
+    0.0, which turns a zero sum's sign to +."""
+    found = _fma(a1, b1, a0 * b0)
+    return None if found is None else 0.0 + found
 
 
 def norm(v) -> float:
@@ -95,7 +104,7 @@ def norm(v) -> float:
         return math.sqrt(sq) if sq != math.inf else abs(t)
     if n == 2 and type(v) is not np.ndarray:
         a, b = v
-        sq = _dot2(a, b, a, b)
+        sq = _fma(b, b, a * a)  # _dot2(a, b, a, b): a sum of squares is never -0.0
         if sq is not None and sq != math.inf:
             return math.sqrt(sq)
     sq = np.vdot(v, v)
@@ -148,7 +157,7 @@ class EigenDecomp:
     vectors: np.ndarray
 
 
-def chol_solve(a, b) -> np.ndarray:
+def chol_solve(a, b):
     """Solve A x = b for symmetric positive definite A, of which only the
     lower triangle is read.
 
@@ -161,7 +170,16 @@ def chol_solve(a, b) -> np.ndarray:
     triangle) or b raises ValueError first.  A is not symmetrized: a finite
     A that is not symmetric is solved as the symmetric matrix of its lower
     triangle, and a finite A whose A + A' overflows is solved as it is.
+
+    A given as a list of rows gives x as a list of Python floats; with b a
+    list too, a system of order 1 or 2 is solved on floats by
+    ``_posv_floats``, with ``posv``'s bits, checks and messages.
     """
+    listed = type(a) is list
+    if listed and type(b) is list and 0 < len(a) <= 2:
+        x = _posv_floats(a, b)
+        if x is not None:
+            return x
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -170,7 +188,7 @@ def chol_solve(a, b) -> np.ndarray:
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} does not match order {n}")
     if n == 0:
-        return np.zeros(0)
+        return [] if listed else np.zeros(0)
     entries = a.ravel().tolist()
     if not all(map(math.isfinite, entries + b.tolist())):
         raise ValueError("system has non-finite entries")
@@ -179,12 +197,81 @@ def chol_solve(a, b) -> np.ndarray:
         raise NotPositiveDefinite("no positive diagonal entry")
     factor, x, info = dposv(a, b, lower=1)
     if info != 0:
-        raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
-    min_pivot = min(factor.diagonal().tolist()) ** 2
+        raise _factor_failure(info)
+    _check_pivots(min(factor.diagonal().tolist()), max_diag)
+    return x.tolist() if listed else x
+
+
+def _factor_failure(info: int) -> NotPositiveDefinite:
+    return NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
+
+
+def _check_pivots(min_diag: float, max_diag: float) -> None:
+    """NotPositiveDefinite where the smallest pivot min_diag**2 of L is below
+    PIVOT_RTOL times A's largest diagonal entry."""
+    min_pivot = min_diag ** 2
     threshold = PIVOT_RTOL * max_diag
     if min_pivot < threshold:
         raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
-    return x
+
+
+def _posv_floats(a: list, b: list):
+    """``chol_solve`` of a list A of one or two rows of Python floats and a
+    list b, on floats, or None where a row or b has another length or a
+    fused multiply-add of the solve leaves ``_fma``'s range (the LAPACK path
+    then solves it).
+
+    These are OpenBLAS's ``posv`` operations at that order: ``potf2``
+    factors l00 = sqrt(a00), l10 = a10 * (1 / l00) and
+    l11 = sqrt(a11 - l10 * l10), failing where a pivot's square is not
+    positive, and each triangular solve multiplies by the reciprocal of a
+    pivot, with one fused multiply-add per off-diagonal entry:
+    y1 = fma(-y0, l10, b1) / l11 forward, x0 = fma(-x1, l10, y0) / l00 back.
+    At order 1 x = (b0 * (1 / l00)) * (1 / l00).  The checks come in
+    ``chol_solve``'s order."""
+    n = len(a)
+    row0, row1 = a[0], a[-1]
+    if not (len(b) == n and type(row0) is list and len(row0) == n
+            and type(row1) is list and len(row1) == n):
+        return None
+    if n == 1:
+        (a00,), (b0,) = row0, b
+        if not (math.isfinite(a00) and math.isfinite(b0)):
+            raise ValueError("system has non-finite entries")
+        if a00 <= 0.0:
+            raise NotPositiveDefinite("no positive diagonal entry")
+        l00 = math.sqrt(a00)
+        _check_pivots(l00, a00)
+        r0 = 1.0 / l00
+        return [(b0 * r0) * r0]
+    (a00, a01), (a10, a11) = row0, row1
+    b0, b1 = b
+    if not (math.isfinite(a00) and math.isfinite(a01) and math.isfinite(a10)
+            and math.isfinite(a11) and math.isfinite(b0) and math.isfinite(b1)):
+        raise ValueError("system has non-finite entries")
+    max_diag = a11 if a11 > a00 else a00
+    if max_diag <= 0.0:
+        raise NotPositiveDefinite("no positive diagonal entry")
+    if a00 <= 0.0:
+        raise _factor_failure(1)
+    l00 = math.sqrt(a00)
+    r0 = 1.0 / l00
+    l10 = a10 * r0
+    d11 = a11 - l10 * l10
+    if d11 <= 0.0:
+        raise _factor_failure(2)
+    l11 = math.sqrt(d11)
+    _check_pivots(l11 if l11 < l00 else l00, max_diag)
+    r1 = 1.0 / l11
+    y0 = b0 * r0
+    t = _fma(-y0, l10, b1)
+    if t is None:
+        return None
+    x1 = (t * r1) * r1
+    t = _fma(-x1, l10, y0)
+    if t is None:
+        return None
+    return [t * r0, x1]
 
 
 def eig_sym(a) -> EigenDecomp:

@@ -376,8 +376,9 @@ def _on_floats(on_floats: Callable[[list], object]) -> Callable[[Array], object]
     after them (the coordinate of an affine constant), carrying it as its
     ``on_floats``: ``ConstrainedProblem.read_point`` calls that with the
     floats it took once, ``SocBlock.values`` and ``eq_values`` take such a
-    map's float list as it is, and an SDP block's G carries its entries'
-    ``on_floats``, row-major."""
+    map's float list as it is, an SDP block's G carries its entries'
+    ``on_floats``, row-major, and the C1 multiplier estimate reads the
+    gradient's."""
     def value(x):
         xs = x.tolist()
         xs.append(1.0)
@@ -451,11 +452,20 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
             value = weight * squares + value
         return value
 
-    def gradient(x):
+    # 2w (x - a) + q entry by entry, as numpy forms it; x - 0.0 is x, bit for bit.
+    two_w, lin = 2.0 * weight, None if linear is None else q.tolist()
+    shift = [0.0] * dim if center is None else center.tolist()
+
+    def gradient(xs):
         if not weight:
-            return q
-        grad = (2.0 * weight) * (x if center is None else x - center)
-        return grad if linear is None else grad + q
+            return q.tolist()
+        grad = []
+        for v, a in zip(xs, shift):
+            grad.append(two_w * (v - a))
+        if lin is not None:
+            for k, b in enumerate(lin):
+                grad[k] += b
+        return grad
 
     blocks = []
     for A, b in soc:
@@ -477,7 +487,8 @@ def affine_problem(name: str, lower, upper, *, certificate: Optional[KnownSoluti
     if eq is not None:
         E = _frozen(eq[0])
         h = _affine_map(None if eq[1] is None else np.negative(eq[1]), E)
-    return ConstrainedProblem(name=name, dim=dim, objective=_on_floats(objective), gradient=gradient,
+    return ConstrainedProblem(name=name, dim=dim, objective=_on_floats(objective),
+                              gradient=_on_floats(gradient),
                               lower=lower, upper=upper, soc_blocks=tuple(blocks), sdp_block=sdp_block,
                               eq=h, eq_jac=E,
                               n_eq=0 if E is None else len(E), certificate=certificate,

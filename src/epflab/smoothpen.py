@@ -13,7 +13,7 @@ import numpy as np
 
 from .cones import dist_lorentz, dist_psd_minus_entries
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
-from .numerics import chol_solve, dot
+from .numerics import _dot2, chol_solve, dot
 from .problems import ConstrainedProblem, check_penalty_parameter, checked_objective
 
 Array = np.ndarray
@@ -74,16 +74,18 @@ class BarrierState:
         return self.a_val > 0.0 and self.b_val > 0.0
 
 
-def _solve_normal_equations(normal: Array, rhs: Array):
-    """Minimize z'Nz + 2 rhs'z: solve N z = -rhs by Cholesky.
+def _solve_normal_equations(normal, rhs):
+    """Minimize z'Nz - 2 rhs'z: solve N z = rhs by Cholesky, z a list for a
+    list of rows N and an array for an array N.
 
     A singular system means the nondegeneracy surrogate failed at x; the
     minimum-norm solution is returned instead, flagged as degenerate.
     """
     try:
-        return chol_solve(normal, -rhs), False
+        return chol_solve(normal, rhs), False
     except NotPositiveDefinite:
-        return np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
+        z = np.linalg.lstsq(normal, rhs, rcond=1e-10)[0]
+        return z.tolist() if type(normal) is list else z, True
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +107,10 @@ def _normal_data(problem: ConstrainedProblem, x=None):
     only the constraint derivatives at x: the stack J' (dim, m) of one
     column per multiplier entry (the SDP basis coefficients or the SOC
     blocks' entries, then mu), its Gram matrix J'J and, for an SDP block,
-    the ridge weights (the basis sums, then ones) as a float list.  J'J comes
-    as rows of floats, -0.0 turned into 0.0, for ``_soc_normal`` and
-    ``_sdp_normal``.  With x None every derivative must be an array."""
+    the ridge weights (the basis sums, then ones) as a float list, and J' as
+    rows of floats.  J'J comes as rows of floats, -0.0 turned into 0.0, for
+    ``_soc_normal`` and ``_sdp_normal``.  With x None every derivative must
+    be an array."""
     cols = [np.zeros((problem.dim, 0))] + [soc.jacobian(x).T for soc in problem.soc_blocks]
     weights = None
     if problem.sdp_block is not None:
@@ -118,7 +121,7 @@ def _normal_data(problem: ConstrainedProblem, x=None):
         cols.append(problem.jac_h(x).T)
     stack = np.hstack(cols)
     gram = stack.T @ stack
-    return stack, (0.0 + gram).tolist(), weights
+    return stack, (0.0 + gram).tolist(), weights, stack.T.tolist()
 
 
 def constant_normal_data(problem: ConstrainedProblem):
@@ -154,11 +157,11 @@ def _cone_terms(problem: ConstrainedProblem, x: Array, point: tuple):
     return g_vals, dists, h_val, h_sq, rho
 
 
-def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
+def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> list:
     """zeros + zeta1 (g g' + F'F, F = [gbar, g0 I], per block) + (J'J + (zeta2 / 2) rho I),
-    summed in that order, on floats from the rows of J'J that ``_normal_data``
-    gives (-0.0 already 0.0, which is what zeros + J'J makes of it) and the
-    float lists g of ``_cone_terms``."""
+    summed in that order, as rows of floats from the rows of J'J that
+    ``_normal_data`` gives (-0.0 already 0.0, which is what zeros + J'J makes
+    of it) and the float lists g of ``_cone_terms``."""
     ridge = 0.5 * cfg.zeta2 * rho
     normal = [row[:] for row in gram]
     for i, row in enumerate(normal):
@@ -180,7 +183,7 @@ def _soc_normal(gram: list, g_vals, cfg: EstimatorConfig, rho: float) -> Array:
             for j, v in enumerate(row, col):
                 out[j] = (0.0 + cfg.zeta1 * v) + out[j]
         col += k
-    return np.array(normal)
+    return normal
 
 
 def _sdp_normal(gram: list, curv: list, weights: list, cfg: EstimatorConfig, rho: float) -> Array:
@@ -200,39 +203,65 @@ def _sdp_normal(gram: list, curv: list, weights: list, cfg: EstimatorConfig, rho
     return np.array(normal)
 
 
-def _multipliers(problem: ConstrainedProblem, x: Array, cfg, data, g_vals, rho: float):
+def _multipliers(problem: ConstrainedProblem, x: Array, xs: list, cfg, data, g_vals, rho: float):
     """The estimate at x from one normal-equation solve: lambda_i per SOC
-    block (or (Lambda,) for the SDP block), their squared norms (by a dot
-    product, or ||Lambda||_F^2 by a sum), mu as a list of floats, and
-    whether the system was singular.  ``data`` is ``_normal_data``, built
-    here at x when None."""
-    stack, gram, weights = _normal_data(problem, x) if data is None else data
+    block as a list of floats (or (Lambda,) for the SDP block), their
+    squared norms (by a dot product, or ||Lambda||_F^2 by a sum), mu as a
+    list of floats, and whether the system was singular.  ``xs`` is x's
+    floats as ``read_point`` takes them, which the gradient's ``on_floats``
+    reads where it has one, and ``data`` is ``_normal_data``, built here at
+    x when None."""
+    stack, gram, weights, rows = _normal_data(problem, x) if data is None else data
     if not gram:
         return [], [], [], False
-    if weights is None:
-        normal = _soc_normal(gram, g_vals, cfg, rho)
-    else:
+    gradient = problem.gradient
+    grad = gradient.on_floats(xs) if hasattr(gradient, "on_floats") else problem.grad_f(x).tolist()
+    if weights is not None:
         basis, flat, _ = _sym_basis(problem.sdp_block.order)
         n_lam = len(flat)
         curv = flat @ (g_vals[0] @ g_vals[0] @ basis).reshape(n_lam, -1).T
         normal = _sdp_normal(gram, curv.tolist(), weights, cfg, rho)
-    z, degenerate = _solve_normal_equations(normal, stack.T @ problem.grad_f(x))
-    if weights is not None:
+        z, degenerate = _solve_normal_equations(normal, -(stack.T @ np.array(grad)))
         lam = (z[:n_lam] @ flat).reshape(basis.shape[1:])
         return [lam], [float(np.sum(lam * lam))], z[n_lam:].tolist(), degenerate
-    lambdas, col = [], 0
-    for g_val in g_vals:
-        lambdas.append(z[col : col + len(g_val)])
+    normal = _soc_normal(gram, g_vals, cfg, rho)
+    z, degenerate = _solve_normal_equations(normal, _gradient_rhs(stack, rows, grad))
+    lambdas, lambda_sqs, col = [], [], 0
+    for g_val in g_vals:  # a loop: a comprehension costs a function call
+        lam = z[col : col + len(g_val)]
+        lambdas.append(lam)
+        lambda_sqs.append(dot(lam, lam))
         col += len(g_val)
-    return lambdas, [dot(lam, lam) for lam in lambdas], z[col:].tolist(), degenerate
+    return lambdas, lambda_sqs, z[col:], degenerate
+
+
+def _gradient_rhs(stack: Array, rows: list, grad: list) -> list:
+    """-J' grad f(x) as a list of floats from J' (``stack.T``, and its
+    ``rows`` of floats) and grad f(x) as a list, with the bits of numpy's
+    product: at most two rows of two entries are ``_dot2`` each, the fused
+    multiply-add that OpenBLAS's ``gemv`` makes of a row at that shape (at
+    four rows it takes other operations); anything else is the product."""
+    if len(rows) <= 2 and len(grad) == 2:
+        g0, g1 = grad
+        rhs = []
+        for r0, r1 in rows:
+            found = _dot2(r0, r1, g0, g1)
+            if found is None:
+                break
+            rhs.append(-found)
+        else:
+            return rhs
+    return (-(stack.T @ np.array(grad))).tolist()
 
 
 def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
     x = np.asarray(x, dtype=float)
-    g_vals, dists, h_val, _, rho = _cone_terms(problem, x, problem.read_point(x))
-    lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, cfg, None, g_vals, rho)
+    point = problem.read_point(x)
+    g_vals, dists, h_val, _, rho = _cone_terms(problem, x, point)
+    lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, point[4], cfg, None, g_vals, rho)
     sdp = problem.sdp_block is not None
-    return MultiplierEstimate(lambdas=() if sdp else tuple(lambdas), mu=np.array(mu, dtype=float),
+    return MultiplierEstimate(lambdas=() if sdp else tuple(map(np.array, lambdas)),
+                              mu=np.array(mu, dtype=float),
                               lam_sdp=lambdas[0] if sdp else None, degenerate=degenerate,
                               block_dists=tuple(dists), g_vals=tuple(g_vals),
                               h_val=np.array(h_val, dtype=float),
@@ -298,8 +327,14 @@ def _barrier_state(sdp: bool, alpha: float, kappa: float, est: MultiplierEstimat
 
 def _barrier(sdp: bool, alpha: float, kappa: float, dists, h_sq: float) -> Tuple[float, float]:
     """a(x) and b(x) from the cone distances at x and h(x)'h(x)."""
-    a_val = alpha - ((dists[0] ** 2) ** kappa if sdp else sum(dist ** kappa for dist in dists))
-    return a_val, alpha - math.sqrt(h_sq) ** 2
+    if sdp:
+        total = (dists[0] ** 2) ** kappa
+    else:
+        # A loop from 0.0, as sum() adds floats to its int 0 (0.0 when empty).
+        total = 0.0
+        for dist in dists:
+            total += dist ** kappa
+    return alpha - total, alpha - math.sqrt(h_sq) ** 2
 
 
 def check_cone(problem: ConstrainedProblem, sdp: bool, caller: Optional[str] = None) -> None:
@@ -333,14 +368,14 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     a_val, b_val = _barrier(sdp, alpha, kappa, dists, h_sq)
     if not (a_val > 0.0 and b_val > 0.0):
         return None
-    lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, cfg, data, g_vals, rho)
+    lambdas, lambda_sqs, mu, _ = _multipliers(problem, x, point[4], cfg, data, g_vals, rho)
     # Without equalities mu is empty: q = b / (1 + 0.0) = b and <mu, h> = 0.0.
     q_val, mu_h = b_val, 0.0
     if problem.n_eq > 0:
         q_val, mu_h = b_val / (1.0 + dot(mu, mu)), dot(mu, h_val)
     state = (checked_objective(point[0], x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq)
     for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
-        state += (lam_sq, *(point[2] if sdp else g_val), *lam.ravel().tolist())
+        state += (lam_sq, *point[2], *lam.ravel().tolist()) if sdp else (lam_sq, *g_val, *lam)
     return state
 
 

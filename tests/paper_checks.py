@@ -392,10 +392,11 @@ def phi_aux(problem, x, c: float) -> float:
 
 def subproblem_diagnostics(problem, x):
     """Run ``estimate_multipliers_soc`` and return ``(estimate, residual,
-    least eigenvalue)`` of the normal equations N z = -rhs it solved, captured
-    at ``smoothpen._solve_normal_equations``: the norm of the subproblem
-    gradient 2 (N z + rhs) at z, and the least eigenvalue of N.  With no
-    multipliers nothing is solved, and they are 0.0 and +inf."""
+    least eigenvalue)`` of the normal equations N z = rhs it solved, captured
+    at ``smoothpen._solve_normal_equations`` (N, rhs and z as lists or
+    arrays): the norm of the subproblem gradient 2 (N z - rhs) at z, and the
+    least eigenvalue of N.  With no multipliers nothing is solved, and they
+    are 0.0 and +inf."""
     seen = []
     solve = smoothpen._solve_normal_equations
 
@@ -411,6 +412,6 @@ def subproblem_diagnostics(problem, x):
         smoothpen._solve_normal_equations = solve
     if not seen:
         return est, 0.0, math.inf
-    normal, rhs, z = seen[0]
-    residual = float(np.linalg.norm(2.0 * (normal @ z + rhs)))
+    normal, rhs, z = map(np.asarray, seen[0])
+    residual = float(np.linalg.norm(2.0 * (normal @ z - rhs)))
     return est, residual, float(eig_sym(normal).values[0])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -592,3 +593,145 @@ def test_norm_of_overflowing_squares_is_finite():
     assert numerics.norm([-1.7976931348623157e308, 2e300]) == math.inf
     assert numerics.norm([math.inf, 1.0]) == math.inf
     assert math.isnan(numerics.norm([math.nan, 1e200, 1e200]))
+
+
+def _exact_fma(a: float, b: float, c: float) -> float:
+    """a * b + c correctly rounded, from exact rational arithmetic; an exact
+    zero sum of a nonzero product is +0.0, of zeros IEEE's a * b + c."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        return a * b + c if a == 0.0 or b == 0.0 else 0.0
+    return float(exact)
+
+
+# Factors inside, at and beyond the ends of [2**-480, 2**480], and addends up
+# to 2**1000 and beyond, signed zeros and subnormals among them.
+_FMA_FACTOR = st.one_of(st.floats(-4.0, 4.0), st.floats(2.0 ** -490, 2.0 ** -470),
+                        st.floats(-(2.0 ** 490), -(2.0 ** 470)),
+                        st.sampled_from([0.0, -0.0, 5e-324, 2.0 ** -480, -(2.0 ** 480), 1.5,
+                                         math.inf, math.nan]))
+_FMA_ADDEND = st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, 2.0 ** 1000, -(2.0 ** 1001), math.inf]))
+
+
+@settings(deadline=None, max_examples=1500)
+@given(_FMA_FACTOR, _FMA_FACTOR, _FMA_ADDEND)
+def test_fma_is_the_correctly_rounded_fused_multiply_add_in_its_range(a, b, c):
+    got = numerics._fma(a, b, c)
+    if a == 0.0 or b == 0.0:
+        in_range = math.isfinite(a + b)
+    else:
+        in_range = (2.0 ** -480 <= abs(a) <= 2.0 ** 480 and 2.0 ** -480 <= abs(b) <= 2.0 ** 480
+                    and abs(c) <= 2.0 ** 1000)
+    if not in_range:
+        assert got is None
+    elif math.isfinite(c):
+        assert float.hex(got) == float.hex(_exact_fma(a, b, c)), (a, b, c)
+    else:
+        assert float.hex(got) == float.hex(c)  # a zero product beside an inf c
+
+
+def _posv_reference(a, b):
+    """LAPACK's posv called on arrays, with chol_solve's checks and messages."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("system has non-finite entries")
+    max_diag = float(a.diagonal().max())
+    if max_diag <= 0.0:
+        raise NotPositiveDefinite("no positive diagonal entry")
+    factor, x, info = dposv(a, b, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"Cholesky factorization failed (LAPACK info {info})")
+    min_pivot = float(factor.diagonal().min()) ** 2
+    threshold = PIVOT_RTOL * max_diag
+    if min_pivot < threshold:
+        raise NotPositiveDefinite(f"pivot {min_pivot:.3e} below threshold {threshold:.3e}")
+    return x.tobytes()
+
+
+# Each kind is a seventh of a batch; the first four stay inside _fma's range.
+_SMALL_KINDS = ("spd", "near-singular", "pivot-rtol", "signed-zeros", "non-positive",
+                "beyond-range", "non-finite")
+
+
+def _small_systems(rng, order: int, count: int):
+    """``count`` systems (kind, A as rows of floats, b as a list) of an order
+    of 1 or 2, every kind of ``_SMALL_KINDS`` in turn."""
+    n = count // len(_SMALL_KINDS) + 1
+    systems = []
+    with np.errstate(all="ignore"):
+        for kind in _SMALL_KINDS:
+            l00 = np.exp(rng.uniform(-3.0, 3.0, n))
+            l10 = rng.normal(0.0, 3.0, n)
+            l11 = np.exp(rng.uniform(-3.0, 3.0, n))
+            b = rng.normal(0.0, 3.0, (n, 2))
+            if kind == "pivot-rtol":
+                # l11^2 within a millionth of PIVOT_RTOL times the largest diagonal entry.
+                l00[:] = 1.0
+                l11 = np.sqrt(PIVOT_RTOL * np.maximum(1.0, l10 * l10)) * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+            a00, a10 = l00 * l00, l00 * l10
+            a11 = l10 * l10 + l11 * l11
+            if kind == "near-singular":
+                # a11 a few units in the last place, or 1e-12 or 1e-9 relative, from
+                # a10^2 / a00: a zero, tiny or small pivot.
+                step = rng.choice([2.0 ** -52, 1e-12, 1e-9], n)
+                a11 = a10 * a10 / a00 * (1.0 + rng.integers(-4, 5, n) * step)
+            elif kind == "signed-zeros":
+                a00 = rng.choice([0.0, -0.0, 0.25, 1.0, 4.0], n)
+                a10 = rng.choice([0.0, -0.0, 0.5, -1.0, 2.0], n)
+                a11 = rng.choice([0.0, -0.0, 1.0, 9.0], n)
+                b = rng.choice([0.0, -0.0, 1.0, -3.0], (n, 2))
+            elif kind == "non-positive":
+                # A non-positive first pivot, second pivot or both diagonal entries.
+                a00 = np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0, -1.0], n), a00)
+                a11 = np.where(rng.random(n) < 0.5, a10 * a10 / a00 - rng.uniform(0.0, 1.0, n), a11)
+            scale = 2.0 ** rng.integers(-60, 61, (n, 2))
+            if kind == "beyond-range":
+                # A and b scaled apart, across both ends of the exact range and into
+                # subnormals and overflow.
+                scale = 2.0 ** rng.integers(-1070, 1020, (n, 2)).astype(float)
+            a00, a10, a11 = a00 * scale[:, 0], a10 * scale[:, 0], a11 * scale[:, 0]
+            b = b * scale[:, 1:]
+            a01 = np.where(rng.random(n) < 0.25, rng.normal(0.0, 3.0, n), a10)
+            rows = np.stack([a00, a01, a10, a11, b[:, 0], b[:, 1]], axis=1)
+            if kind == "non-finite":
+                rows[np.arange(n), rng.integers(0, 6 if order == 2 else 1, n)] = \
+                    rng.choice([math.inf, -math.inf, math.nan], n)
+                rows[:, 4] = np.where(rng.random(n) < 0.2, math.nan, rows[:, 4])
+            for e00, e01, e10, e11, b0, b1 in rows.tolist():
+                if order == 1:
+                    systems.append((kind, [[e00]], [b0]))
+                else:
+                    systems.append((kind, [[e00, e01], [e10, e11]], [b0, b1]))
+    return systems[:count]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 63 - 1))
+def test_float_posv_is_lapack_posv_bit_for_bit(order, seed):
+    # 1,000 systems an example, 100 examples: 100,000 systems per order.  A
+    # list system of order 1 or 2 is solved on floats with posv's operations;
+    # the same bytes, or the same exception and message, as posv on arrays.
+    float_path = fallback = 0
+    for kind, a, b in _small_systems(np.random.default_rng(seed), order, 1000):
+        with np.errstate(all="ignore"):
+            ref = _outcome(_posv_reference, a, b)
+        got = _outcome(chol_solve, a, b)
+        if isinstance(ref, tuple):
+            assert got == ref, (kind, a, b)
+        else:
+            assert type(got) is list and np.array(got).tobytes() == ref, (kind, a, b)
+        try:
+            solved = numerics._posv_floats(a, b)
+        except (ValueError, NotPositiveDefinite):
+            continue
+        if solved is None:
+            fallback += 1
+            # Only a system beyond the fused multiply-add's range reaches LAPACK.
+            assert kind == "beyond-range", (kind, a, b)
+        else:
+            float_path += 1
+    assert float_path > 0
+    if order == 2:
+        assert fallback > 0

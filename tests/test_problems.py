@@ -968,3 +968,34 @@ def test_read_point_calls_each_callable_once_in_order():
                                                             dG=np.zeros((1, 2, 2))))
     with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(2, 2\)"):
         wrong.read_point(np.array([0.5]))
+
+
+def _numpy_affine_gradient(weight, center, linear):
+    """``affine_problem``'s gradient as it was written on arrays."""
+    q = np.zeros(2) if linear is None else np.array(linear, dtype=float)
+
+    def gradient(x):
+        if not weight:
+            return q
+        grad = (2.0 * weight) * (x if center is None else x - np.array(center, dtype=float))
+        return grad if linear is None else grad + q
+    return gradient
+
+
+_GRAD_ENTRY = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-300, 5e-324])
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.sampled_from([0.0, 1.0, 0.5, 3.0]), st.none() | st.lists(_GRAD_ENTRY, min_size=2, max_size=2),
+       st.none() | st.lists(_GRAD_ENTRY, min_size=2, max_size=2),
+       st.lists(_GRAD_ENTRY, min_size=2, max_size=2))
+def test_affine_gradient_on_floats_is_the_array_formula_bit_for_bit(weight, center, linear, x):
+    # 2w (x - a) + q entry by entry, signed zeros included: x - 0.0 is x where
+    # no center is given, and q is added only where it is.
+    problem = affine_problem("grad", [-3.0, -3.0], [3.0, 3.0], certificate=None, penalties=(),
+                             weight=weight, center=center, linear=linear)
+    x = np.array(x)
+    want = np.asarray(_numpy_affine_gradient(weight, center, linear)(x), dtype=float).tobytes()
+    assert problem.grad_f(x).tobytes() == want
+    floats = problem.gradient.on_floats(x.tolist() + [1.0])
+    assert all(type(v) is float for v in floats) and np.array(floats).tobytes() == want

@@ -1,4 +1,4 @@
-"""Five rules that every penalty reads are each written once in the package.
+"""Seven rules that every penalty reads are each written once in the package.
 
 The check parses each module of ``src/epflab`` with ``ast``.  No module
 uses ``np.linalg.norm``: every Euclidean norm is ``numerics.norm``, which
@@ -14,7 +14,11 @@ DimensionMismatch that names a multiplier under an ``if`` that reads a
 shape (``.shape``, ``.size``, ``.ndim`` or ``len``).  And one function
 checks that a problem's cones fit a C1 penalty or multiplier estimate:
 ``smoothpen.check_cone`` alone raises a ValueError under an ``if`` that
-reads a problem's ``sdp_block`` or ``soc_blocks``.
+reads a problem's ``sdp_block`` or ``soc_blocks``.  And the float
+arithmetic that keeps LAPACK's and BLAS's bits lives in ``numerics``: no
+other module imports or reaches ``scipy.linalg.lapack``, and no other spells
+Veltkamp's split constant 2**27 + 1 = 134217729, as a literal or as
+arithmetic on literals.
 """
 
 import ast
@@ -55,6 +59,61 @@ def vdot_uses(source: str) -> list:
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and any(alias.name == "vdot" for alias in node.names):
             lines.append(node.lineno)
+    return sorted(lines)
+
+
+def lapack_uses(source: str) -> list:
+    """Line numbers of each import of ``scipy.linalg.lapack`` (or of
+    ``lapack`` from ``scipy.linalg``) and of each ``<...>linalg.lapack``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.startswith("scipy.linalg.lapack")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if (node.module.startswith("scipy.linalg.lapack")
+                    or (node.module == "scipy.linalg" and any(a.name == "lapack" for a in node.names))):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "lapack":
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
+                    isinstance(owner, ast.Name) and owner.id == "linalg"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+SPLIT = 134217729  # 2**27 + 1
+
+
+def _literal_value(node):
+    """The value of a number literal, or of arithmetic on number literals
+    (``2.0 ** 27 + 1``); None for anything else."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        value = _literal_value(node.operand)
+        return None if value is None else (value if isinstance(node.op, ast.UAdd) else -value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Pow)):
+        left, right = _literal_value(node.left), _literal_value(node.right)
+        if left is None or right is None or (isinstance(node.op, ast.Pow) and abs(right) > 64):
+            return None
+        ops = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
+               ast.Mult: lambda a, b: a * b, ast.Pow: lambda a, b: a ** b}
+        return ops[type(node.op)](left, right)
+    return None
+
+
+def split_constant_uses(source: str) -> list:
+    """Line numbers of each outermost literal expression worth 134217729."""
+    lines = []
+
+    def visit(node):
+        if _literal_value(node) == SPLIT:
+            lines.append(node.lineno)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
     return sorted(lines)
 
 
@@ -208,6 +267,24 @@ def estimate(problem, x):
     assert cone_check_owners(source, "m") == ["m.check", "m.check", "m.estimate", "m.estimate.inner"]
 
 
+def test_lapack_and_split_guards_see_violations():
+    source = '''
+import scipy.linalg.lapack
+from scipy.linalg.lapack import dposv
+from scipy.linalg import lapack as lp, eigh
+import numpy as np, scipy.linalg.lapack as lap2
+from scipy import linalg
+
+
+def split(a):
+    t = 134217729.0 * a + 134217729 - (2.0 ** 27 + 1) + scipy.linalg.lapack.dgesv
+    return t * 134217728.0 + linalg.lapack.dposv + eigh(a, 2 ** 27 + 1)
+'''
+    assert lapack_uses(source) == [2, 3, 4, 5, 10, 11]
+    # 2 ** 27 + 1 is arithmetic on literals worth the constant; 134217728.0 is not.
+    assert split_constant_uses(source) == [10, 10, 10, 11]
+
+
 def test_no_module_uses_np_linalg_norm():
     uses = {p.name: linalg_norm_uses(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
@@ -234,3 +311,15 @@ def test_one_function_checks_the_cone_fit():
     owners = [owner for p in MODULES
               for owner in cone_check_owners(p.read_text(encoding="utf-8"), p.stem)]
     assert set(owners) == {"smoothpen.check_cone"}
+
+
+def test_no_module_but_numerics_reaches_lapack():
+    uses = {p.name: lapack_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines and name != "numerics.py"} == {}
+    assert uses["numerics.py"], "numerics no longer imports LAPACK: update this guard"
+
+
+def test_no_module_but_numerics_spells_the_split_constant():
+    uses = {p.name: split_constant_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines and name != "numerics.py"} == {}
+    assert uses["numerics.py"], "numerics no longer splits by Veltkamp's constant: update this guard"

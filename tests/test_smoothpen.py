@@ -7,9 +7,14 @@ from hypothesis.extra.numpy import arrays
 
 from epflab import smoothpen
 from epflab.cones import proj_lorentz, proj_psd
-from epflab.problems import ConstrainedProblem, SdpBlock, SocBlock, get_problem, kkt_residual
+from epflab.errors import NotPositiveDefinite
+from epflab.numerics import chol_solve, dot
+from epflab.problems import (ConstrainedProblem, SdpBlock, SocBlock, affine_problem, checked_objective,
+                             get_problem, kkt_residual, registry)
 from epflab.smoothpen import (
     DEFAULT_ESTIMATOR,
+    KAPPA_SDP,
+    KAPPA_SOC,
     EstimatorConfig,
     barrier_state_sdp,
     barrier_state_soc,
@@ -515,12 +520,119 @@ def test_soc_normal_on_floats_matches_numpy_assembly_by_bytes(inputs):
         ref = _numpy_soc_normal(gram, g_vals, cfg, rho)
         # J'J as _normal_data hands it on: rows of floats, -0.0 turned into 0.0;
         # g as _cone_terms hands it on: lists of floats.
-        new = smoothpen._soc_normal((0.0 + gram).tolist(), [g.tolist() for g in g_vals], cfg, rho)
+        new = np.array(smoothpen._soc_normal((0.0 + gram).tolist(), [g.tolist() for g in g_vals],
+                                             cfg, rho))
     assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", ["toy-eq-1", "toy-socp-1", "toy-socp-2"])
 def test_normal_data_hands_on_gram_rows(name):
     problem = get_problem(name)
-    stack, gram, weights = smoothpen.constant_normal_data(problem)
+    stack, gram, weights, rows = smoothpen.constant_normal_data(problem)
     assert weights is None and gram == (0.0 + stack.T @ stack).tolist()
+    assert rows == stack.T.tolist()
+
+
+# The C1 state's multiplier path as it was before normal systems of order 1
+# and 2 were solved on floats, kept as a frozen reference: the SOC normal
+# matrix as an array, J' grad f(x) as numpy's product, the solve on arrays
+# (LAPACK's posv), lambda_i as slices of the solution and the barrier's
+# sum from int 0.
+def _frozen_multipliers(problem, x, cfg, data, g_vals, rho):
+    stack, gram, weights = data[:3]
+    if not gram:
+        return [], [], [], False
+    if weights is None:
+        normal = np.array(smoothpen._soc_normal(gram, g_vals, cfg, rho))
+    else:
+        basis, flat, _ = smoothpen._sym_basis(problem.sdp_block.order)
+        n_lam = len(flat)
+        curv = flat @ (g_vals[0] @ g_vals[0] @ basis).reshape(n_lam, -1).T
+        normal = smoothpen._sdp_normal(gram, curv.tolist(), weights, cfg, rho)
+    rhs = stack.T @ problem.grad_f(x)
+    try:
+        z, degenerate = chol_solve(normal, -rhs), False
+    except NotPositiveDefinite:
+        z, degenerate = np.linalg.lstsq(normal, -rhs, rcond=1e-10)[0], True
+    if weights is not None:
+        lam = (z[:n_lam] @ flat).reshape(basis.shape[1:])
+        return [lam], [float(np.sum(lam * lam))], z[n_lam:].tolist(), degenerate
+    lambdas, col = [], 0
+    for g_val in g_vals:
+        lambdas.append(z[col : col + len(g_val)])
+        col += len(g_val)
+    return lambdas, [dot(lam, lam) for lam in lambdas], z[col:].tolist(), degenerate
+
+
+def _frozen_c1_state(problem, x, alpha, kappa, cfg, data):
+    point = problem.read_point(x)
+    g_vals, dists, h_val, h_sq, rho = smoothpen._cone_terms(problem, x, point)
+    sdp = problem.sdp_block is not None
+    a_val = alpha - ((dists[0] ** 2) ** kappa if sdp else sum(dist ** kappa for dist in dists))
+    b_val = alpha - math.sqrt(h_sq) ** 2
+    if not (a_val > 0.0 and b_val > 0.0):
+        return None
+    lambdas, lambda_sqs, mu, _ = _frozen_multipliers(problem, x, cfg, data, g_vals, rho)
+    q_val, mu_h = b_val, 0.0
+    if problem.n_eq > 0:
+        q_val, mu_h = b_val / (1.0 + dot(mu, mu)), dot(mu, h_val)
+    state = (checked_objective(point[0], x), a_val / (1.0 + sum(lambda_sqs)), q_val, mu_h, h_sq)
+    for lam_sq, g_val, lam in zip(lambda_sqs, g_vals, lambdas):
+        state += (lam_sq, *(point[2] if sdp else g_val), *lam.ravel().tolist())
+    return state
+
+
+_C1_PAIRS = [(p, kind) for p in registry(validate=False) for kind in p.penalties
+             if kind.startswith("c1-")] + [
+    # Order 2 from two equalities with a general J (rows of two entries), and
+    # order 4 from two Q2 blocks, where J' grad f has four rows: there numpy's
+    # product is not one fused multiply-add a row.
+    (affine_problem("two-eq-2d", [-3.0, -3.0], [3.0, 3.0], certificate=None, penalties=("c1-socp",),
+                    weight=1.0, center=[0.5, -1.0], eq=([[1.0, 2.0], [-0.5, 1.5]], [1.0, 0.25])),
+     "c1-socp"),
+    (affine_problem("two-q2", [-3.0, -3.0], [3.0, 3.0], certificate=None, penalties=("c1-socp",),
+                    weight=1.0, center=[0.0, 2.0],
+                    soc=[(np.eye(2), None), ([[0.3, 0.7], [-1.1, 0.9]], [0.2, -0.1])]), "c1-socp")]
+
+
+@pytest.mark.parametrize("problem,kind", _C1_PAIRS, ids=lambda v: getattr(v, "name", v))
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_c1_state_keeps_the_bits_of_the_array_multiplier_path(problem, kind, data):
+    # Points anywhere in the box (a fifth to a half of them inside the barrier
+    # domain at alpha = 1), near x* and on round or signed-zero coordinates; a
+    # small alpha leaves fewer inside, a large one more.
+    star = problem.certificate.x_star.tolist() if problem.certificate else [0.5, 0.5]
+    coords = []
+    for k, (lo, hi) in enumerate(zip(*problem.box_floats)):
+        near = st.floats(max(lo, star[k] - 0.3), min(hi, star[k] + 0.3))
+        coords.append(data.draw(st.floats(lo, hi) | near | st.sampled_from([-0.0, 0.0, 1.0, star[k]]),
+                                label=f"x{k}"))
+    x = np.array(coords)
+    alpha = data.draw(st.sampled_from([1.0, 0.05, 30.0]), label="alpha")
+    kappa = KAPPA_SDP if kind == "c1-sdp" else data.draw(st.sampled_from([KAPPA_SOC, 3.5]), label="kappa")
+    cfg = data.draw(st.sampled_from([DEFAULT_ESTIMATOR, EstimatorConfig(zeta1=0.3, zeta2=7.0)]))
+    normal_data = smoothpen.constant_normal_data(problem)
+    state = smoothpen.c1_state(problem, x, alpha, kappa, cfg, normal_data)
+    reference = _frozen_c1_state(problem, x, alpha, kappa, cfg, normal_data)
+    assert (state is None) == (reference is None)
+    if state is not None:
+        assert all(type(v) is float for v in state)
+        assert np.array(state).tobytes() == np.array(reference).tobytes()
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(st.floats(0.0, 1e3) | st.sampled_from([0.0, -0.0, 1e-200, 1e200]), max_size=4),
+       st.sampled_from([KAPPA_SOC, 2.5, 7.0]), st.sampled_from([1.0, 0.1, 1e3]))
+def test_barrier_loop_from_zero_is_the_sum_from_int_zero(dists, kappa, alpha):
+    # sum() adds floats to its start, the int 0, as 0.0 + d0 + d1 + ...; the
+    # loop starts from 0.0, and alpha - 0 is alpha - 0.0 without a block.  A
+    # power beyond the float range raises OverflowError in both.
+    def outcome(a_val):
+        try:
+            return float.hex(a_val())
+        except OverflowError as exc:
+            return type(exc)
+
+    assert (outcome(lambda: smoothpen._barrier(False, alpha, kappa, dists, 0.0)[0])
+            == outcome(lambda: alpha - sum(dist ** kappa for dist in dists)))
