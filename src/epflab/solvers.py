@@ -2,11 +2,10 @@
 
 One local method, Nelder-Mead, which handles the kinks and +inf
 sentinels of penalty functions.  Starts come from a scrambled Sobol
-sequence, drawn once per (dim, seed), so results are bit-reproducible
-for a fixed seed on one machine.  The simplex is kept in the order of
-numpy's default argsort, as in scipy, which is not stable on 4 or more
-values: on a problem of 3 or more coordinates, tied F values may order
-differently on another CPU.
+sequence, drawn once per (dim, seed, batch size) and kept, so results are
+bit-reproducible for a fixed seed.  The simplex is kept in the stable
+order of its values, NaN last, in every dimension, so tied F values order
+the same way on every CPU.
 """
 
 from __future__ import annotations
@@ -75,12 +74,13 @@ class MinimizeResult:
 
 
 def _box(lower, upper):
-    """lower and upper as float arrays; ValueError unless the box is finite
-    with lower <= upper."""
+    """lower and upper as float arrays; ValueError unless they are 1-D, of one
+    shape with at least one coordinate, finite and with lower <= upper."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
-        raise ValueError("the solver needs a finite box with lower <= upper")
+    if not (lower.ndim == 1 and lower.shape == upper.shape and lower.size
+            and np.isfinite(lower).all() and np.isfinite(upper).all() and (lower <= upper).all()):
+        raise ValueError("the solver needs a finite box with lower <= upper, as 1-D bounds of one shape")
     return lower, upper
 
 
@@ -118,10 +118,9 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
 
 
 def _argsort(fs: list) -> list:
-    """The order scipy gives the simplex: numpy's argsort of its values, NaN
-    last.  On at most 3 values that is the stable order, which the loop's
-    insertion keeps; on 4 or more numpy's sort need not be stable."""
-    return np.array(fs).argsort().tolist()
+    """The simplex's order: its values sorted stably, NaN last.  On at most
+    3 values that is numpy's argsort, the order scipy gives the simplex."""
+    return sorted(range(len(fs)), key=lambda i: (fs[i] != fs[i], fs[i]))
 
 
 def _ordered(sim: list, fs: list):
@@ -175,10 +174,11 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
 
     Every step is the arithmetic of scipy's ``minimize(method="Nelder-Mead",
     bounds=...)`` (scipy 1.17.1, non-adaptive), done on plain floats, so each
-    iterate and each F call is the same bit for bit.  Its coefficients are
-    fixed: reflection 1, expansion 2, contraction 0.5, shrink 0.5, and an
-    initial step of 5 % of each coordinate (0.00025 where it is 0).  On two
-    coordinates the loop after the start simplex is ``_nelder_mead_2d``.
+    iterate and each F call is the same bit for bit, except where 4 or more
+    vertices tie: the order is then stable, and numpy's need not be.  Its
+    coefficients are fixed: reflection 1, expansion 2, contraction 0.5, shrink
+    0.5, and an initial step of 5 % of each coordinate (0.00025 where it is
+    0).  On two coordinates the loop after the start simplex is ``_nelder_mead_2d``.
     """
     lows, highs = lower.tolist(), upper.tolist()
     n = len(lows)
@@ -193,15 +193,11 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, highs)]) for p in sim]
     fs = [_as_float(func(np.array(p))) for p in sim]
     nfev = n + 1
-    # scipy sorts twice here; argsort is not stable on 4 or more values.
-    sim, fs = _ordered(*_ordered(sim, fs))
+    # scipy sorts twice here; a stable sort is the same after one.
+    sim, fs = _ordered(sim, fs)
     maxiter = iters_per_dim * n
     if n == 2:
         return _nelder_mead_2d(func, sim, fs, lows, highs, maxiter, xatol, fatol)
-    # On at most 3 vertices the order is stable: the new vertex of a step
-    # goes after the best ones it ties (bisect_right), and a NaN last, unless
-    # a NaN is among them.
-    insert = n <= 2
     it = 1
     while it < maxiter:
         f0, s0, w = fs[0], sim[0], sim[-1]
@@ -235,7 +231,9 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
                 nfev += n
                 sim, fs = _ordered(sim, fs)
                 continue
-        if insert and fs[-2] == fs[-2]:
+        # The new vertex goes after the best ones it ties, and a NaN last,
+        # unless a NaN is among them.
+        if fs[-2] == fs[-2]:
             k = bisect_right(fs, fn, 0, n)
             del sim[-1], fs[-1]
             sim.insert(k, xn)

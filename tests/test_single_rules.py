@@ -1,4 +1,4 @@
-"""Seven rules that every penalty reads are each written once in the package.
+"""Eight rules that every penalty reads are each written once in the package.
 
 The check parses each module of ``src/epflab`` with ``ast``.  No module
 uses ``np.linalg.norm``: every Euclidean norm is ``numerics.norm``, which
@@ -18,7 +18,9 @@ reads a problem's ``sdp_block`` or ``soc_blocks``.  And the float
 arithmetic that keeps LAPACK's and BLAS's bits lives in ``numerics``: no
 other module imports or reaches ``scipy.linalg.lapack``, and no other spells
 Veltkamp's split constant 2**27 + 1 = 134217729, as a literal or as
-arithmetic on literals.
+arithmetic on literals.  And no module calls numpy's sort (``argsort``,
+``np.sort``, ``np.lexsort``): the solver orders its simplex by Python's
+stable ``sorted``, which orders ties the same way on every CPU.
 """
 
 import ast
@@ -78,6 +80,24 @@ def lapack_uses(source: str) -> list:
             if (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
                     isinstance(owner, ast.Name) and owner.id == "linalg"):
                 lines.append(node.lineno)
+    return sorted(lines)
+
+
+NUMPY_SORTS = ("sort", "argsort", "lexsort")
+
+
+def numpy_sort_uses(source: str) -> list:
+    """Line numbers of each ``.argsort`` and ``.lexsort``, each ``np.sort``
+    or ``numpy.sort``, and each import of one of the three from numpy."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("argsort", "lexsort") or (node.attr == "sort" and isinstance(node.value, ast.Name)
+                                                        and node.value.id in ("np", "numpy"))):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+              and any(alias.name in NUMPY_SORTS for alias in node.names)):
+            lines.append(node.lineno)
     return sorted(lines)
 
 
@@ -283,6 +303,27 @@ def split(a):
     assert lapack_uses(source) == [2, 3, 4, 5, 10, 11]
     # 2 ** 27 + 1 is arithmetic on literals worth the constant; 134217728.0 is not.
     assert split_constant_uses(source) == [10, 10, 10, 11]
+
+
+def test_numpy_sort_guard_sees_violations():
+    source = '''
+import numpy as np
+from numpy import sort as npsort, argsort
+from numpy.core.multiarray import lexsort
+
+
+def order(fs, keys):
+    idx = np.array(fs).argsort() + np.argsort(fs) + np.sort(fs) + numpy.sort(fs)
+    fs.sort()
+    return sorted(range(len(fs)), key=fs.__getitem__), np.lexsort(keys), solvers._argsort(fs)
+'''
+    # A list's own sort, sorted and a function named _argsort are not numpy's sort.
+    assert numpy_sort_uses(source) == [3, 4, 8, 8, 8, 8, 10]
+
+
+def test_no_module_calls_numpy_sort():
+    uses = {p.name: numpy_sort_uses(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def test_no_module_uses_np_linalg_norm():
