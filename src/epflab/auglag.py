@@ -12,7 +12,7 @@ import numpy as np
 from .cones import dist_lorentz, dist_psd_minus
 from .errors import NonFiniteEvaluation
 from .numerics import dot
-from .problems import (ConstrainedProblem, as_point, check_penalty_parameter, checked_objective,
+from .problems import (ConstrainedProblem, check_penalty_parameter, checked_objective, point_floats,
                        read_multipliers)
 
 
@@ -26,9 +26,9 @@ def hpr_multipliers(problem: ConstrainedProblem, lam=None, lam_sdp=None, mu=None
 
 
 def hpr_state(problem: ConstrainedProblem, x) -> tuple:
-    """(f, [g_i as float lists], G, h as a float list, h.h) at a point x (as
-    ``as_point`` returns it), from one ``read_point``; G and h are None where
-    absent.  A NaN f raises NonFiniteEvaluation."""
+    """(f, [g_i as float lists], G, h as a float list, h.h) at a point x (a
+    tuple of floats as ``point_floats`` returns it), from one ``read_point``;
+    G and h are None where absent.  A NaN f raises NonFiniteEvaluation."""
     f_val, g_vals, entries, h_val, _ = problem.read_point(x)
     f_val = checked_objective(f_val, x)
     g_mat = None
@@ -82,4 +82,4 @@ def hpr_closed_form(problem: ConstrainedProblem, x, lam=None, lam_sdp=None, mu=N
     """
     check_penalty_parameter(c)
     multipliers = hpr_multipliers(problem, lam, lam_sdp, mu)
-    return hpr_value(multipliers, hpr_state(problem, as_point(problem, x)), c)
+    return hpr_value(multipliers, hpr_state(problem, point_floats(problem, x)), c)

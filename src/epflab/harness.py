@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -21,43 +22,51 @@ from .auglag import hpr_multipliers, hpr_state, hpr_value
 from .errors import AllStartsFailed, NonMonotonePredicate, UnknownProblem
 from .penalties import linear_state, linear_value, q_order, qpen_state, qpen_value
 from .numerics import norm
-from .problems import (ConstrainedProblem, KnownSolution, as_point, check_penalty_parameter,
-                       feasibility_gap, flat_multipliers, split_multipliers)
+from .problems import (ConstrainedProblem, KnownSolution, check_penalty_parameter, feasibility_gap,
+                       flat_multipliers, point_floats, split_multipliers)
 from .smoothpen import (KAPPA_SDP, KAPPA_SOC, EstimatorConfig, c1_state, c1_value, check_barrier,
                         check_cone, constant_normal_data)
 from .solvers import SolverConfig, minimize, polish
 
 
 _MISSING = object()
-_FLOAT64 = np.dtype(np.float64)
 
 
 class PenaltyHandle:
     """F(x, c) = value(state(x), c) bound to one problem; state(x) is all of
     F that does not read c, and floor(c) a beta(c) >= 0 with F(x, c) >= f(x)
-    - beta(c) everywhere, or None.  A call keeps the states by the bytes of x,
-    those met at the current c and at the c before it: a new c drops the older
-    set, and a state found there is copied into the current one.  A bad c
-    (ValueError) or an x of another shape than (dim,) (DimensionMismatch)
-    raises before anything is evaluated; a state that raises is not stored."""
+    - beta(c) everywhere, or None.  x is read as a tuple of dim Python
+    floats, the point the solver passes, which is taken as it is; any other
+    x goes through ``problems.point_floats`` first.  A call keeps the states
+    by that tuple, or by its bytes where a coordinate is zero, as 0.0 ==
+    -0.0: those met at the current c and at the c before it.  A new c drops
+    the older set, and a state found there is copied into the current one.
+    A bad c (ValueError) or an x of another shape than (dim,)
+    (DimensionMismatch) raises before anything is evaluated; a state that
+    raises is not stored."""
 
-    __slots__ = ("problem", "state", "value", "params", "floor", "_shape", "_c", "_current",
+    __slots__ = ("problem", "state", "value", "params", "floor", "_dim", "_pack", "_c", "_current",
                  "_previous")
 
     def __init__(self, problem: ConstrainedProblem, state: Callable, value: Callable, params: Dict,
                  floor: Optional[Callable[[float], float]] = None):
         self.problem, self.state, self.value, self.params = problem, state, value, params
         self.floor = floor
-        self._shape, self._c, self._current, self._previous = (problem.dim,), None, {}, {}
+        self._dim, self._pack = problem.dim, struct.Struct(f"{problem.dim}d").pack
+        self._c, self._current, self._previous = None, {}, {}
 
     def __call__(self, x, c: float) -> float:
         if c != self._c:  # a bad c is never kept, so it is checked at every call
             check_penalty_parameter(c)
             self._c, self._current, self._previous = c, {}, self._current
-        # The solver's x, a float64 array of shape (dim,), passes as it is.
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT64 or x.shape != self._shape:
-            x = as_point(self.problem, x)
-        key = x.tobytes()
+        if type(x) is tuple and len(x) == self._dim:
+            for v in x:  # a loop: all() over a generator costs more
+                if type(v) is not float:
+                    x = point_floats(self.problem, x)
+                    break
+        else:
+            x = point_floats(self.problem, x)
+        key = self._pack(*x) if 0.0 in x else x
         found = self._current.get(key, _MISSING)
         if found is _MISSING:
             found = self._previous.get(key, _MISSING)
@@ -213,6 +222,17 @@ def strict_fail_bound(f_star: float) -> float:
     return w
 
 
+def _at(penalty: PenaltyHandle, c: float) -> Callable:
+    """F(., c) for the solver, with the ``on_floats`` entry that hands the
+    handle the solver's float tuple as it is.  Both call the handle, where
+    every F is counted."""
+    func = lambda z: penalty(z, c)
+    # Not func itself: a function that refers to itself lives until the
+    # cyclic collector runs, and keeps the handle's memo with it.
+    func.on_floats = lambda xs: penalty(xs, c)
+    return func
+
+
 def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig,
               stop_below: float = -math.inf) -> SweepRecord:
     """Multistart-minimize F(., c), polish the winner, keep the better of
@@ -222,7 +242,7 @@ def _solve_at(penalty: PenaltyHandle, c: float, cfg: SolverConfig,
     recorded unpolished, as polish could only lower its value."""
     problem = penalty.problem
     lower, upper = problem.box()
-    func = lambda z: penalty(z, c)
+    func = _at(penalty, c)
     try:
         result = minimize(func, lower, upper, cfg, stop_below)
     except AllStartsFailed:
@@ -416,7 +436,7 @@ def estimate_c_star(
     def refuted(c: float) -> bool:
         for w in witnesses:
             if penalty(w, c) <= stop_below:
-                witnesses.append(polish(lambda z: penalty(z, c), w, *penalty.problem.box())[0])
+                witnesses.append(polish(_at(penalty, c), w, *penalty.problem.box())[0])
                 return True
         return False
 

@@ -33,11 +33,12 @@ def _checked_phi(phi_val: float, kind: str) -> float:
 
 def linear_state(problem: ConstrainedProblem, x) -> Tuple[float, float]:
     """(f(x), phi(x)) for phi the feasibility gap (``default_phi``), both
-    from one ``read_point`` of x, a point as ``problems.as_point`` returns it.
-    A NaN f raises NonFiniteEvaluation before phi is formed, a NaN phi after."""
+    from one ``read_point`` of x, a tuple of floats as
+    ``problems.point_floats`` returns it.  A NaN f raises
+    NonFiniteEvaluation before phi is formed, a NaN phi after."""
     point = problem.read_point(x)
     f_val = checked_objective(point[0], x)
-    soc, eq, box = gap_terms(problem, x, point)
+    soc, eq, box = gap_terms(problem, point)
     return f_val, _checked_phi(soc + eq + box, "linear")
 
 
@@ -111,7 +112,7 @@ def qpen_state(problem: ConstrainedProblem, x) -> Tuple[float, float]:
     NegativeObjective and a NaN phi NonFiniteEvaluation."""
     point = problem.read_point(x)
     f_pos = _positive_part(checked_objective(point[0], x), x)
-    soc, eq, box = gap_terms(problem, x, point)
+    soc, eq, box = gap_terms(problem, point)
     return f_pos, _checked_phi(soc + eq + box, "q-order")
 
 

@@ -180,28 +180,33 @@ class ConstrainedProblem:
         return self.lower.tolist(), self.upper.tolist()
 
     @cached_property
-    def read_point(self) -> Callable[[Array], tuple]:
-        """x -> (f, gs, G, h, xs) at a point x, a float64 array of shape
-        (dim,) as ``as_point`` returns it: the objective's value as a float
+    def read_point(self) -> Callable[[tuple], tuple]:
+        """x -> (f, gs, G, h, xs) at a point x, a tuple of dim Python floats
+        as ``point_floats`` returns it: the objective's value as a float
         (NaN as it is, see ``checked_objective``), each g_i(x) as a list of
         Python floats, G(x)'s entries row-major as one (None without an SDP
         block), h(x) as one ([] without equalities) and x's floats with 1.0
-        after them (the coordinate of an affine map's constant), taken once.
+        after them (the coordinate of an affine map's constant) as a list.
         The callables run in that order, each once: ``affine_problem``'s read
-        xs through their ``on_floats``, any other gets x and has its value
-        converted as ``problem.f``, ``SocBlock.values`` and ``eq_values``
-        convert it.  A G(x) of another shape than (order, order) raises
-        ValueError.  ``gap_terms`` reads the box term from xs."""
+        xs through their ``on_floats``, any other gets x as a float64 array,
+        built once per point, and has its value converted as ``problem.f``,
+        ``SocBlock.values`` and ``eq_values`` convert it.  A G(x) of another
+        shape than (order, order) raises ValueError.  ``gap_terms`` reads the
+        box term from xs."""
         objective, on_floats = self.objective, getattr(self.objective, "on_floats", None)
         blocks = [(block.g, getattr(block.g, "on_floats", None)) for block in self.soc_blocks]
         sdp = self.sdp_block
         G = None if sdp is None else sdp.G
         G_floats, eq_floats = getattr(G, "on_floats", None), getattr(self.eq, "on_floats", None)
         eq, n_eq = self.eq, self.n_eq
+        needs_array = (on_floats is None or any(m is None for _, m in blocks)
+                       or (G is not None and G_floats is None)
+                       or (eq is not None and eq_floats is None))
 
         def read(x):
-            xs = x.tolist()
-            xs.append(1.0)
+            xs = [*x, 1.0]
+            if needs_array:
+                x = np.array(x)
             f = on_floats(xs) if on_floats is not None else float(objective(x))
             gs = []  # a loop: a comprehension costs a function call
             for g, m in blocks:
@@ -216,9 +221,10 @@ class ConstrainedProblem:
 
 
 def checked_objective(value: float, x) -> float:
-    """``value``, the objective's value at x; NonFiniteEvaluation if it is NaN."""
+    """``value``, the objective's value at x; NonFiniteEvaluation if it is
+    NaN, naming x (a point's float tuple as its array)."""
     if math.isnan(value):
-        raise NonFiniteEvaluation(f"objective is NaN at {x}")
+        raise NonFiniteEvaluation(f"objective is NaN at {np.array(x) if type(x) is tuple else x}")
     return value
 
 
@@ -239,8 +245,14 @@ def as_point(problem: ConstrainedProblem, x) -> Array:
     return x
 
 
-def gap_terms(problem: ConstrainedProblem, x: Array, point: tuple) -> Tuple[float, float, float]:
-    """The cone, equality and box terms of the feasibility gap at a point x
+def point_floats(problem: ConstrainedProblem, x) -> tuple:
+    """x as the tuple of dim Python floats that ``read_point`` and the
+    penalty states read: ``as_point``'s array, with its check, as floats."""
+    return tuple(as_point(problem, x).tolist())
+
+
+def gap_terms(problem: ConstrainedProblem, point: tuple) -> Tuple[float, float, float]:
+    """The cone, equality and box terms of the feasibility gap at a point
     from its ``read_point`` tuple."""
     _, gs, entries, h, xs = point
     soc = 0.0
@@ -255,6 +267,7 @@ def gap_terms(problem: ConstrainedProblem, x: Array, point: tuple) -> Tuple[floa
     # a generator.
     for v, l, u in zip(xs, lower, upper):
         if not l <= v <= u:
+            x = np.array(xs[:-1])
             box = norm(x - np.clip(x, problem.lower, problem.upper))
             break
     return soc, 0.0 if problem.eq is None else norm(h), box
@@ -262,14 +275,12 @@ def gap_terms(problem: ConstrainedProblem, x: Array, point: tuple) -> Tuple[floa
 
 def feasibility_gap(problem: ConstrainedProblem, x) -> FeasibilityGap:
     """Componentwise infeasibility measure; total is zero iff x is feasible."""
-    x = as_point(problem, x)
-    return FeasibilityGap(*gap_terms(problem, x, problem.read_point(x)))
+    return FeasibilityGap(*gap_terms(problem, problem.read_point(point_floats(problem, x))))
 
 
 def infeasibility(problem: ConstrainedProblem, x) -> float:
     """``feasibility_gap(problem, x).total`` without building the record."""
-    x = as_point(problem, x)
-    soc, eq, box = gap_terms(problem, x, problem.read_point(x))
+    soc, eq, box = gap_terms(problem, problem.read_point(point_floats(problem, x)))
     return soc + eq + box
 
 
@@ -311,9 +322,9 @@ def kkt_residual(problem: ConstrainedProblem, x, lam=None, mu=None, lam_sdp=None
     feasibility is dist(-lam_i, Q)) and the SDP multiplier is PSD.
     """
     x = as_point(problem, x)
-    point = problem.read_point(x)
+    point = problem.read_point(tuple(x.tolist()))
     # Primal feasibility: the cone and equality terms of the feasibility gap.
-    soc, eq, _ = gap_terms(problem, x, point)
+    soc, eq, _ = gap_terms(problem, point)
     if ((lam is None and problem.soc_blocks) or (mu is None and problem.n_eq > 0)
             or (lam_sdp is None and problem.sdp_block is not None)):
         raise DimensionMismatch("kkt_residual needs a multiplier for every block and equality")

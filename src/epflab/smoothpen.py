@@ -14,7 +14,7 @@ import numpy as np
 from .cones import dist_lorentz, dist_psd_minus_entries
 from .errors import NonFiniteEvaluation, NotPositiveDefinite
 from .numerics import _dot2, chol_solve, dot
-from .problems import ConstrainedProblem, check_penalty_parameter, checked_objective
+from .problems import ConstrainedProblem, check_penalty_parameter, checked_objective, point_floats
 
 Array = np.ndarray
 
@@ -133,11 +133,12 @@ def constant_normal_data(problem: ConstrainedProblem):
     return None if any(map(callable, derivs)) else _normal_data(problem)
 
 
-def _cone_terms(problem: ConstrainedProblem, x: Array, point: tuple):
-    """The constraint values at x from its ``read_point`` tuple (g_i(x) per
-    SOC block as a list of floats, or (G(x),) as an array), each block's
-    cone distance, h(x) as a list of floats, h'h and rho = ||h||^2 + the
-    sum of the squared distances; NonFiniteEvaluation unless rho is finite."""
+def _cone_terms(problem: ConstrainedProblem, x: tuple, point: tuple):
+    """The constraint values at x, a tuple of floats, from its ``read_point``
+    tuple (g_i(x) per SOC block as a list of floats, or (G(x),) as an
+    array), each block's cone distance, h(x) as a list of floats, h'h and
+    rho = ||h||^2 + the sum of the squared distances; NonFiniteEvaluation
+    unless rho is finite."""
     _, g_vals, entries, h_val, _ = point
     h_sq = dot(h_val, h_val) if problem.n_eq > 0 else 0.0
     if entries is not None:
@@ -153,7 +154,7 @@ def _cone_terms(problem: ConstrainedProblem, x: Array, point: tuple):
         if problem.n_eq > 0:
             rho += math.sqrt(h_sq) ** 2
     if not math.isfinite(rho):
-        raise NonFiniteEvaluation(f"constraint values are not finite at {x}")
+        raise NonFiniteEvaluation(f"constraint values are not finite at {np.array(x)}")
     return g_vals, dists, h_val, h_sq, rho
 
 
@@ -203,15 +204,16 @@ def _sdp_normal(gram: list, curv: list, weights: list, cfg: EstimatorConfig, rho
     return np.array(normal)
 
 
-def _multipliers(problem: ConstrainedProblem, x: Array, xs: list, cfg, data, g_vals, rho: float):
+def _multipliers(problem: ConstrainedProblem, x: tuple, xs: list, cfg, data, g_vals, rho: float):
     """The estimate at x from one normal-equation solve: lambda_i per SOC
     block as a list of floats (or (Lambda,) for the SDP block), their
     squared norms (by a dot product, or ||Lambda||_F^2 by a sum), mu as a
     list of floats, and whether the system was singular.  ``xs`` is x's
     floats as ``read_point`` takes them, which the gradient's ``on_floats``
     reads where it has one, and ``data`` is ``_normal_data``, built here at
-    x when None."""
-    stack, gram, weights, rows = _normal_data(problem, x) if data is None else data
+    x when None.  x, a tuple of floats, becomes an array only for those two
+    reads of a callable derivative or gradient."""
+    stack, gram, weights, rows = _normal_data(problem, np.array(x)) if data is None else data
     if not gram:
         return [], [], [], False
     gradient = problem.gradient
@@ -255,7 +257,7 @@ def _gradient_rhs(stack: Array, rows: list, grad: list) -> list:
 
 
 def _estimate(problem: ConstrainedProblem, x, cfg: EstimatorConfig) -> MultiplierEstimate:
-    x = np.asarray(x, dtype=float)
+    x = point_floats(problem, x)
     point = problem.read_point(x)
     g_vals, dists, h_val, _, rho = _cone_terms(problem, x, point)
     lambdas, lambda_sqs, mu, degenerate = _multipliers(problem, x, point[4], cfg, None, g_vals, rho)
@@ -359,9 +361,9 @@ def c1_state(problem: ConstrainedProblem, x, alpha: float, kappa: float,
     floats: the head (f, p, q, <mu, h>, ||h||^2), then per cone block
     ||lambda_i||^2, g_i(x) and lambda_i (Lambda and G(x) row-major), with the
     bits of the estimate and barrier of the problem's cone.  None outside the
-    barrier domain, before any normal equation is formed.  alpha and kappa
-    must pass ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
-    x = np.asarray(x, dtype=float)
+    barrier domain, before any normal equation is formed.  x is a tuple of
+    floats as ``point_floats`` returns it; alpha and kappa must pass
+    ``check_barrier``; ``data`` is ``constant_normal_data`` or None."""
     point = problem.read_point(x)
     g_vals, dists, h_val, h_sq, rho = _cone_terms(problem, x, point)
     sdp = problem.sdp_block is not None
@@ -436,4 +438,4 @@ def _c1_penalty(sdp: bool, problem, x, c: float, alpha: float, kappa: float, cfg
     check_penalty_parameter(c)
     check_cone(problem, sdp)
     check_barrier(sdp, alpha, kappa)
-    return c1_value(problem, c1_state(problem, x, alpha, kappa, cfg), c)
+    return c1_value(problem, c1_state(problem, point_floats(problem, x), alpha, kappa, cfg), c)

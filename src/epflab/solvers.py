@@ -93,13 +93,22 @@ def _sobol_draws(dim: int, seed: int, size: int) -> tuple:
     return qmc.Sobol(d=dim, scramble=True, seed=seed), []
 
 
+def _float_entry(func):
+    """F as the solver calls it, on a tuple of Python floats: ``func.on_floats``
+    where func carries one, else func on a float64 array of them."""
+    entry = getattr(func, "on_floats", None)
+    return entry if entry is not None else lambda p: func(np.array(p))
+
+
 def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
     """Draw Sobol starts, keeping only points where func is finite.
 
     Penalties with a barrier domain are +inf on much of the box, so we
     keep drawing (up to DRAWS_PER_START times the requested count) until
-    enough usable starts are found.
+    enough usable starts are found.  F is called on each point's floats
+    (``_float_entry``); the starts are float64 arrays.
     """
+    entry = _float_entry(func)
     starts = []
     # Sobol balance wants power-of-two draws.
     batch_size = 1 << (cfg.n_starts - 1).bit_length()
@@ -110,7 +119,7 @@ def _finite_starts(func, lower, upper, cfg: SolverConfig) -> list:
             batches[k].flags.writeable = False
         for row in batches[k]:
             pt = lower + row * (upper - lower)
-            if math.isfinite(func(pt)):
+            if math.isfinite(entry(tuple(pt.tolist()))):
                 starts.append(pt)
                 if len(starts) == cfg.n_starts:
                     return starts
@@ -179,7 +188,9 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     coefficients are fixed: reflection 1, expansion 2, contraction 0.5, shrink
     0.5, and an initial step of 5 % of each coordinate (0.00025 where it is
     0).  On two coordinates the loop after the start simplex is ``_nelder_mead_2d``.
+    Each vertex is a list of floats, which F gets as a tuple through ``_float_entry``.
     """
+    f = _float_entry(func)
     lows, highs = lower.tolist(), upper.tolist()
     n = len(lows)
     clip, reflect, expand, contract_out, contract_in, shrink_toward = _box_steps(lows, highs)
@@ -191,13 +202,13 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         sim.append(y)
     # A step past an upper bound is reflected into the box.
     sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, highs)]) for p in sim]
-    fs = [_as_float(func(np.array(p))) for p in sim]
+    fs = [_as_float(f(tuple(p))) for p in sim]
     nfev = n + 1
     # scipy sorts twice here; a stable sort is the same after one.
     sim, fs = _ordered(sim, fs)
     maxiter = iters_per_dim * n
     if n == 2:
-        return _nelder_mead_2d(func, sim, fs, lows, highs, maxiter, xatol, fatol)
+        return _nelder_mead_2d(f, sim, fs, lows, highs, maxiter, xatol, fatol)
     it = 1
     while it < maxiter:
         f0, s0, w = fs[0], sim[0], sim[-1]
@@ -210,11 +221,11 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         # Left to right from +0.0, as np.add.reduce sums the vertices.
         xbar = [reduce(add, col, 0.0) / n for col in zip(*sim[:-1])]
         xr = reflect(xbar, w)
-        fxr = _as_float(func(np.array(xr)))
+        fxr = _as_float(f(tuple(xr)))
         nfev += 1
         if fxr < f0:
             xe = expand(xbar, w)
-            fxe = _as_float(func(np.array(xe)))
+            fxe = _as_float(f(tuple(xe)))
             nfev += 1
             xn, fn = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fs[-2]:
@@ -222,12 +233,12 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
         else:
             inside = not fxr < fs[-1]
             xn = (contract_in if inside else contract_out)(xbar, w)
-            fn = _as_float(func(np.array(xn)))
+            fn = _as_float(f(tuple(xn)))
             nfev += 1
             if (not fn < fs[-1]) if inside else (not fn <= fxr):
                 for j in range(1, n + 1):
                     sim[j] = shrink_toward(s0, sim[j])
-                    fs[j] = _as_float(func(np.array(sim[j])))
+                    fs[j] = _as_float(f(tuple(sim[j])))
                 nfev += n
                 sim, fs = _ordered(sim, fs)
                 continue
@@ -244,7 +255,7 @@ def _nelder_mead(func, start, lower, upper, iters_per_dim: int, xatol: float, fa
     return np.array(sim[0]), float(np.array(fs).min()), nfev, it >= maxiter
 
 
-def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fatol: float):
+def _nelder_mead_2d(f, sim, fs, lows, highs, maxiter: int, xatol: float, fatol: float):
     """The loop of ``_nelder_mead`` on two coordinates, unrolled on floats.
 
     It takes the ordered start simplex and its values (3 F calls) and does
@@ -252,7 +263,8 @@ def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fato
     (0.0 + a + b) / 2, the point maps ca * a - cv * v and the shrink
     s + 0.5 * (v - s), each clipped by the rule of two or more coordinates,
     and the new vertex placed by bisect_right's two comparisons.  So every
-    F call, iterate and result is the same bit for bit.
+    F call, iterate and result is the same bit for bit.  ``f`` is
+    ``_float_entry``'s F, called on each point as a pair of floats.
     """
     (lo0, lo1), (hi0, hi1) = lows, highs
     (a0, a1), (b0, b1), (w0, w1) = sim
@@ -272,7 +284,7 @@ def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fato
         t = 2.0 * c1 - 1.0 * w1
         m = lo1 if lo1 >= t else t
         r1 = hi1 if hi1 <= m else m
-        fr = _as_float(func(np.array([r0, r1])))
+        fr = _as_float(f((r0, r1)))
         nfev += 1
         if fr < f0:
             t = 3.0 * c0 - 2.0 * w0
@@ -281,7 +293,7 @@ def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fato
             t = 3.0 * c1 - 2.0 * w1
             m = lo1 if lo1 >= t else t
             e1 = hi1 if hi1 <= m else m
-            fe = _as_float(func(np.array([e0, e1])))
+            fe = _as_float(f((e0, e1)))
             nfev += 1
             n0, n1, fn = (e0, e1, fe) if fe < fr else (r0, r1, fr)
         elif fr < f1:
@@ -295,7 +307,7 @@ def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fato
             t = ca * c1 - cv * w1
             m = lo1 if lo1 >= t else t
             n1 = hi1 if hi1 <= m else m
-            fn = _as_float(func(np.array([n0, n1])))
+            fn = _as_float(f((n0, n1)))
             nfev += 1
             if (not fn < f2) if inside else (not fn <= fr):
                 t = a0 + 0.5 * (b0 - a0)
@@ -304,14 +316,14 @@ def _nelder_mead_2d(func, sim, fs, lows, highs, maxiter: int, xatol: float, fato
                 t = a1 + 0.5 * (b1 - a1)
                 m = lo1 if lo1 >= t else t
                 b1 = hi1 if hi1 <= m else m
-                f1 = _as_float(func(np.array([b0, b1])))
+                f1 = _as_float(f((b0, b1)))
                 t = a0 + 0.5 * (w0 - a0)
                 m = lo0 if lo0 >= t else t
                 w0 = hi0 if hi0 <= m else m
                 t = a1 + 0.5 * (w1 - a1)
                 m = lo1 if lo1 >= t else t
                 w1 = hi1 if hi1 <= m else m
-                f2 = _as_float(func(np.array([w0, w1])))
+                f2 = _as_float(f((w0, w1)))
                 nfev += 2
                 ((a0, a1), (b0, b1), (w0, w1)), (f0, f1, f2) = _ordered(
                     [(a0, a1), (b0, b1), (w0, w1)], [f0, f1, f2])
@@ -338,7 +350,9 @@ def minimize(
     """Multistart local minimization over a finite box with lower <= upper
     (ValueError before any start is drawn otherwise); returns the best result.
     With the default ``stop_below`` of -inf every start runs; a larger one
-    ends the run after the first start whose local minimum is at or below it."""
+    ends the run after the first start whose local minimum is at or below it.
+    func takes a float64 array; where it carries ``on_floats``, the solver
+    calls that instead, on a tuple of the same floats (``_float_entry``)."""
     stop = stop_below > -math.inf
     lower, upper = _box(lower, upper)
     starts = _finite_starts(func, lower, upper, cfg)

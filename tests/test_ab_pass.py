@@ -80,6 +80,27 @@ def test_a_tree_against_itself_prints_equal_f_evaluation_counts(capsys):
     assert counts[0] != counts[1]
 
 
+def _counts(line):
+    """(base, new) of a ``... seed S: base B, new N (+x%)`` line."""
+    base, new = line.split(": ", 1)[1].split(" (")[0].split(", ")
+    return int(base.removeprefix("base ")), int(new.removeprefix("new "))
+
+
+def test_state_computations_are_printed_next_to_the_f_evaluations(capsys):
+    src = str(ROOT / "src")
+    ab_pass = _ab_pass()
+    assert ab_pass.main([src, src, "--workload", "classic-battery", "--rounds", "1",
+                         "--pair", "toy-eq-1/linear"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    evals = next(i for i, line in enumerate(out) if line.startswith("F evaluations seed 0: "))
+    states = out[evals + 1]
+    assert states.startswith("states seed 0: ") and states.endswith("(+0.0%)")
+    # Each side counts its own handles' misses: equal, and fewer than the
+    # F calls, as the memo serves the rest.
+    base, new = _counts(states)
+    assert 0 < base == new < _counts(out[evals])[0]
+
+
 def test_workload_list_parsing():
     ab_pass = _ab_pass()
     assert ab_pass.workload_list("classic-battery") == ["classic-battery"]

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import inspect
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from epflab.harness import (
     penalty_type_probe,
     sublevel_bounded_probe,
 )
-from epflab.problems import ConstrainedProblem, SdpBlock, SocBlock, get_problem, registry
+from epflab.problems import ConstrainedProblem, SdpBlock, SocBlock, get_problem, point_floats, registry
 from epflab.report import localize
 from epflab.smoothpen import KAPPA_SDP, KAPPA_SOC
-from epflab.solvers import SolverConfig
+from epflab.solvers import SolverConfig, _finite_starts, minimize, polish
 
 CFG = SolverConfig(n_starts=8, seed=0)
 
@@ -688,3 +690,60 @@ def test_sweep_and_localize_run_every_start(monkeypatch):
     assert set(bounds[6:-1]) == {harness.strict_fail_bound(p.certificate.f_star)}
     monkeypatch.undo()
     assert localize(p, "linear", cfg=cfg, c_min=0.5, c_max=512.0, c_steps=6) == rep
+
+
+@pytest.mark.parametrize("name,kind", [("toy-lin-1", "linear"), ("toy-eq-1", "qorder"),
+                                       ("toy-socp-1", "c1-socp")])
+def test_every_f_call_passes_through_the_handle(name, kind, monkeypatch):
+    # perfbench's tracer and tools/ab_pass.py count F at PenaltyHandle.__call__,
+    # so the solver's float entry must call the handle, not the memo behind
+    # it: a class-level wrapper of __call__ sees every value the handle
+    # computes, and in minimize its local solves' nfev plus the screening's calls.
+    problem = get_problem(name)
+    lower, upper = problem.box()
+    cfg = SolverConfig(n_starts=3, seed=4)
+    calls = []
+    call = PenaltyHandle.__call__
+    monkeypatch.setattr(PenaltyHandle, "__call__", lambda self, x, c: calls.append(c) or call(self, x, c))
+    handle = make_penalty(problem, kind)
+    value, values = handle.value, []
+    handle.value = lambda s, c: values.append(c) or value(s, c)
+
+    def counted(run):
+        calls.clear()
+        values.clear()
+        run()
+        assert len(calls) == len(values)
+        return len(calls)
+
+    c = 3.0
+    screened = []
+    plain = lambda x: screened.append(x) or value(handle.state(point_floats(problem, x)), c)
+    _finite_starts(plain, lower, upper, cfg)
+    result = minimize(harness._at(handle, c), lower, upper, cfg)
+    assert len(calls) == len(values) == result.nfev + len(screened)
+    plain_calls = []
+    polish(lambda x: plain_calls.append(x) or plain(x), result.x, lower, upper)
+    assert counted(lambda: polish(harness._at(handle, c), result.x, lower, upper)) == len(plain_calls)
+    assert counted(lambda: harness._solve_at(handle, 7.0, cfg)) > 0
+    assert counted(lambda: estimate_c_star(handle, 0.5, 64.0, tol_rel=0.5, cfg=cfg)) > 0
+    assert counted(lambda: local_exactness_probe(handle, problem.certificate.x_star, 64.0)) > 0
+    # f settles all of toy-eq-1's shell; elsewhere F is called on part of it.
+    shell = counted(lambda: sublevel_bounded_probe(handle, 64.0, problem.certificate.f_star))
+    assert (shell == 0) == (name == "toy-eq-1")
+
+
+def test_the_solver_entry_is_freed_with_its_last_reference():
+    # F(., c) holds the handle and its memo; a reference cycle would keep
+    # them until the cyclic collector runs, so a long run's peak RSS would
+    # grow with its tasks.
+    handle = make_penalty(get_problem("toy-eq-1"), "linear")
+    gc.disable()
+    try:
+        func = harness._at(handle, 2.0)
+        assert func.on_floats((0.5, 0.5)) == func(np.array([0.5, 0.5]))
+        ref = weakref.ref(func)
+        del func
+        assert ref() is None
+    finally:
+        gc.enable()

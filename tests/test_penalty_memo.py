@@ -4,6 +4,7 @@ error."""
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from epflab.problems import (ConstrainedProblem, KnownSolution, SocBlock, affine
                              registry)
 from epflab.smoothpen import (DEFAULT_ESTIMATOR, KAPPA_SDP, KAPPA_SOC, BarrierState,
                               MultiplierEstimate, _sym_basis, c1_penalty_sdp, c1_penalty_soc)
+from test_problems import _READER_PROBLEMS
 from test_tracer_names import _sdp3
 
 
@@ -640,6 +642,118 @@ def test_signed_zero_is_its_own_key(monkeypatch):
     for x in (np.array([0.0, 0.5]), np.array([-0.0, 0.5]), np.array([0.0, 0.5])):
         handle(x, 1.0)
     assert len(seen) == 2
+    # The solver's float tuple, at every kind: 0.0 and -0.0 in each
+    # coordinate are two states, each met again from the memo with the bits
+    # of F on its array, and two NaN payloads are two points.
+    nan_a, nan_b = struct.unpack("2d", struct.pack("2Q", 0x7FF8000000000000, 0x7FF8000000000001))
+    for kind in PENALTY_KINDS:
+        problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-socp-1")
+        handle, reference = make_penalty(problem, kind), make_penalty(problem, kind)
+        keys = []
+        state = handle.state
+        handle.state = lambda x: keys.append(struct.pack("2d", *x)) or state(x)
+        points = []
+        for k in range(2):
+            for zero in (0.0, -0.0):
+                x = [0.75, 0.5]
+                x[k] = zero
+                points.append(tuple(x))
+        for x in points * 2:
+            assert _outcome(handle, x, 1.0) == _outcome(reference, np.array(x), 1.0), (kind, x)
+        assert keys == [struct.pack("2d", *x) for x in points], kind
+        keys.clear()
+        with np.errstate(all="ignore"):
+            for payload in (nan_a, nan_b):
+                assert _outcome(handle, (payload, 0.5), 1.0) == _outcome(reference, (nan_a, 0.5), 1.0)
+        assert keys == [struct.pack("2d", nan_a, 0.5), struct.pack("2d", nan_b, 0.5)], kind
+
+
+def _entry_points(problem):
+    """Points of the box and beyond it (where a C1 F is +inf), its corners,
+    signed zeros, and NaN and inf in each coordinate."""
+    rng = np.random.default_rng(5)
+    lo, hi = problem.box()
+    points = [rng.uniform(1.5 * lo - 0.5, 1.5 * hi + 0.5) for _ in range(10)]
+    points += [lo.copy(), hi.copy(), np.zeros(problem.dim), np.full(problem.dim, -0.0)]
+    for k in range(problem.dim):
+        for v in (-0.0, math.nan, math.inf):
+            x = 0.5 * (lo + hi)
+            x[k] = v
+            points.append(x)
+    return points
+
+
+def _one_shot_at_defaults(problem, kind):
+    """The library's one-shot F of a kind at make_penalty's defaults."""
+    if kind == "linear":
+        return lambda x, c: linear_eval(problem, default_phi(problem), x, c)
+    if kind == "qorder":
+        return lambda x, c: qpen_eval(q_order(1.0), problem, default_phi(problem), x, c)
+    if kind == "al-hpr":
+        cert = problem.certificate
+        return lambda x, c: hpr_closed_form(problem, x, lam=getattr(cert, "lambda_star", None),
+                                            lam_sdp=getattr(cert, "lambda_sdp_star", None),
+                                            mu=getattr(cert, "mu_star", None), c=c)
+    one_shot = c1_penalty_sdp if kind == "c1-sdp" else c1_penalty_soc
+    return lambda x, c: one_shot(problem, x, c)
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+@pytest.mark.parametrize("problem", _READER_PROBLEMS, ids=lambda p: p.name)
+def test_f_on_the_float_tuple_is_f_on_the_array_and_the_one_shot(problem, kind):
+    # The solver's entry: F on a point's float tuple, called twice (the
+    # second from the memo), against F on its array from a fresh handle and
+    # the one-shot evaluator; the same bits, or the same error and message.
+    # Where one of the problem's own callables raises, a one-shot F may
+    # raise its own check first (qpen_eval's NegativeObjective reads f
+    # before the constraints), so there it is not compared.
+    if not _fits(problem, kind):
+        return
+    by_tuple, by_array = make_penalty(problem, kind), make_penalty(problem, kind)
+    one_shot = _one_shot_at_defaults(problem, kind)
+    seen = set()
+    with np.errstate(all="ignore"):
+        for x in _entry_points(problem):
+            xs = tuple(x.tolist())
+            try:
+                problem.read_point(xs)
+                reads = True
+            except (ArithmeticError, ValueError):
+                reads = False
+            for c in (0.5, 3.0):
+                expected = _outcome(by_array, x, c)
+                seen.add(expected)
+                for _ in range(2):
+                    assert _outcome(by_tuple, xs, c) == expected, (xs, c)
+                if reads:
+                    assert _outcome(one_shot, x, c) == expected, (xs, c)
+    if kind.startswith("c1"):
+        assert "inf" in seen, "no point outside the barrier domain"
+
+
+@pytest.mark.parametrize("kind", PENALTY_KINDS)
+def test_other_tuples_take_the_as_point_path(kind, monkeypatch):
+    # Only a tuple of dim Python floats is taken as it is; ints, numpy
+    # scalars and a wrong length go through point_floats, as any array-like does.
+    problem = get_problem("toy-sdp-1" if kind == "c1-sdp" else "toy-eq-1")
+    converted = []
+    point_floats = harness.point_floats
+    monkeypatch.setattr(harness, "point_floats", lambda p, x: converted.append(x) or point_floats(p, x))
+    handle, reference = make_penalty(problem, kind), make_penalty(problem, kind)
+    x = (0.75, -0.5)
+    expected = _outcome(reference, np.array(x), 2.0)
+    converted.clear()
+    assert _outcome(handle, x, 2.0) == expected
+    assert converted == []
+    for form in ((1, 0), (1.0, 0), (np.float64(0.75), np.float64(-0.5)), (0.75, np.float64(-0.5)),
+                 (True, 0.5), [0.75, -0.5]):
+        expected = _outcome(reference, np.array(form, dtype=float), 2.0)
+        converted.clear()
+        assert _outcome(handle, form, 2.0) == expected
+        assert converted == [form]
+    for wrong in ((0.75,), (0.75, -0.5, 1.0), ()):
+        with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+            handle(wrong, 2.0)
 
 
 @pytest.mark.parametrize("kind", PENALTY_KINDS)
@@ -707,7 +821,7 @@ def test_handle_is_the_value_of_its_state(kind):
         handle = make_penalty(problem, kind)
         with np.errstate(all="ignore"):
             for x, c in _sequences(_points(problem)):
-                want = _outcome(lambda z, t: handle.value(handle.state(z), t), x, c)
+                want = _outcome(lambda z, t: handle.value(handle.state(tuple(z.tolist())), t), x, c)
                 assert _outcome(handle, x, c) == want, (problem.name, x.tolist(), c)
 
 
@@ -751,3 +865,18 @@ def test_hpr_closed_form_rejects_a_wrong_shape_before_any_evaluation(monkeypatch
             hpr_closed_form(eq, wrong, mu=[-2.0])
         with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
             make_penalty(eq, "al-hpr")(wrong, 1.0)
+
+
+def test_c1_one_shots_and_estimators_reject_a_wrong_shape():
+    # They read x through problems.point_floats, as the handle does.  An
+    # affine map reads x[dim] where it adds its constant, so an x one entry
+    # short used to take the constant as its last coordinate, and one entry
+    # too many gave a wrong value, both with no error.
+    soc, sdp = get_problem("toy-socp-1"), get_problem("toy-sdp-1")
+    calls = (lambda x: c1_penalty_soc(soc, x, 2.0), lambda x: c1_penalty_sdp(sdp, x, 2.0),
+             lambda x: smoothpen.estimate_multipliers_soc(soc, x),
+             lambda x: smoothpen.estimate_multipliers_sdp(sdp, x))
+    for wrong in (np.array([0.9, 1.1, 5.0]), [0.9], np.zeros((1, 2))):
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+                call(wrong)

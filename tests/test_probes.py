@@ -15,7 +15,8 @@ from epflab.errors import NonFiniteEvaluation
 from epflab.harness import (PenaltyHandle, local_exactness_probe, make_penalty,
                             sublevel_bounded_probe)
 from epflab.numerics import norm
-from epflab.problems import KnownSolution, affine_problem, flat_multipliers, get_problem, registry
+from epflab.problems import (KnownSolution, affine_problem, flat_multipliers, get_problem, point_floats,
+                             registry)
 
 
 # The two sampled probes as they were before they settled samples by f,
@@ -88,7 +89,7 @@ def _check_floor(handle, x, c):
     """value(state(x), c) >= f(x) - beta(c) up to the settle allowance;
     returns F(x, c)."""
     f_val, beta = handle.problem.f(x), handle.floor(c)
-    value = handle.value(handle.state(x), c)
+    value = handle.value(handle.state(point_floats(handle.problem, x)), c)
     assert value >= f_val - beta - harness.SETTLE_RTOL * (abs(f_val) + beta), (x, c, value, f_val)
     return value
 

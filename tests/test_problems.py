@@ -819,7 +819,7 @@ def test_c1_state_reads_array_int_and_float_values_alike(head):
     outcomes = set()
     for g in forms:
         try:
-            outcomes.add(np.array(c1_state(_closure(g), np.array([1.0]), 1.0, 2.0)).tobytes())
+            outcomes.add(np.array(c1_state(_closure(g), (1.0,), 1.0, 2.0)).tobytes())
         except ValueError as exc:
             outcomes.add(str(exc))
     assert len(outcomes) == 1, outcomes
@@ -830,7 +830,7 @@ def test_a_list_of_ints_is_read_as_floats_once(values):
     # 2**53 + 1 is no float.  Kept as an int, the normal matrix was formed
     # exactly, so lambda differed in its last bit from the same values as a
     # float array, and the state held ints.
-    states = [c1_state(_closure(g), np.array([1.0]), 1e300, 2.0)
+    states = [c1_state(_closure(g), (1.0,), 1e300, 2.0)
               for g in (lambda x: list(values), lambda x: np.array(values, dtype=float))]
     assert np.array(states[0]).tobytes() == np.array(states[1]).tobytes()
     assert all(type(v) is float for state in states for v in state)
@@ -929,17 +929,20 @@ def test_read_point_is_the_layered_readers_bit_for_bit(problem, data):
     coords = st.one_of(st.floats(-1.5, 1.5), st.floats(-4.0, 4.0), st.floats(),
                        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 3.0, 1e200, math.nan, math.inf]))
     x = np.array(data.draw(st.lists(coords, min_size=problem.dim, max_size=problem.dim)))
+    # read_point takes the point's floats as a tuple, as F passes them.
+    xs = tuple(x.tolist())
     with np.errstate(all="ignore"):
-        got = _outcome_bytes(lambda: problem.read_point(x))
+        got = _outcome_bytes(lambda: problem.read_point(xs))
         assert got == _outcome_bytes(lambda: _layered_point(problem, x)), x.tolist()
         if isinstance(got, str):
             return
-        # problem.f is the objective's value, NaN raising as it does from the point.
+        # problem.f is the objective's value, NaN raising as it does from the
+        # point, whose tuple the message shows as its array.
         assert _outcome_bytes(lambda: problem.f(x)) == _outcome_bytes(
-            lambda: problems_module.checked_objective(problem.read_point(x)[0], x))
+            lambda: problems_module.checked_objective(problem.read_point(xs)[0], xs))
         # The gap terms from the point are the reference gap's, and feasibility_gap's.
         ref = _reference_feasibility_gap(problem, x)
-        terms = problems_module.gap_terms(problem, x, problem.read_point(x))
+        terms = problems_module.gap_terms(problem, problem.read_point(xs))
         assert all(map(_same_float, terms, ref)), x.tolist()
         gap = feasibility_gap(problem, x)
         assert all(map(_same_float, (gap.soc_gap, gap.eq_gap, gap.box_gap), terms))
@@ -961,13 +964,12 @@ def test_read_point_calls_each_callable_once_in_order():
         soc_blocks=(SocBlock(dim=2, g=log("g0", [1.0, 0.0]), jac=np.zeros((2, 1))),
                     SocBlock(dim=2, g=log("g1", [1.0, 0.0]), jac=np.zeros((2, 1)))),
         sdp_block=SdpBlock(order=1, G=log("G", [[-1.0]]), dG=np.zeros((1, 1, 1))))
-    assert problem.read_point(np.array([0.5])) == (1.0, [[1.0, 0.0], [1.0, 0.0]], [-1.0], [0.0],
-                                                  [0.5, 1.0])
+    assert problem.read_point((0.5,)) == (1.0, [[1.0, 0.0], [1.0, 0.0]], [-1.0], [0.0], [0.5, 1.0])
     assert calls == ["f", "g0", "g1", "G", "h"]
     wrong = dataclasses.replace(problem, sdp_block=SdpBlock(order=2, G=log("G", [[-1.0]]),
                                                             dG=np.zeros((1, 2, 2))))
     with pytest.raises(ValueError, match=r"shape \(1, 1\), expected \(2, 2\)"):
-        wrong.read_point(np.array([0.5]))
+        wrong.read_point((0.5,))
 
 
 def _numpy_affine_gradient(weight, center, linear):

@@ -21,6 +21,11 @@ Veltkamp's split constant 2**27 + 1 = 134217729, as a literal or as
 arithmetic on literals.  And no module calls numpy's sort (``argsort``,
 ``np.sort``, ``np.lexsort``): the solver orders its simplex by Python's
 stable ``sorted``, which orders ties the same way on every CPU.
+
+Beside them, one rule of cost: the solver's loops ``_nelder_mead`` and
+``_nelder_mead_2d`` call numpy only in their last statement, the return of
+the final result.  F gets each point as a tuple of floats, so no array is
+built per F call.
 """
 
 import ast
@@ -98,6 +103,26 @@ def numpy_sort_uses(source: str) -> list:
         elif (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
               and any(alias.name in NUMPY_SORTS for alias in node.names)):
             lines.append(node.lineno)
+    return sorted(lines)
+
+
+# The solver's loops, which make every F call of a local solve.
+SOLVER_LOOPS = ("_nelder_mead", "_nelder_mead_2d")
+
+
+def loop_numpy_calls(source: str) -> list:
+    """Line numbers of each ``np.<name>(...)`` or ``numpy.<name>(...)`` call
+    in a top-level function named in ``SOLVER_LOOPS``, outside its last
+    statement when that is a return."""
+    lines = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in SOLVER_LOOPS):
+            continue
+        body = node.body[:-1] if isinstance(node.body[-1], ast.Return) else node.body
+        for stmt in body:
+            lines += [n.lineno for n in ast.walk(stmt)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                      and isinstance(n.func.value, ast.Name) and n.func.value.id in ("np", "numpy")]
     return sorted(lines)
 
 
@@ -319,6 +344,41 @@ def order(fs, keys):
 '''
     # A list's own sort, sorted and a function named _argsort are not numpy's sort.
     assert numpy_sort_uses(source) == [3, 4, 8, 8, 8, 8, 10]
+
+
+def test_solver_loop_guard_sees_violations():
+    source = '''
+import numpy as np
+
+
+def _nelder_mead(func, sim):
+    fs = [func(np.array(p)) for p in sim]
+    while fs:
+        fx = func(numpy.asarray(sim[0]))
+        step = lambda p: func(np.array(p))
+    return np.array(sim[0]), float(np.array(fs).min())
+
+
+def _nelder_mead_2d(func, a0, a1):
+    fr = func((a0, a1))
+    if fr != fr:
+        return np.array([a0, a1]), fr
+    return np.array([a0, a1]), fr
+
+
+def _finite_starts(func, sim):
+    return [func(np.array(p)) for p in sim]
+'''
+    # The final return may build the result; an earlier return, a lambda
+    # and another function's calls are not the final result.
+    assert loop_numpy_calls(source) == [6, 8, 9, 16]
+
+
+def test_solver_loops_build_no_array_per_f_call():
+    source = (PACKAGE / "solvers.py").read_text(encoding="utf-8")
+    assert loop_numpy_calls(source) == []
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert set(SOLVER_LOOPS) <= defined, "a solver loop was renamed: update this guard"
 
 
 def test_no_module_calls_numpy_sort():

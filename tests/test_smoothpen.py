@@ -608,7 +608,7 @@ def test_c1_state_keeps_the_bits_of_the_array_multiplier_path(problem, kind, dat
         near = st.floats(max(lo, star[k] - 0.3), min(hi, star[k] + 0.3))
         coords.append(data.draw(st.floats(lo, hi) | near | st.sampled_from([-0.0, 0.0, 1.0, star[k]]),
                                 label=f"x{k}"))
-    x = np.array(coords)
+    x = tuple(coords)  # the point's floats, as F passes them
     alpha = data.draw(st.sampled_from([1.0, 0.05, 30.0]), label="alpha")
     kappa = KAPPA_SDP if kind == "c1-sdp" else data.draw(st.sampled_from([KAPPA_SOC, 3.5]), label="kappa")
     cfg = data.draw(st.sampled_from([DEFAULT_ESTIMATOR, EstimatorConfig(zeta1=0.3, zeta2=7.0)]))

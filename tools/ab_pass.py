@@ -30,7 +30,10 @@ and the SHA-256 of each side's answers, one per seed: the
 ``(c_star, history, confirm)`` of every ``estimate_c_star`` task.  Equal
 hashes mean the two trees gave the same answers bit for bit.  Per seed
 it also prints each side's F evaluations over all rounds (calls of
-``PenaltyHandle``), a count that does not depend on the host's speed.
+``PenaltyHandle``), a count that does not depend on the host's speed,
+and next to them its state computations (calls of a handle's ``state``,
+the memo's misses): equal counts on both sides mean the two memos kept
+the same points apart.
 CPU time of one process is less noisy than wall time on a shared host,
 but it is not the benchmark's ``wall_s``.
 """
@@ -70,6 +73,7 @@ def load_tree(src: Path, name: str):
     lib = SimpleNamespace(**{part: importlib.import_module(f"{name}.{part}")
                              for part in ("harness", "problems", "report", "solvers")})
     lib.f_evals = counting_f(lib.harness.PenaltyHandle)
+    lib.states = counting_states(lib.harness.PenaltyHandle)
     return lib
 
 
@@ -85,6 +89,28 @@ def counting_f(handle_class):
         return call(self, x, c)
 
     handle_class.__call__ = counted
+    return lambda: count
+
+
+def counting_states(handle_class):
+    """Make every handle of ``handle_class`` built from now on count the
+    calls of its ``state`` (the memo's misses); returns a function that
+    gives the count so far."""
+    init = handle_class.__init__
+    count = 0
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        state = self.state
+
+        def counted(x):
+            nonlocal count
+            count += 1
+            return state(x)
+
+        self.state = counted
+
+    handle_class.__init__ = counted_init
     return lambda: count
 
 
@@ -115,23 +141,24 @@ def recording(lib, digest):
         problems=lib.problems,
         report=_Recorder(lib.report, "serialize_report", digest, lambda text: text),
         solvers=lib.solvers,
-        f_evals=lib.f_evals)
+        f_evals=lib.f_evals,
+        states=lib.states)
 
 
 def run_pass(lib, workload, tasks, seed, pass_index):
     """CPU seconds of each task in one pass (``tasks`` holds the index of
     each pair to run in the workload), the number of tasks that failed the
-    gate, and the F evaluations of the pass."""
+    gate, and the F evaluations and state computations of the pass."""
     failed = 0
     seconds = []
-    evals = lib.f_evals()
+    evals, states = lib.f_evals(), lib.states()
     for i in tasks:
         problem, penalty = workload.pairs[i]
         start = time.process_time()
         outcome = run_task(lib, workload, problem, penalty, task_seed(seed, pass_index, i))
         seconds.append(time.process_time() - start)
         failed += bool(check(workload, problem, penalty, outcome)[0])
-    return seconds, failed, lib.f_evals() - evals
+    return seconds, failed, lib.f_evals() - evals, lib.states() - states
 
 
 def seed_list(text):
@@ -184,16 +211,18 @@ def compare(sides, workload, tasks, rounds, seeds):
     per_pair = {side: [] for side in sides}
     failed = {side: 0 for side in sides}
     f_evals = {side: {seed: 0 for seed in seeds} for side in sides}
+    states = {side: {seed: 0 for seed in seeds} for side in sides}
     for r in range(rounds):
         order = ("base", "new") if r % 2 == 0 else ("new", "base")
         for side in order:
             passes = [run_pass(libs[side][seed], workload, tasks, seed, r) for seed in seeds]
-            seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, _, _ in passes))]
+            seconds = [sum(pair) for pair in zip(*(pair_seconds for pair_seconds, *_ in passes))]
             per_pair[side].append(seconds)
             cpu[side].append(sum(seconds))
-            failed[side] += sum(bad for _, bad, _ in passes)
-            for seed, (_, _, evals) in zip(seeds, passes):
+            failed[side] += sum(bad for _, bad, *_ in passes)
+            for seed, (_, _, evals, misses) in zip(seeds, passes):
                 f_evals[side][seed] += evals
+                states[side][seed] += misses
         print(f"round {r}: base {cpu['base'][-1]:.3f} s, new {cpu['new'][-1]:.3f} s "
               f"({order[0]} first)", flush=True)
     wins = sum(n < b for b, n in zip(cpu["base"], cpu["new"]))
@@ -212,6 +241,8 @@ def compare(sides, workload, tasks, rounds, seeds):
     for seed in seeds:
         base, new = f_evals["base"][seed], f_evals["new"][seed]
         print(f"F evaluations seed {seed}: base {base}, new {new} ({(new - base) / base:+.1%})")
+        base, new = states["base"][seed], states["new"][seed]
+        print(f"states seed {seed}: base {base}, new {new} ({(new - base) / base:+.1%})")
     for k, i in enumerate(tasks):
         problem, penalty = workload.pairs[i]
         base, new = (statistics.median(rounds[k] for rounds in per_pair[side]) for side in sides)
